@@ -59,20 +59,21 @@ from .familial import (
 from .netsim import (
     default_topology,
     run_scenario,
-    run_specdec_scenario,
     run_tofc_scenario,
+    schedule_specdec,
     serialize_trace,
+    tier_models,
     topology_from_dict,
 )
 from .numerics import Rng, svd_reduced
-from .specdec import ProtocolConfig, run_pipelined, run_sequential
+from .specdec import ProtocolConfig, run_protocol
 from .tofc import (
     TofcConfig,
-    fit_laplacian,
+    fit_laplacian_models,
     load_features,
     load_features_csv,
 )
-from .toylm import LmDecoder, ToyLmConfig, build, sample
+from .toylm import sample
 
 _LOG = logging.getLogger("aiflow")
 
@@ -258,20 +259,6 @@ def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     )
 
 
-def _decoder_for(spec: dict, shared: dict, where: str) -> LmDecoder:
-    try:
-        lm_cfg = ToyLmConfig(
-            vocab_size=shared["vocab_size"],
-            embed_dim=shared["embed_dim"],
-            num_layers=int(spec["layers"]),
-            context_window=shared["context_window"],
-            seed=int(spec["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} needs integer 'layers' and 'seed': {exc}") from exc
-    return LmDecoder(build(lm_cfg))
-
-
 def _reference_histogram(model, prompt, num_tokens, seed, vocab):
     """Unigram histogram of a verifier-only decode on the drafter's stream."""
     rng = Rng(seed).spawn(0)
@@ -296,13 +283,9 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     tv_distance_to_target compares the emitted token histogram against a
     verifier-only decode of the same length running on the drafter's random
     stream, so identical tiers reproduce the reference stream exactly and
-    score 0.
+    score 0. Each entry is decoded once and that transcript is priced on the
+    topology; model sizes default to netsim.MODEL_DEFAULTS.
     """
-    shared = {
-        "vocab_size": int(cfg.get("vocab_size", 24)),
-        "embed_dim": int(cfg.get("embed_dim", 12)),
-        "context_window": int(cfg.get("context_window", 6)),
-    }
     prompt = [int(t) for t in cfg.get("prompt", [0])]
     num_tokens = int(require_field(cfg, "num_tokens"))
     entries = require_field(cfg, "configs")
@@ -316,28 +299,18 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
         tiers = tuple(str(t) for t in require_field(entry, "tiers", where))
         gamma = int(require_field(entry, "gamma", where))
         mode = str(entry.get("mode", "sequential"))
-        model_specs = require_field(entry, "models", where)
-        models = {}
-        for tier in tiers:
-            if tier not in model_specs:
-                raise ConfigError(f"{where} is missing field 'models.{tier}'")
-            models[tier] = _decoder_for(model_specs[tier], shared, f"{where}.models.{tier}")
+        models = tier_models(require_field(entry, "models", where), tiers, cfg, where)
         costs = {t: topology.cost(t, "token") for t in tiers}
         proto = ProtocolConfig(
             draft_len=gamma, tiers=tiers, per_token_compute_cost=costs, mode=mode
         )
-        _, metrics = run_specdec_scenario(topology, proto, models, prompt, num_tokens, seed)
-        if mode == "pipelined":
-            transcript, _ = run_pipelined(proto, models, prompt, num_tokens, Rng(seed))
-        else:
-            transcript = run_sequential(proto, models, prompt, num_tokens, Rng(seed))
+        transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
+        _, metrics = schedule_specdec(topology, proto, transcript, seed)
+        vocab = models[tiers[-1]].lm.config.vocab_size
         emitted = np.bincount(
-            np.asarray(transcript.emitted_tokens, dtype=np.int64),
-            minlength=shared["vocab_size"],
+            np.asarray(transcript.emitted_tokens, dtype=np.int64), minlength=vocab
         )
-        reference = _reference_histogram(
-            models[tiers[-1]], prompt, num_tokens, seed, shared["vocab_size"]
-        )
+        reference = _reference_histogram(models[tiers[-1]], prompt, num_tokens, seed, vocab)
         tv = _tv_distance(emitted, reference)
         tput = metrics.tokens_emitted / metrics.simulated_wall_s if metrics.simulated_wall_s else 0.0
         rows.append(
@@ -381,17 +354,10 @@ def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     if not sweep:
         raise ConfigError("'num_centers_sweep' must be non-empty")
     k_neighbors = int(cfg.get("k_neighbors", 4))
-    num_models = int(cfg.get("num_models", 2))
-    if num_models < 1:
-        raise ConfigError("'num_models' must be >= 1")
+    models = fit_laplacian_models(features, int(cfg.get("num_models", 2)))
     topology = _topology_from_config(cfg)
     device = str(cfg.get("device", "device"))
     server = str(cfg.get("server", "edge"))
-    rows_idx = np.arange(features.count)
-    models = tuple(
-        fit_laplacian(features.features[rows_idx % num_models == e], e)
-        for e in range(num_models)
-    )
     rows = []
     for m_centers in sweep:
         tofc_cfg = TofcConfig(num_centers=m_centers, k_neighbors=k_neighbors, models=models)

@@ -2,10 +2,12 @@
 
 Compute is priced by fixed per-op costs on each node, links by latency +
 payload/bandwidth + seeded uniform jitter. Every message carries a 16-byte
-frame; token indices cost 4 bytes each. Scenario runs first execute the pure
-protocol (token streams never depend on timing), then lay the rounds out on
-the simulated clock, so identical inputs always produce byte-identical
-traces.
+frame; token indices cost 4 bytes each, and links deliver in FIFO order: no
+message arrives before one sent earlier on the same link, whatever the
+jitter. Decode scenarios first run the timing-free protocol (token streams
+never depend on timing), then one scheduler, schedule_specdec, lays the
+transcript's rounds out on the simulated clock for both decode modes, so
+identical inputs always produce byte-identical traces.
 
 Verdict messages carry one 4-byte accept count plus 4 bytes per token the
 receiver has not seen: the verifier's correction, and in three-tier runs the
@@ -20,9 +22,7 @@ in-memory events also carry a free-form note that is not serialized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     InvalidInputError,
@@ -30,14 +30,10 @@ from .errors import (
     InvariantViolationError,
 )
 from .numerics import Rng
-from .specdec import (
-    ProtocolConfig,
-    run_pipelined,
-    run_sequential,
-)
+from .specdec import ProtocolConfig, run_protocol
 from .tofc import (
     TofcConfig,
-    fit_laplacian,
+    fit_laplacian_models,
     make_blob_features,
     tofc_pipeline,
 )
@@ -220,19 +216,13 @@ class _Net:
         else:
             self.bytes_down += num_bytes
 
-    def duration(self, src: str, dst: str, payload_bytes: int) -> float:
-        """Price one message and account its bytes; caller owns the clock."""
+    def send(self, now: float, src: str, dst: str, payload_bytes: int, log, note=""):
+        """Deliver a message, keeping per-link FIFO order; returns arrival."""
         link = self.topology.link(src, dst)
         num_bytes = FRAME_BYTES + payload_bytes
         t = transmit_time(num_bytes, link, self._rngs[(src, dst)])
         self.transmit_s += t
         self._account(src, dst, num_bytes)
-        return t
-
-    def send(self, now: float, src: str, dst: str, payload_bytes: int, log, note=""):
-        """Deliver a message, keeping per-link FIFO order; returns arrival."""
-        num_bytes = FRAME_BYTES + payload_bytes
-        t = self.duration(src, dst, payload_bytes)
         arrival = max(now + t, self._last_arrival.get((src, dst), 0.0))
         self._last_arrival[(src, dst)] = arrival
         self.sent += 1
@@ -276,34 +266,55 @@ def run_specdec_scenario(
 ):
     """Draft-verify decoding laid out on the simulated network.
 
-    cfg.tiers name topology nodes, drafter first. Sequential mode replays
-    each round as draft compute, uplink, verify compute, downlink; pipelined
-    mode takes its timeline from the protocol's own clock arithmetic.
-    Returns (trace, MetricsRecord).
+    Runs the protocol in cfg.mode on Rng(seed), then prices the transcript
+    with schedule_specdec. Returns (trace, MetricsRecord).
+    """
+    transcript = run_protocol(cfg, models, prompt, num_tokens, Rng(seed))
+    return schedule_specdec(topology, cfg, transcript, seed)
+
+
+def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: int):
+    """Lay a decode transcript's rounds out on the simulated network.
+
+    cfg.tiers name topology nodes, drafter first. Each round drafts, sends
+    the batch up the tier chain with one verify forward per boundary, and
+    returns the verdicts hop by hop; every message goes through the links.
+    A sequential round drafts once the last verdict reaches the drafter. A
+    pipelined round verifies the batch the drafter made one round ahead,
+    unless the last round's correction discarded it; then the drafter starts
+    afresh once that verdict arrives. Returns (trace, MetricsRecord).
     """
     for role in cfg.tiers:
         topology.node(role)
     net = _Net(topology, seed)
     log = _EventLog()
-    if cfg.mode == "pipelined":
-        return _run_specdec_pipelined(topology, cfg, models, prompt, num_tokens, seed, net, log)
-    transcript = run_sequential(cfg, models, prompt, num_tokens, Rng(seed))
     boundaries = len(cfg.tiers) - 1
     device = cfg.tiers[0]
-    now = 0.0
+    draft_cost = cfg.draft_len * cfg.per_token_compute_cost[device]
     device_compute = 0.0
     server_compute = 0.0
-    draft_cost = cfg.draft_len * cfg.per_token_compute_cost[device]
+    verdict_at = 0.0
+    free_at = {}
+    lookahead_done = None
     for start in range(0, len(transcript.per_round), boundaries):
         records = transcript.per_round[start : start + boundaries]
-        now += draft_cost
-        device_compute += draft_cost
-        log.add(now, "compute-done", device, device, 0, "draft-batch")
-        for b, rec in enumerate(records):
-            lower, upper = cfg.tiers[b], cfg.tiers[b + 1]
+        if lookahead_done is None:
+            draft_done = verdict_at + draft_cost
+            device_compute += draft_cost
+        else:
+            draft_done = lookahead_done
+        log.add(draft_done, "compute-done", device, device, 0, "draft-batch")
+        if cfg.mode == "pipelined":
+            # At most one batch ahead: the lookahead starts once this batch
+            # is drafted and the verdict on the batch before it is in.
+            lookahead_done = max(draft_done, verdict_at) + draft_cost
+            device_compute += draft_cost
+        now = draft_done
+        for lower, upper, rec in zip(cfg.tiers, cfg.tiers[1:], records):
             now = net.send(now, lower, upper, TOKEN_BYTES * rec.drafted, log, "tokens")
             verify_cost = cfg.per_token_compute_cost[upper]
-            now += verify_cost
+            now = max(now, free_at.get(upper, 0.0)) + verify_cost
+            free_at[upper] = now
             server_compute += verify_cost
             log.add(now, "compute-done", upper, upper, 0, "verify")
         payloads = _verdict_payloads(records)
@@ -311,60 +322,18 @@ def run_specdec_scenario(
             upper = cfg.tiers[len(cfg.tiers) - 1 - hop]
             lower = cfg.tiers[len(cfg.tiers) - 2 - hop]
             now = net.send(now, upper, lower, payload, log, "verdict")
+        verdict_at = now
+        if records[-1].accepted < records[-1].drafted:
+            lookahead_done = None
     metrics = MetricsRecord(
         tokens_emitted=len(transcript.emitted_tokens),
-        simulated_wall_s=now,
+        simulated_wall_s=verdict_at,
         device_compute_s=device_compute,
         transmit_s=net.transmit_s,
         server_compute_s=server_compute,
         bytes_up=net.bytes_up,
         bytes_down=net.bytes_down,
         acceptance_rate=_acceptance_rate(transcript.per_round, boundaries),
-    )
-    return log.finalize(), metrics
-
-
-class _LinkClock:
-    """Prices pipelined protocol messages with the simulated links."""
-
-    def __init__(self, net: _Net, device: str, verifier: str):
-        self.net = net
-        self.device = device
-        self.verifier = verifier
-
-    def uplink_seconds(self, token_count: int) -> float:
-        return self.net.duration(self.device, self.verifier, TOKEN_BYTES * token_count)
-
-    def downlink_seconds(self, token_count: int) -> float:
-        return self.net.duration(self.verifier, self.device, TOKEN_BYTES * token_count)
-
-
-def _run_specdec_pipelined(topology, cfg, models, prompt, num_tokens, seed, net, log):
-    device, verifier = cfg.tiers
-    clock = _LinkClock(net, device, verifier)
-    transcript, timing = run_pipelined(cfg, models, prompt, num_tokens, Rng(seed), clock)
-    for rec, times in zip(transcript.per_round, timing.round_times):
-        draft_done, arrive, verify_done, verdict = times
-        corr = 1 if rec.accepted < rec.drafted else 0
-        log.add(draft_done, "compute-done", device, device, 0, "draft-batch")
-        log.add(
-            arrive, "message-delivered", device, verifier,
-            FRAME_BYTES + TOKEN_BYTES * rec.drafted, "tokens",
-        )
-        log.add(verify_done, "compute-done", verifier, verifier, 0, "verify")
-        log.add(
-            verdict, "message-delivered", verifier, device,
-            FRAME_BYTES + TOKEN_BYTES * (1 + corr), "verdict",
-        )
-    metrics = MetricsRecord(
-        tokens_emitted=len(transcript.emitted_tokens),
-        simulated_wall_s=timing.wall_s,
-        device_compute_s=timing.device_compute_s,
-        transmit_s=timing.uplink_s + timing.downlink_s,
-        server_compute_s=timing.verifier_compute_s,
-        bytes_up=net.bytes_up,
-        bytes_down=net.bytes_down,
-        acceptance_rate=_acceptance_rate(transcript.per_round, 1),
     )
     return log.finalize(), metrics
 
@@ -543,24 +512,36 @@ def topology_from_dict(doc: dict) -> Topology:
         raise InvalidScenarioError(str(exc)) from exc
 
 
-def _build_tier_models(params, tiers):
-    model_specs = params.get("models")
-    if not isinstance(model_specs, dict) or set(model_specs) != set(tiers):
-        raise InvalidScenarioError("specdec scenario needs one model spec per tier")
-    vocab = int(params.get("vocab_size", 32))
-    embed = int(params.get("embed_dim", 16))
-    window = int(params.get("context_window", 8))
+MODEL_DEFAULTS = {"vocab_size": 32, "embed_dim": 16, "context_window": 8}
+
+
+def tier_models(specs, tiers, sizes: dict, where: str) -> dict:
+    """One toy decoder per tier from its {layers, seed} spec in specs.
+
+    sizes supplies vocab_size, embed_dim and context_window, each falling
+    back to MODEL_DEFAULTS. where prefixes error messages, which name the
+    offending field.
+    """
+    if not isinstance(specs, dict):
+        raise InvalidScenarioError(f"{where} needs a 'models' object")
+    unknown = set(specs) - set(tiers)
+    if unknown:
+        raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
+    try:
+        shared = {key: int(sizes.get(key, default)) for key, default in MODEL_DEFAULTS.items()}
+    except (TypeError, ValueError) as exc:
+        raise InvalidScenarioError(f"{where}: model sizes must be integers: {exc}") from exc
     models = {}
     for tier in tiers:
-        spec = model_specs[tier]
+        if tier not in specs:
+            raise InvalidScenarioError(f"{where} is missing field 'models.{tier}'")
+        spec = specs[tier]
         try:
-            cfg = ToyLmConfig(
-                vocab_size=vocab, embed_dim=embed,
-                num_layers=int(spec["layers"]), context_window=window,
-                seed=int(spec["seed"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenarioError(f"bad model spec for {tier!r}: {exc}") from exc
+            cfg = ToyLmConfig(num_layers=int(spec["layers"]), seed=int(spec["seed"]), **shared)
+        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+            raise InvalidScenarioError(
+                f"{where}: cannot build 'models.{tier}' from integer 'layers' and 'seed': {exc}"
+            ) from exc
         models[tier] = LmDecoder(build(cfg))
     return models
 
@@ -620,7 +601,7 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
             )
         except InvalidInputError as exc:
             raise InvalidScenarioError(str(exc)) from exc
-        models = _build_tier_models(params, tiers)
+        models = tier_models(params.get("models"), tiers, params, "specdec scenario")
         return run_specdec_scenario(topology, cfg, models, prompt, num_tokens, seed)
     if kind == "tofc":
         try:
@@ -636,14 +617,8 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidScenarioError(f"bad tofc scenario: {exc}") from exc
         features = make_blob_features(num_points, dim, num_groups, Rng(feature_seed))
-        if num_models < 1 or num_models > num_points // 2:
-            raise InvalidScenarioError("num_models must be in [1, num_points/2]")
-        rows = np.arange(features.count)
-        models = tuple(
-            fit_laplacian(features.features[rows % num_models == e], e)
-            for e in range(num_models)
-        )
         try:
+            models = fit_laplacian_models(features, num_models)
             cfg = TofcConfig(num_centers=num_centers, k_neighbors=k_neighbors, models=models)
         except InvalidInputError as exc:
             raise InvalidScenarioError(str(exc)) from exc

@@ -19,19 +19,17 @@ per-role, sequential and pipelined execution consume them in the same
 per-role order, which is what makes the two modes emit identical tokens when
 nothing is ever rejected.
 
-run_pipelined's clock only prices messages; give it any object with
-`uplink_seconds(token_count)` and `downlink_seconds(token_count)`. The
-network simulator provides one wired to a link model; ZeroClock prices
-everything at zero for pure protocol runs. A speculative batch that gets
-aborted by a correction still consumed its full gamma draws: draw counts must
-never depend on timing arithmetic, or platform-level float drift would change
-token streams.
+The protocol decides which draws happen and in what order, never when:
+neither run mode keeps time. A transcript records every verification
+outcome, and the network simulator (aiflow.netsim) lays its rounds out on
+the simulated clock. A lookahead batch aborted by a correction still
+consumed its full gamma draws, so draw counts never depend on timing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,31 +122,14 @@ class DecodeTranscript:
 
 
 @dataclass(frozen=True)
-class PipelineTiming:
-    """Simulated-clock accounting for a pipelined run.
+class PipelineStats:
+    """What a pipelined run did beyond its transcript.
 
-    round_times holds one (draft_done, batch_arrival, verify_done,
-    verdict_arrival) tuple per round so callers can reconstruct the event
-    timeline.
+    discarded_batches counts lookahead batches drafted but never verified:
+    one per correction, plus the batch drafted past the end of the run.
     """
 
-    wall_s: float
-    device_compute_s: float
-    verifier_compute_s: float
-    uplink_s: float
-    downlink_s: float
     discarded_batches: int
-    round_times: tuple = ()
-
-
-class ZeroClock:
-    """Clock for pure protocol runs: transmission costs nothing."""
-
-    def uplink_seconds(self, token_count: int) -> float:
-        return 0.0
-
-    def downlink_seconds(self, token_count: int) -> float:
-        return 0.0
 
 
 def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
@@ -227,130 +208,128 @@ def _verified_stream(verify_result: VerifyResult, batch: DraftBatch):
 class _RoundOutcome:
     emitted: list[int]
     records: list[RoundRecord]
-    final_drafted: int
     final_accepted: int
     had_correction: bool
 
 
-def _stage_name(lower: str, upper: str) -> str:
-    return f"{lower}->{upper}"
+def _verify_chain(
+    cfg: ProtocolConfig, models: dict, batch: DraftBatch, rngs: dict
+) -> _RoundOutcome:
+    """Verify a drafted batch at every tier boundary, bottom up.
 
-
-def run_round(cfg: ProtocolConfig, models: dict, prefix, rngs: dict) -> _RoundOutcome:
-    """One draft-verify round from a prefix; the workhorse for both run modes.
-
-    rngs maps each tier role to its stream. For three tiers the middle
-    verifier's emitted stream, paired with its own per-position
-    distributions, becomes the draft batch the last tier verifies.
+    For three tiers the middle verifier's emitted stream, paired with its own
+    per-position distributions, becomes the draft batch the last tier verifies.
     """
-    drafter = cfg.tiers[0]
-    batch = draft(models[drafter], prefix, cfg.draft_len, rngs[drafter])
     records: list[RoundRecord] = []
     current = batch
-    emitted: list[int] = []
-    final_drafted = cfg.draft_len
-    final_accepted = 0
-    had_correction = False
-    for upper_idx in range(1, len(cfg.tiers)):
-        lower = cfg.tiers[upper_idx - 1]
-        upper = cfg.tiers[upper_idx]
-        verifier = models[upper]
-        target_dists = []
-        running = list(current.base_context)
-        for token in current.tokens:
-            target_dists.append(verifier.next_dist(running))
-            running.append(token)
-        result = verify(target_dists, current, rngs[upper])
-        records.append(
-            RoundRecord(
-                stage=_stage_name(lower, upper),
-                drafted=len(current.tokens),
-                accepted=result.accepted_count,
-            )
-        )
-        stream = _verified_stream(result, current)
-        final_drafted = len(current.tokens)
-        final_accepted = result.accepted_count
-        had_correction = result.correction_token is not None
-        if upper_idx == len(cfg.tiers) - 1:
-            emitted = stream
-        else:
+    for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
+        if records:
             if not stream:
                 raise InvariantViolationError("verifier emitted an empty stream")
             # The emitted stream's law at each position is the verifier's own
-            # distribution there, so those distributions are the claimed draft
-            # law for the next tier up.
+            # distribution there, so those distributions are the claimed
+            # draft law for the next tier up.
             current = DraftBatch(
                 tokens=stream,
                 draft_dists=target_dists[: len(stream)],
                 base_context=list(current.base_context),
             )
+        target_dists = []
+        running = list(current.base_context)
+        for token in current.tokens:
+            target_dists.append(models[upper].next_dist(running))
+            running.append(token)
+        result = verify(target_dists, current, rngs[upper])
+        records.append(
+            RoundRecord(
+                stage=f"{lower}->{upper}",
+                drafted=len(current.tokens),
+                accepted=result.accepted_count,
+            )
+        )
+        stream = _verified_stream(result, current)
     return _RoundOutcome(
-        emitted=emitted,
+        emitted=stream,
         records=records,
-        final_drafted=final_drafted,
-        final_accepted=final_accepted,
-        had_correction=had_correction,
+        final_accepted=result.accepted_count,
+        had_correction=result.correction_token is not None,
     )
 
 
-def _spawn_streams(cfg: ProtocolConfig, rng: Rng) -> dict:
-    return {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
+def run_round(cfg: ProtocolConfig, models: dict, prefix, rngs: dict) -> _RoundOutcome:
+    """One draft-verify round from a prefix; rngs maps each tier role to its stream."""
+    drafter = cfg.tiers[0]
+    batch = draft(models[drafter], prefix, cfg.draft_len, rngs[drafter])
+    return _verify_chain(cfg, models, batch, rngs)
 
 
-def _assemble_transcript(
-    emitted: list[int], records: list[RoundRecord], rounds: int, rejected: int,
-    accepted_used: int, corrections_used: int,
-) -> DecodeTranscript:
-    return DecodeTranscript(
-        emitted_tokens=emitted,
-        per_round=records,
-        totals=TranscriptTotals(
-            accepted=accepted_used,
-            corrections=corrections_used,
-            rejected=rejected,
-            rounds=rounds,
-        ),
-    )
+def _start(cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng):
+    """Validate a run's inputs; returns (prompt as ints, one stream per tier).
 
-
-def run_sequential(
-    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng
-) -> DecodeTranscript:
-    """Strictly alternating draft and verify rounds until num_tokens are emitted.
-
-    per_round keeps verification outcomes exactly as they happened; totals
-    account for the emitted stream after truncation to num_tokens, so
-    totals.accepted + totals.corrections always equals the token count.
+    Streams are spawned in tier order (spawn key = tier index) before any draw.
     """
     if num_tokens < 0:
         raise InvalidInputError("num_tokens must be >= 0")
     missing = [role for role in cfg.tiers if role not in models]
     if missing:
         raise InvalidInputError(f"models missing for tiers {missing}")
-    streams = _spawn_streams(cfg, rng)
-    emitted: list[int] = []
-    records: list[RoundRecord] = []
-    rounds = 0
-    rejected = 0
-    accepted_used = 0
-    corrections_used = 0
-    prompt = [int(t) for t in prompt]
-    while len(emitted) < num_tokens:
-        outcome = run_round(cfg, models, prompt + emitted, streams)
-        rounds += 1
-        records.extend(outcome.records)
+    streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
+    return [int(t) for t in prompt], streams
+
+
+class _Emission:
+    """Round outcomes gathered into a transcript of exactly num_tokens tokens.
+
+    per_round keeps verification outcomes exactly as they happened; totals
+    account for the emitted stream after truncation to num_tokens, so
+    totals.accepted + totals.corrections always equals the token count.
+    """
+
+    def __init__(self, num_tokens: int):
+        self.num_tokens = num_tokens
+        self.emitted: list[int] = []
+        self.records: list[RoundRecord] = []
+        self.rounds = 0
+        self.rejected = 0
+        self.accepted = 0
+        self.corrections = 0
+
+    def done(self) -> bool:
+        return len(self.emitted) >= self.num_tokens
+
+    def add(self, outcome: _RoundOutcome) -> None:
+        self.rounds += 1
+        self.records.extend(outcome.records)
         if outcome.had_correction:
-            rejected += 1
-        room = num_tokens - len(emitted)
-        used = outcome.emitted[:room]
+            self.rejected += 1
+        used = outcome.emitted[: self.num_tokens - len(self.emitted)]
         used_accepted = min(len(used), outcome.final_accepted)
-        accepted_used += used_accepted
-        corrections_used += len(used) - used_accepted
-        emitted.extend(used)
-    return _assemble_transcript(
-        emitted, records, rounds, rejected, accepted_used, corrections_used
-    )
+        self.accepted += used_accepted
+        self.corrections += len(used) - used_accepted
+        self.emitted.extend(used)
+
+    def transcript(self) -> DecodeTranscript:
+        return DecodeTranscript(
+            emitted_tokens=self.emitted,
+            per_round=self.records,
+            totals=TranscriptTotals(
+                accepted=self.accepted,
+                corrections=self.corrections,
+                rejected=self.rejected,
+                rounds=self.rounds,
+            ),
+        )
+
+
+def run_sequential(
+    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng
+) -> DecodeTranscript:
+    """Strictly alternating draft and verify rounds until num_tokens are emitted."""
+    prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
+    out = _Emission(num_tokens)
+    while not out.done():
+        out.add(run_round(cfg, models, prompt + out.emitted, streams))
+    return out.transcript()
 
 
 def pipeline_schedule(cfg: ProtocolConfig) -> int:
@@ -365,148 +344,49 @@ def pipeline_schedule(cfg: ProtocolConfig) -> int:
 
 
 def run_pipelined(
-    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng, clock=None
-) -> tuple[DecodeTranscript, PipelineTiming]:
+    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng
+) -> tuple[DecodeTranscript, PipelineStats]:
     """Two-tier decoding with the device drafting one batch ahead.
 
     While the verifier works on batch i, the device drafts batch i+1 from the
-    optimistic prefix (batch i fully accepted). A correction discards the
-    speculative batch (its draws included) and restarts drafting from the
-    corrected prefix once the verdict message arrives. Emitted tokens appear
-    at verify completion; the wall clock ends when the final verdict reaches
-    the device.
+    optimistic prefix (batch i fully accepted). A correction discards that
+    lookahead batch, its draws included, and the next round drafts afresh
+    from the corrected prefix.
     """
     if cfg.mode != "pipelined":
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")
     if len(cfg.tiers) != 2:
         raise InvalidInputError("pipelined mode supports exactly two tiers")
-    if num_tokens < 0:
-        raise InvalidInputError("num_tokens must be >= 0")
-    missing = [role for role in cfg.tiers if role not in models]
-    if missing:
-        raise InvalidInputError(f"models missing for tiers {missing}")
-    clock = clock if clock is not None else ZeroClock()
-    device_role, verifier_role = cfg.tiers
-    device_cost = cfg.per_token_compute_cost[device_role]
-    verify_cost = cfg.per_token_compute_cost[verifier_role]
-    streams = _spawn_streams(cfg, rng)
-    prompt = [int(t) for t in prompt]
-
-    emitted: list[int] = []
-    records: list[RoundRecord] = []
-    rounds = 0
-    rejected = 0
-    accepted_used = 0
-    corrections_used = 0
+    prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
+    device = models[cfg.tiers[0]]
+    device_rng = streams[cfg.tiers[0]]
+    out = _Emission(num_tokens)
     discarded = 0
-    device_compute = 0.0
-    verifier_compute = 0.0
-    uplink_total = 0.0
-    downlink_total = 0.0
-    round_times = []
-
-    # Times: when the device finished drafting the batch now under
-    # verification, when the verifier frees up, and when the device heard the
-    # last verdict.
-    verifier_free = 0.0
-    wall = 0.0
-    draft_start = 0.0
-
-    confirmed_prefix = list(prompt)
-    speculative: DraftBatch | None = None
-    speculative_done = 0.0
-
-    while len(emitted) < num_tokens:
-        prev_verdict = wall
-        if speculative is None:
-            batch = draft(models[device_role], confirmed_prefix, cfg.draft_len, streams[device_role])
-            draft_done = draft_start + cfg.draft_len * device_cost
-        else:
-            batch = speculative
-            draft_done = speculative_done
-            speculative = None
-        device_compute += cfg.draft_len * device_cost
-
-        up = clock.uplink_seconds(cfg.draft_len)
-        uplink_total += up
-        arrive = draft_done + up
-        verify_start = max(arrive, verifier_free)
-
-        # One batch of lookahead: the next speculative batch starts once the
-        # current one is out the door AND no older batch is still unverified,
-        # so the device is never more than one batch ahead.
-        speculative = draft(
-            models[device_role],
-            confirmed_prefix + batch.tokens,
-            cfg.draft_len,
-            streams[device_role],
+    lookahead: DraftBatch | None = None
+    while not out.done():
+        prefix = prompt + out.emitted
+        batch = lookahead if lookahead is not None else draft(
+            device, prefix, cfg.draft_len, device_rng
         )
-        speculative_started = max(draft_done, prev_verdict)
-        speculative_done = speculative_started + cfg.draft_len * device_cost
-
-        target_dists = []
-        running = list(batch.base_context)
-        for token in batch.tokens:
-            target_dists.append(models[verifier_role].next_dist(running))
-            running.append(token)
-        result = verify(target_dists, batch, streams[verifier_role])
-        verify_done = verify_start + verify_cost
-        verifier_compute += verify_cost
-        verifier_free = verify_done
-        rounds += 1
-        records.append(
-            RoundRecord(
-                stage=_stage_name(device_role, verifier_role),
-                drafted=cfg.draft_len,
-                accepted=result.accepted_count,
-            )
-        )
-
-        stream = _verified_stream(result, batch)
-        down = clock.downlink_seconds(1 + (1 if result.correction_token is not None else 0))
-        downlink_total += down
-        verdict_arrive = verify_done + down
-        wall = verdict_arrive
-        round_times.append((draft_done, arrive, verify_done, verdict_arrive))
-
-        room = num_tokens - len(emitted)
-        used = stream[:room]
-        used_accepted = min(len(used), result.accepted_count)
-        accepted_used += used_accepted
-        corrections_used += len(used) - used_accepted
-        emitted.extend(used)
-
-        if result.correction_token is not None:
-            rejected += 1
-            # The speculative batch assumed full acceptance; its prefix is
-            # now wrong. Count its compute and drop it.
+        lookahead = draft(device, prefix + batch.tokens, cfg.draft_len, device_rng)
+        outcome = _verify_chain(cfg, models, batch, streams)
+        out.add(outcome)
+        if outcome.had_correction:
             discarded += 1
-            device_compute += cfg.draft_len * device_cost
-            speculative = None
-            confirmed_prefix = confirmed_prefix + stream
-            draft_start = verdict_arrive
-        else:
-            confirmed_prefix = confirmed_prefix + stream
-            draft_start = speculative_done
-
-    if speculative is not None:
+            lookahead = None
+    if lookahead is not None:
         # Lookahead drafted past the end of the run: work done, never shipped.
         discarded += 1
-        device_compute += cfg.draft_len * device_cost
+    return out.transcript(), PipelineStats(discarded_batches=discarded)
 
-    transcript = _assemble_transcript(
-        emitted, records, rounds, rejected, accepted_used, corrections_used
-    )
-    timing = PipelineTiming(
-        wall_s=wall,
-        device_compute_s=device_compute,
-        verifier_compute_s=verifier_compute,
-        uplink_s=uplink_total,
-        downlink_s=downlink_total,
-        discarded_batches=discarded,
-        round_times=tuple(round_times),
-    )
-    return transcript, timing
+
+def run_protocol(
+    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng
+) -> DecodeTranscript:
+    """Decode in cfg.mode; both modes yield the same transcript shape."""
+    if cfg.mode == "pipelined":
+        return run_pipelined(cfg, models, prompt, num_tokens, rng)[0]
+    return run_sequential(cfg, models, prompt, num_tokens, rng)
 
 
 def transcript_to_json(transcript: DecodeTranscript) -> dict:

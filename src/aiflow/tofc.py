@@ -139,6 +139,19 @@ def fit_laplacian(calib: np.ndarray, model_id: int, q_range: int = 255) -> Lapla
     return LaplacianModel(mu=mu, b=b, id=model_id, q_range=q_range)
 
 
+def fit_laplacian_models(fs: FeatureSet, num_models: int) -> tuple[LaplacianModel, ...]:
+    """num_models fits, model e on the rows r with r % num_models == e.
+
+    Each model needs at least two rows, so 1 <= num_models <= N/2.
+    """
+    if not 1 <= num_models <= fs.count // 2:
+        raise InvalidInputError(
+            f"num_models must be in [1, N/2] = [1, {fs.count // 2}], got {num_models}"
+        )
+    rows = np.arange(fs.count)
+    return tuple(fit_laplacian(fs.features[rows % num_models == e], e) for e in range(num_models))
+
+
 def quantize(values: np.ndarray) -> np.ndarray:
     """Integer symbols by rounding halves to even."""
     arr = np.asarray(values, dtype=np.float64)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aiflow import specdec
 from aiflow.cli import main
 from aiflow.familial import allocate_ranks, whiten
 from aiflow.numerics import Rng, svd_reduced
@@ -192,6 +193,31 @@ class TestSpecdec:
         assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "models.edge" in capsys.readouterr().err
 
+    def test_each_entry_decoded_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("run_sequential", "run_pipelined"):
+            def counted(*args, _run=getattr(specdec, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(specdec, name, counted)
+        entries = [self.mixed_pair(3), self.mixed_pair(3, mode="pipelined")]
+        cfg = specdec_config(tmp_path, entries, num_tokens=24)
+        assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert calls == ["run_sequential", "run_pipelined"]
+
+    def test_model_sizes_default_like_simulate(self, tmp_path):
+        entries = [self.mixed_pair(3)]
+        explicit = specdec_config(tmp_path, entries, num_tokens=24, vocab_size=32,
+                                  embed_dim=16, context_window=8)
+        assert main(["specdec", "--config", explicit, "--out", str(tmp_path / "a")]) == 0
+        doc = json.loads((tmp_path / "spec.json").read_text())
+        for key in ("vocab_size", "embed_dim", "context_window"):
+            del doc[key]
+        defaulted = write_config(tmp_path / "spec.json", doc)
+        assert main(["specdec", "--config", defaulted, "--out", str(tmp_path / "b")]) == 0
+        for name in ("specdec.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestTofc:
     def test_payload_monotone_in_m(self, tmp_path):
@@ -230,6 +256,11 @@ class TestTofc:
             _, rows = read_csv(out / "tofc.csv")
             transmit.append(float(rows[0][5]))
         assert transmit[1] < transmit[0]
+
+    def test_num_models_range_checked(self, tmp_path):
+        for num_models in (0, 33):
+            cfg = tofc_config(tmp_path, num_models=num_models)
+            assert main(["tofc", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
     def test_missing_feature_file_is_io_error(self, tmp_path, capsys):
         cfg = tofc_config(tmp_path, features=str(tmp_path / "ghost.feat"))

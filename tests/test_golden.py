@@ -1,0 +1,105 @@
+"""Golden outputs: sha256 digests of run files, pinned across commits.
+
+Criterion 9 only compares two runs of the same code; these digests compare
+today's bytes with bytes recorded from an earlier version of the program.
+They were recorded before the protocol stopped keeping time and one netsim
+scheduler took over both decode modes, so they show that both changes kept
+sequential traces and metrics, and zero-jitter pipelined traces, byte for
+byte. A digest that changes means program output changed: update it only
+together with a note on what changed and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from aiflow.cli import main
+
+
+def _link(src, dst, latency, bandwidth, jitter, seed):
+    return {"from": src, "to": dst, "latency_s": latency,
+            "bandwidth_bytes_per_s": bandwidth, "jitter_s": jitter, "seed": seed}
+
+
+# The `simulate` example from the README: pipelined, zero jitter.
+README_SIMULATE = {
+    "topology": {
+        "nodes": [
+            {"id": "device", "tier": "device", "compute_cost": {"token": 0.010}},
+            {"id": "edge", "tier": "edge", "compute_cost": {"token": 0.030}},
+        ],
+        "links": [
+            {"from": "device", "to": "edge",
+             "latency_s": 0.001, "bandwidth_bytes_per_s": 1e7, "seed": 1},
+            {"from": "edge", "to": "device",
+             "latency_s": 0.001, "bandwidth_bytes_per_s": 1e7, "seed": 2},
+        ],
+    },
+    "scenario": {"kind": "specdec", "tiers": ["device", "edge"],
+                 "gamma": 4, "num_tokens": 40, "mode": "pipelined",
+                 "models": {"device": {"layers": 1, "seed": 5},
+                            "edge": {"layers": 3, "seed": 5}}},
+    "seed": 7,
+}
+
+# Three tiers, sequential, with jitter larger than the link latencies.
+JITTERED_SEQUENTIAL = {
+    "topology": {
+        "nodes": [
+            {"id": "device", "tier": "device", "compute_cost": {"token": 0.010}},
+            {"id": "edge", "tier": "edge", "compute_cost": {"token": 0.030}},
+            {"id": "cloud", "tier": "cloud", "compute_cost": {"token": 0.050}},
+        ],
+        "links": [
+            _link("device", "edge", 0.002, 1e7, 0.003, 1),
+            _link("edge", "device", 0.002, 1e7, 0.003, 2),
+            _link("edge", "cloud", 0.005, 1e8, 0.004, 3),
+            _link("cloud", "edge", 0.005, 1e8, 0.004, 4),
+        ],
+    },
+    "scenario": {"kind": "specdec", "tiers": ["device", "edge", "cloud"],
+                 "gamma": 3, "num_tokens": 30, "mode": "sequential",
+                 "models": {"device": {"layers": 1, "seed": 4},
+                            "edge": {"layers": 2, "seed": 4},
+                            "cloud": {"layers": 3, "seed": 4}},
+                 "prompt": [1, 2]},
+    "seed": 11,
+}
+
+# The specdec config of acceptance criterion 9.
+CRITERION_9_SPECDEC = {
+    "vocab_size": 16, "embed_dim": 10, "context_window": 5,
+    "prompt": [1], "num_tokens": 120, "seed": 12,
+    "configs": [{"mode": "sequential", "tiers": ["device", "edge"], "gamma": 4,
+                 "models": {"device": {"layers": 1, "seed": 4},
+                            "edge": {"layers": 3, "seed": 4}}}],
+}
+
+GOLDEN = [
+    ("simulate", README_SIMULATE, "trace.jsonl",
+     "3c969b9e33233a5058f67c0aed351e54bef8584bf9d769110ccc7d63ff376360"),
+    ("simulate", JITTERED_SEQUENTIAL, "trace.jsonl",
+     "ee275303b3ad57e115894ed87ecffb49a52bb801a215c139bd96faacd114ee69"),
+    ("simulate", JITTERED_SEQUENTIAL, "metrics.csv",
+     "0ca4916feb4f65abaad9ef77537bb0dfb998e4f3484561ebf5d7f920400861d3"),
+    ("specdec", CRITERION_9_SPECDEC, "specdec.csv",
+     "937118aa7eef1618f4168c5880d0a67bddaa5f78d6042683feeb0c7d66e2d93d"),
+    ("specdec", CRITERION_9_SPECDEC, "summary.json",
+     "324ef3060bef63610bcacbb09617533ba8d7f659577ca35e6906af46b5e695f7"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, output, digest",
+    GOLDEN,
+    ids=["readme-simulate-trace", "jittered-sequential-trace",
+         "jittered-sequential-metrics", "criterion-9-specdec-csv",
+         "criterion-9-summary"],
+)
+def test_output_matches_pinned_digest(tmp_path, command, config, output, digest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / output).read_bytes()).hexdigest() == digest

@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aiflow.errors import InvalidInputError, InvalidScenarioError
 from aiflow.netsim import (
+    _SCENARIO_KEYS,
     FRAME_BYTES,
+    MODEL_DEFAULTS,
+    TOKEN_BYTES,
     LinkSpec,
     NodeSpec,
     Topology,
@@ -17,14 +21,17 @@ from aiflow.netsim import (
     run_specdec_scenario,
     run_tofc_scenario,
     serialize_trace,
+    tier_models,
     topology_from_dict,
     transmit_time,
 )
 from aiflow.numerics import Rng
-from aiflow.specdec import ProtocolConfig
+from aiflow.specdec import ProtocolConfig, run_pipelined
 from aiflow.tofc import TofcConfig, fit_laplacian, make_blob_features
 
-from conftest import FixedModel
+from conftest import FixedModel, TableModel
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "scenario.schema.json"
 
 
 def two_node_topology(latency=1e-3, bandwidth=1e7, jitter=0.0):
@@ -276,6 +283,136 @@ class TestSpecdecScenario:
         with pytest.raises(InvalidScenarioError):
             run_specdec_scenario(topo, cfg, {"device": model, "cloud": model},
                                  [0], 4, seed=1)
+
+
+def pipelined_pair(gamma):
+    return ProtocolConfig(
+        draft_len=gamma, tiers=("device", "edge"),
+        per_token_compute_cost={"device": 0.010, "edge": 0.030}, mode="pipelined",
+    )
+
+
+def sequential_pair(gamma):
+    return ProtocolConfig(
+        draft_len=gamma, tiers=("device", "edge"),
+        per_token_compute_cost={"device": 0.010, "edge": 0.030},
+    )
+
+
+def notes(trace, note):
+    return sum(1 for e in trace if e.note == note)
+
+
+class TestPipelinedSchedule:
+    """Lookahead timing on a two-node, zero-jitter topology."""
+
+    def test_all_accept_overlaps_drafting_and_verification(self):
+        model = TableModel(4, 12)
+        models = {"device": model, "edge": model}
+        topo = two_node_topology()
+        _, seq = run_specdec_scenario(topo, sequential_pair(3), models, [], 12, seed=8)
+        trace, pip = run_specdec_scenario(topo, pipelined_pair(3), models, [], 12, seed=8)
+        rounds = notes(trace, "verify")
+        assert rounds == 4
+        assert pip.simulated_wall_s < seq.simulated_wall_s
+        # The wall can never beat the verifier's serial work plus the first
+        # batch's drafting.
+        assert pip.simulated_wall_s >= rounds * 0.030 + 3 * 0.010 - 1e-12
+        assert pip.server_compute_s == pytest.approx(rounds * 0.030)
+
+    def test_zero_acceptance_matches_sequential_wall(self):
+        models = {"device": FixedModel([1.0, 0.0]), "edge": FixedModel([0.0, 1.0])}
+        topo = two_node_topology()
+        _, seq = run_specdec_scenario(topo, sequential_pair(2), models, [], 6, seed=5)
+        _, pip = run_specdec_scenario(topo, pipelined_pair(2), models, [], 6, seed=5)
+        _, stats = run_pipelined(pipelined_pair(2), models, [], 6, Rng(5))
+        # Every round rejects at the first position, so no overlap is
+        # possible and each round discards its lookahead batch.
+        rounds = 6
+        up = 1e-3 + (FRAME_BYTES + 2 * TOKEN_BYTES) / 1e7
+        down = 1e-3 + (FRAME_BYTES + 2 * TOKEN_BYTES) / 1e7
+        assert pip.simulated_wall_s == seq.simulated_wall_s
+        assert pip.simulated_wall_s == pytest.approx(
+            rounds * (2 * 0.010 + up + 0.030 + down), rel=1e-12
+        )
+        assert stats.discarded_batches == rounds
+        assert pip.device_compute_s == pytest.approx(rounds * 2 * 2 * 0.010, rel=1e-12)
+
+    def test_wall_never_exceeds_component_sum(self):
+        models = {"device": TableModel(4, 1), "edge": TableModel(4, 2)}
+        _, m = run_specdec_scenario(
+            two_node_topology(), pipelined_pair(4), models, [3], 25, seed=17
+        )
+        assert m.tokens_emitted == 25
+        total = m.device_compute_s + m.server_compute_s + m.transmit_s
+        assert m.simulated_wall_s <= total + 1e-12
+
+    def test_trailing_lookahead_is_counted(self):
+        model = TableModel(5, 404)
+        models = {"device": model, "edge": model}
+        trace, m = run_specdec_scenario(
+            two_node_topology(), pipelined_pair(3), models, [1, 2], 15, seed=55
+        )
+        _, stats = run_pipelined(pipelined_pair(3), models, [1, 2], 15, Rng(55))
+        rounds = notes(trace, "verify")
+        # Every batch is accepted, so only the batch drafted past the end is
+        # discarded: its compute counts, but it is never shipped.
+        assert stats.discarded_batches == 1
+        assert notes(trace, "draft-batch") == notes(trace, "tokens") == rounds == 5
+        assert m.device_compute_s == pytest.approx((rounds + 1) * 3 * 0.010, rel=1e-12)
+
+    def test_links_stay_fifo_under_large_jitter(self):
+        topo = two_node_topology(latency=0.05, jitter=0.04)
+        scn = specdec_scenario(mode="pipelined", gamma=1, num_tokens=40)
+        trace, _ = run_scenario(topo, scn, seed=3)
+        in_send_order = sorted(trace, key=lambda e: e.seq)
+        for link in (("device", "edge"), ("edge", "device")):
+            arrivals = [e.time for e in in_send_order
+                        if e.kind == "message-delivered" and (e.src, e.dst) == link]
+            assert len(arrivals) == 40
+            assert arrivals == sorted(arrivals)
+
+
+class TestTierModels:
+    def test_sizes_default_to_model_defaults(self):
+        specs = {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}
+        models = tier_models(specs, ("device", "edge"), {}, "here")
+        for model in models.values():
+            cfg = model.lm.config
+            assert (cfg.vocab_size, cfg.embed_dim, cfg.context_window) == (32, 16, 8)
+        assert models["edge"].lm.config.num_layers == 2
+
+    def test_missing_and_unknown_tiers_named(self):
+        specs = {"device": {"layers": 1, "seed": 5}}
+        with pytest.raises(InvalidScenarioError, match=r"here is missing field 'models.edge'"):
+            tier_models(specs, ("device", "edge"), {}, "here")
+        specs = dict(specs, edge={"layers": 1, "seed": 5}, moon={"layers": 1, "seed": 5})
+        with pytest.raises(InvalidScenarioError, match="moon"):
+            tier_models(specs, ("device", "edge"), {}, "here")
+
+    def test_bad_sizes_rejected(self):
+        specs = {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}
+        for sizes in ({"vocab_size": "many"}, {"vocab_size": 1}):
+            with pytest.raises(InvalidScenarioError):
+                tier_models(specs, ("device", "edge"), sizes, "here")
+
+
+class TestScenarioSchema:
+    """docs/schemas/scenario.schema.json must describe what run_scenario takes."""
+
+    def definitions(self):
+        return json.loads(SCHEMA.read_text(encoding="utf-8"))["definitions"]
+
+    def test_scenario_properties_match_code(self):
+        defs = self.definitions()
+        kinds = {name[: -len("_scenario")] for name in defs if name.endswith("_scenario")}
+        assert kinds - {"empty"} == set(_SCENARIO_KEYS)
+        for kind, keys in _SCENARIO_KEYS.items():
+            assert set(defs[f"{kind}_scenario"]["properties"]) == keys | {"kind"}, kind
+
+    def test_model_defaults_match_code(self):
+        props = self.definitions()["specdec_scenario"]["properties"]
+        assert {key: props[key]["default"] for key in MODEL_DEFAULTS} == MODEL_DEFAULTS
 
 
 class TestSingleTier:

@@ -23,6 +23,7 @@ from aiflow.tofc import (
     encode,
     estimate_rate,
     fit_laplacian,
+    fit_laplacian_models,
     load_features,
     load_features_csv,
     make_blob_features,
@@ -148,6 +149,22 @@ class TestLaplacianFit:
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_laplacian(np.array([[1.0, 2.0]]), 0)
+
+    def test_interleaved_models_fit_every_eth_row(self):
+        fs = make_blob_features(10, 3, 2, Rng(4))
+        models = fit_laplacian_models(fs, 3)
+        assert [m.id for m in models] == [0, 1, 2]
+        for e, model in enumerate(models):
+            direct = fit_laplacian(fs.features[e::3], e)
+            assert np.array_equal(model.mu, direct.mu)
+            assert np.array_equal(model.b, direct.b)
+
+    def test_model_count_between_one_and_half_the_rows(self):
+        fs = make_blob_features(10, 3, 2, Rng(4))
+        assert len(fit_laplacian_models(fs, 5)) == 5
+        for num_models in (0, 6):
+            with pytest.raises(InvalidInputError):
+                fit_laplacian_models(fs, num_models)
 
     def test_model_validation(self):
         with pytest.raises(InvalidInputError):
