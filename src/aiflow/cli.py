@@ -57,23 +57,25 @@ from .familial import (
     whiten,
 )
 from .netsim import (
+    MODEL_SIZE_FIELDS,
+    REQUIRED,
+    decode_setup,
     default_topology,
+    read_fields,
     run_scenario,
     run_tofc_scenario,
     schedule_specdec,
     serialize_trace,
-    tier_models,
     topology_from_dict,
 )
 from .numerics import Rng, svd_reduced
-from .specdec import ProtocolConfig, run_protocol
+from .specdec import draft, run_protocol
 from .tofc import (
     TofcConfig,
     fit_laplacian_models,
     load_features,
     load_features_csv,
 )
-from .toylm import sample
 
 _LOG = logging.getLogger("aiflow")
 
@@ -164,18 +166,6 @@ def load_config(path) -> dict:
     return doc
 
 
-def require_field(cfg: dict, field: str, where: str = "config"):
-    if field not in cfg:
-        raise ConfigError(f"{where} is missing field '{field}'")
-    return cfg[field]
-
-
-def _resolve_seed(cfg: dict, override) -> int:
-    if override is not None:
-        return int(override)
-    return int(cfg.get("seed", 0))
-
-
 def _topology_from_config(cfg: dict):
     if "topology" in cfg:
         return topology_from_dict(cfg["topology"])
@@ -187,6 +177,22 @@ def _relative_gap(predicted: float, measured: float) -> float:
     return abs(predicted - measured) / scale
 
 
+_DECOMPOSE_FIELDS = {
+    "layers": ([dict], REQUIRED), "num_calib": (int, 64), "budget": (int, None),
+    "h_values": ([int], None),
+}
+_LAYER_FIELDS = {"m": (int, REQUIRED), "n": (int, REQUIRED)}
+_SPECDEC_FIELDS = {
+    "prompt": ([int], [0]), "num_tokens": (int, REQUIRED), "configs": ([dict], REQUIRED),
+    **MODEL_SIZE_FIELDS,
+}
+_TOFC_FIELDS = {
+    "features": (str, REQUIRED), "num_centers_sweep": ([int], REQUIRED),
+    "k_neighbors": (int, 4), "num_models": (int, 2), "device": (str, "device"),
+    "server": (str, "edge"),
+}
+
+
 def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     """Low-rank sweep or budgeted allocation over seeded dense layers.
 
@@ -195,14 +201,13 @@ def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     agree to 1e-8 relative; disagreement aborts the run as an invariant
     violation.
     """
-    layers = require_field(cfg, "layers")
-    if not isinstance(layers, list) or not layers:
+    fields = read_fields(cfg, _DECOMPOSE_FIELDS, "config")
+    if not fields["layers"]:
         raise ConfigError("'layers' must be a non-empty list of {m, n} objects")
-    num_calib = int(cfg.get("num_calib", 64))
+    num_calib = fields["num_calib"]
     prepared = []
-    for i, spec in enumerate(layers):
-        m = int(require_field(spec, "m", f"layers[{i}]"))
-        n = int(require_field(spec, "n", f"layers[{i}]"))
+    for i, spec in enumerate(fields["layers"]):
+        m, n = read_fields(spec, _LAYER_FIELDS, f"layers[{i}]").values()
         if m < 1 or n < 1:
             raise ConfigError(f"layers[{i}] dimensions must be positive")
         if num_calib < n:
@@ -217,16 +222,15 @@ def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
         sigma = svd_reduced(w @ ctx.s).sigma
         prepared.append((m, n, w, x, ctx, sigma))
 
-    if "budget" in cfg and "h_values" in cfg:
+    budget, h_values = fields["budget"], fields["h_values"]
+    if budget is not None and h_values is not None:
         raise ConfigError("use either 'h_values' or 'budget', not both")
-    if "budget" in cfg:
-        budget = int(cfg["budget"])
+    if budget is not None:
         allocation = allocate_ranks(
             [p[5] for p in prepared], [(p[0], p[1]) for p in prepared], budget
         )
         sweep = [(i, allocation.per_layer_rank[i]) for i in range(len(prepared))]
-    elif "h_values" in cfg:
-        h_values = [int(h) for h in cfg["h_values"]]
+    elif h_values is not None:
         if not h_values:
             raise ConfigError("'h_values' must be non-empty")
         sweep = [
@@ -259,21 +263,12 @@ def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     )
 
 
-def _reference_histogram(model, prompt, num_tokens, seed, vocab):
-    """Unigram histogram of a verifier-only decode on the drafter's stream."""
-    rng = Rng(seed).spawn(0)
-    context = list(prompt)
-    counts = np.zeros(vocab, dtype=np.int64)
-    for _ in range(num_tokens):
-        token = sample(model.next_dist(context), rng)
-        counts[token] += 1
-        context.append(token)
-    return counts
-
-
-def _tv_distance(counts_a, counts_b) -> float:
-    pa = counts_a / max(counts_a.sum(), 1)
-    pb = counts_b / max(counts_b.sum(), 1)
+def _tv_distance(tokens_a, tokens_b, vocab) -> float:
+    """Total variation distance between two streams' unigram histograms."""
+    pa, pb = (
+        np.bincount(np.asarray(t, dtype=np.int64), minlength=vocab) / max(len(t), 1)
+        for t in (tokens_a, tokens_b)
+    )
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
@@ -286,32 +281,23 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     score 0. Each entry is decoded once and that transcript is priced on the
     topology; model sizes default to netsim.MODEL_DEFAULTS.
     """
-    prompt = [int(t) for t in cfg.get("prompt", [0])]
-    num_tokens = int(require_field(cfg, "num_tokens"))
-    entries = require_field(cfg, "configs")
-    if not isinstance(entries, list) or not entries:
+    fields = read_fields(cfg, _SPECDEC_FIELDS, "config")
+    prompt, num_tokens = fields["prompt"], fields["num_tokens"]
+    if not fields["configs"]:
         raise ConfigError("'configs' must be a non-empty list")
     topology = _topology_from_config(cfg)
     rows = []
     summary = []
-    for idx, entry in enumerate(entries):
-        where = f"configs[{idx}]"
-        tiers = tuple(str(t) for t in require_field(entry, "tiers", where))
-        gamma = int(require_field(entry, "gamma", where))
-        mode = str(entry.get("mode", "sequential"))
-        models = tier_models(require_field(entry, "models", where), tiers, cfg, where)
-        costs = {t: topology.cost(t, "token") for t in tiers}
-        proto = ProtocolConfig(
-            draft_len=gamma, tiers=tiers, per_token_compute_cost=costs, mode=mode
-        )
+    for idx, entry in enumerate(fields["configs"]):
+        proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]")
         transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
         _, metrics = schedule_specdec(topology, proto, transcript, seed)
-        vocab = models[tiers[-1]].lm.config.vocab_size
-        emitted = np.bincount(
-            np.asarray(transcript.emitted_tokens, dtype=np.int64), minlength=vocab
-        )
-        reference = _reference_histogram(models[tiers[-1]], prompt, num_tokens, seed, vocab)
-        tv = _tv_distance(emitted, reference)
+        verifier = models[proto.tiers[-1]]
+        reference = []
+        if num_tokens:  # the verifier alone, on the drafter's stream (spawn key 0)
+            reference = draft(verifier, prompt, num_tokens, Rng(seed).spawn(0)).tokens
+        tv = _tv_distance(transcript.emitted_tokens, reference, verifier.lm.config.vocab_size)
+        mode, tiers, gamma = proto.mode, proto.tiers, proto.draft_len
         tput = metrics.tokens_emitted / metrics.simulated_wall_s if metrics.simulated_wall_s else 0.0
         rows.append(
             (mode, "+".join(tiers), gamma, metrics.acceptance_rate, tput, tv)
@@ -349,20 +335,20 @@ def _load_feature_file(path: str):
 
 def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     """Compression sweep over cluster counts; writes tofc.csv."""
-    features = _load_feature_file(str(require_field(cfg, "features")))
-    sweep = [int(m) for m in require_field(cfg, "num_centers_sweep")]
-    if not sweep:
+    fields = read_fields(cfg, _TOFC_FIELDS, "config")
+    features = _load_feature_file(fields["features"])
+    if not fields["num_centers_sweep"]:
         raise ConfigError("'num_centers_sweep' must be non-empty")
-    k_neighbors = int(cfg.get("k_neighbors", 4))
-    models = fit_laplacian_models(features, int(cfg.get("num_models", 2)))
+    models = fit_laplacian_models(features, fields["num_models"])
     topology = _topology_from_config(cfg)
-    device = str(cfg.get("device", "device"))
-    server = str(cfg.get("server", "edge"))
     rows = []
-    for m_centers in sweep:
-        tofc_cfg = TofcConfig(num_centers=m_centers, k_neighbors=k_neighbors, models=models)
+    for m_centers in fields["num_centers_sweep"]:
+        tofc_cfg = TofcConfig(
+            num_centers=m_centers, k_neighbors=fields["k_neighbors"], models=models
+        )
         _, metrics, stats = run_tofc_scenario(
-            topology, tofc_cfg, features, device=device, server=server, seed=seed
+            topology, tofc_cfg, features, device=fields["device"], server=fields["server"],
+            seed=seed,
         )
         rows.append(
             (
@@ -383,9 +369,7 @@ def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
 def cmd_simulate(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     """One scenario on a described topology; writes trace.jsonl and metrics."""
     topology = _topology_from_config(cfg)
-    scenario = cfg.get("scenario", {})
-    if not isinstance(scenario, dict):
-        raise ConfigError("'scenario' must be a JSON object")
+    scenario = read_fields(cfg, {"scenario": (dict, {})}, "config")["scenario"]
     trace, metrics = run_scenario(topology, scenario, seed)
     with open(run.file("trace.jsonl"), "wb") as fh:
         fh.write(serialize_trace(trace))
@@ -536,7 +520,9 @@ def main(argv=None) -> int:
             run.finish()
             return 0
         cfg = load_config(args.config)
-        seed = _resolve_seed(cfg, args.seed)
+        seed = args.seed
+        if seed is None:
+            seed = read_fields(cfg, {"seed": (int, 0)}, "config")["seed"]
         run = RunDir(args.out, args.config, seed)
         _COMMANDS[args.command](cfg, seed, run, args.format)
         run.finish()

@@ -22,6 +22,7 @@ in-memory events also carry a free-form note that is not serialized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -69,10 +70,10 @@ class LinkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.latency_s > 0.0 or not self.bandwidth_bytes_per_s > 0.0:
-            raise InvalidInputError("latency and bandwidth must be > 0")
-        if self.jitter_s < 0.0:
-            raise InvalidInputError("jitter must be >= 0")
+        if not 0.0 < self.latency_s < math.inf or not self.bandwidth_bytes_per_s > 0.0:
+            raise InvalidInputError("latency must be finite and > 0, bandwidth > 0")
+        if not 0.0 <= self.jitter_s < math.inf:
+            raise InvalidInputError("jitter must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -486,79 +487,147 @@ def collab_topology(num_devices: int, latencies=None, server: str = "edge") -> T
     return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
+REQUIRED = object()
+_KIND_NAMES = {int: "int", float: "number", str: "string", dict: "object", list: "list"}
+
+
+def _typed(value, kind):
+    """value as kind (a type, or [type] for a list of it); TypeError if not one."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_typed(v, kind[0]) for v in value]
+    if isinstance(kind, list) or isinstance(value, bool):
+        raise TypeError
+    if isinstance(value, kind) or (kind is float and isinstance(value, int)):
+        return kind(value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError
+
+
+def read_fields(doc, fields: dict, where: str) -> dict:
+    """Typed values of doc's fields; fields maps name -> (kind, default).
+
+    kind is int, float, str, dict or list, or [kind] for a list of that
+    kind. As in JSON Schema, an integral float is an int and a bool is not
+    a number. A missing field takes its default unless that is REQUIRED.
+    Raises InvalidScenarioError naming the field, prefixed by where.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidScenarioError(f"{where} must be an object, not {doc!r}")
+    out = {}
+    for name, (kind, default) in fields.items():
+        if name not in doc and default is REQUIRED:
+            raise InvalidScenarioError(f"{where} is missing field '{name}'")
+        try:
+            out[name] = _typed(doc[name], kind) if name in doc else default
+        except (TypeError, OverflowError):  # float() of a huge int overflows
+            what = (f"list of {_KIND_NAMES[kind[0]]}" if isinstance(kind, list)
+                    else _KIND_NAMES[kind])
+            raise InvalidScenarioError(
+                f"{where}.{name} must be {what}, not {doc[name]!r}"
+            ) from None
+    return out
+
+
+_NODE_FIELDS = {"id": (str, REQUIRED), "tier": (str, REQUIRED), "compute_cost": (dict, REQUIRED)}
+_LINK_FIELDS = {
+    "from": (str, REQUIRED), "to": (str, REQUIRED), "latency_s": (float, REQUIRED),
+    "bandwidth_bytes_per_s": (float, REQUIRED), "jitter_s": (float, 0.0), "seed": (int, 0),
+}
+
+
 def topology_from_dict(doc: dict) -> Topology:
+    """The topology a config's "topology" object describes."""
+    top = read_fields(doc, {"nodes": ([dict], REQUIRED), "links": ([dict], REQUIRED)}, "topology")
     try:
-        nodes = tuple(
-            NodeSpec(
-                id=str(n["id"]), tier=str(n["tier"]),
-                compute_cost={str(k): float(v) for k, v in n["compute_cost"].items()},
+        nodes = []
+        for i, spec in enumerate(top["nodes"]):
+            where = f"topology.nodes[{i}]"
+            node = read_fields(spec, _NODE_FIELDS, where)
+            costs = node["compute_cost"]
+            costs = read_fields(
+                costs, dict.fromkeys(costs, (float, REQUIRED)), f"{where}.compute_cost"
             )
-            for n in doc["nodes"]
-        )
-        links = tuple(
-            LinkSpec(
-                src=str(l["from"]), dst=str(l["to"]),
-                latency_s=float(l["latency_s"]),
-                bandwidth_bytes_per_s=float(l["bandwidth_bytes_per_s"]),
-                jitter_s=float(l.get("jitter_s", 0.0)),
-                seed=int(l.get("seed", 0)),
-            )
-            for l in doc["links"]
-        )
-        return Topology(nodes=nodes, links=links)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidScenarioError(f"malformed topology: {exc}") from exc
+            nodes.append(NodeSpec(node["id"], node["tier"], costs))
+        # _LINK_FIELDS lists LinkSpec's fields in order.
+        links = [
+            LinkSpec(*read_fields(spec, _LINK_FIELDS, f"topology.links[{i}]").values())
+            for i, spec in enumerate(top["links"])
+        ]
+        return Topology(nodes=tuple(nodes), links=tuple(links))
     except InvalidInputError as exc:
         raise InvalidScenarioError(str(exc)) from exc
 
 
 MODEL_DEFAULTS = {"vocab_size": 32, "embed_dim": 16, "context_window": 8}
+MODEL_SIZE_FIELDS = {key: (int, default) for key, default in MODEL_DEFAULTS.items()}
+_MODEL_SPEC_FIELDS = {"layers": (int, REQUIRED), "seed": (int, REQUIRED)}
+_DECODE_FIELDS = {
+    "tiers": ([str], REQUIRED), "gamma": (int, REQUIRED), "mode": (str, "sequential"),
+    "models": (dict, REQUIRED),
+}
 
 
-def tier_models(specs, tiers, sizes: dict, where: str) -> dict:
+def tier_models(specs: dict, tiers, sizes: dict, where: str) -> dict:
     """One toy decoder per tier from its {layers, seed} spec in specs.
 
     sizes supplies vocab_size, embed_dim and context_window, each falling
     back to MODEL_DEFAULTS. where prefixes error messages, which name the
     offending field.
     """
-    if not isinstance(specs, dict):
-        raise InvalidScenarioError(f"{where} needs a 'models' object")
     unknown = set(specs) - set(tiers)
     if unknown:
         raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
-    try:
-        shared = {key: int(sizes.get(key, default)) for key, default in MODEL_DEFAULTS.items()}
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenarioError(f"{where}: model sizes must be integers: {exc}") from exc
+    shared = read_fields(sizes, MODEL_SIZE_FIELDS, where)
     models = {}
     for tier in tiers:
         if tier not in specs:
             raise InvalidScenarioError(f"{where} is missing field 'models.{tier}'")
-        spec = specs[tier]
+        spec = read_fields(specs[tier], _MODEL_SPEC_FIELDS, f"{where}.models.{tier}")
         try:
-            cfg = ToyLmConfig(num_layers=int(spec["layers"]), seed=int(spec["seed"]), **shared)
-        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-            raise InvalidScenarioError(
-                f"{where}: cannot build 'models.{tier}' from integer 'layers' and 'seed': {exc}"
-            ) from exc
+            cfg = ToyLmConfig(num_layers=spec["layers"], seed=spec["seed"], **shared)
+        except InvalidInputError as exc:
+            raise InvalidScenarioError(f"{where}.models.{tier}: {exc}") from exc
         models[tier] = LmDecoder(build(cfg))
     return models
 
 
-_SCENARIO_KEYS = {
+def decode_setup(topology: Topology, entry: dict, sizes: dict, where: str):
+    """(ProtocolConfig, tier models) from entry's tiers, gamma, mode, models.
+
+    sizes holds the model sizes (see tier_models). The drafter is priced by
+    its "token" cost, each verifier by its "verify" cost.
+    """
+    fields = read_fields(entry, _DECODE_FIELDS, where)
+    tiers = tuple(fields["tiers"])
+    costs = {t: topology.cost(t, "verify" if i else "token") for i, t in enumerate(tiers)}
+    try:
+        cfg = ProtocolConfig(
+            draft_len=fields["gamma"], tiers=tiers, per_token_compute_cost=costs,
+            mode=fields["mode"],
+        )
+    except InvalidInputError as exc:
+        raise InvalidScenarioError(f"{where}: {exc}") from exc
+    return cfg, tier_models(fields["models"], tiers, sizes, where)
+
+
+_SCENARIO_FIELDS = {
     "specdec": {
-        "tiers", "gamma", "num_tokens", "mode", "vocab_size", "embed_dim",
-        "context_window", "models", "prompt",
+        **_DECODE_FIELDS, **MODEL_SIZE_FIELDS,
+        "num_tokens": (int, REQUIRED), "prompt": ([int], [0]),
     },
-    "single": {"node", "num_tokens"},
+    "single": {"node": (str, REQUIRED), "num_tokens": (int, REQUIRED)},
     "tofc": {
-        "device", "server", "num_points", "dim", "num_groups", "num_centers",
-        "k_neighbors", "num_models", "feature_seed",
+        "device": (str, "device"), "server": (str, "edge"), "num_points": (int, REQUIRED),
+        "dim": (int, REQUIRED), "num_groups": (int, 4), "num_centers": (int, REQUIRED),
+        "k_neighbors": (int, REQUIRED), "num_models": (int, 2),
+        # None: the run seed.
+        "feature_seed": (int, None),
     },
     "collab": {
-        "server", "num_devices", "request_bytes", "response_bytes",
-        "broadcast_bytes", "revision_bytes",
+        "server": (str, "edge"), "num_devices": (int, REQUIRED),
+        "request_bytes": (int, 256), "response_bytes": (int, 1024),
+        "broadcast_bytes": (int, 1024), "revision_bytes": (int, 512),
     },
 }
 
@@ -572,75 +641,31 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
     if not scenario or scenario.get("kind") == "empty":
         return [], zero_metrics()
     kind = scenario.get("kind")
-    if kind not in _SCENARIO_KEYS:
+    if kind not in _SCENARIO_FIELDS:
         raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    params = {k: v for k, v in scenario.items() if k != "kind"}
-    unknown = set(params) - _SCENARIO_KEYS[kind]
+    unknown = set(scenario) - set(_SCENARIO_FIELDS[kind]) - {"kind"}
     if unknown:
         raise InvalidScenarioError(f"unknown {kind} parameters: {sorted(unknown)}")
+    params = read_fields(scenario, _SCENARIO_FIELDS[kind], "scenario")
     if kind == "single":
-        try:
-            node = str(params["node"])
-            num_tokens = int(params["num_tokens"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenarioError(f"bad single scenario: {exc}") from exc
-        return run_single_tier_scenario(topology, node, num_tokens)
+        return run_single_tier_scenario(topology, params["node"], params["num_tokens"])
     if kind == "specdec":
-        try:
-            tiers = tuple(str(t) for t in params["tiers"])
-            gamma = int(params["gamma"])
-            num_tokens = int(params["num_tokens"])
-            mode = str(params.get("mode", "sequential"))
-            prompt = [int(t) for t in params.get("prompt", [0])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenarioError(f"bad specdec scenario: {exc}") from exc
-        costs = {t: topology.cost(t, "token") for t in tiers}
-        try:
-            cfg = ProtocolConfig(
-                draft_len=gamma, tiers=tiers, per_token_compute_cost=costs, mode=mode
-            )
-        except InvalidInputError as exc:
-            raise InvalidScenarioError(str(exc)) from exc
-        models = tier_models(params.get("models"), tiers, params, "specdec scenario")
-        return run_specdec_scenario(topology, cfg, models, prompt, num_tokens, seed)
+        cfg, models = decode_setup(topology, params, params, "scenario")
+        return run_specdec_scenario(
+            topology, cfg, models, params["prompt"], params["num_tokens"], seed
+        )
     if kind == "tofc":
+        feature_seed = seed if params["feature_seed"] is None else params["feature_seed"]
+        features = make_blob_features(
+            params["num_points"], params["dim"], params["num_groups"], Rng(feature_seed)
+        )
         try:
-            device = str(params.get("device", "device"))
-            server = str(params.get("server", "edge"))
-            num_points = int(params["num_points"])
-            dim = int(params["dim"])
-            num_groups = int(params.get("num_groups", 4))
-            num_centers = int(params["num_centers"])
-            k_neighbors = int(params["k_neighbors"])
-            num_models = int(params.get("num_models", 2))
-            feature_seed = int(params.get("feature_seed", seed))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenarioError(f"bad tofc scenario: {exc}") from exc
-        features = make_blob_features(num_points, dim, num_groups, Rng(feature_seed))
-        try:
-            models = fit_laplacian_models(features, num_models)
-            cfg = TofcConfig(num_centers=num_centers, k_neighbors=k_neighbors, models=models)
+            models = fit_laplacian_models(features, params["num_models"])
+            cfg = TofcConfig(params["num_centers"], params["k_neighbors"], models)
         except InvalidInputError as exc:
             raise InvalidScenarioError(str(exc)) from exc
         trace, metrics, _ = run_tofc_scenario(
-            topology, cfg, features, device=device, server=server, seed=seed
+            topology, cfg, features, params["device"], params["server"], seed
         )
         return trace, metrics
-    # collab
-    try:
-        num_devices = int(params["num_devices"])
-        server = str(params.get("server", "edge"))
-        sizes = {
-            key: int(params.get(key, default))
-            for key, default in (
-                ("request_bytes", 256), ("response_bytes", 1024),
-                ("broadcast_bytes", 1024), ("revision_bytes", 512),
-            )
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidScenarioError(f"bad collab scenario: {exc}") from exc
-    return run_device_server_collab(
-        topology, num_devices, seed, server=server,
-        request_bytes=sizes["request_bytes"], response_bytes=sizes["response_bytes"],
-        broadcast_bytes=sizes["broadcast_bytes"], revision_bytes=sizes["revision_bytes"],
-    )
+    return run_device_server_collab(topology, seed=seed, **params)

@@ -157,7 +157,10 @@ def quantize(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInputError("values must be finite")
-    return np.rint(arr).astype(np.int64)
+    rounded = np.rint(arr)
+    if rounded.size and not (rounded.min() >= -(2.0**63) and rounded.max() < 2.0**63):
+        raise InvalidInputError("values must round into the int64 range")
+    return rounded.astype(np.int64)
 
 
 def _as_symbol_rows(symbols, dim: int) -> np.ndarray:
@@ -367,6 +370,8 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
         raise InvalidInputError(f"routing must name a model per row ({m})")
     if any(not 0 <= e < len(models) for e in ids):
         raise InvalidInputError("routing references an unknown model id")
+    if arr.size and not (int(arr.min()) >= -(1 << 31) and int(arr.max()) < 1 << 31):
+        raise InvalidInputError("symbols must lie in [-2**31, 2**31); escapes store 32 bits")
     tables = {model.id: _coding_tables(model) for model in models}
     enc = RangeEncoder()
     for r in range(m):

@@ -66,6 +66,49 @@ def tofc_config(tmp_path, **overrides):
     return write_config(tmp_path / "tofc.json", doc)
 
 
+def specdec_entry(**overrides):
+    entry = {"tiers": ["device", "edge"], "gamma": 2,
+             "models": {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}}
+    entry.update(overrides)
+    return entry
+
+
+# Each mistyped field is a configuration error (exit 2), not a traceback,
+# and the message names the field.
+MISTYPED_FIELDS = [
+    ("specdec", {"configs": [specdec_entry(gamma="abc")]}, "configs[0].gamma"),
+    ("specdec", {"configs": [specdec_entry(tiers=5)]}, "configs[0].tiers"),
+    ("specdec", {"configs": [5]}, "configs"),
+    ("specdec", {"prompt": 5}, "prompt"),
+    ("specdec", {"prompt": ["a"]}, "prompt"),
+    ("specdec", {"num_tokens": "x"}, "num_tokens"),
+    ("specdec", {"seed": "x"}, "seed"),
+    ("decompose", {"layers": [{"m": "x", "n": 8}]}, "layers[0].m"),
+    ("decompose", {"layers": [5]}, "layers"),
+    ("decompose", {"num_calib": "x"}, "num_calib"),
+    ("decompose", {"h_values": ["x"]}, "h_values"),
+    ("decompose", {"h_values": 5}, "h_values"),
+    ("tofc", {"k_neighbors": "x"}, "k_neighbors"),
+    ("tofc", {"num_centers_sweep": ["x"]}, "num_centers_sweep"),
+    ("tofc", {"num_models": "x"}, "num_models"),
+    ("tofc", {"seed": "x"}, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field", MISTYPED_FIELDS,
+    ids=[f"{c}-{f}-{i}" for i, (c, _, f) in enumerate(MISTYPED_FIELDS)],
+)
+def test_mistyped_field_is_config_error_naming_it(tmp_path, capsys, command, overrides, field):
+    if command == "specdec":
+        overrides = {"num_tokens": 8, **overrides}
+        cfg = specdec_config(tmp_path, overrides.pop("configs", [specdec_entry()]), **overrides)
+    else:
+        cfg = {"decompose": decompose_config, "tofc": tofc_config}[command](tmp_path, **overrides)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 class TestDecompose:
     def test_sweep_losses_agree_and_decrease(self, tmp_path):
         cfg = decompose_config(tmp_path)

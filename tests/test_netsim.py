@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +8,18 @@ import pytest
 
 from aiflow.errors import InvalidInputError, InvalidScenarioError
 from aiflow.netsim import (
-    _SCENARIO_KEYS,
+    _SCENARIO_FIELDS,
     FRAME_BYTES,
     MODEL_DEFAULTS,
+    REQUIRED,
     TOKEN_BYTES,
     LinkSpec,
     NodeSpec,
     Topology,
     collab_topology,
+    decode_setup,
     default_topology,
+    read_fields,
     run_device_server_collab,
     run_scenario,
     run_single_tier_scenario,
@@ -135,6 +140,12 @@ class TestTopology:
         with pytest.raises(InvalidInputError):
             LinkSpec("a", "b", 1e-3, 1e6, -0.001, 0)
 
+    def test_non_finite_latency_and_jitter_rejected(self):
+        for latency, jitter in ((math.inf, 0.0), (math.nan, 0.0), (1e-3, math.nan),
+                                (1e-3, math.inf)):
+            with pytest.raises(InvalidInputError):
+                LinkSpec("a", "b", latency, 1e6, jitter, 0)
+
     def test_verify_cost_falls_back_to_token(self):
         topo = two_node_topology()
         assert topo.cost("edge", "verify") == topo.cost("edge", "token")
@@ -166,6 +177,22 @@ class TestTopology:
                                 "latency_s": 1e-3, "bandwidth_bytes_per_s": 1e7}])
         with pytest.raises(InvalidScenarioError):
             topology_from_dict(bad)
+
+    def test_from_dict_names_mistyped_field(self):
+        doc = {"nodes": [{"id": "a", "tier": "device", "compute_cost": {"token": "fast"}}],
+               "links": []}
+        with pytest.raises(InvalidScenarioError,
+                           match=re.escape("topology.nodes[0].compute_cost.token must be number")):
+            topology_from_dict(doc)
+        doc = {"nodes": [{"id": "a", "tier": "device", "compute_cost": {}},
+                         {"id": "b", "tier": "edge", "compute_cost": {}}],
+               "links": [{"from": "a", "to": "b", "latency_s": "x",
+                          "bandwidth_bytes_per_s": 1e6}]}
+        with pytest.raises(InvalidScenarioError,
+                           match=re.escape("topology.links[0].latency_s must be number, not 'x'")):
+            topology_from_dict(doc)
+        with pytest.raises(InvalidScenarioError, match="topology must be an object"):
+            topology_from_dict(5)
 
 
 class TestDeterminism:
@@ -373,6 +400,62 @@ class TestPipelinedSchedule:
             assert arrivals == sorted(arrivals)
 
 
+class TestReadFields:
+    TABLE = {"n": (int, REQUIRED), "x": (float, 0.5), "names": ([str], ["a"])}
+
+    def test_typed_values_and_defaults(self):
+        got = read_fields({"n": 3.0}, self.TABLE, "cfg")
+        assert got == {"n": 3, "x": 0.5, "names": ["a"]} and type(got["n"]) is int
+        got = read_fields({"n": 2, "x": 1, "names": [], "other": None}, self.TABLE, "cfg")
+        assert got == {"n": 2, "x": 1.0, "names": []} and type(got["x"]) is float
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "cfg is missing field 'n'"),
+        ({"n": "abc"}, "cfg.n must be int, not 'abc'"),
+        ({"n": 2.5}, "cfg.n must be int, not 2.5"),
+        ({"n": True}, "cfg.n must be int, not True"),
+        ({"n": None}, "cfg.n must be int, not None"),
+        ({"n": 1, "x": False}, "cfg.x must be number, not False"),
+        ({"n": 1, "x": 10**400}, "cfg.x must be number, not 1000"),
+        ({"n": 1, "names": "ab"}, "cfg.names must be list of string, not 'ab'"),
+        ({"n": 1, "names": ["a", 3]}, "cfg.names must be list of string, not ['a', 3]"),
+        ([1], "cfg must be an object, not [1]"),
+    ])
+    def test_bad_fields_named(self, doc, message):
+        with pytest.raises(InvalidScenarioError, match=re.escape(message)):
+            read_fields(doc, self.TABLE, "cfg")
+
+    def test_scenario_field_named(self):
+        scn = dict(specdec_scenario(), gamma="abc")
+        with pytest.raises(InvalidScenarioError, match=re.escape("scenario.gamma must be int")):
+            run_scenario(default_topology(), scn, seed=1)
+
+
+class TestDecodeSetup:
+    def verify_priced_topology(self):
+        topo = two_node_topology()
+        edge = NodeSpec(id="edge", tier="edge", compute_cost={"token": 0.030, "verify": 0.005})
+        return Topology(nodes=(topo.nodes[0], edge), links=topo.links)
+
+    def test_drafter_priced_by_token_verifier_by_verify(self):
+        cfg, models = decode_setup(self.verify_priced_topology(), specdec_scenario(), {}, "here")
+        assert cfg.per_token_compute_cost == {"device": 0.010, "edge": 0.005}
+        assert (cfg.tiers, cfg.draft_len, cfg.mode) == (("device", "edge"), 4, "sequential")
+        assert set(models) == {"device", "edge"}
+
+    def test_verify_events_cost_the_verify_entry(self):
+        topo = self.verify_priced_topology()
+        for mode in ("sequential", "pipelined"):
+            trace, m = run_scenario(topo, specdec_scenario(mode=mode, num_tokens=12), seed=2)
+            verifies = [e for e in trace if e.note == "verify"]
+            assert verifies
+            assert m.server_compute_s == pytest.approx(len(verifies) * 0.005, rel=1e-12)
+
+    def test_topology_without_verify_prices_token(self):
+        cfg, _ = decode_setup(two_node_topology(), specdec_scenario(), {}, "here")
+        assert cfg.per_token_compute_cost == {"device": 0.010, "edge": 0.030}
+
+
 class TestTierModels:
     def test_sizes_default_to_model_defaults(self):
         specs = {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}
@@ -406,9 +489,19 @@ class TestScenarioSchema:
     def test_scenario_properties_match_code(self):
         defs = self.definitions()
         kinds = {name[: -len("_scenario")] for name in defs if name.endswith("_scenario")}
-        assert kinds - {"empty"} == set(_SCENARIO_KEYS)
-        for kind, keys in _SCENARIO_KEYS.items():
-            assert set(defs[f"{kind}_scenario"]["properties"]) == keys | {"kind"}, kind
+        assert kinds - {"empty"} == set(_SCENARIO_FIELDS)
+        for kind, fields in _SCENARIO_FIELDS.items():
+            schema = defs[f"{kind}_scenario"]
+            assert set(schema["properties"]) == set(fields) | {"kind"}, kind
+            required = {name for name, (_, default) in fields.items() if default is REQUIRED}
+            assert set(schema["required"]) == required | {"kind"}, kind
+            defaults = {
+                name: default for name, (_, default) in fields.items()
+                if default is not REQUIRED
+            }
+            # A field without a schema default reads as None (feature_seed: the run seed).
+            assert {name: schema["properties"][name].get("default") for name in defaults} \
+                == defaults, kind
 
     def test_model_defaults_match_code(self):
         props = self.definitions()["specdec_scenario"]["properties"]

@@ -356,6 +356,20 @@ class TestCodec:
         bs = encode(symbols, [model], [0, 0])
         assert np.array_equal(decode(bs, [model]), symbols)
 
+    def test_symbols_outside_int32_rejected(self):
+        model = LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=0, q_range=4)
+        for q in ((1 << 31) + 5, 1 << 31, -(1 << 31) - 1, 1 << 40):
+            with pytest.raises(InvalidInputError):
+                encode(np.array([[q]], dtype=np.int64), [model], [0])
+        edges = np.array([[-(1 << 31)], [(1 << 31) - 1]], dtype=np.int64)
+        assert np.array_equal(decode(encode(edges, [model], [0, 0]), [model]), edges)
+
+    def test_quantize_rejects_values_beyond_int64(self):
+        for value in (1e30, -1e30, 2.0**63):
+            with pytest.raises(InvalidInputError):
+                quantize(np.array([0.0, value]))
+        assert quantize(np.array([-(2.0**63), 2.5, -0.5])).tolist() == [-(1 << 63), 2, 0]
+
     def test_flipped_payload_byte_fails_checksum(self):
         models = two_models(2)
         symbols = np.array([[1, 2], [3, 4]], dtype=np.int64)
