@@ -57,6 +57,7 @@ from .familial import (
     whiten,
 )
 from .netsim import (
+    DECODE_FIELDS,
     MODEL_SIZE_FIELDS,
     REQUIRED,
     decode_setup,
@@ -289,6 +290,9 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     rows = []
     summary = []
     for idx, entry in enumerate(fields["configs"]):
+        unknown = set(entry) - set(DECODE_FIELDS)
+        if unknown:
+            raise InvalidScenarioError(f"configs[{idx}] has unknown fields: {sorted(unknown)}")
         proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]")
         transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
         _, metrics = schedule_specdec(topology, proto, transcript, seed)

@@ -282,7 +282,10 @@ def save_layer(layer: DecomposedLayer, path) -> None:
 
 
 def load_layer(path) -> DecomposedLayer:
-    """Read a DecomposedLayer written by save_layer."""
+    """Read a DecomposedLayer written by save_layer.
+
+    A NaN or infinite weight raises InvalidInputError naming w_u or w_v.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -302,8 +305,8 @@ def load_layer(path) -> DecomposedLayer:
     w_u = np.frombuffer(blob, dtype="<f8", count=m * h, offset=head_size)
     w_v = np.frombuffer(blob, dtype="<f8", count=h * n, offset=head_size + 8 * m * h)
     return DecomposedLayer(
-        w_u=w_u.reshape(m, h).astype(np.float64),
-        w_v=w_v.reshape(h, n).astype(np.float64),
+        w_u=require_matrix(w_u.reshape(m, h).astype(np.float64), "w_u"),
+        w_v=require_matrix(w_v.reshape(h, n).astype(np.float64), "w_v"),
         hidden_dim=int(h),
         source_dims=(int(m), int(n)),
     )

@@ -407,6 +407,11 @@ def run_device_server_collab(
     """
     if num_devices < 1:
         raise InvalidInputError("need at least one device")
+    sizes = {"request_bytes": request_bytes, "response_bytes": response_bytes,
+             "broadcast_bytes": broadcast_bytes, "revision_bytes": revision_bytes}
+    for name, size in sizes.items():
+        if size < 0:
+            raise InvalidScenarioError(f"{name} must be >= 0, got {size}")
     devices = [n.id for n in topology.nodes if n.tier == "device"][:num_devices]
     if len(devices) < num_devices:
         raise InvalidScenarioError(
@@ -562,7 +567,7 @@ def topology_from_dict(doc: dict) -> Topology:
 MODEL_DEFAULTS = {"vocab_size": 32, "embed_dim": 16, "context_window": 8}
 MODEL_SIZE_FIELDS = {key: (int, default) for key, default in MODEL_DEFAULTS.items()}
 _MODEL_SPEC_FIELDS = {"layers": (int, REQUIRED), "seed": (int, REQUIRED)}
-_DECODE_FIELDS = {
+DECODE_FIELDS = {
     "tiers": ([str], REQUIRED), "gamma": (int, REQUIRED), "mode": (str, "sequential"),
     "models": (dict, REQUIRED),
 }
@@ -598,7 +603,7 @@ def decode_setup(topology: Topology, entry: dict, sizes: dict, where: str):
     sizes holds the model sizes (see tier_models). The drafter is priced by
     its "token" cost, each verifier by its "verify" cost.
     """
-    fields = read_fields(entry, _DECODE_FIELDS, where)
+    fields = read_fields(entry, DECODE_FIELDS, where)
     tiers = tuple(fields["tiers"])
     costs = {t: topology.cost(t, "verify" if i else "token") for i, t in enumerate(tiers)}
     try:
@@ -613,7 +618,7 @@ def decode_setup(topology: Topology, entry: dict, sizes: dict, where: str):
 
 _SCENARIO_FIELDS = {
     "specdec": {
-        **_DECODE_FIELDS, **MODEL_SIZE_FIELDS,
+        **DECODE_FIELDS, **MODEL_SIZE_FIELDS,
         "num_tokens": (int, REQUIRED), "prompt": ([int], [0]),
     },
     "single": {"node": (str, REQUIRED), "num_tokens": (int, REQUIRED)},

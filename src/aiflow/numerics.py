@@ -129,11 +129,40 @@ class Rng:
         return Rng(_splitmix64(self._state ^ _splitmix64(key & _MASK64)))
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols matrix of standard normals, drawn row-major."""
+        """rows x cols matrix of standard normals, drawn row-major.
+
+        Equal bit for bit to rows*cols successive normal() calls, cached
+        deviate included on entry and on exit; the generator step and the
+        Box-Muller pair are inlined so a draw costs no method calls.
+        """
         out = np.empty((rows, cols), dtype=np.float64)
         flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.normal()
+        size = flat.size
+        state, cached = self._state, self._cached_normal
+        start = 0
+        if size and cached is not None:
+            flat[0] = cached
+            cached = None
+            start = 1
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+        two_pi, scale, mask = 2.0 * math.pi, 2.0 ** -53, _MASK64
+        for i in range(start, size, 2):
+            state ^= state >> 12
+            state ^= (state << 25) & mask
+            state ^= state >> 27
+            u1 = 1.0 - (((state * 0x2545F4914F6CDD1D) & mask) >> 11) * scale
+            state ^= state >> 12
+            state ^= (state << 25) & mask
+            state ^= state >> 27
+            u2 = (((state * 0x2545F4914F6CDD1D) & mask) >> 11) * scale
+            radius = sqrt(-2.0 * log(u1))
+            theta = two_pi * u2
+            flat[i] = radius * cos(theta)
+            if i + 1 < size:
+                flat[i + 1] = radius * sin(theta)
+            else:
+                cached = radius * sin(theta)
+        self._state, self._cached_normal = state, cached
         return out
 
 

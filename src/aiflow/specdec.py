@@ -136,7 +136,9 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """Autoregressively sample gamma tokens from the drafting model."""
     if not isinstance(gamma, int) or gamma < 1:
         raise InvalidInputError("gamma must be >= 1")
-    prefix = [int(t) for t in context]
+    prefix = list(context)
+    if set(map(type, prefix)) != {int}:  # the per-token copy only for non-int tokens
+        prefix = [int(t) for t in prefix]
     base = list(prefix)
     tokens: list[int] = []
     dists: list[TokenDistribution] = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidTokenError, IoError
 from .familial import DecomposedLayer, WhiteningContext, decompose_layer
-from .numerics import Rng, require_vector
+from .numerics import Rng, require_matrix, require_vector
 
 _TOYL_MAGIC = b"TOYL"
 _TOYL_VERSION = 1
@@ -109,11 +109,16 @@ def build(config: ToyLmConfig) -> ToyLm:
 
 def _check_context(lm: ToyLm, context) -> list[int]:
     tokens = list(context)
+    # C-level passes only: exact ints (no bool) inside the vocabulary. Any
+    # other context takes the loop, which names the first bad token.
+    vocab = lm.config.vocab_size
+    if set(map(type, tokens)) == {int} and 0 <= min(tokens) and max(tokens) < vocab:
+        return tokens
     for t in tokens:
         if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
             raise InvalidTokenError(f"token {t!r} is not an integer")
-        if not 0 <= int(t) < lm.config.vocab_size:
-            raise InvalidTokenError(f"token {t} outside vocabulary of {lm.config.vocab_size}")
+        if not 0 <= int(t) < vocab:
+            raise InvalidTokenError(f"token {t} outside vocabulary of {vocab}")
     return [int(t) for t in tokens]
 
 
@@ -121,12 +126,13 @@ def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
     window = tokens[-lm.config.context_window :]
     if not window:
         return np.zeros(lm.config.embed_dim)
-    return lm.embedding[window].mean(axis=0)
+    # sum / count is the arithmetic of ndarray.mean, without its wrappers.
+    return lm.embedding[window].sum(axis=0) / len(window)
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
-    centered = x - x.mean()
-    rms = math.sqrt(float(np.mean(centered * centered)) + _RMS_FLOOR)
+    centered = x - x.sum() / x.size
+    rms = math.sqrt(float((centered * centered).sum()) / x.size + _RMS_FLOOR)
     return centered / rms
 
 
@@ -150,16 +156,25 @@ def forward_full(lm: ToyLm, context) -> TokenDistribution:
     return _head(lm, x)
 
 
-def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
-    """Early prediction at exit_index plus the resumable pre-branch activation."""
+def _check_exit(lm: ToyLm, exit_index) -> None:
     if not isinstance(exit_index, int) or not 1 <= exit_index <= lm.config.num_layers:
         raise InvalidInputError(
             f"exit index must be in 1..{lm.config.num_layers}, got {exit_index}"
         )
-    tokens = _check_context(lm, context)
+
+
+def _exit_state(lm: ToyLm, tokens: list[int], exit_index: int) -> np.ndarray:
+    """Pre-branch hidden state at exit_index for checked tokens."""
     x = _initial_state(lm, tokens)
     for w in lm.blocks[:exit_index]:
         x = _apply_block(w, x)
+    return x
+
+
+def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
+    """Early prediction at exit_index plus the resumable pre-branch activation."""
+    _check_exit(lm, exit_index)
+    x = _exit_state(lm, _check_context(lm, context), exit_index)
     activation = ExitActivation(exit_index=exit_index, state=x.copy())
     branch = lm.branches.get(exit_index)
     if branch is not None:
@@ -191,10 +206,13 @@ def calibration_activations(
 
     Each context is context_window tokens drawn uniformly from the
     vocabulary. Returns a d x num_contexts matrix (one activation per
-    column), ready for whitening.
+    column), ready for whitening: column i equals
+    forward_exit(lm, context_i, exit_index)[1].state, computed without the
+    branch or the head.
     """
     if num_contexts < 1:
         raise InvalidInputError("num_contexts must be >= 1")
+    _check_exit(lm, exit_index)
     rng = Rng(seed)
     cols = np.empty((lm.config.embed_dim, num_contexts))
     for i in range(num_contexts):
@@ -202,8 +220,7 @@ def calibration_activations(
             min(int(rng.uniform() * lm.config.vocab_size), lm.config.vocab_size - 1)
             for _ in range(lm.config.context_window)
         ]
-        _, act = forward_exit(lm, context, exit_index)
-        cols[:, i] = act.state
+        cols[:, i] = _exit_state(lm, context, exit_index)
     return cols
 
 
@@ -296,7 +313,11 @@ def save_model(lm: ToyLm, path) -> None:
 
 
 def load_model(path) -> ToyLm:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    A NaN or infinite weight raises InvalidInputError naming its tensor
+    (embedding, blocks[i], lm_head, branches[exit].w_u or .w_v).
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -316,18 +337,18 @@ def load_model(path) -> ToyLm:
     )
     offset = head_size
 
-    def take(rows, cols):
+    def take(rows, cols, name):
         nonlocal offset
         need = rows * cols
         if offset + 8 * need > len(blob):
             raise InvalidInputError("container truncated in weight data")
         arr = np.frombuffer(blob, dtype="<f8", count=need, offset=offset)
         offset += 8 * need
-        return arr.reshape(rows, cols).astype(np.float64)
+        return require_matrix(arr.reshape(rows, cols).astype(np.float64), name)
 
-    embedding = take(vocab, d)
-    blocks = tuple(take(d, d) for _ in range(layers))
-    lm_head = take(vocab, d)
+    embedding = take(vocab, d, "embedding")
+    blocks = tuple(take(d, d, f"blocks[{i}]") for i in range(layers))
+    lm_head = take(vocab, d, "lm_head")
     if offset + 4 > len(blob):
         raise InvalidInputError("container truncated before branch count")
     (branch_count,) = struct.unpack_from("<I", blob, offset)
@@ -338,8 +359,8 @@ def load_model(path) -> ToyLm:
             raise InvalidInputError("container truncated in branch header")
         exit_index, h = struct.unpack_from("<II", blob, offset)
         offset += 8
-        w_u = take(d, h)
-        w_v = take(h, d)
+        w_u = take(d, h, f"branches[{exit_index}].w_u")
+        w_v = take(h, d, f"branches[{exit_index}].w_v")
         branches[int(exit_index)] = DecomposedLayer(
             w_u=w_u, w_v=w_v, hidden_dim=int(h), source_dims=(d, d)
         )

@@ -229,6 +229,14 @@ class TestSpecdec:
         assert rows[1][1] == "device+edge+cloud"
         assert all(0.0 <= float(r[5]) <= 1.0 for r in rows)
 
+    def test_unknown_entry_field_rejected(self, tmp_path, capsys):
+        entry = dict(self.mixed_pair(3), mdoe="pipelined")
+        cfg = specdec_config(tmp_path, [entry], num_tokens=8)
+        out = tmp_path / "r"
+        assert main(["specdec", "--config", cfg, "--out", str(out)]) == 2
+        assert "configs[0] has unknown fields: ['mdoe']" in capsys.readouterr().err
+        assert not (out / "specdec.csv").exists()
+
     def test_missing_model_spec_rejected(self, tmp_path, capsys):
         entry = self.identical_pair()
         del entry["models"]["edge"]

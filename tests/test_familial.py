@@ -12,6 +12,7 @@ from aiflow.errors import (
     NotPositiveDefiniteError,
 )
 from aiflow.familial import (
+    DecomposedLayer,
     allocate_ranks,
     decompose_layer,
     hpcd_build,
@@ -308,6 +309,18 @@ def test_layer_container_roundtrip(tmp_path):
     assert np.array_equal(loaded.w_v, layer.w_v)
     assert loaded.hidden_dim == 3
     assert loaded.source_dims == (6, 4)
+
+
+@pytest.mark.parametrize("tensor, value", [("w_u", np.nan), ("w_v", -np.inf)])
+def test_layer_container_rejects_non_finite_weights(tmp_path, tensor, value):
+    rng = np.random.default_rng(43)
+    layer = decompose_layer(rng.normal(size=(5, 4)), whiten(rng.normal(size=(4, 8))), 2)
+    factors = {"w_u": layer.w_u.copy(), "w_v": layer.w_v.copy()}
+    factors[tensor][1, 0] = value
+    path = tmp_path / "bad.famd"
+    save_layer(DecomposedLayer(hidden_dim=2, source_dims=(5, 4), **factors), path)
+    with pytest.raises(InvalidInputError, match=f"^{tensor} contains NaN or Inf$"):
+        load_layer(path)
 
 
 def test_layer_container_rejects_corruption(tmp_path):

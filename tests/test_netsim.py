@@ -612,6 +612,17 @@ class TestCollab:
         with pytest.raises(InvalidScenarioError):
             run_device_server_collab(topo, 3, seed=1)
 
+    @pytest.mark.parametrize(
+        "field", ["request_bytes", "response_bytes", "broadcast_bytes", "revision_bytes"]
+    )
+    def test_negative_message_size_rejected(self, field):
+        topo = collab_topology(2)
+        scn = {"kind": "collab", "num_devices": 2}
+        with pytest.raises(InvalidScenarioError, match=f"^{field} must be >= 0, got -10$"):
+            run_scenario(topo, dict(scn, **{field: -10}), 1)
+        _, m = run_scenario(topo, dict(scn, **{field: 0}), 1)
+        assert m.simulated_wall_s > 0.0
+
 
 class TestSpeedupTrend:
     def test_pipelined_device_edge_beats_edge_only(self):

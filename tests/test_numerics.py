@@ -213,6 +213,23 @@ def test_rng_normals_match_box_muller_reference():
     assert (rng.normal(), rng.normal()) == pytest.approx(expected, abs=0.0)
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 5), (4, 4), (1, 1), (0, 3), (6, 7)])
+@pytest.mark.parametrize("primed", [False, True])
+def test_normal_matrix_equals_successive_normal_calls(rows, cols, primed):
+    # primed leaves a cached deviate for normal_matrix to carry in; an odd
+    # remainder leaves one for the next normal() call to carry out.
+    fast, slow = Rng(19), Rng(19)
+    if primed:
+        fast.normal()
+        slow.normal()
+    got = fast.normal_matrix(rows, cols)
+    want = np.array([slow.normal() for _ in range(rows * cols)], dtype=np.float64)
+    assert got.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+    assert [fast.normal() for _ in range(3)] == [slow.normal() for _ in range(3)]
+    assert fast.uniform() == slow.uniform()
+
+
 def test_rng_normal_moments():
     rng = Rng(31)
     xs = [rng.normal() for _ in range(40_000)]

@@ -1,15 +1,19 @@
 """Tests for the toy language model, exits, branches, and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
+from aiflow import toylm
 from aiflow.errors import InvalidInputError, InvalidTokenError
-from aiflow.familial import whiten
+from aiflow.familial import DecomposedLayer, whiten
 from aiflow.numerics import Rng
 from aiflow.toylm import (
     ExitActivation,
     LmDecoder,
     TokenDistribution,
+    ToyLm,
     ToyLmConfig,
     attach_branch,
     build,
@@ -85,6 +89,33 @@ def test_out_of_range_token_rejected(lm):
         forward_full(lm, [lm.config.vocab_size])
     with pytest.raises(InvalidTokenError):
         forward_full(lm, [-1])
+
+
+BAD_CONTEXTS = [
+    ([-1] + [0] * 4999, "token -1 outside vocabulary of 32"),
+    ([0] * 4999 + [32], "token 32 outside vocabulary of 32"),
+    ([1, True, 2], "token True is not an integer"),
+    ([1, 2.0], "token 2.0 is not an integer"),
+    ([3, "a"], "token 'a' is not an integer"),
+    ([np.int64(3), np.int64(40)], "token 40 outside vocabulary of 32"),
+]
+
+
+@pytest.mark.parametrize("context, message", BAD_CONTEXTS)
+def test_bad_token_named_anywhere_in_context(lm, context, message):
+    with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+        forward_full(lm, context)
+    with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+        forward_exit(lm, context, 2)
+
+
+def test_numpy_integer_tokens_accepted(lm):
+    plain = [3, 1, 4, 1, 5, 9]
+    want = forward_full(lm, plain).probs
+    assert np.array_equal(forward_full(lm, [np.int64(t) for t in plain]).probs, want)
+    assert np.array_equal(forward_full(lm, np.array(plain, dtype=np.int32)).probs, want)
+    assert np.array_equal(forward_exit(lm, np.array(plain), 3)[0].probs,
+                          forward_exit(lm, plain, 3)[0].probs)
 
 
 def test_exit_at_top_equals_full(lm):
@@ -246,6 +277,32 @@ def test_model_container_roundtrip(tmp_path, lm):
     )
 
 
+@pytest.mark.parametrize("tensor, value", [
+    ("embedding", np.nan), ("blocks[1]", np.inf), ("lm_head", -np.inf),
+    ("branches[2].w_u", np.nan), ("branches[2].w_v", np.inf),
+])
+def test_model_container_rejects_non_finite_weights(tmp_path, lm, tensor, value):
+    model = attach_branch(lm, 2, 0.75, _branch_context(lm, 2))
+    branch = model.branches[2]
+    weights = {
+        "embedding": model.embedding.copy(), "lm_head": model.lm_head.copy(),
+        "branches[2].w_u": branch.w_u.copy(), "branches[2].w_v": branch.w_v.copy(),
+        **{f"blocks[{i}]": b.copy() for i, b in enumerate(model.blocks)},
+    }
+    weights[tensor][0, -1] = value
+    bad = ToyLm(
+        config=model.config, embedding=weights["embedding"],
+        blocks=tuple(weights[f"blocks[{i}]"] for i in range(len(model.blocks))),
+        lm_head=weights["lm_head"],
+        branches={2: DecomposedLayer(weights["branches[2].w_u"], weights["branches[2].w_v"],
+                                     branch.hidden_dim, branch.source_dims)},
+    )
+    path = tmp_path / "bad.toyl"
+    save_model(bad, path)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(tensor)} contains NaN or Inf$"):
+        load_model(path)
+
+
 def test_model_container_rejects_corruption(tmp_path, lm):
     path = tmp_path / "model.toyl"
     save_model(lm, path)
@@ -270,3 +327,21 @@ def test_calibration_activations_deterministic(lm):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (lm.config.embed_dim, 32)
+
+
+def test_calibration_activations_are_exit_states_without_the_head(lm, monkeypatch):
+    model = attach_branch(lm, 2, 0.75, _branch_context(lm, 2))
+    vocab, window = model.config.vocab_size, model.config.context_window
+    rng = Rng(5)
+    contexts = [[min(int(rng.uniform() * vocab), vocab - 1) for _ in range(window)]
+                for _ in range(40)]
+    want = np.stack([forward_exit(model, c, 2)[1].state for c in contexts], axis=1)
+
+    def no_head(*args):
+        raise AssertionError("calibration_activations ran the head")
+
+    monkeypatch.setattr(toylm, "_head", no_head)
+    got = calibration_activations(model, 2, num_contexts=40, seed=5)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(InvalidInputError, match=re.escape("exit index must be in 1..8, got 9")):
+        calibration_activations(model, 9)
