@@ -63,6 +63,7 @@ from .netsim import (
     decode_setup,
     default_topology,
     read_fields,
+    reject_unknown_fields,
     run_scenario,
     run_tofc_scenario,
     schedule_specdec,
@@ -290,9 +291,7 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     rows = []
     summary = []
     for idx, entry in enumerate(fields["configs"]):
-        unknown = set(entry) - set(DECODE_FIELDS)
-        if unknown:
-            raise InvalidScenarioError(f"configs[{idx}] has unknown fields: {sorted(unknown)}")
+        reject_unknown_fields(entry, DECODE_FIELDS, f"configs[{idx}]")
         proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]")
         transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
         _, metrics = schedule_specdec(topology, proto, transcript, seed)
@@ -512,6 +511,13 @@ _COMMANDS = {
     "tofc": cmd_tofc,
     "simulate": cmd_simulate,
 }
+# The top-level config keys each command reads, besides "seed".
+_CONFIG_KEYS = {
+    "decompose": set(_DECOMPOSE_FIELDS),
+    "specdec": {*_SPECDEC_FIELDS, "topology"},
+    "tofc": {*_TOFC_FIELDS, "topology"},
+    "simulate": {"scenario", "topology"},
+}
 
 
 def main(argv=None) -> int:
@@ -524,6 +530,7 @@ def main(argv=None) -> int:
             run.finish()
             return 0
         cfg = load_config(args.config)
+        reject_unknown_fields(cfg, {*_CONFIG_KEYS[args.command], "seed"}, "config")
         seed = args.seed
         if seed is None:
             seed = read_fields(cfg, {"seed": (int, 0)}, "config")["seed"]

@@ -534,6 +534,13 @@ def read_fields(doc, fields: dict, where: str) -> dict:
     return out
 
 
+def reject_unknown_fields(doc: dict, known, where: str) -> None:
+    """InvalidScenarioError naming the keys of doc outside known, if any."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise InvalidScenarioError(f"{where} has unknown fields: {sorted(unknown)}")
+
+
 _NODE_FIELDS = {"id": (str, REQUIRED), "tier": (str, REQUIRED), "compute_cost": (dict, REQUIRED)}
 _LINK_FIELDS = {
     "from": (str, REQUIRED), "to": (str, REQUIRED), "latency_s": (float, REQUIRED),
@@ -648,9 +655,7 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
     kind = scenario.get("kind")
     if kind not in _SCENARIO_FIELDS:
         raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    unknown = set(scenario) - set(_SCENARIO_FIELDS[kind]) - {"kind"}
-    if unknown:
-        raise InvalidScenarioError(f"unknown {kind} parameters: {sorted(unknown)}")
+    reject_unknown_fields(scenario, {*_SCENARIO_FIELDS[kind], "kind"}, "scenario")
     params = read_fields(scenario, _SCENARIO_FIELDS[kind], "scenario")
     if kind == "single":
         return run_single_tier_scenario(topology, params["node"], params["num_tokens"])

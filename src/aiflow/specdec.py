@@ -39,7 +39,7 @@ from .errors import (
     ProtocolViolationError,
 )
 from .numerics import Rng
-from .toylm import TokenDistribution, sample
+from .toylm import TokenDistribution, sample, token_int
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,19 @@ class PipelineStats:
     discarded_batches: int
 
 
+def _as_tokens(tokens) -> list[int]:
+    """A new list of the tokens as plain ints; a non-integer is an InvalidTokenError."""
+    out = list(tokens)
+    if set(map(type, out)) != {int}:  # the per-token check only for non-int tokens
+        out = [token_int(t) for t in out]
+    return out
+
+
 def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """Autoregressively sample gamma tokens from the drafting model."""
     if not isinstance(gamma, int) or gamma < 1:
         raise InvalidInputError("gamma must be >= 1")
-    prefix = list(context)
-    if set(map(type, prefix)) != {int}:  # the per-token copy only for non-int tokens
-        prefix = [int(t) for t in prefix]
+    prefix = _as_tokens(context)
     base = list(prefix)
     tokens: list[int] = []
     dists: list[TokenDistribution] = []
@@ -276,7 +282,7 @@ def _start(cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng)
     if missing:
         raise InvalidInputError(f"models missing for tiers {missing}")
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
-    return [int(t) for t in prompt], streams
+    return _as_tokens(prompt), streams
 
 
 class _Emission:

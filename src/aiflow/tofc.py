@@ -19,7 +19,7 @@ Conventions that affect bitstreams, all fixed on purpose:
 
 from __future__ import annotations
 
-import math
+import bisect
 import struct
 import zlib
 from dataclasses import dataclass
@@ -103,30 +103,27 @@ def _laplace_cdf(x, mu, b):
     return np.where(z < 0.0, below, above)
 
 
-def _symbol_bounds(model: LaplacianModel, dim: int) -> tuple[int, int]:
-    center = int(np.rint(model.mu[dim]))
-    return center - model.q_range, center + model.q_range
+def _bin_masses(model: LaplacianModel, j: int) -> tuple[int, np.ndarray]:
+    """(lo, p): the masses of the unit bins lo..lo + 2*q_range, then the escape mass.
 
-
-def _escape_mass(model: LaplacianModel, dim: int) -> float:
-    lo, hi = _symbol_bounds(model, dim)
-    mu = float(model.mu[dim])
-    b = float(model.b[dim])
-    left = float(_laplace_cdf(lo - 0.5, mu, b))
-    right = 1.0 - float(_laplace_cdf(hi + 0.5, mu, b))
-    return left + right
+    The one evaluation of the Laplace CDF; every code length, pmf value and
+    coding table reads this table.
+    """
+    lo = int(np.rint(model.mu[j])) - model.q_range
+    edges = np.arange(lo, lo + 2 * model.q_range + 2) - 0.5
+    cdf = _laplace_cdf(edges, float(model.mu[j]), float(model.b[j]))
+    return lo, np.append(np.diff(cdf), cdf[0] + (1.0 - cdf[-1]))
 
 
 def pmf(model: LaplacianModel, dim: int, q: int) -> float:
     """Mass of the unit bin at integer q; out-of-range q share the escape mass."""
     if not 0 <= dim < model.dim:
         raise InvalidInputError("dimension out of range")
-    lo, hi = _symbol_bounds(model, dim)
-    if q < lo or q > hi:
-        return _escape_mass(model, dim)
-    mu = float(model.mu[dim])
-    b = float(model.b[dim])
-    return float(_laplace_cdf(q + 0.5, mu, b) - _laplace_cdf(q - 0.5, mu, b))
+    if not isinstance(q, (int, np.integer)):
+        raise InvalidInputError(f"symbol {q!r} is not an integer")
+    lo, p = _bin_masses(model, dim)
+    idx = q - lo
+    return float(p[idx] if 0 <= idx < p.size - 1 else p[-1])
 
 
 def fit_laplacian(calib: np.ndarray, model_id: int, q_range: int = 255) -> LaplacianModel:
@@ -174,29 +171,27 @@ def _as_symbol_rows(symbols, dim: int) -> np.ndarray:
     return arr.reshape(-1, dim).astype(np.int64)
 
 
+def _row_bits(rows: np.ndarray, model: LaplacianModel) -> np.ndarray:
+    """Ideal code length of each row, summed over dimensions in order.
+
+    A symbol costs -log2 of its bin mass; an escaped one -log2 of the escape
+    mass plus its 32 raw bits.
+    """
+    bits = np.zeros(rows.shape[0])
+    for j in range(model.dim):
+        lo, p = _bin_masses(model, j)
+        with np.errstate(divide="ignore"):
+            cost = -np.log2(p)
+        esc = p.size - 1
+        cost[esc] += _RAW_BITS
+        q = rows[:, j]
+        bits += cost[np.where((q >= lo) & (q < lo + esc), q - lo, esc)]
+    return bits
+
+
 def estimate_rate(symbols, model: LaplacianModel) -> float:
     """Ideal code length in bits: -log2 pmf per symbol, +32 per escape."""
-    rows = _as_symbol_rows(symbols, model.dim)
-    if rows.size == 0:
-        return 0.0
-    bits = 0.0
-    for j in range(model.dim):
-        qs = rows[:, j]
-        lo, hi = _symbol_bounds(model, j)
-        mu = float(model.mu[j])
-        b = float(model.b[j])
-        in_range = (qs >= lo) & (qs <= hi)
-        if in_range.any():
-            x = qs[in_range].astype(np.float64)
-            p = _laplace_cdf(x + 0.5, mu, b) - _laplace_cdf(x - 0.5, mu, b)
-            with np.errstate(divide="ignore"):
-                bits -= float(np.sum(np.log2(p)))
-        escapes = int(np.count_nonzero(~in_range))
-        if escapes:
-            with np.errstate(divide="ignore"):
-                esc_bits = float(-np.log2(_escape_mass(model, j)))
-            bits += escapes * (esc_bits + float(_RAW_BITS))
-    return bits
+    return float(_row_bits(_as_symbol_rows(symbols, model.dim), model).sum())
 
 
 def route(merged_row: np.ndarray, models) -> int:
@@ -204,11 +199,7 @@ def route(merged_row: np.ndarray, models) -> int:
     if not models:
         raise InvalidInputError("need at least one model")
     symbols = quantize(np.atleast_1d(np.asarray(merged_row, dtype=np.float64)))
-    best = min(
-        range(len(models)),
-        key=lambda e: (estimate_rate(symbols, models[e]), models[e].id),
-    )
-    return models[best].id
+    return min(models, key=lambda m: (estimate_rate(symbols, m), m.id)).id
 
 
 def balance_metric(selection_counts) -> float:
@@ -335,24 +326,19 @@ def _validate_models(models, dim: int):
 
 
 def _coding_tables(model: LaplacianModel):
-    """Per-dimension (lo, freqs, cum) with freqs summing to exactly 2^16.
+    """Per-dimension (lo, freqs, cum) lists with freqs summing to exactly 2^16.
 
     The alphabet is the in-range symbols followed by one escape entry.
     """
     tables = []
     for j in range(model.dim):
-        lo, hi = _symbol_bounds(model, j)
-        mu = float(model.mu[j])
-        b = float(model.b[j])
-        qs = np.arange(lo, hi + 1, dtype=np.float64)
-        probs = _laplace_cdf(qs + 0.5, mu, b) - _laplace_cdf(qs - 0.5, mu, b)
-        p = np.append(probs, _escape_mass(model, j))
+        lo, p = _bin_masses(model, j)
         freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
         freqs[int(np.argmax(freqs))] += _TOTAL - int(freqs.sum())
         if freqs.min() < 1 or int(freqs.sum()) != _TOTAL:
             raise InvariantViolationError("frequency table repair failed")
         cum = np.concatenate(([0], np.cumsum(freqs)))
-        tables.append((lo, freqs, cum))
+        tables.append((lo, freqs.tolist(), cum.tolist()))
     return tables
 
 
@@ -374,17 +360,14 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
         raise InvalidInputError("symbols must lie in [-2**31, 2**31); escapes store 32 bits")
     tables = {model.id: _coding_tables(model) for model in models}
     enc = RangeEncoder()
-    for r in range(m):
-        tabs = tables[ids[r]]
-        for j in range(d):
-            q = int(arr[r, j])
-            lo, freqs, cum = tabs[j]
+    for row, e in zip(arr.tolist(), ids):
+        for q, (lo, freqs, cum) in zip(row, tables[e]):
             idx = q - lo
-            if 0 <= idx < freqs.size - 1:
-                enc.encode(int(cum[idx]), int(freqs[idx]), _TOTAL)
+            esc = len(freqs) - 1
+            if 0 <= idx < esc:
+                enc.encode(cum[idx], freqs[idx], _TOTAL)
             else:
-                esc = freqs.size - 1
-                enc.encode(int(cum[esc]), int(freqs[esc]), _TOTAL)
+                enc.encode(cum[esc], freqs[esc], _TOTAL)
                 enc.encode_raw(q & 0xFFFFFFFF, _RAW_BITS)
     return Bitstream(
         version=_TOFC_VERSION,
@@ -407,14 +390,11 @@ def decode(bs: Bitstream, models) -> np.ndarray:
     tables = {model.id: _coding_tables(model) for model in models}
     dec = RangeDecoder(bs.payload)
     out = np.empty((bs.num_clusters, bs.dim), dtype=np.int64)
-    for r in range(bs.num_clusters):
-        tabs = tables[bs.model_ids[r]]
-        for j in range(bs.dim):
-            lo, freqs, cum = tabs[j]
-            value = dec.decode_freq(_TOTAL)
-            idx = int(np.searchsorted(cum, value, side="right")) - 1
-            dec.decode_update(int(cum[idx]), int(freqs[idx]))
-            if idx == freqs.size - 1:
+    for r, e in enumerate(bs.model_ids):
+        for j, (lo, freqs, cum) in enumerate(tables[e]):
+            idx = bisect.bisect_right(cum, dec.decode_freq(_TOTAL)) - 1
+            dec.decode_update(cum[idx], freqs[idx])
+            if idx == len(freqs) - 1:
                 raw = dec.decode_raw(_RAW_BITS)
                 out[r, j] = raw - (1 << 32) if raw >= (1 << 31) else raw
             else:
@@ -445,12 +425,13 @@ def tofc_pipeline(fs: FeatureSet, cfg: TofcConfig):
         raise InvalidInputError("entropy models do not match the feature dimension")
     clusters = dpc_knn_cluster(fs, cfg.k_neighbors, cfg.num_centers)
     symbols = quantize(clusters.merged)
-    routing = [route(clusters.merged[r], cfg.models) for r in range(symbols.shape[0])]
+    # One E x M table of row code lengths; model ids equal list positions, so
+    # the lowest argmin is route's lowest-id tie break.
+    rates = np.array([_row_bits(symbols, model) for model in cfg.models])
+    routing = np.argmin(rates, axis=0)
     bs = encode(symbols, cfg.models, routing)
-    est_bits = sum(
-        estimate_rate(symbols[r], cfg.models[routing[r]]) for r in range(symbols.shape[0])
-    )
-    counts = np.bincount(np.asarray(routing), minlength=len(cfg.models))
+    est_bits = sum(rates[routing, np.arange(symbols.shape[0])].tolist())
+    counts = np.bincount(routing, minlength=len(cfg.models))
     stats = {
         "M": symbols.shape[0],
         "bytes": len(bs.payload),

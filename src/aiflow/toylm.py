@@ -115,11 +115,16 @@ def _check_context(lm: ToyLm, context) -> list[int]:
     if set(map(type, tokens)) == {int} and 0 <= min(tokens) and max(tokens) < vocab:
         return tokens
     for t in tokens:
-        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
-            raise InvalidTokenError(f"token {t!r} is not an integer")
-        if not 0 <= int(t) < vocab:
+        if not 0 <= token_int(t) < vocab:
             raise InvalidTokenError(f"token {t} outside vocabulary of {vocab}")
     return [int(t) for t in tokens]
+
+
+def token_int(t) -> int:
+    """t as a plain int; a bool or a non-integer token is an InvalidTokenError."""
+    if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+        raise InvalidTokenError(f"token {t!r} is not an integer")
+    return int(t)
 
 
 def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:

@@ -109,6 +109,31 @@ def test_mistyped_field_is_config_error_naming_it(tmp_path, capsys, command, ove
     assert f"{field} must be" in capsys.readouterr().err
 
 
+# A misspelt or foreign top-level key is a configuration error naming it,
+# not a silent default; "topology" belongs only to commands that read one.
+UNKNOWN_TOP_LEVEL = {
+    "decompose": {"sed": 3, "topology": {}},
+    "specdec": {"sed": 3, "num_token": 8},
+    "tofc": {"sed": 3, "num_model": 3},
+    "simulate": {"sed": 3, "scenarios": {}},
+}
+
+
+@pytest.mark.parametrize("command", list(UNKNOWN_TOP_LEVEL))
+def test_unknown_top_level_key_rejected(tmp_path, capsys, command):
+    extra = UNKNOWN_TOP_LEVEL[command]
+    if command == "specdec":
+        cfg = specdec_config(tmp_path, [specdec_entry()], num_tokens=8, **extra)
+    elif command == "simulate":
+        cfg = write_config(tmp_path / "sim.json", {"scenario": {}, **extra})
+    else:
+        cfg = {"decompose": decompose_config, "tofc": tofc_config}[command](tmp_path, **extra)
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config has unknown fields: {sorted(extra)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDecompose:
     def test_sweep_losses_agree_and_decrease(self, tmp_path):
         cfg = decompose_config(tmp_path)

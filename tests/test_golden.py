@@ -5,16 +5,21 @@ today's bytes with bytes recorded from an earlier version of the program.
 They were recorded before the protocol stopped keeping time and one netsim
 scheduler took over both decode modes, so they show that both changes kept
 sequential traces and metrics, and zero-jitter pipelined traces, byte for
-byte. A digest that changes means program output changed: update it only
-together with a note on what changed and why.
+byte. The TOFC digest was recorded before every code length and coding
+table came to be read from one bin-mass table per model dimension. A digest
+that changes means program output changed: update it only together with a
+note on what changed and why.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from aiflow.cli import main
+from aiflow.numerics import Rng
+from aiflow.tofc import FeatureSet, make_blob_features, save_features
 
 
 def _link(src, dst, latency, bandwidth, jitter, seed):
@@ -103,3 +108,20 @@ def test_output_matches_pinned_digest(tmp_path, command, config, output, digest)
     out = tmp_path / "run"
     assert main([command, "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / output).read_bytes()).hexdigest() == digest
+
+
+# Every eighth feature row scaled 300x, so its symbols fall outside the
+# models' q_range and are coded as escapes; M=N routes every row on its own.
+TOFC_SWEEP = {"num_centers_sweep": [4, 12, 48], "k_neighbors": 4, "num_models": 3, "seed": 5}
+TOFC_CSV_DIGEST = "0b7e8ebb2cb811096bd065c065f4c3fb81d2828b60cb6526980a0a16618be2bd"
+
+
+def test_tofc_output_matches_pinned_digest(tmp_path):
+    blobs = make_blob_features(48, 6, 3, Rng(3))
+    scale = np.where(np.arange(48) % 8 == 5, 300.0, 1.0)
+    save_features(tmp_path / "feats.bin", FeatureSet(features=blobs.features * scale[:, None]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TOFC_SWEEP, "features": str(tmp_path / "feats.bin")}))
+    out = tmp_path / "run"
+    assert main(["tofc", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "tofc.csv").read_bytes()).hexdigest() == TOFC_CSV_DIGEST

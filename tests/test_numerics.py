@@ -230,6 +230,14 @@ def test_normal_matrix_equals_successive_normal_calls(rows, cols, primed):
     assert fast.uniform() == slow.uniform()
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, 3), (3, -1), (-2, -2)])
+def test_normal_matrix_rejects_negative_size(rows, cols):
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match="matrix size must be >= 0"):
+        rng.normal_matrix(rows, cols)
+    assert rng.uniform() == Rng(19).uniform()  # nothing drawn
+
+
 def test_rng_normal_moments():
     rng = Rng(31)
     xs = [rng.normal() for _ in range(40_000)]

@@ -1,6 +1,7 @@
 """Draft-verify protocol tests: forced paths, exact marginals, run modes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
 )
 from aiflow.errors import (
     InvalidInputError,
+    InvalidTokenError,
     ProtocolViolationError,
 )
 from aiflow.numerics import Rng
@@ -71,6 +73,23 @@ class TestDraft:
     def test_gamma_validation(self):
         with pytest.raises(InvalidInputError):
             draft(FixedModel([1.0]), [], 0, Rng(1))
+
+    @pytest.mark.parametrize("token", [2.7, 2.0, True, "2", None])
+    def test_non_integer_token_rejected_not_truncated(self, token):
+        message = f"token {token!r} is not an integer"
+        model = FixedModel([0.5, 0.5])
+        with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+            draft(model, [1, token], 2, Rng(0))
+        with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+            run_sequential(two_tier(), {"device": model, "edge": model}, [token], 4, Rng(0))
+        with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+            run_pipelined(two_tier(mode="pipelined"), {"device": model, "edge": model},
+                          [token], 4, Rng(0))
+
+    def test_numpy_integer_tokens_become_ints(self):
+        batch = draft(FixedModel([0.5, 0.5]), [np.int64(3), np.int32(1), 4], 2, Rng(0))
+        assert batch.base_context == [3, 1, 4]
+        assert all(type(t) is int for t in batch.base_context)
 
 
 class TestVerify:

@@ -202,6 +202,13 @@ class TestPmf:
         m = self.model(0.0, 2.0, 32)
         assert pmf(m, 0, 33) == pmf(m, 0, 500) == pmf(m, 0, -40)
 
+    def test_non_integer_symbol_rejected(self):
+        m = self.model()
+        assert pmf(m, 0, np.int64(3)) == pmf(m, 0, 3)
+        for q in (2.0, 0.5):
+            with pytest.raises(InvalidInputError, match="is not an integer"):
+                pmf(m, 0, q)
+
 
 class TestEstimateRate:
     def test_empty_is_zero(self):
@@ -227,6 +234,21 @@ class TestEstimateRate:
         esc = pmf(model, 0, 9)
         bits = estimate_rate(np.array([[50]]), model)
         assert bits == pytest.approx(-math.log2(esc) + 32.0, rel=1e-12)
+
+    def test_row_is_its_symbol_costs_summed_in_dimension_order(self):
+        rng = Rng(41)
+        for q_range in (1, 4, 255):
+            mu = np.array([6.0 * rng.normal() for _ in range(5)])
+            b = np.array([0.5 + 3.5 * rng.uniform() for _ in range(5)])
+            model = LaplacianModel(mu=mu, b=b, id=0, q_range=q_range)
+            for k in range(20):
+                row = np.rint(mu + 3.0 * b * rng.normal_matrix(1, 5)[0]).astype(np.int64)
+                row[k % 5] += 3 * q_range  # most likely an escape
+                expected = 0.0
+                for j, q in enumerate(row.tolist()):
+                    escaped = abs(q - int(np.rint(mu[j]))) > q_range
+                    expected += -np.log2(pmf(model, j, q)) + (32.0 if escaped else 0.0)
+                assert estimate_rate(row, model) == expected
 
     def test_wrong_shape_rejected(self):
         model = LaplacianModel(mu=np.zeros(3), b=np.ones(3), id=0)
@@ -480,6 +502,26 @@ class TestPipeline:
         _, stats_big = tofc_pipeline(self.fs, big)
         _, stats_small = tofc_pipeline(self.fs, small)
         assert stats_small["bytes"] <= stats_big["bytes"]
+
+    def test_routing_and_est_bits_match_route_and_estimate_rate(self):
+        rng = Rng(23)
+        for n, d, e, q_range in [(32, 4, 2, 255), (40, 5, 3, 3), (24, 7, 4, 1), (30, 1, 1, 40)]:
+            fs = make_blob_features(n, d, 3, rng)
+            scale = np.where(np.arange(n) % 5 == 2, 300.0, 1.0)
+            fs = FeatureSet(features=fs.features * scale[:, None])
+            models = tuple(
+                fit_laplacian(fs.features[i::e], i, q_range=q_range) for i in range(e)
+            )
+            for m in (1, n // 3, n):
+                bs, stats = tofc_pipeline(fs, TofcConfig(m, 3, models))
+                merged = dpc_knn_cluster(fs, 3, m).merged
+                symbols = quantize(merged)
+                routing = [route(row, models) for row in merged]
+                assert list(bs.model_ids) == routing
+                expected = sum(
+                    estimate_rate(symbols[r], models[routing[r]]) for r in range(m)
+                )
+                assert stats["est_bits"] == expected
 
     def test_invalid_config(self):
         with pytest.raises(InvalidInputError):
