@@ -550,22 +550,26 @@ _LINK_FIELDS = {
 
 def topology_from_dict(doc: dict) -> Topology:
     """The topology a config's "topology" object describes."""
-    top = read_fields(doc, {"nodes": ([dict], REQUIRED), "links": ([dict], REQUIRED)}, "topology")
+    fields = {"nodes": ([dict], REQUIRED), "links": ([dict], REQUIRED)}
+    top = read_fields(doc, fields, "topology")
+    reject_unknown_fields(doc, fields, "topology")
     try:
         nodes = []
         for i, spec in enumerate(top["nodes"]):
             where = f"topology.nodes[{i}]"
+            reject_unknown_fields(spec, _NODE_FIELDS, where)
             node = read_fields(spec, _NODE_FIELDS, where)
             costs = node["compute_cost"]
             costs = read_fields(
                 costs, dict.fromkeys(costs, (float, REQUIRED)), f"{where}.compute_cost"
             )
             nodes.append(NodeSpec(node["id"], node["tier"], costs))
-        # _LINK_FIELDS lists LinkSpec's fields in order.
-        links = [
-            LinkSpec(*read_fields(spec, _LINK_FIELDS, f"topology.links[{i}]").values())
-            for i, spec in enumerate(top["links"])
-        ]
+        links = []
+        for i, spec in enumerate(top["links"]):
+            where = f"topology.links[{i}]"
+            reject_unknown_fields(spec, _LINK_FIELDS, where)
+            # _LINK_FIELDS lists LinkSpec's fields in order.
+            links.append(LinkSpec(*read_fields(spec, _LINK_FIELDS, where).values()))
         return Topology(nodes=tuple(nodes), links=tuple(links))
     except InvalidInputError as exc:
         raise InvalidScenarioError(str(exc)) from exc

@@ -135,8 +135,11 @@ class Rng:
         deviate included on entry and on exit; the generator step and the
         Box-Muller pair are inlined so a draw costs no method calls.
         """
-        if rows < 0 or cols < 0:
-            raise InvalidInputError(f"matrix size must be >= 0, got {rows} x {cols}")
+        for size in (rows, cols):
+            if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 0:
+                raise InvalidInputError(
+                    f"matrix size must be >= 0 and an int, got {rows!r} x {cols!r}"
+                )
         out = np.empty((rows, cols), dtype=np.float64)
         flat = out.reshape(-1)
         size = flat.size

@@ -43,6 +43,8 @@ _TOFC_MAGIC = b"TOFC"
 _TOFC_VERSION = 1
 _HEAD = struct.Struct("<4sBHHB")
 _RAW_BITS = 32
+# Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +224,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     including the densest, get the maximum pairwise distance). Centers are
     the top num_centers by rho*delta, every point joins its nearest center,
     and a center whose cluster ends up empty keeps its own feature row.
+
+    Memory grows as N^2 + _ROW_BLOCK*N*d floats: one N x N distance matrix,
+    filled _ROW_BLOCK rows at a time, never an N x N x d difference array.
     """
     feats = fs.features
     n = fs.count
@@ -237,16 +242,28 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
         )
     if not 1 <= k_neighbors < n:
         raise InvalidInputError(f"k_neighbors must be in [1, {n - 1}]")
-    d2 = np.sum((feats[:, None, :] - feats[None, :, :]) ** 2, axis=-1)
-    # Column 0 after sorting is the point itself (distance zero).
-    knn = np.sort(d2, axis=1)[:, 1 : k_neighbors + 1]
-    rho = np.exp(-np.mean(knn, axis=1))
-    dist = np.sqrt(d2)
+    blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
+    d2 = np.empty((n, n))
+    knn = np.empty((n, k_neighbors + 1))
+    for blk in blocks:
+        # Squared in place (x ** 2 is np.square) and dropped before the next
+        # block's is made, so one block of differences is alive at a time.
+        diff = feats[blk, None, :] - feats[None, :, :]
+        d2[blk] = np.sum(np.square(diff, out=diff), axis=-1)
+        del diff
+        knn[blk] = np.partition(d2[blk], k_neighbors, axis=1)[:, : k_neighbors + 1]
+    # The k+1 smallest of each row, sorted; column 0 is a zero distance (the
+    # point itself or a duplicate), so the mean adds what a full sort would.
+    knn.sort(axis=1)
+    rho = np.exp(-np.mean(knn[:, 1:], axis=1))
+    dist = np.sqrt(d2, out=d2)
     max_pair = float(dist.max())
     delta = np.empty(n)
-    for i in range(n):
-        denser = rho > rho[i]
-        delta[i] = float(dist[i, denser].min()) if denser.any() else max_pair
+    for blk in blocks:
+        denser = rho[None, :] > rho[blk, None]
+        delta[blk] = np.where(denser, dist[blk], np.inf).min(axis=1)
+    # Points with no strictly denser point, the densest included.
+    delta[rho == rho.max()] = max_pair
     gamma = rho * delta
     order = np.argsort(-gamma, kind="stable")
     centers = [int(i) for i in order[:num_centers]]

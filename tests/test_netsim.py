@@ -194,6 +194,26 @@ class TestTopology:
         with pytest.raises(InvalidScenarioError, match="topology must be an object"):
             topology_from_dict(5)
 
+    def test_from_dict_rejects_unknown_keys(self):
+        def doc(node=None, link=None, top=None):
+            return {
+                "nodes": [{"id": "a", "tier": "device", "compute_cost": {}},
+                          {"id": "b", "tier": "edge", "compute_cost": {}, **(node or {})}],
+                "links": [{"from": "a", "to": "b", "latency_s": 1e-3,
+                           "bandwidth_bytes_per_s": 1e6, **(link or {})}],
+                **(top or {}),
+            }
+
+        assert topology_from_dict(doc()).link("a", "b").jitter_s == 0.0
+        cases = [
+            (doc(link={"jiter_s": 0.5}), "topology.links[0] has unknown fields: ['jiter_s']"),
+            (doc(node={"cost": {}}), "topology.nodes[1] has unknown fields: ['cost']"),
+            (doc(top={"link": []}), "topology has unknown fields: ['link']"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(InvalidScenarioError, match=re.escape(message)):
+                topology_from_dict(bad)
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_trace(self):

@@ -238,6 +238,19 @@ def test_normal_matrix_rejects_negative_size(rows, cols):
     assert rng.uniform() == Rng(19).uniform()  # nothing drawn
 
 
+@pytest.mark.parametrize("rows, cols", [(2.5, 3), ("2", 3), (3, 2.0), (True, 3), (None, 1)])
+def test_normal_matrix_rejects_non_integer_size(rows, cols):
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match="matrix size must be >= 0 and an int"):
+        rng.normal_matrix(rows, cols)
+    assert rng.uniform() == Rng(19).uniform()  # nothing drawn
+
+
+def test_normal_matrix_accepts_numpy_int_sizes():
+    got = Rng(19).normal_matrix(np.int64(2), np.int32(3))
+    assert got.tobytes() == Rng(19).normal_matrix(2, 3).tobytes()
+
+
 def test_rng_normal_moments():
     rng = Rng(31)
     xs = [rng.normal() for _ in range(40_000)]

@@ -1,6 +1,7 @@
 """Feature compression tests: clustering oracle, entropy model, codec."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ class TestDpcKnn:
             assert np.array_equal(res.merged, merged)
             assert np.array_equal(res.rho, rho)
             assert np.array_equal(res.delta, delta)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_matches_oracle_across_row_blocks(self, n):
+        # Distances are filled in row blocks of 64; sizes around and past a
+        # block edge, with duplicate rows and far outliers, must still equal
+        # the oracle in every field.
+        rng = Rng(4000 + n)
+        feats = rng.normal_matrix(n, 5) * 3.0
+        feats[n // 2] = feats[0]
+        feats[n - 1] = feats[1]
+        feats[n // 3] = feats[1]
+        feats[7::41] *= 400.0
+        for k, m in [(1, 1), (4, 7), (min(12, n - 1), n // 4), (n - 1, n)]:
+            res = dpc_knn_cluster(FeatureSet(features=feats), k, m)
+            centers, assign, merged, rho, delta = oracle_dpc(feats, k, m)
+            assert res.center_indices == centers
+            assert np.array_equal(res.assignment, assign)
+            assert np.array_equal(res.merged, merged)
+            assert np.array_equal(res.rho, rho)
+            assert np.array_equal(res.delta, delta)
+
+    def test_peak_memory_grows_as_n_squared_not_n_squared_d(self):
+        # numpy reports its buffers to tracemalloc, so the traced peak is a
+        # deterministic byte count. An N x N x d difference array alone
+        # would be N^2*d*8 bytes.
+        n, d = 512, 64
+        fs = FeatureSet(features=Rng(5).normal_matrix(n, d))
+        tracemalloc.start()
+        try:
+            dpc_knn_cluster(fs, 4, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * d * 8 / 4
 
 
 class TestLaplacianFit:
