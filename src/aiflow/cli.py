@@ -281,7 +281,8 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     verifier-only decode of the same length running on the drafter's random
     stream, so identical tiers reproduce the reference stream exactly and
     score 0. Each entry is decoded once and that transcript is priced on the
-    topology; model sizes default to netsim.MODEL_DEFAULTS.
+    topology; model sizes default to netsim.MODEL_DEFAULTS. Entries share
+    each distinct tier model, and the reference of each distinct verifier.
     """
     fields = read_fields(cfg, _SPECDEC_FIELDS, "config")
     prompt, num_tokens = fields["prompt"], fields["num_tokens"]
@@ -290,16 +291,20 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     topology = _topology_from_config(cfg)
     rows = []
     summary = []
+    built = {}
+    references = {}
     for idx, entry in enumerate(fields["configs"]):
         reject_unknown_fields(entry, DECODE_FIELDS, f"configs[{idx}]")
-        proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]")
+        proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]", built)
         transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
         _, metrics = schedule_specdec(topology, proto, transcript, seed)
         verifier = models[proto.tiers[-1]]
-        reference = []
-        if num_tokens:  # the verifier alone, on the drafter's stream (spawn key 0)
-            reference = draft(verifier, prompt, num_tokens, Rng(seed).spawn(0)).tokens
-        tv = _tv_distance(transcript.emitted_tokens, reference, verifier.lm.config.vocab_size)
+        key = verifier.lm.config
+        if key not in references:  # the verifier alone, on the drafter's stream (spawn key 0)
+            references[key] = (
+                draft(verifier, prompt, num_tokens, Rng(seed).spawn(0)).tokens if num_tokens else []
+            )
+        tv = _tv_distance(transcript.emitted_tokens, references[key], verifier.vocab_size)
         mode, tiers, gamma = proto.mode, proto.tiers, proto.draft_len
         tput = metrics.tokens_emitted / metrics.simulated_wall_s if metrics.simulated_wall_s else 0.0
         rows.append(

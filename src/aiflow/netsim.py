@@ -584,13 +584,15 @@ DECODE_FIELDS = {
 }
 
 
-def tier_models(specs: dict, tiers, sizes: dict, where: str) -> dict:
+def tier_models(specs: dict, tiers, sizes: dict, where: str, built: dict | None = None) -> dict:
     """One toy decoder per tier from its {layers, seed} spec in specs.
 
     sizes supplies vocab_size, embed_dim and context_window, each falling
     back to MODEL_DEFAULTS. where prefixes error messages, which name the
-    offending field.
+    offending field. built, when given, maps each ToyLmConfig to its
+    decoder: a config found there is reused, a new one is built and added.
     """
+    built = {} if built is None else built
     unknown = set(specs) - set(tiers)
     if unknown:
         raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
@@ -604,15 +606,20 @@ def tier_models(specs: dict, tiers, sizes: dict, where: str) -> dict:
             cfg = ToyLmConfig(num_layers=spec["layers"], seed=spec["seed"], **shared)
         except InvalidInputError as exc:
             raise InvalidScenarioError(f"{where}.models.{tier}: {exc}") from exc
-        models[tier] = LmDecoder(build(cfg))
+        if cfg not in built:
+            built[cfg] = LmDecoder(build(cfg))
+        models[tier] = built[cfg]
     return models
 
 
-def decode_setup(topology: Topology, entry: dict, sizes: dict, where: str):
+def decode_setup(
+    topology: Topology, entry: dict, sizes: dict, where: str, built: dict | None = None
+):
     """(ProtocolConfig, tier models) from entry's tiers, gamma, mode, models.
 
-    sizes holds the model sizes (see tier_models). The drafter is priced by
-    its "token" cost, each verifier by its "verify" cost.
+    sizes holds the model sizes and built the decoders built so far (see
+    tier_models). The drafter is priced by its "token" cost, each verifier
+    by its "verify" cost.
     """
     fields = read_fields(entry, DECODE_FIELDS, where)
     tiers = tuple(fields["tiers"])
@@ -624,7 +631,7 @@ def decode_setup(topology: Topology, entry: dict, sizes: dict, where: str):
         )
     except InvalidInputError as exc:
         raise InvalidScenarioError(f"{where}: {exc}") from exc
-    return cfg, tier_models(fields["models"], tiers, sizes, where)
+    return cfg, tier_models(fields["models"], tiers, sizes, where, built)
 
 
 _SCENARIO_FIELDS = {

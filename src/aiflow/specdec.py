@@ -9,7 +9,15 @@ Three tiers chain the rule: the edge-verified stream (each token paired with
 the edge's full distribution at that position) is the draft stream the cloud
 verifies, so the final output law is the cloud's.
 
-Models are anything with `next_dist(context) -> TokenDistribution`.
+Decoder contract: a tier model has an int `vocab_size` and a method
+`next_dist(context) -> TokenDistribution` over that vocabulary. All tiers of
+a run share one vocab_size. A run checks its prompt once, against that
+vocabulary, before any draw; drafted and corrected tokens lie inside it by
+construction. The run then keeps one append-only token list: drafting and
+verification append to it and truncate it back, and each round extends it
+with the emitted tokens. next_dist receives that list itself, so it must
+neither keep nor mutate it; it may read only the tail it needs, which keeps
+the work per emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
@@ -29,7 +37,7 @@ consumed its full gamma draws, so draw counts never depend on timing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,16 +47,21 @@ from .errors import (
     ProtocolViolationError,
 )
 from .numerics import Rng
-from .toylm import TokenDistribution, sample, token_int
+from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample, token_int
 
 
 @dataclass(frozen=True)
 class DraftBatch:
-    """Tokens drafted from a base context, with the drafter's distribution each."""
+    """Tokens drafted from a base context, with the drafter's distribution each.
+
+    base_context is the checked context a direct draft call started from.
+    Batches drafted inside a run leave it None: their base is the run's one
+    token list, which they do not copy.
+    """
 
     tokens: list[int]
     draft_dists: list[TokenDistribution]
-    base_context: list[int]
+    base_context: list[int] | None = None
 
     def __post_init__(self):
         if not self.tokens or len(self.tokens) != len(self.draft_dists):
@@ -132,29 +145,47 @@ class PipelineStats:
     discarded_batches: int
 
 
-def _as_tokens(tokens) -> list[int]:
-    """A new list of the tokens as plain ints; a non-integer is an InvalidTokenError."""
-    out = list(tokens)
-    if set(map(type, out)) != {int}:  # the per-token check only for non-int tokens
-        out = [token_int(t) for t in out]
-    return out
+def _checked_prompt(prompt, vocab_size: int) -> list[int]:
+    """A new list of the prompt's tokens as plain ints inside the vocabulary.
+
+    A non-integer token anywhere is reported before an out-of-range one.
+    """
+    tokens = list(prompt)
+    if set(map(type, tokens)) != {int}:  # the per-token check only for non-int tokens
+        tokens = [token_int(t) for t in tokens]
+    return check_tokens(tokens, vocab_size)
 
 
 def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
-    """Autoregressively sample gamma tokens from the drafting model."""
+    """Autoregressively sample gamma tokens from the drafting model.
+
+    The context is checked against the model's vocab_size first; the batch
+    keeps the checked copy as its base_context.
+    """
     if not isinstance(gamma, int) or gamma < 1:
         raise InvalidInputError("gamma must be >= 1")
-    prefix = _as_tokens(context)
-    base = list(prefix)
+    base = _checked_prompt(context, device_model.vocab_size)
+    return replace(_draft(device_model, base, gamma, rng), base_context=base)
+
+
+def _draft(device_model, context: list[int], gamma: int, rng: Rng) -> DraftBatch:
+    """gamma draws from a checked context, which is restored before returning.
+
+    Each drawn token is appended to context for the next draw.
+    """
+    base = len(context)
     tokens: list[int] = []
     dists: list[TokenDistribution] = []
-    for _ in range(gamma):
-        dist = device_model.next_dist(prefix)
-        token = sample(dist, rng)
-        tokens.append(token)
-        dists.append(dist)
-        prefix.append(token)
-    return DraftBatch(tokens=tokens, draft_dists=dists, base_context=base)
+    try:
+        for _ in range(gamma):
+            dist = device_model.next_dist(context)
+            token = sample(dist, rng)
+            tokens.append(token)
+            dists.append(dist)
+            context.append(token)
+    finally:
+        del context[base:]
+    return DraftBatch(tokens=tokens, draft_dists=dists)
 
 
 def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
@@ -171,6 +202,11 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     draws = 0
     for i, (token, p_d) in enumerate(zip(batch.tokens, batch.draft_dists)):
         p_t = target_dists[i]
+        if p_t.probs.size != p_d.probs.size:
+            raise InvalidInputError(
+                f"target and draft distributions at position {i} do not share a vocabulary "
+                f"({p_t.probs.size} vs {p_d.probs.size} tokens)"
+            )
         pd = float(p_d.probs[token])
         if pd == 0.0:
             raise ProtocolViolationError(
@@ -187,10 +223,8 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
             raise InvariantViolationError(
                 "rejection occurred but the residual distribution is empty"
             )
-        cum = np.cumsum(residual / mass)
-        u2 = rng.uniform()
+        correction = inverse_cdf(residual / mass, rng.uniform())
         draws += 1
-        correction = min(int(np.searchsorted(cum, u2, side="right")), residual.size - 1)
         return VerifyResult(accepted_count=i, correction_token=correction, rng_draws_used=draws)
     return VerifyResult(
         accepted_count=len(batch.tokens), correction_token=None, rng_draws_used=draws
@@ -221,15 +255,18 @@ class _RoundOutcome:
 
 
 def _verify_chain(
-    cfg: ProtocolConfig, models: dict, batch: DraftBatch, rngs: dict
+    cfg: ProtocolConfig, models: dict, context: list[int], batch: DraftBatch, rngs: dict
 ) -> _RoundOutcome:
-    """Verify a drafted batch at every tier boundary, bottom up.
+    """Verify a batch drafted from context at every tier boundary, bottom up.
 
     For three tiers the middle verifier's emitted stream, paired with its own
     per-position distributions, becomes the draft batch the last tier verifies.
+    Each verifier appends the batch to context as it goes; context is
+    restored before returning.
     """
     records: list[RoundRecord] = []
     current = batch
+    base = len(context)
     for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
         if records:
             if not stream:
@@ -237,16 +274,14 @@ def _verify_chain(
             # The emitted stream's law at each position is the verifier's own
             # distribution there, so those distributions are the claimed
             # draft law for the next tier up.
-            current = DraftBatch(
-                tokens=stream,
-                draft_dists=target_dists[: len(stream)],
-                base_context=list(current.base_context),
-            )
+            current = DraftBatch(tokens=stream, draft_dists=target_dists[: len(stream)])
         target_dists = []
-        running = list(current.base_context)
-        for token in current.tokens:
-            target_dists.append(models[upper].next_dist(running))
-            running.append(token)
+        try:
+            for token in current.tokens:
+                target_dists.append(models[upper].next_dist(context))
+                context.append(token)
+        finally:
+            del context[base:]
         result = verify(target_dists, current, rngs[upper])
         records.append(
             RoundRecord(
@@ -264,16 +299,21 @@ def _verify_chain(
     )
 
 
-def run_round(cfg: ProtocolConfig, models: dict, prefix, rngs: dict) -> _RoundOutcome:
-    """One draft-verify round from a prefix; rngs maps each tier role to its stream."""
+def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict) -> _RoundOutcome:
+    """One draft-verify round; rngs maps each tier role to its stream.
+
+    context is a list of checked tokens that the round extends and truncates
+    back, so it holds the same tokens on return.
+    """
     drafter = cfg.tiers[0]
-    batch = draft(models[drafter], prefix, cfg.draft_len, rngs[drafter])
-    return _verify_chain(cfg, models, batch, rngs)
+    batch = _draft(models[drafter], context, cfg.draft_len, rngs[drafter])
+    return _verify_chain(cfg, models, context, batch, rngs)
 
 
 def _start(cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng):
-    """Validate a run's inputs; returns (prompt as ints, one stream per tier).
+    """Validate a run's inputs; returns (checked prompt, one stream per tier).
 
+    The prompt is checked once, against the vocabulary every tier shares.
     Streams are spawned in tier order (spawn key = tier index) before any draw.
     """
     if num_tokens < 0:
@@ -281,44 +321,54 @@ def _start(cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng)
     missing = [role for role in cfg.tiers if role not in models]
     if missing:
         raise InvalidInputError(f"models missing for tiers {missing}")
+    vocabs = {role: models[role].vocab_size for role in cfg.tiers}
+    if len(set(vocabs.values())) != 1:
+        raise InvalidInputError(f"tiers must share one vocab_size, got {vocabs}")
+    tokens = _checked_prompt(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
-    return _as_tokens(prompt), streams
+    return tokens, streams
 
 
 class _Emission:
     """Round outcomes gathered into a transcript of exactly num_tokens tokens.
 
-    per_round keeps verification outcomes exactly as they happened; totals
-    account for the emitted stream after truncation to num_tokens, so
-    totals.accepted + totals.corrections always equals the token count.
+    context is the run's one token list: the checked prompt followed by the
+    tokens emitted so far. per_round keeps verification outcomes exactly as
+    they happened; totals account for the emitted stream after truncation to
+    num_tokens, so totals.accepted + totals.corrections always equals the
+    token count.
     """
 
-    def __init__(self, num_tokens: int):
+    def __init__(self, num_tokens: int, prompt: list[int]):
         self.num_tokens = num_tokens
-        self.emitted: list[int] = []
+        self.context = prompt
+        self.prompt_len = len(prompt)
         self.records: list[RoundRecord] = []
         self.rounds = 0
         self.rejected = 0
         self.accepted = 0
         self.corrections = 0
 
+    def remaining(self) -> int:
+        return self.num_tokens - (len(self.context) - self.prompt_len)
+
     def done(self) -> bool:
-        return len(self.emitted) >= self.num_tokens
+        return self.remaining() <= 0
 
     def add(self, outcome: _RoundOutcome) -> None:
         self.rounds += 1
         self.records.extend(outcome.records)
         if outcome.had_correction:
             self.rejected += 1
-        used = outcome.emitted[: self.num_tokens - len(self.emitted)]
+        used = outcome.emitted[: self.remaining()]
         used_accepted = min(len(used), outcome.final_accepted)
         self.accepted += used_accepted
         self.corrections += len(used) - used_accepted
-        self.emitted.extend(used)
+        self.context.extend(used)
 
     def transcript(self) -> DecodeTranscript:
         return DecodeTranscript(
-            emitted_tokens=self.emitted,
+            emitted_tokens=self.context[self.prompt_len :],
             per_round=self.records,
             totals=TranscriptTotals(
                 accepted=self.accepted,
@@ -334,9 +384,9 @@ def run_sequential(
 ) -> DecodeTranscript:
     """Strictly alternating draft and verify rounds until num_tokens are emitted."""
     prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
-    out = _Emission(num_tokens)
+    out = _Emission(num_tokens, prompt)
     while not out.done():
-        out.add(run_round(cfg, models, prompt + out.emitted, streams))
+        out.add(run_round(cfg, models, out.context, streams))
     return out.transcript()
 
 
@@ -368,16 +418,19 @@ def run_pipelined(
     prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
     device = models[cfg.tiers[0]]
     device_rng = streams[cfg.tiers[0]]
-    out = _Emission(num_tokens)
+    out = _Emission(num_tokens, prompt)
+    context = out.context
     discarded = 0
     lookahead: DraftBatch | None = None
     while not out.done():
-        prefix = prompt + out.emitted
-        batch = lookahead if lookahead is not None else draft(
-            device, prefix, cfg.draft_len, device_rng
+        batch = lookahead if lookahead is not None else _draft(
+            device, context, cfg.draft_len, device_rng
         )
-        lookahead = draft(device, prefix + batch.tokens, cfg.draft_len, device_rng)
-        outcome = _verify_chain(cfg, models, batch, streams)
+        base = len(context)
+        context.extend(batch.tokens)
+        lookahead = _draft(device, context, cfg.draft_len, device_rng)
+        del context[base:]
+        outcome = _verify_chain(cfg, models, context, batch, streams)
         out.add(outcome)
         if outcome.had_correction:
             discarded += 1

@@ -52,7 +52,7 @@ class FeatureSet:
     features: np.ndarray
 
     def __post_init__(self):
-        require_matrix(self.features, "features")
+        object.__setattr__(self, "features", require_matrix(self.features, "features"))
         if self.features.shape[0] < 1:
             raise InvalidInputError("feature set needs at least one row")
 

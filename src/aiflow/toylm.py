@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +64,15 @@ class TokenDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        vec = require_vector(self.probs, "probs")
+        p = self.probs
+        # Two C-level reductions accept a 1-D float64 array: min >= 0 is
+        # false for NaN and -inf, |sum - 1| <= 1e-12 is false for +inf, so
+        # together they imply finite, non-negative and normalised. Anything
+        # else takes the checks below, which name what is wrong.
+        if (type(p) is np.ndarray and p.dtype == np.float64 and p.ndim == 1 and p.size
+                and p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12):
+            return
+        vec = require_vector(p, "probs")
         if np.any(vec < 0.0):
             raise InvalidInputError("probabilities must be non-negative")
         if abs(float(vec.sum()) - 1.0) > 1e-12:
@@ -107,17 +116,24 @@ def build(config: ToyLmConfig) -> ToyLm:
     return ToyLm(config=config, embedding=embedding, blocks=blocks, lm_head=lm_head)
 
 
-def _check_context(lm: ToyLm, context) -> list[int]:
+def check_tokens(context, vocab_size: int) -> list[int]:
+    """context as a new list of plain ints in [0, vocab_size).
+
+    The first bad token, in context order, raises InvalidTokenError naming it.
+    """
     tokens = list(context)
     # C-level passes only: exact ints (no bool) inside the vocabulary. Any
     # other context takes the loop, which names the first bad token.
-    vocab = lm.config.vocab_size
-    if set(map(type, tokens)) == {int} and 0 <= min(tokens) and max(tokens) < vocab:
+    if set(map(type, tokens)) == {int} and 0 <= min(tokens) and max(tokens) < vocab_size:
         return tokens
     for t in tokens:
-        if not 0 <= token_int(t) < vocab:
-            raise InvalidTokenError(f"token {t} outside vocabulary of {vocab}")
+        if not 0 <= token_int(t) < vocab_size:
+            raise InvalidTokenError(f"token {t} outside vocabulary of {vocab_size}")
     return [int(t) for t in tokens]
+
+
+def _check_context(lm: ToyLm, context) -> list[int]:
+    return check_tokens(context, lm.config.vocab_size)
 
 
 def token_int(t) -> int:
@@ -253,12 +269,18 @@ def attach_branch(
     return replace(lm, branches=branches)
 
 
+def inverse_cdf(probs: np.ndarray, u: float) -> int:
+    """Index of the first cumulative probability above u, clamped to the last index.
+
+    np.cumsum adds left to right, so bisect_right over its floats picks the
+    index np.searchsorted(np.cumsum(probs), u, side="right") would.
+    """
+    return min(bisect_right(np.cumsum(probs).tolist(), u), probs.size - 1)
+
+
 def sample(dist: TokenDistribution, rng: Rng) -> int:
     """Inverse-CDF draw over the fixed token order."""
-    cum = np.cumsum(dist.probs)
-    u = rng.uniform()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, dist.probs.size - 1)
+    return inverse_cdf(dist.probs, rng.uniform())
 
 
 @dataclass(frozen=True)
@@ -272,10 +294,21 @@ class LmDecoder:
     lm: ToyLm
     exit_index: int | None = None
 
+    @property
+    def vocab_size(self) -> int:
+        return self.lm.config.vocab_size
+
     def next_dist(self, context) -> TokenDistribution:
+        """Next-token distribution; the forward reads only the context window.
+
+        Tokens before the window cannot change the result, so they are
+        neither copied nor checked here: a decoding run checks its prompt
+        once, against this decoder's vocab_size.
+        """
+        window = context[-self.lm.config.context_window :]
         if self.exit_index is None:
-            return forward_full(self.lm, context)
-        return forward_exit(self.lm, context, self.exit_index)[0]
+            return forward_full(self.lm, window)
+        return forward_exit(self.lm, window, self.exit_index)[0]
 
 
 def save_model(lm: ToyLm, path) -> None:

@@ -63,6 +63,7 @@ class FixedModel:
 
     def __init__(self, probs):
         self.dist = TokenDistribution(probs=np.asarray(probs, dtype=np.float64))
+        self.vocab_size = self.dist.probs.size
 
     def next_dist(self, context):
         return self.dist

@@ -281,6 +281,36 @@ class TestSpecdec:
         assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
         assert calls == ["run_sequential", "run_pipelined"]
 
+    def test_each_distinct_model_built_once(self, tmp_path, monkeypatch):
+        from aiflow import cli, netsim
+
+        counts = {"build": 0, "draft": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(netsim, "build", counting("build", netsim.build))
+        monkeypatch.setattr(cli, "draft", counting("draft", cli.draft))
+        three = {
+            "mode": "sequential", "tiers": ["device", "edge", "cloud"], "gamma": 3,
+            "models": {"device": {"layers": 1, "seed": 4}, "edge": {"layers": 2, "seed": 4},
+                       "cloud": {"layers": 3, "seed": 4}},
+        }
+        # Seven tier specs over three distinct models; every verifier is the
+        # {layers 3, seed 4} model, so one reference decode serves all rows.
+        entries = [self.mixed_pair(2), self.mixed_pair(3, mode="pipelined"), three]
+        cfg = specdec_config(tmp_path, entries, num_tokens=24)
+        assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+        assert counts == {"build": 3, "draft": 1}
+        _, swept = read_csv(tmp_path / "all" / "specdec.csv")
+        for i, entry in enumerate(entries):
+            cfg = specdec_config(tmp_path, [entry], num_tokens=24)
+            assert main(["specdec", "--config", cfg, "--out", str(tmp_path / f"e{i}")]) == 0
+            assert read_csv(tmp_path / f"e{i}" / "specdec.csv")[1] == [swept[i]]
+
     def test_model_sizes_default_like_simulate(self, tmp_path):
         entries = [self.mixed_pair(3)]
         explicit = specdec_config(tmp_path, entries, num_tokens=24, vocab_size=32,

@@ -31,7 +31,8 @@ from aiflow.specdec import (
     transcript_to_json,
     verify,
 )
-from aiflow.toylm import TokenDistribution, sample
+from aiflow import toylm
+from aiflow.toylm import LmDecoder, TokenDistribution, ToyLmConfig, build, sample
 
 
 def two_tier(gamma=2, mode="sequential"):
@@ -55,6 +56,11 @@ def dist(*probs):
     return TokenDistribution(probs=np.asarray(probs, dtype=np.float64))
 
 
+def lm_decoder(layers, seed, vocab_size=32):
+    return LmDecoder(build(ToyLmConfig(vocab_size=vocab_size, embed_dim=8,
+                                       num_layers=layers, context_window=4, seed=seed)))
+
+
 class TestDraft:
     def test_batch_validation(self):
         with pytest.raises(InvalidInputError):
@@ -63,7 +69,8 @@ class TestDraft:
             DraftBatch(tokens=[], draft_dists=[], base_context=[])
 
     def test_tokens_follow_inverse_cdf(self):
-        model = FixedModel([0.2, 0.3, 0.5])
+        # Zero-probability tokens widen the vocabulary to cover the context.
+        model = FixedModel([0.2, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         rng = ListRng([0.1, 0.25, 0.95])
         batch = draft(model, [7], 3, rng)
         assert batch.tokens == [0, 1, 2]
@@ -87,9 +94,77 @@ class TestDraft:
                           [token], 4, Rng(0))
 
     def test_numpy_integer_tokens_become_ints(self):
-        batch = draft(FixedModel([0.5, 0.5]), [np.int64(3), np.int32(1), 4], 2, Rng(0))
+        model = FixedModel([0.5, 0.5, 0.0, 0.0, 0.0])
+        batch = draft(model, [np.int64(3), np.int32(1), 4], 2, Rng(0))
         assert batch.base_context == [3, 1, 4]
         assert all(type(t) is int for t in batch.base_context)
+
+
+class TestPromptCheckedOnce:
+    BAD_PROMPTS = [
+        ([-1] + [0] * 4999, "token -1 outside vocabulary of 32"),
+        ([32] + [0] * 4999, "token 32 outside vocabulary of 32"),
+        ([True] + [0] * 4999, "token True is not an integer"),
+        # A non-integer token anywhere is named before an out-of-range one.
+        ([40] + [0] * 4998 + [2.0], "token 2.0 is not an integer"),
+    ]
+
+    @pytest.mark.parametrize("prompt, message", BAD_PROMPTS)
+    def test_bad_token_anywhere_in_long_prompt(self, prompt, message):
+        device, edge = lm_decoder(1, 1), lm_decoder(2, 2)
+        models = {"device": device, "edge": edge}
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(InvalidTokenError, match=match):
+            draft(device, prompt, 2, Rng(0))
+        with pytest.raises(InvalidTokenError, match=match):
+            run_sequential(two_tier(), models, prompt, 4, Rng(0))
+        with pytest.raises(InvalidTokenError, match=match):
+            run_pipelined(two_tier(mode="pipelined"), models, prompt, 4, Rng(0))
+
+    def test_tiers_with_different_vocabularies_rejected(self):
+        models = {"device": lm_decoder(1, 1, vocab_size=32),
+                  "edge": lm_decoder(2, 2, vocab_size=24)}
+        message = "tiers must share one vocab_size, got {'device': 32, 'edge': 24}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_sequential(two_tier(), models, [1, 2], 8, Rng(0))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_pipelined(two_tier(mode="pipelined"), models, [1, 2], 8, Rng(0))
+
+    def test_work_per_token_does_not_grow_with_context(self, monkeypatch):
+        checked = [0]
+        check_context = toylm._check_context
+
+        def counting(lm, context):
+            checked[0] += len(context)
+            return check_context(lm, context)
+
+        monkeypatch.setattr(toylm, "_check_context", counting)
+
+        class SameList:
+            """A decoder that records whether every call sees one list object."""
+
+            def __init__(self, decoder):
+                self.decoder = decoder
+                self.vocab_size = decoder.vocab_size
+                self.first = None
+                self.same = True
+
+            def next_dist(self, context):
+                if self.first is None:
+                    self.first = context
+                self.same = self.same and context is self.first
+                return self.decoder.next_dist(context)
+
+        def per_token(cfg, num_tokens):
+            models = {role: SameList(lm_decoder(2 * i + 1, i)) for i, role in enumerate(cfg.tiers)}
+            checked[0] = 0
+            run_protocol(cfg, models, [0], num_tokens, Rng(3))
+            assert all(m.same and m.first is models["device"].first for m in models.values())
+            return checked[0] / num_tokens
+
+        for cfg in (two_tier(gamma=4), two_tier(gamma=3, mode="pipelined"), three_tier(gamma=4)):
+            small, large = per_token(cfg, 150), per_token(cfg, 600)
+            assert large <= 1.5 * small, (cfg.tiers, cfg.mode, small, large)
 
 
 class TestVerify:
@@ -132,6 +207,13 @@ class TestVerify:
         batch = DraftBatch(tokens=[1], draft_dists=[p_d], base_context=[])
         with pytest.raises(ProtocolViolationError):
             verify([dist(0.5, 0.5)], batch, Rng(1))
+
+    def test_vocabulary_mismatch_raises(self):
+        batch = DraftBatch(tokens=[0], draft_dists=[dist(0.5, 0.5)])
+        message = ("target and draft distributions at position 0 do not share a "
+                   "vocabulary (3 vs 2 tokens)")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            verify([dist(0.25, 0.25, 0.5)], batch, Rng(1))
 
     def test_length_mismatch_raises(self):
         p = dist(0.5, 0.5)

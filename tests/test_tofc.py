@@ -601,6 +601,14 @@ class TestFeatureIO:
         fs = load_features_csv(path)
         assert np.array_equal(fs.features, np.array([[1.5, 2.0], [-3.0, 0.25]]))
 
+    def test_feature_set_stores_float64_matrix(self):
+        from_list = FeatureSet(features=[[1.0, 2.0], [3.0, 4.0]])
+        assert (from_list.count, from_list.dim) == (2, 2)
+        assert from_list.features.dtype == np.float64
+        from_ints = FeatureSet(features=np.array([[1, 2], [3, 4]], dtype=np.int64))
+        assert from_ints.features.dtype == np.float64
+        assert np.array_equal(from_ints.features, from_list.features)
+
     def test_blob_determinism(self):
         a = make_blob_features(12, 3, 3, Rng(21))
         b = make_blob_features(12, 3, 3, Rng(21))

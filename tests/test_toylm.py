@@ -245,7 +245,58 @@ def test_token_distribution_validation():
         TokenDistribution(probs=np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("probs, message", [
+    (np.array([np.nan, 1.0]), "probs contains NaN or Inf"),
+    (np.array([np.inf, 0.0]), "probs contains NaN or Inf"),
+    (np.array([-np.inf, 1.0]), "probs contains NaN or Inf"),
+    (np.array([-0.25, 1.25]), "probabilities must be non-negative"),
+    (np.array([]), "probabilities must sum to 1"),
+    (np.array([[0.5, 0.5]]), "probs must be 1-D, got shape (1, 2)"),
+    (np.array([0.5, 0.5 + 2e-12]), "probabilities must sum to 1"),
+    (np.array([0.5, 0.6], dtype=np.float32), "probabilities must sum to 1"),
+])
+def test_token_distribution_rejects_with_named_reason(probs, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        TokenDistribution(probs=probs)
+
+
+def test_token_distribution_stores_float64_vector():
+    probs = np.array([0.25, 0.75])
+    assert TokenDistribution(probs=probs).probs is probs
+    for given in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
+        stored = TokenDistribution(probs=given).probs
+        assert stored.dtype == np.float64 and stored.tolist() == [0.25, 0.75]
+
+
+def test_inverse_cdf_matches_searchsorted():
+    def reference(probs, u):
+        cum = np.cumsum(probs)
+        return min(int(np.searchsorted(cum, u, side="right")), probs.size - 1)
+
+    rng = Rng(2718)
+    for trial in range(1000):
+        size = 1 + int(rng.uniform() * 40)
+        probs = np.array([rng.uniform() for _ in range(size)])
+        probs[probs < 0.2] = 0.0  # zero-mass tokens leave repeated cumsum values
+        if not probs.any():
+            probs[-1] = 1.0
+        probs /= probs.sum()
+        cum = np.cumsum(probs).tolist()
+        # u on every cumsum value exactly, past the last one, and drawn.
+        for u in [*cum, float(np.nextafter(cum[-1], 2.0)), 1.0, rng.uniform(), 0.0]:
+            assert toylm.inverse_cdf(probs, u) == reference(probs, u), (trial, u)
+
+
 # --- decoder adapter ----------------------------------------------------------------
+
+def test_lm_decoder_matches_the_forwards_on_a_long_context(lm):
+    decoder = LmDecoder(lm)
+    assert decoder.vocab_size == lm.config.vocab_size
+    long = [int(t) for t in np.arange(3000) % lm.config.vocab_size]
+    assert np.array_equal(decoder.next_dist(long).probs, forward_full(lm, long).probs)
+    assert np.array_equal(LmDecoder(lm, exit_index=2).next_dist(long).probs,
+                          forward_exit(lm, long, 2)[0].probs)
+
 
 def test_lm_decoder_full_and_exit(lm):
     context = [2, 5]
