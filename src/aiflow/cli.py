@@ -2,7 +2,9 @@
 
 Subcommands: decompose (low-rank layer studies), specdec (draft-verify
 decoding sweeps), tofc (feature-compression sweeps), simulate (one scenario
-on a described topology), report (merge finished run directories).
+on a described topology), report (merge finished run directories). Runs
+are assembled from configs here: tier_models and decode_setup build the
+decoders, run_scenario dispatches a simulate scenario to netsim.
 
 Shared flags: --config PATH, --seed N (overrides the config's seed),
 --out DIR, --format csv|json. CSV output is RFC 4180 with LF line endings
@@ -34,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import REQUIRED, load_config, read_fields, reject_unknown_fields
 from .errors import (
     BudgetTooSmallError,
     ConfigError,
@@ -57,27 +60,27 @@ from .familial import (
     whiten,
 )
 from .netsim import (
-    DECODE_FIELDS,
-    MODEL_SIZE_FIELDS,
-    REQUIRED,
-    decode_setup,
+    MetricsRecord,
+    Topology,
     default_topology,
-    read_fields,
-    reject_unknown_fields,
-    run_scenario,
+    run_device_server_collab,
+    run_single_tier_scenario,
+    run_specdec_scenario,
     run_tofc_scenario,
     schedule_specdec,
     serialize_trace,
     topology_from_dict,
 )
 from .numerics import Rng, svd_reduced
-from .specdec import draft, run_protocol
+from .specdec import ProtocolConfig, draft, run_protocol
 from .tofc import (
     TofcConfig,
     fit_laplacian_models,
     load_features,
     load_features_csv,
+    make_blob_features,
 )
+from .toylm import LmDecoder, ToyLmConfig, build
 
 _LOG = logging.getLogger("aiflow")
 
@@ -153,21 +156,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return doc
-
-
 def _topology_from_config(cfg: dict):
     if "topology" in cfg:
         return topology_from_dict(cfg["topology"])
@@ -177,6 +165,65 @@ def _topology_from_config(cfg: dict):
 def _relative_gap(predicted: float, measured: float) -> float:
     scale = max(abs(predicted), abs(measured), 1e-30)
     return abs(predicted - measured) / scale
+
+
+MODEL_DEFAULTS = {"vocab_size": 32, "embed_dim": 16, "context_window": 8}
+MODEL_SIZE_FIELDS = {key: (int, default) for key, default in MODEL_DEFAULTS.items()}
+_MODEL_SPEC_FIELDS = {"layers": (int, REQUIRED), "seed": (int, REQUIRED)}
+DECODE_FIELDS = {
+    "tiers": ([str], REQUIRED), "gamma": (int, REQUIRED), "mode": (str, "sequential"),
+    "models": (dict, REQUIRED),
+}
+
+
+def tier_models(specs: dict, tiers, sizes: dict, where: str, built: dict | None = None) -> dict:
+    """One toy decoder per tier from its {layers, seed} spec in specs.
+
+    sizes supplies vocab_size, embed_dim and context_window, each falling
+    back to MODEL_DEFAULTS. where prefixes error messages, which name the
+    offending field. built, when given, maps each ToyLmConfig to its
+    decoder: a config found there is reused, a new one is built and added.
+    """
+    built = {} if built is None else built
+    unknown = set(specs) - set(tiers)
+    if unknown:
+        raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
+    shared = read_fields(sizes, MODEL_SIZE_FIELDS, where)
+    models = {}
+    for tier in tiers:
+        if tier not in specs:
+            raise InvalidScenarioError(f"{where} is missing field 'models.{tier}'")
+        spec = read_fields(specs[tier], _MODEL_SPEC_FIELDS, f"{where}.models.{tier}")
+        try:
+            cfg = ToyLmConfig(num_layers=spec["layers"], seed=spec["seed"], **shared)
+        except InvalidInputError as exc:
+            raise InvalidScenarioError(f"{where}.models.{tier}: {exc}") from exc
+        if cfg not in built:
+            built[cfg] = LmDecoder(build(cfg))
+        models[tier] = built[cfg]
+    return models
+
+
+def decode_setup(
+    topology: Topology, entry: dict, sizes: dict, where: str, built: dict | None = None
+):
+    """(ProtocolConfig, tier models) from entry's tiers, gamma, mode, models.
+
+    sizes holds the model sizes and built the decoders built so far (see
+    tier_models). The drafter is priced by its "token" cost, each verifier
+    by its "verify" cost.
+    """
+    fields = read_fields(entry, DECODE_FIELDS, where)
+    tiers = tuple(fields["tiers"])
+    costs = {t: topology.cost(t, "verify" if i else "token") for i, t in enumerate(tiers)}
+    try:
+        cfg = ProtocolConfig(
+            draft_len=fields["gamma"], tiers=tiers, per_token_compute_cost=costs,
+            mode=fields["mode"],
+        )
+    except InvalidInputError as exc:
+        raise InvalidScenarioError(f"{where}: {exc}") from exc
+    return cfg, tier_models(fields["models"], tiers, sizes, where, built)
 
 
 _DECOMPOSE_FIELDS = {
@@ -281,7 +328,7 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     verifier-only decode of the same length running on the drafter's random
     stream, so identical tiers reproduce the reference stream exactly and
     score 0. Each entry is decoded once and that transcript is priced on the
-    topology; model sizes default to netsim.MODEL_DEFAULTS. Entries share
+    topology; model sizes default to MODEL_DEFAULTS. Entries share
     each distinct tier model, and the reference of each distinct verifier.
     """
     fields = read_fields(cfg, _SPECDEC_FIELDS, "config")
@@ -372,6 +419,64 @@ def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
         rows,
         fmt,
     )
+
+
+_SCENARIO_FIELDS = {
+    "specdec": {
+        **DECODE_FIELDS, **MODEL_SIZE_FIELDS,
+        "num_tokens": (int, REQUIRED), "prompt": ([int], [0]),
+    },
+    "single": {"node": (str, REQUIRED), "num_tokens": (int, REQUIRED)},
+    "tofc": {
+        "device": (str, "device"), "server": (str, "edge"), "num_points": (int, REQUIRED),
+        "dim": (int, REQUIRED), "num_groups": (int, 4), "num_centers": (int, REQUIRED),
+        "k_neighbors": (int, REQUIRED), "num_models": (int, 2),
+        # None: the run seed.
+        "feature_seed": (int, None),
+    },
+    "collab": {
+        "server": (str, "edge"), "num_devices": (int, REQUIRED),
+        "request_bytes": (int, 256), "response_bytes": (int, 1024),
+        "broadcast_bytes": (int, 1024), "revision_bytes": (int, 512),
+    },
+}
+
+
+def run_scenario(topology: Topology, scenario: dict, seed: int):
+    """Dispatch a scenario description; returns (trace, MetricsRecord).
+
+    An empty description (or kind "empty") produces an empty trace and
+    zeroed metrics.
+    """
+    if not scenario or scenario.get("kind") == "empty":
+        return [], MetricsRecord(0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+    kind = scenario.get("kind")
+    if kind not in _SCENARIO_FIELDS:
+        raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
+    reject_unknown_fields(scenario, {*_SCENARIO_FIELDS[kind], "kind"}, "scenario")
+    params = read_fields(scenario, _SCENARIO_FIELDS[kind], "scenario")
+    if kind == "single":
+        return run_single_tier_scenario(topology, params["node"], params["num_tokens"])
+    if kind == "specdec":
+        cfg, models = decode_setup(topology, params, params, "scenario")
+        return run_specdec_scenario(
+            topology, cfg, models, params["prompt"], params["num_tokens"], seed
+        )
+    if kind == "tofc":
+        feature_seed = seed if params["feature_seed"] is None else params["feature_seed"]
+        features = make_blob_features(
+            params["num_points"], params["dim"], params["num_groups"], Rng(feature_seed)
+        )
+        try:
+            models = fit_laplacian_models(features, params["num_models"])
+            cfg = TofcConfig(params["num_centers"], params["k_neighbors"], models)
+        except InvalidInputError as exc:
+            raise InvalidScenarioError(str(exc)) from exc
+        trace, metrics, _ = run_tofc_scenario(
+            topology, cfg, features, params["device"], params["server"], seed
+        )
+        return trace, metrics
+    return run_device_server_collab(topology, seed=seed, **params)
 
 
 def cmd_simulate(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:

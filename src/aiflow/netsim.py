@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .config import REQUIRED, read_fields, reject_unknown_fields
 from .errors import (
     InvalidInputError,
     InvalidScenarioError,
@@ -32,13 +33,7 @@ from .errors import (
 )
 from .numerics import Rng
 from .specdec import ProtocolConfig, run_protocol
-from .tofc import (
-    TofcConfig,
-    fit_laplacian_models,
-    make_blob_features,
-    tofc_pipeline,
-)
-from .toylm import LmDecoder, ToyLmConfig, build
+from .tofc import TofcConfig, tofc_pipeline
 
 FRAME_BYTES = 16
 TOKEN_BYTES = 4
@@ -56,8 +51,8 @@ class NodeSpec:
         if self.tier not in _TIERS:
             raise InvalidInputError(f"unknown tier {self.tier!r}")
         for op, cost in self.compute_cost.items():
-            if not float(cost) >= 0.0:
-                raise InvalidInputError(f"compute cost {op!r} must be >= 0")
+            if not 0.0 <= float(cost) < math.inf:
+                raise InvalidInputError(f"compute cost {op!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,20 +134,7 @@ class MetricsRecord:
     acceptance_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "tokens_emitted": self.tokens_emitted,
-            "simulated_wall_s": self.simulated_wall_s,
-            "device_compute_s": self.device_compute_s,
-            "transmit_s": self.transmit_s,
-            "server_compute_s": self.server_compute_s,
-            "bytes_up": self.bytes_up,
-            "bytes_down": self.bytes_down,
-            "acceptance_rate": self.acceptance_rate,
-        }
-
-
-def zero_metrics() -> MetricsRecord:
-    return MetricsRecord(0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+        return asdict(self)
 
 
 def transmit_time(num_bytes: int, link: LinkSpec, rng: Rng) -> float:
@@ -230,6 +212,13 @@ class _Net:
         self.delivered += 1
         log.add(arrival, "message-delivered", src, dst, num_bytes, note)
         return arrival
+
+    def metrics(self, tokens, wall_s, device_s, server_s, acceptance=1.0) -> MetricsRecord:
+        """The run's MetricsRecord, with this net's transmit time and byte totals."""
+        return MetricsRecord(
+            tokens, wall_s, device_s, self.transmit_s, server_s, self.bytes_up,
+            self.bytes_down, acceptance,
+        )
 
 
 def _verdict_payloads(records):
@@ -326,15 +315,9 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
         verdict_at = now
         if records[-1].accepted < records[-1].drafted:
             lookahead_done = None
-    metrics = MetricsRecord(
-        tokens_emitted=len(transcript.emitted_tokens),
-        simulated_wall_s=verdict_at,
-        device_compute_s=device_compute,
-        transmit_s=net.transmit_s,
-        server_compute_s=server_compute,
-        bytes_up=net.bytes_up,
-        bytes_down=net.bytes_down,
-        acceptance_rate=_acceptance_rate(transcript.per_round, boundaries),
+    metrics = net.metrics(
+        len(transcript.emitted_tokens), verdict_at, device_compute, server_compute,
+        _acceptance_rate(transcript.per_round, boundaries),
     )
     return log.finalize(), metrics
 
@@ -381,17 +364,7 @@ def run_tofc_scenario(
     server_cost = decode_cost * stats["M"]
     now += server_cost
     log.add(now, "compute-done", server, server, 0, "tofc-decode")
-    metrics = MetricsRecord(
-        tokens_emitted=0,
-        simulated_wall_s=now,
-        device_compute_s=encode_cost,
-        transmit_s=net.transmit_s,
-        server_compute_s=server_cost,
-        bytes_up=net.bytes_up,
-        bytes_down=net.bytes_down,
-        acceptance_rate=1.0,
-    )
-    return log.finalize(), metrics, stats
+    return log.finalize(), net.metrics(0, now, encode_cost, server_cost), stats
 
 
 def run_device_server_collab(
@@ -435,17 +408,7 @@ def run_device_server_collab(
     wall = max(revision_arrivals)
     if net.sent != net.delivered:
         raise InvariantViolationError("message conservation violated")
-    metrics = MetricsRecord(
-        tokens_emitted=0,
-        simulated_wall_s=wall,
-        device_compute_s=0.0,
-        transmit_s=net.transmit_s,
-        server_compute_s=agg_cost,
-        bytes_up=net.bytes_up,
-        bytes_down=net.bytes_down,
-        acceptance_rate=1.0,
-    )
-    return log.finalize(), metrics
+    return log.finalize(), net.metrics(0, wall, 0.0, agg_cost)
 
 
 def default_topology() -> Topology:
@@ -492,55 +455,6 @@ def collab_topology(num_devices: int, latencies=None, server: str = "edge") -> T
     return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
-REQUIRED = object()
-_KIND_NAMES = {int: "int", float: "number", str: "string", dict: "object", list: "list"}
-
-
-def _typed(value, kind):
-    """value as kind (a type, or [type] for a list of it); TypeError if not one."""
-    if isinstance(kind, list) and isinstance(value, list):
-        return [_typed(v, kind[0]) for v in value]
-    if isinstance(kind, list) or isinstance(value, bool):
-        raise TypeError
-    if isinstance(value, kind) or (kind is float and isinstance(value, int)):
-        return kind(value)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise TypeError
-
-
-def read_fields(doc, fields: dict, where: str) -> dict:
-    """Typed values of doc's fields; fields maps name -> (kind, default).
-
-    kind is int, float, str, dict or list, or [kind] for a list of that
-    kind. As in JSON Schema, an integral float is an int and a bool is not
-    a number. A missing field takes its default unless that is REQUIRED.
-    Raises InvalidScenarioError naming the field, prefixed by where.
-    """
-    if not isinstance(doc, dict):
-        raise InvalidScenarioError(f"{where} must be an object, not {doc!r}")
-    out = {}
-    for name, (kind, default) in fields.items():
-        if name not in doc and default is REQUIRED:
-            raise InvalidScenarioError(f"{where} is missing field '{name}'")
-        try:
-            out[name] = _typed(doc[name], kind) if name in doc else default
-        except (TypeError, OverflowError):  # float() of a huge int overflows
-            what = (f"list of {_KIND_NAMES[kind[0]]}" if isinstance(kind, list)
-                    else _KIND_NAMES[kind])
-            raise InvalidScenarioError(
-                f"{where}.{name} must be {what}, not {doc[name]!r}"
-            ) from None
-    return out
-
-
-def reject_unknown_fields(doc: dict, known, where: str) -> None:
-    """InvalidScenarioError naming the keys of doc outside known, if any."""
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise InvalidScenarioError(f"{where} has unknown fields: {sorted(unknown)}")
-
-
 _NODE_FIELDS = {"id": (str, REQUIRED), "tier": (str, REQUIRED), "compute_cost": (dict, REQUIRED)}
 _LINK_FIELDS = {
     "from": (str, REQUIRED), "to": (str, REQUIRED), "latency_s": (float, REQUIRED),
@@ -573,120 +487,3 @@ def topology_from_dict(doc: dict) -> Topology:
         return Topology(nodes=tuple(nodes), links=tuple(links))
     except InvalidInputError as exc:
         raise InvalidScenarioError(str(exc)) from exc
-
-
-MODEL_DEFAULTS = {"vocab_size": 32, "embed_dim": 16, "context_window": 8}
-MODEL_SIZE_FIELDS = {key: (int, default) for key, default in MODEL_DEFAULTS.items()}
-_MODEL_SPEC_FIELDS = {"layers": (int, REQUIRED), "seed": (int, REQUIRED)}
-DECODE_FIELDS = {
-    "tiers": ([str], REQUIRED), "gamma": (int, REQUIRED), "mode": (str, "sequential"),
-    "models": (dict, REQUIRED),
-}
-
-
-def tier_models(specs: dict, tiers, sizes: dict, where: str, built: dict | None = None) -> dict:
-    """One toy decoder per tier from its {layers, seed} spec in specs.
-
-    sizes supplies vocab_size, embed_dim and context_window, each falling
-    back to MODEL_DEFAULTS. where prefixes error messages, which name the
-    offending field. built, when given, maps each ToyLmConfig to its
-    decoder: a config found there is reused, a new one is built and added.
-    """
-    built = {} if built is None else built
-    unknown = set(specs) - set(tiers)
-    if unknown:
-        raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
-    shared = read_fields(sizes, MODEL_SIZE_FIELDS, where)
-    models = {}
-    for tier in tiers:
-        if tier not in specs:
-            raise InvalidScenarioError(f"{where} is missing field 'models.{tier}'")
-        spec = read_fields(specs[tier], _MODEL_SPEC_FIELDS, f"{where}.models.{tier}")
-        try:
-            cfg = ToyLmConfig(num_layers=spec["layers"], seed=spec["seed"], **shared)
-        except InvalidInputError as exc:
-            raise InvalidScenarioError(f"{where}.models.{tier}: {exc}") from exc
-        if cfg not in built:
-            built[cfg] = LmDecoder(build(cfg))
-        models[tier] = built[cfg]
-    return models
-
-
-def decode_setup(
-    topology: Topology, entry: dict, sizes: dict, where: str, built: dict | None = None
-):
-    """(ProtocolConfig, tier models) from entry's tiers, gamma, mode, models.
-
-    sizes holds the model sizes and built the decoders built so far (see
-    tier_models). The drafter is priced by its "token" cost, each verifier
-    by its "verify" cost.
-    """
-    fields = read_fields(entry, DECODE_FIELDS, where)
-    tiers = tuple(fields["tiers"])
-    costs = {t: topology.cost(t, "verify" if i else "token") for i, t in enumerate(tiers)}
-    try:
-        cfg = ProtocolConfig(
-            draft_len=fields["gamma"], tiers=tiers, per_token_compute_cost=costs,
-            mode=fields["mode"],
-        )
-    except InvalidInputError as exc:
-        raise InvalidScenarioError(f"{where}: {exc}") from exc
-    return cfg, tier_models(fields["models"], tiers, sizes, where, built)
-
-
-_SCENARIO_FIELDS = {
-    "specdec": {
-        **DECODE_FIELDS, **MODEL_SIZE_FIELDS,
-        "num_tokens": (int, REQUIRED), "prompt": ([int], [0]),
-    },
-    "single": {"node": (str, REQUIRED), "num_tokens": (int, REQUIRED)},
-    "tofc": {
-        "device": (str, "device"), "server": (str, "edge"), "num_points": (int, REQUIRED),
-        "dim": (int, REQUIRED), "num_groups": (int, 4), "num_centers": (int, REQUIRED),
-        "k_neighbors": (int, REQUIRED), "num_models": (int, 2),
-        # None: the run seed.
-        "feature_seed": (int, None),
-    },
-    "collab": {
-        "server": (str, "edge"), "num_devices": (int, REQUIRED),
-        "request_bytes": (int, 256), "response_bytes": (int, 1024),
-        "broadcast_bytes": (int, 1024), "revision_bytes": (int, 512),
-    },
-}
-
-
-def run_scenario(topology: Topology, scenario: dict, seed: int):
-    """Dispatch a scenario description; returns (trace, MetricsRecord).
-
-    An empty description (or kind "empty") produces an empty trace and
-    zeroed metrics.
-    """
-    if not scenario or scenario.get("kind") == "empty":
-        return [], zero_metrics()
-    kind = scenario.get("kind")
-    if kind not in _SCENARIO_FIELDS:
-        raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    reject_unknown_fields(scenario, {*_SCENARIO_FIELDS[kind], "kind"}, "scenario")
-    params = read_fields(scenario, _SCENARIO_FIELDS[kind], "scenario")
-    if kind == "single":
-        return run_single_tier_scenario(topology, params["node"], params["num_tokens"])
-    if kind == "specdec":
-        cfg, models = decode_setup(topology, params, params, "scenario")
-        return run_specdec_scenario(
-            topology, cfg, models, params["prompt"], params["num_tokens"], seed
-        )
-    if kind == "tofc":
-        feature_seed = seed if params["feature_seed"] is None else params["feature_seed"]
-        features = make_blob_features(
-            params["num_points"], params["dim"], params["num_groups"], Rng(feature_seed)
-        )
-        try:
-            models = fit_laplacian_models(features, params["num_models"])
-            cfg = TofcConfig(params["num_centers"], params["k_neighbors"], models)
-        except InvalidInputError as exc:
-            raise InvalidScenarioError(str(exc)) from exc
-        trace, metrics, _ = run_tofc_scenario(
-            topology, cfg, features, params["device"], params["server"], seed
-        )
-        return trace, metrics
-    return run_device_server_collab(topology, seed=seed, **params)

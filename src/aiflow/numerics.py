@@ -32,6 +32,7 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy cannot index a larger array
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
 
@@ -140,6 +141,8 @@ class Rng:
                 raise InvalidInputError(
                     f"matrix size must be >= 0 and an int, got {rows!r} x {cols!r}"
                 )
+        if int(rows) * int(cols) * 8 > _MAX_ARRAY_BYTES:
+            raise InvalidInputError(f"matrix size {rows!r} x {cols!r} is too large to index")
         out = np.empty((rows, cols), dtype=np.float64)
         flat = out.reshape(-1)
         size = flat.size

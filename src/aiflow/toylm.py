@@ -192,15 +192,20 @@ def _exit_state(lm: ToyLm, tokens: list[int], exit_index: int) -> np.ndarray:
     return x
 
 
-def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
-    """Early prediction at exit_index plus the resumable pre-branch activation."""
+def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDistribution]:
+    """(pre-branch state, early prediction) at exit_index; checks both inputs."""
     _check_exit(lm, exit_index)
     x = _exit_state(lm, _check_context(lm, context), exit_index)
-    activation = ExitActivation(exit_index=exit_index, state=x.copy())
     branch = lm.branches.get(exit_index)
-    if branch is not None:
-        x = x + np.tanh(branch.apply(x))
-    return _head(lm, x), activation
+    if branch is None:
+        return x, _head(lm, x)
+    return x, _head(lm, x + np.tanh(branch.apply(x)))
+
+
+def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
+    """Early prediction at exit_index plus the resumable pre-branch activation."""
+    x, dist = _exit_forward(lm, context, exit_index)
+    return dist, ExitActivation(exit_index=exit_index, state=x.copy())
 
 
 def resume_from(lm: ToyLm, act: ExitActivation) -> TokenDistribution:
@@ -308,7 +313,7 @@ class LmDecoder:
         window = context[-self.lm.config.context_window :]
         if self.exit_index is None:
             return forward_full(self.lm, window)
-        return forward_exit(self.lm, window, self.exit_index)[0]
+        return _exit_forward(self.lm, window, self.exit_index)[1]
 
 
 def save_model(lm: ToyLm, path) -> None:

@@ -49,6 +49,8 @@ class TableModel:
 
         key = tuple(int(t) for t in context)
         if key not in self._cache:
+            if not all(0 <= t < self.vocab_size for t in key):
+                raise AssertionError(f"context {list(key)} leaves vocabulary {self.vocab_size}")
             rng = Rng(self.salt)
             for t in key:
                 rng = rng.spawn(t + 1)

@@ -282,7 +282,7 @@ class TestSpecdec:
         assert calls == ["run_sequential", "run_pipelined"]
 
     def test_each_distinct_model_built_once(self, tmp_path, monkeypatch):
-        from aiflow import cli, netsim
+        from aiflow import cli
 
         counts = {"build": 0, "draft": 0}
 
@@ -292,7 +292,7 @@ class TestSpecdec:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(netsim, "build", counting("build", netsim.build))
+        monkeypatch.setattr(cli, "build", counting("build", cli.build))
         monkeypatch.setattr(cli, "draft", counting("draft", cli.draft))
         three = {
             "mode": "sequential", "tiers": ["device", "edge", "cloud"], "gamma": 3,
@@ -442,6 +442,27 @@ class TestSimulate:
                      "--format", "json"]) == 0
         mirrored = json.loads((out / "metrics.json").read_text())
         assert mirrored[0]["tokens_emitted"] == 16
+
+
+    def test_infinite_compute_cost_is_config_error(self, tmp_path, capsys):
+        path = self.sim_config(tmp_path, self.specdec_scenario())
+        text = (tmp_path / "sim.json").read_text()
+        (tmp_path / "sim.json").write_text(text.replace('"token": 0.03', '"token": 1e400'))
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", path, "--out", str(out), "--format", "json"]) == 2
+        assert "compute cost 'token' must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+
+# A size numpy cannot index is a configuration error, not numpy's ValueError.
+@pytest.mark.parametrize("command", ["decompose", "specdec"])
+def test_unindexable_matrix_size_is_config_error(tmp_path, capsys, command):
+    if command == "decompose":
+        cfg = decompose_config(tmp_path, layers=[{"m": 1e30, "n": 8}])
+    else:
+        cfg = specdec_config(tmp_path, [specdec_entry()], num_tokens=8, vocab_size=1e30)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "is too large to index" in capsys.readouterr().err
 
 
 class TestReport:

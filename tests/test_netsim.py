@@ -6,27 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aiflow.cli import _SCENARIO_FIELDS, MODEL_DEFAULTS, decode_setup, run_scenario, tier_models
+from aiflow.config import REQUIRED, read_fields
 from aiflow.errors import InvalidInputError, InvalidScenarioError
 from aiflow.netsim import (
-    _SCENARIO_FIELDS,
     FRAME_BYTES,
-    MODEL_DEFAULTS,
-    REQUIRED,
     TOKEN_BYTES,
     LinkSpec,
     NodeSpec,
     Topology,
     collab_topology,
-    decode_setup,
     default_topology,
-    read_fields,
     run_device_server_collab,
-    run_scenario,
     run_single_tier_scenario,
     run_specdec_scenario,
     run_tofc_scenario,
     serialize_trace,
-    tier_models,
     topology_from_dict,
     transmit_time,
 )
@@ -145,6 +140,12 @@ class TestTopology:
                                 (1e-3, math.inf)):
             with pytest.raises(InvalidInputError):
                 LinkSpec("a", "b", latency, 1e6, jitter, 0)
+
+    def test_non_finite_compute_cost_rejected(self):
+        for cost in (math.inf, math.nan, -1.0):
+            with pytest.raises(InvalidInputError,
+                               match=re.escape("compute cost 'token' must be finite and >= 0")):
+                NodeSpec(id="a", tier="device", compute_cost={"token": cost})
 
     def test_verify_cost_falls_back_to_token(self):
         topo = two_node_topology()

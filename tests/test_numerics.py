@@ -246,6 +246,14 @@ def test_normal_matrix_rejects_non_integer_size(rows, cols):
     assert rng.uniform() == Rng(19).uniform()  # nothing drawn
 
 
+@pytest.mark.parametrize("rows, cols", [(10**30, 2), (2, 10**30), (2**61, 1)])
+def test_normal_matrix_rejects_sizes_numpy_cannot_index(rows, cols):
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match=f"matrix size {rows} x {cols} is too large"):
+        rng.normal_matrix(rows, cols)
+    assert rng.uniform() == Rng(19).uniform()  # nothing drawn
+
+
 def test_normal_matrix_accepts_numpy_int_sizes():
     got = Rng(19).normal_matrix(np.int64(2), np.int32(3))
     assert got.tobytes() == Rng(19).normal_matrix(2, 3).tobytes()

@@ -255,12 +255,12 @@ class TestMarginalEnumeration:
     def test_two_tier_output_law_is_the_verifier(self):
         cfg = two_tier(gamma=2)
         models = {"device": TableModel(3, 11), "edge": TableModel(3, 22)}
-        paths = enumerate_round(cfg, models, [4])
+        paths = enumerate_round(cfg, models, [2])
         total = sum(w for _, w in paths)
         assert total == pytest.approx(1.0, abs=1e-12)
         cond, denom = conditional_marginals(paths)
         for prefix in denom:
-            target = models["edge"].next_dist([4] + list(prefix))
+            target = models["edge"].next_dist([2] + list(prefix))
             for x in range(3):
                 got = cond.get((prefix, x), 0.0)
                 assert got == pytest.approx(float(target.probs[x]), abs=1e-11)

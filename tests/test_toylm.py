@@ -307,6 +307,19 @@ def test_lm_decoder_full_and_exit(lm):
     )
 
 
+def test_lm_decoder_exit_builds_no_activation(lm, monkeypatch):
+    model = attach_branch(lm, 2, 0.75, _branch_context(lm, 2))
+    decoder = LmDecoder(model, exit_index=2)
+    context = [4, 7, 7, 1]
+    want = forward_exit(model, context, 2)[0].probs
+
+    def no_activation(*args, **kwargs):
+        raise AssertionError("next_dist built an ExitActivation")
+
+    monkeypatch.setattr(toylm, "ExitActivation", no_activation)
+    assert decoder.next_dist(context).probs.tobytes() == want.tobytes()
+
+
 # --- persistence ------------------------------------------------------------------
 
 def test_model_container_roundtrip(tmp_path, lm):
