@@ -648,18 +648,10 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](cfg, seed, run, args.format)
         run.finish()
         return 0
-    except _CONFIG_ERRORS as exc:
+    except _CONFIG_ERRORS + _IO_ERRORS + _INVARIANT_ERRORS as exc:
         _LOG.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _IO_ERRORS as exc:
-        _LOG.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _INVARIANT_ERRORS as exc:
-        _LOG.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, _CONFIG_ERRORS) else 3 if isinstance(exc, _IO_ERRORS) else 4
 
 
 if __name__ == "__main__":

@@ -26,11 +26,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .config import REQUIRED, read_fields, reject_unknown_fields
-from .errors import (
-    InvalidInputError,
-    InvalidScenarioError,
-    InvariantViolationError,
-)
+from .errors import InvalidInputError, InvalidScenarioError
 from .numerics import Rng
 from .specdec import ProtocolConfig, run_protocol
 from .tofc import TofcConfig, tofc_pipeline
@@ -69,6 +65,8 @@ class LinkSpec:
             raise InvalidInputError("latency must be finite and > 0, bandwidth > 0")
         if not 0.0 <= self.jitter_s < math.inf:
             raise InvalidInputError("jitter must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidInputError(f"link {self.src}->{self.dst} seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,6 @@ class _Net:
         self.transmit_s = 0.0
         self.bytes_up = 0
         self.bytes_down = 0
-        self.sent = 0
-        self.delivered = 0
 
     def _account(self, src: str, dst: str, num_bytes: int):
         src_rank = _TIER_RANK[self.topology.node(src).tier]
@@ -208,8 +204,6 @@ class _Net:
         self._account(src, dst, num_bytes)
         arrival = max(now + t, self._last_arrival.get((src, dst), 0.0))
         self._last_arrival[(src, dst)] = arrival
-        self.sent += 1
-        self.delivered += 1
         log.add(arrival, "message-delivered", src, dst, num_bytes, note)
         return arrival
 
@@ -406,8 +400,6 @@ def run_device_server_collab(
         t_b = net.send(broadcast_at, server, dev, broadcast_bytes, log, "broadcast")
         revision_arrivals.append(net.send(t_b, dev, server, revision_bytes, log, "revision"))
     wall = max(revision_arrivals)
-    if net.sent != net.delivered:
-        raise InvariantViolationError("message conservation violated")
     return log.finalize(), net.metrics(0, wall, 0.0, agg_cost)
 
 

@@ -210,13 +210,12 @@ def svd_reduced(a) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=v)
 
 
-def cholesky_lower(a, pivot_floor: float = 0.0) -> np.ndarray:
+def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T = a for symmetric positive definite a.
 
     a must be square and symmetric to 1e-9 (absolute, relative to its largest
-    entry). A pivot at or below pivot_floor raises NotPositiveDefiniteError
-    carrying the pivot index; the default floor of zero rejects exactly the
-    non-positive pivots.
+    entry). A pivot <= 0 raises NotPositiveDefiniteError carrying the pivot
+    index.
     """
     arr = require_matrix(a, "a")
     n, m = arr.shape
@@ -228,7 +227,7 @@ def cholesky_lower(a, pivot_floor: float = 0.0) -> np.ndarray:
     lower = np.zeros_like(arr)
     for j in range(n):
         pivot = arr[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= pivot_floor:
+        if pivot <= 0.0:
             raise NotPositiveDefiniteError(j, float(pivot))
         lower[j, j] = math.sqrt(pivot)
         if j + 1 < n:

@@ -27,6 +27,11 @@ per-role, sequential and pipelined execution consume them in the same
 per-role order, which is what makes the two modes emit identical tokens when
 nothing is ever rejected.
 
+One loop runs both modes: a pipelined run is a sequential run in which the
+device drafts the next batch, from the optimistic prefix, before each
+verification; a correction discards that batch. The mode is the entry
+point's: run_sequential stays sequential even given a pipelined config.
+
 The protocol decides which draws happen and in what order, never when:
 neither run mode keeps time. A transcript records every verification
 outcome, and the network simulator (aiflow.netsim) lays its rounds out on
@@ -41,13 +46,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    InvariantViolationError,
-    ProtocolViolationError,
-)
+from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
 from .numerics import Rng
 from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample, token_int
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """A non-bool int >= minimum, or an InvalidInputError naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,7 @@ class ProtocolConfig:
     mode: str = "sequential"
 
     def __post_init__(self):
-        if self.draft_len < 1:
-            raise InvalidInputError("draft_len must be >= 1")
+        _require_int("draft_len", self.draft_len, 1)
         if not 2 <= len(self.tiers) <= 3:
             raise InvalidInputError("tiers must list 2 or 3 roles")
         if len(set(self.tiers)) != len(self.tiers):
@@ -162,8 +168,7 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     The context is checked against the model's vocab_size first; the batch
     keeps the checked copy as its base_context.
     """
-    if not isinstance(gamma, int) or gamma < 1:
-        raise InvalidInputError("gamma must be >= 1")
+    _require_int("gamma", gamma, 1)
     base = _checked_prompt(context, device_model.vocab_size)
     return replace(_draft(device_model, base, gamma, rng), base_context=base)
 
@@ -238,20 +243,10 @@ def expected_acceptance(p_d: TokenDistribution, p_t: TokenDistribution) -> float
     return float(np.minimum(p_d.probs, p_t.probs).sum())
 
 
-def _verified_stream(verify_result: VerifyResult, batch: DraftBatch):
-    """Tokens a verifier emits for a batch: accepted prefix plus any correction."""
-    stream = list(batch.tokens[: verify_result.accepted_count])
-    if verify_result.correction_token is not None:
-        stream.append(verify_result.correction_token)
-    return stream
-
-
 @dataclass
 class _RoundOutcome:
     emitted: list[int]
     records: list[RoundRecord]
-    final_accepted: int
-    had_correction: bool
 
 
 def _verify_chain(
@@ -259,22 +254,16 @@ def _verify_chain(
 ) -> _RoundOutcome:
     """Verify a batch drafted from context at every tier boundary, bottom up.
 
-    For three tiers the middle verifier's emitted stream, paired with its own
-    per-position distributions, becomes the draft batch the last tier verifies.
-    Each verifier appends the batch to context as it goes; context is
-    restored before returning.
+    Each verifier emits its accepted prefix plus any correction. For three
+    tiers the middle verifier's emitted stream, paired with its own
+    per-position distributions, becomes the draft batch the last tier
+    verifies. Each verifier appends the batch to context as it goes; context
+    is restored before returning.
     """
     records: list[RoundRecord] = []
     current = batch
     base = len(context)
     for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
-        if records:
-            if not stream:
-                raise InvariantViolationError("verifier emitted an empty stream")
-            # The emitted stream's law at each position is the verifier's own
-            # distribution there, so those distributions are the claimed
-            # draft law for the next tier up.
-            current = DraftBatch(tokens=stream, draft_dists=target_dists[: len(stream)])
         target_dists = []
         try:
             for token in current.tokens:
@@ -283,20 +272,15 @@ def _verify_chain(
         finally:
             del context[base:]
         result = verify(target_dists, current, rngs[upper])
-        records.append(
-            RoundRecord(
-                stage=f"{lower}->{upper}",
-                drafted=len(current.tokens),
-                accepted=result.accepted_count,
-            )
-        )
-        stream = _verified_stream(result, current)
-    return _RoundOutcome(
-        emitted=stream,
-        records=records,
-        final_accepted=result.accepted_count,
-        had_correction=result.correction_token is not None,
-    )
+        records.append(RoundRecord(f"{lower}->{upper}", len(current.tokens), result.accepted_count))
+        stream = current.tokens[: result.accepted_count]
+        if result.correction_token is not None:
+            stream.append(result.correction_token)
+        # The emitted stream's law at each position is the verifier's own
+        # distribution there, so those distributions are the claimed draft
+        # law for the next tier up.
+        current = DraftBatch(tokens=stream, draft_dists=target_dists[: len(stream)])
+    return _RoundOutcome(emitted=current.tokens, records=records)
 
 
 def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict) -> _RoundOutcome:
@@ -310,84 +294,68 @@ def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict)
     return _verify_chain(cfg, models, context, batch, rngs)
 
 
-def _start(cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng):
-    """Validate a run's inputs; returns (checked prompt, one stream per tier).
+def _decode(
+    cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng, lookahead: bool
+) -> tuple[DecodeTranscript, PipelineStats]:
+    """The run loop: draft-verify rounds until num_tokens are emitted.
 
-    The prompt is checked once, against the vocabulary every tier shares.
-    Streams are spawned in tier order (spawn key = tier index) before any draw.
+    context is the run's one token list: the checked prompt followed by the
+    tokens emitted so far. With lookahead, each round also drafts the next
+    batch from the optimistic prefix (this batch fully accepted). per_round
+    keeps outcomes exactly as they happened; totals account for the emitted
+    stream after truncation to num_tokens.
     """
-    if num_tokens < 0:
-        raise InvalidInputError("num_tokens must be >= 0")
+    _require_int("num_tokens", num_tokens, 0)
     missing = [role for role in cfg.tiers if role not in models]
     if missing:
         raise InvalidInputError(f"models missing for tiers {missing}")
     vocabs = {role: models[role].vocab_size for role in cfg.tiers}
     if len(set(vocabs.values())) != 1:
         raise InvalidInputError(f"tiers must share one vocab_size, got {vocabs}")
-    tokens = _checked_prompt(prompt, vocabs[cfg.tiers[0]])
+    context = _checked_prompt(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
-    return tokens, streams
-
-
-class _Emission:
-    """Round outcomes gathered into a transcript of exactly num_tokens tokens.
-
-    context is the run's one token list: the checked prompt followed by the
-    tokens emitted so far. per_round keeps verification outcomes exactly as
-    they happened; totals account for the emitted stream after truncation to
-    num_tokens, so totals.accepted + totals.corrections always equals the
-    token count.
-    """
-
-    def __init__(self, num_tokens: int, prompt: list[int]):
-        self.num_tokens = num_tokens
-        self.context = prompt
-        self.prompt_len = len(prompt)
-        self.records: list[RoundRecord] = []
-        self.rounds = 0
-        self.rejected = 0
-        self.accepted = 0
-        self.corrections = 0
-
-    def remaining(self) -> int:
-        return self.num_tokens - (len(self.context) - self.prompt_len)
-
-    def done(self) -> bool:
-        return self.remaining() <= 0
-
-    def add(self, outcome: _RoundOutcome) -> None:
-        self.rounds += 1
-        self.records.extend(outcome.records)
-        if outcome.had_correction:
-            self.rejected += 1
-        used = outcome.emitted[: self.remaining()]
-        used_accepted = min(len(used), outcome.final_accepted)
-        self.accepted += used_accepted
-        self.corrections += len(used) - used_accepted
-        self.context.extend(used)
-
-    def transcript(self) -> DecodeTranscript:
-        return DecodeTranscript(
-            emitted_tokens=self.context[self.prompt_len :],
-            per_round=self.records,
-            totals=TranscriptTotals(
-                accepted=self.accepted,
-                corrections=self.corrections,
-                rejected=self.rejected,
-                rounds=self.rounds,
-            ),
-        )
+    drafter, draft_rng = models[cfg.tiers[0]], streams[cfg.tiers[0]]
+    start, end = len(context), len(context) + num_tokens
+    records: list[RoundRecord] = []
+    rounds = rejected = accepted = corrections = 0
+    batch = ahead = None
+    while len(context) < end:
+        if batch is None:
+            batch = _draft(drafter, context, cfg.draft_len, draft_rng)
+        if lookahead:
+            base = len(context)
+            context.extend(batch.tokens)
+            ahead = _draft(drafter, context, cfg.draft_len, draft_rng)
+            del context[base:]
+        outcome = _verify_chain(cfg, models, context, batch, streams)
+        rounds += 1
+        records.extend(outcome.records)
+        final = outcome.records[-1]
+        used = outcome.emitted[: end - len(context)]
+        accepted += min(len(used), final.accepted)
+        corrections += max(0, len(used) - final.accepted)
+        context.extend(used)
+        if final.accepted < final.drafted:
+            rejected += 1
+            ahead = None
+        batch = ahead
+    # Each correction drops a lookahead, as does a run that ends with one drafted.
+    discarded = rejected + (batch is not None) if lookahead else 0
+    transcript = DecodeTranscript(
+        emitted_tokens=context[start:],
+        per_round=records,
+        totals=TranscriptTotals(
+            accepted=accepted, corrections=corrections, rejected=rejected, rounds=rounds
+        ),
+    )
+    return transcript, PipelineStats(discarded_batches=discarded)
 
 
 def run_sequential(
     cfg: ProtocolConfig, models: dict, prompt, num_tokens: int, rng: Rng
 ) -> DecodeTranscript:
-    """Strictly alternating draft and verify rounds until num_tokens are emitted."""
-    prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
-    out = _Emission(num_tokens, prompt)
-    while not out.done():
-        out.add(run_round(cfg, models, out.context, streams))
-    return out.transcript()
+    """Strictly alternating draft and verify rounds, whatever cfg.mode says."""
+    return _decode(cfg, models, prompt, num_tokens, rng, lookahead=False)[0]
 
 
 def pipeline_schedule(cfg: ProtocolConfig) -> int:
@@ -415,30 +383,7 @@ def run_pipelined(
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")
     if len(cfg.tiers) != 2:
         raise InvalidInputError("pipelined mode supports exactly two tiers")
-    prompt, streams = _start(cfg, models, prompt, num_tokens, rng)
-    device = models[cfg.tiers[0]]
-    device_rng = streams[cfg.tiers[0]]
-    out = _Emission(num_tokens, prompt)
-    context = out.context
-    discarded = 0
-    lookahead: DraftBatch | None = None
-    while not out.done():
-        batch = lookahead if lookahead is not None else _draft(
-            device, context, cfg.draft_len, device_rng
-        )
-        base = len(context)
-        context.extend(batch.tokens)
-        lookahead = _draft(device, context, cfg.draft_len, device_rng)
-        del context[base:]
-        outcome = _verify_chain(cfg, models, context, batch, streams)
-        out.add(outcome)
-        if outcome.had_correction:
-            discarded += 1
-            lookahead = None
-    if lookahead is not None:
-        # Lookahead drafted past the end of the run: work done, never shipped.
-        discarded += 1
-    return out.transcript(), PipelineStats(discarded_batches=discarded)
+    return _decode(cfg, models, prompt, num_tokens, rng, lookahead=True)
 
 
 def run_protocol(

@@ -458,15 +458,12 @@ def tofc_pipeline(fs: FeatureSet, cfg: TofcConfig):
     return bs, stats
 
 
-def make_blob_features(
-    num_points: int, dim: int, num_groups: int, rng: Rng,
-    center_scale: float = 8.0, spread: float = 0.5,
-) -> FeatureSet:
+def make_blob_features(num_points: int, dim: int, num_groups: int, rng: Rng) -> FeatureSet:
     """Synthetic grouped features: group centers plus per-point noise."""
     if num_points < 1 or dim < 1 or num_groups < 1:
         raise InvalidInputError("num_points, dim, num_groups must all be >= 1")
-    centers = rng.normal_matrix(num_groups, dim) * center_scale
-    noise = rng.normal_matrix(num_points, dim) * spread
+    centers = rng.normal_matrix(num_groups, dim) * 8.0
+    noise = rng.normal_matrix(num_points, dim) * 0.5
     groups = np.arange(num_points) % num_groups
     return FeatureSet(features=centers[groups] + noise)
 

@@ -4,8 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from aiflow import specdec
+from aiflow import cli, specdec
 from aiflow.cli import main
+from aiflow.errors import (
+    ConfigError,
+    InvalidTokenError,
+    InvariantViolationError,
+    IoError,
+    ProtocolViolationError,
+)
 from aiflow.familial import allocate_ranks, whiten
 from aiflow.numerics import Rng, svd_reduced
 from aiflow.tofc import make_blob_features, save_features
@@ -452,6 +459,30 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out), "--format", "json"]) == 2
         assert "compute cost 'token' must be finite and >= 0" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
+
+
+    def test_negative_link_seed_is_config_error(self, tmp_path, capsys):
+        path = self.sim_config(tmp_path, {"kind": "single", "node": "edge", "num_tokens": 3})
+        text = (tmp_path / "sim.json").read_text()
+        (tmp_path / "sim.json").write_text(text.replace('"seed": 2', '"seed": -1'))
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "link edge->device seed must be >= 0" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 2), (InvalidTokenError, 2), (IoError, 3), (OSError, 3),
+    (InvariantViolationError, 4), (ProtocolViolationError, 4),
+])
+def test_error_class_sets_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def failing(cfg, seed, run, fmt):
+        raise error("broken")
+
+    monkeypatch.setitem(cli._COMMANDS, "decompose", failing)
+    cfg = decompose_config(tmp_path)
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == code
+    assert capsys.readouterr().err == "error: broken\n"
 
 
 # A size numpy cannot index is a configuration error, not numpy's ValueError.

@@ -135,6 +135,18 @@ class TestTopology:
         with pytest.raises(InvalidInputError):
             LinkSpec("a", "b", 1e-3, 1e6, -0.001, 0)
 
+    def test_negative_link_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^link a->b seed must be >= 0$"):
+            LinkSpec("a", "b", 1e-3, 1e6, 0.0, -1)
+        doc = {
+            "nodes": [{"id": "a", "tier": "device", "compute_cost": {}},
+                      {"id": "b", "tier": "edge", "compute_cost": {}}],
+            "links": [{"from": "a", "to": "b", "latency_s": 1e-3,
+                       "bandwidth_bytes_per_s": 1e6, "seed": -1}],
+        }
+        with pytest.raises(InvalidScenarioError, match=r"^link a->b seed must be >= 0$"):
+            topology_from_dict(doc)
+
     def test_non_finite_latency_and_jitter_rejected(self):
         for latency, jitter in ((math.inf, 0.0), (math.nan, 0.0), (1e-3, math.nan),
                                 (1e-3, math.inf)):
@@ -523,6 +535,10 @@ class TestScenarioSchema:
             # A field without a schema default reads as None (feature_seed: the run seed).
             assert {name: schema["properties"][name].get("default") for name in defaults} \
                 == defaults, kind
+
+    def test_link_seed_is_a_spawn_key(self):
+        seed = self.definitions()["link"]["properties"]["seed"]
+        assert seed["type"] == "integer" and seed["minimum"] == 0
 
     def test_model_defaults_match_code(self):
         props = self.definitions()["specdec_scenario"]["properties"]

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from aiflow.specdec import (
 )
 from aiflow import toylm
 from aiflow.toylm import LmDecoder, TokenDistribution, ToyLmConfig, build, sample
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
 def two_tier(gamma=2, mode="sequential"):
@@ -453,6 +456,26 @@ class TestRunPipelined:
         # batch is drafted from a wrong prefix and dropped.
         assert stats.discarded_batches == t_pipe.totals.rounds == 6
 
+    def test_rejected_counts_rounds_not_discarded_tokens(self):
+        # Every round drafts two tokens and rejects the first, so twelve draft
+        # tokens are thrown away over six rounds; rejected counts the rounds.
+        models = {"device": FixedModel([1.0, 0.0]), "edge": FixedModel([0.0, 1.0])}
+        t_seq = run_sequential(two_tier(gamma=2), models, [], 6, Rng(5))
+        t_pipe, _ = run_pipelined(two_tier(gamma=2, mode="pipelined"), models, [], 6, Rng(5))
+        for t in (t_seq, t_pipe):
+            assert t.totals.rejected == t.totals.rounds == 6
+            assert sum(r.drafted - r.accepted for r in t.per_round) == 12
+        schema = json.loads((SCHEMAS / "transcript.schema.json").read_text(encoding="utf-8"))
+        described = schema["properties"]["totals"]["properties"]["rejected"]["description"]
+        assert described.startswith("Rounds in which the final verifier rejected")
+
+    def test_sequential_entry_ignores_pipelined_mode(self):
+        models = {"device": TableModel(4, 1), "edge": TableModel(4, 2)}
+        pipe = two_tier(gamma=3, mode="pipelined")
+        assert run_sequential(pipe, models, [3], 20, Rng(6)) == run_sequential(
+            two_tier(gamma=3), models, [3], 20, Rng(6)
+        )
+
     def test_run_protocol_dispatches_on_mode(self):
         models = {"device": TableModel(4, 1), "edge": TableModel(4, 2)}
         seq = two_tier(gamma=3)
@@ -495,3 +518,20 @@ class TestProtocolConfig:
                 draft_len=1, tiers=("a", "b"),
                 per_token_compute_cost={"a": 1, "b": 1}, mode="warp",
             )
+
+    @pytest.mark.parametrize("draft_len", [2.5, 2.0, True, "2", None])
+    def test_draft_len_must_be_an_int(self, draft_len):
+        message = f"draft_len must be an int >= 1, got {draft_len!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            ProtocolConfig(draft_len=draft_len, tiers=("a", "b"),
+                           per_token_compute_cost={"a": 1, "b": 1})
+
+
+@pytest.mark.parametrize("num_tokens", [2.5, 2.0, True, "4", None, -1])
+def test_run_num_tokens_must_be_an_int(num_tokens):
+    models = {"device": TableModel(4, 1), "edge": TableModel(4, 2)}
+    message = f"num_tokens must be an int >= 0, got {num_tokens!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_sequential(two_tier(), models, [0], num_tokens, Rng(0))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_pipelined(two_tier(mode="pipelined"), models, [0], num_tokens, Rng(0))
