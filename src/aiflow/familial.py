@@ -77,8 +77,8 @@ class DecomposedLayer:
             raise InvalidInputError(
                 f"w_v shape {self.w_v.shape} does not match ({self.hidden_dim}, {n})"
             )
-        if self.hidden_dim > min(m, n):
-            raise InvalidInputError("hidden_dim exceeds min(m, n)")
+        if not 1 <= self.hidden_dim <= min(m, n):
+            raise InvalidInputError(f"hidden_dim must be in 1..min(m, n), got {self.hidden_dim}")
 
     @property
     def parameter_count(self) -> int:

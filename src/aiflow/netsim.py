@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 from .config import REQUIRED, read_fields, reject_unknown_fields
 from .errors import InvalidInputError, InvalidScenarioError
-from .numerics import Rng
+from .numerics import Rng, require_int
 from .specdec import ProtocolConfig, run_protocol
 from .tofc import TofcConfig, tofc_pipeline
 
@@ -318,8 +318,7 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
 
 def run_single_tier_scenario(topology: Topology, node_id: str, num_tokens: int):
     """Autoregressive baseline on one node: no network, one forward per token."""
-    if num_tokens < 0:
-        raise InvalidInputError("num_tokens must be >= 0")
+    require_int("num_tokens", num_tokens, 0)
     node = topology.node(node_id)
     cost = topology.cost(node_id, "token")
     log = _EventLog()

@@ -47,14 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
-from .numerics import Rng
+from .numerics import Rng, require_int
 from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample, token_int
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    """A non-bool int >= minimum, or an InvalidInputError naming the field."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class ProtocolConfig:
     mode: str = "sequential"
 
     def __post_init__(self):
-        _require_int("draft_len", self.draft_len, 1)
+        require_int("draft_len", self.draft_len, 1)
         if not 2 <= len(self.tiers) <= 3:
             raise InvalidInputError("tiers must list 2 or 3 roles")
         if len(set(self.tiers)) != len(self.tiers):
@@ -168,7 +162,7 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     The context is checked against the model's vocab_size first; the batch
     keeps the checked copy as its base_context.
     """
-    _require_int("gamma", gamma, 1)
+    require_int("gamma", gamma, 1)
     base = _checked_prompt(context, device_model.vocab_size)
     return replace(_draft(device_model, base, gamma, rng), base_context=base)
 
@@ -305,7 +299,7 @@ def _decode(
     keeps outcomes exactly as they happened; totals account for the emitted
     stream after truncation to num_tokens.
     """
-    _require_int("num_tokens", num_tokens, 0)
+    require_int("num_tokens", num_tokens, 0)
     missing = [role for role in cfg.tiers if role not in models]
     if missing:
         raise InvalidInputError(f"models missing for tiers {missing}")

@@ -53,8 +53,8 @@ class FeatureSet:
 
     def __post_init__(self):
         object.__setattr__(self, "features", require_matrix(self.features, "features"))
-        if self.features.shape[0] < 1:
-            raise InvalidInputError("feature set needs at least one row")
+        if min(self.features.shape) < 1:
+            raise InvalidInputError("feature set needs at least one row and one column")
 
     @property
     def count(self) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidTokenError, IoError
 from .familial import DecomposedLayer, WhiteningContext, decompose_layer
-from .numerics import Rng, require_matrix, require_vector
+from .numerics import Rng, require_int, require_matrix, require_vector
 
 _TOYL_MAGIC = b"TOYL"
 _TOYL_VERSION = 1
@@ -105,15 +105,15 @@ def build(config: ToyLmConfig) -> ToyLm:
 
     Draw order (one seeded generator, row-major within each matrix):
     embedding (vocab x d), blocks 0..L-1 (each d x d), lm_head (vocab x d).
-    Every entry is a standard normal scaled by 1/sqrt(d).
+    Every entry is a standard normal scaled by 1/sqrt(d). The matrices are
+    consecutive row blocks of one normal_matrix draw, d columns wide.
     """
-    rng = Rng(config.seed)
-    d = config.embed_dim
-    scale = 1.0 / math.sqrt(d)
-    embedding = rng.normal_matrix(config.vocab_size, d) * scale
-    blocks = tuple(rng.normal_matrix(d, d) * scale for _ in range(config.num_layers))
-    lm_head = rng.normal_matrix(config.vocab_size, d) * scale
-    return ToyLm(config=config, embedding=embedding, blocks=blocks, lm_head=lm_head)
+    d, vocab, layers = config.embed_dim, config.vocab_size, config.num_layers
+    weights = Rng(config.seed).normal_matrix(2 * vocab + layers * d, d) * (1.0 / math.sqrt(d))
+    blocks = tuple(weights[vocab + i * d : vocab + (i + 1) * d] for i in range(layers))
+    return ToyLm(
+        config=config, embedding=weights[:vocab], blocks=blocks, lm_head=weights[-vocab:]
+    )
 
 
 def check_tokens(context, vocab_size: int) -> list[int]:
@@ -236,17 +236,15 @@ def calibration_activations(
     forward_exit(lm, context_i, exit_index)[1].state, computed without the
     branch or the head.
     """
-    if num_contexts < 1:
-        raise InvalidInputError("num_contexts must be >= 1")
+    require_int("num_contexts", num_contexts, 1)
     _check_exit(lm, exit_index)
-    rng = Rng(seed)
+    vocab, window = lm.config.vocab_size, lm.config.context_window
+    # Equal to min(int(u * vocab), vocab - 1) per uniform() draw, in draw order.
+    draws = Rng(seed).uniforms(num_contexts * window) * vocab
+    tokens = np.minimum(draws.astype(np.int64), vocab - 1).tolist()
     cols = np.empty((lm.config.embed_dim, num_contexts))
     for i in range(num_contexts):
-        context = [
-            min(int(rng.uniform() * lm.config.vocab_size), lm.config.vocab_size - 1)
-            for _ in range(lm.config.context_window)
-        ]
-        cols[:, i] = _exit_state(lm, context, exit_index)
+        cols[:, i] = _exit_state(lm, tokens[i * window : (i + 1) * window], exit_index)
     return cols
 
 
@@ -402,6 +400,10 @@ def load_model(path) -> ToyLm:
             raise InvalidInputError("container truncated in branch header")
         exit_index, h = struct.unpack_from("<II", blob, offset)
         offset += 8
+        if not max(branches, default=0) < exit_index < layers:
+            raise InvalidInputError(
+                f"branch exit {exit_index}: exits must ascend within 1..{layers - 1}"
+            )
         w_u = take(d, h, f"branches[{exit_index}].w_u")
         w_v = take(h, d, f"branches[{exit_index}].w_v")
         branches[int(exit_index)] = DecomposedLayer(

@@ -1,6 +1,8 @@
 """Tests for whitened decomposition, rank allocation, and residual stacking."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -340,3 +342,13 @@ def test_layer_container_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(InvalidInputError):
         load_layer(truncated)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (3, 4)])
+def test_layer_container_rejects_rank_zero(tmp_path, m, n):
+    path = tmp_path / "empty.famd"
+    path.write_bytes(struct.pack("<4sBIII", b"FAMD", 1, m, n, 0))
+    message = re.escape("hidden_dim must be in 1..min(m, n), got 0")
+    with pytest.raises(InvalidInputError, match=message):
+        load_layer(path)
+

@@ -567,6 +567,11 @@ class TestSingleTier:
         trace, m = run_single_tier_scenario(topo, "edge", 0)
         assert trace == [] and m.tokens_emitted == 0
 
+    @pytest.mark.parametrize("num_tokens", [2.5, True, False, -1, "3", None])
+    def test_num_tokens_must_be_a_non_bool_int(self, num_tokens):
+        with pytest.raises(InvalidInputError, match="num_tokens must be an int >= 0"):
+            run_single_tier_scenario(default_topology(), "edge", num_tokens)
+
 
 class TestTofcScenario:
     def make_inputs(self, num_points=32):

@@ -259,6 +259,69 @@ def test_normal_matrix_accepts_numpy_int_sizes():
     assert got.tobytes() == Rng(19).normal_matrix(2, 3).tobytes()
 
 
+# Sizes at the edges of the bulk path: the 64-state scalar run, each
+# doubling, and the 2**16-state chunk.
+_BULK_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 4095, 4097, 2**16 + 3]
+
+
+def _assert_same_generator(fast, slow):
+    assert fast._state == slow._state
+    assert fast._cached_normal == slow._cached_normal
+    assert [fast.normal() for _ in range(3)] == [slow.normal() for _ in range(3)]
+    assert fast.uniform() == slow.uniform()
+
+
+@pytest.mark.parametrize("n", _BULK_EDGES)
+def test_uniforms_equal_successive_uniform_calls(n):
+    fast, slow = Rng(23), Rng(23)
+    got = fast.uniforms(n)
+    want = np.array([slow.uniform() for _ in range(n)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    _assert_same_generator(fast, slow)
+
+
+@pytest.mark.parametrize("n", _BULK_EDGES + [2**17 + 1, 2**17 + 2])
+@pytest.mark.parametrize("primed", [False, True])
+def test_normal_matrix_equals_normal_calls_across_bulk_edges(n, primed):
+    fast, slow = Rng(29), Rng(29)
+    if primed:
+        fast.normal()
+        slow.normal()
+    got = fast.normal_matrix(1, n)
+    want = np.array([slow.normal() for _ in range(n)], dtype=np.float64)
+    assert got.tobytes() == want.tobytes()
+    _assert_same_generator(fast, slow)
+
+
+def test_uniforms_after_a_cached_normal_leave_the_cache_alone():
+    fast, slow = Rng(31), Rng(31)
+    fast.normal()
+    slow.normal()
+    got = fast.uniforms(100)
+    assert got.tolist() == [slow.uniform() for _ in range(100)]
+    _assert_same_generator(fast, slow)
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 2.0, "3", None])
+def test_uniforms_rejects_bad_count(n):
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match="draw count must be >= 0 and an int"):
+        rng.uniforms(n)
+    assert rng.uniform() == Rng(19).uniform()  # nothing drawn
+
+
+def test_uniforms_rejects_counts_numpy_cannot_index():
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match="too large to index"):
+        rng.uniforms(2**61)
+    assert rng.uniform() == Rng(19).uniform()
+
+
+def test_uniforms_accepts_numpy_int_count():
+    assert Rng(19).uniforms(np.int64(70)).tobytes() == Rng(19).uniforms(70).tobytes()
+
+
 def test_rng_normal_moments():
     rng = Rng(31)
     xs = [rng.normal() for _ in range(40_000)]

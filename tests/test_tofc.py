@@ -1,6 +1,7 @@
 """Feature compression tests: clustering oracle, entropy model, codec."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -584,6 +585,12 @@ class TestFeatureIO:
             load_features(path)
         path.write_bytes(b"FE")
         with pytest.raises(InvalidInputError):
+            load_features(path)
+
+    def test_zero_dim_header_rejected(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        path.write_bytes(struct.pack("<4sBII", b"FEAT", 1, 3, 0))
+        with pytest.raises(InvalidInputError, match="at least one row and one column"):
             load_features(path)
 
     def test_body_length_mismatch(self, tmp_path):

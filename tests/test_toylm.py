@@ -1,6 +1,7 @@
 """Tests for the toy language model, exits, branches, and sampling."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -341,6 +342,33 @@ def test_model_container_roundtrip(tmp_path, lm):
     )
 
 
+@pytest.mark.parametrize("first_exit, second_exit, rank, message", [
+    (0, 5, None, "exits must ascend within 1..7"),
+    (8, 5, None, "exits must ascend within 1..7"),
+    (2, 2, None, "exits must ascend within 1..7"),
+    (5, 2, None, "exits must ascend within 1..7"),
+    (2, 5, 0, "hidden_dim must be in 1..min"),
+])
+def test_model_container_rejects_bad_branch_records(
+    tmp_path, lm, first_exit, second_exit, rank, message
+):
+    model = attach_branch(attach_branch(lm, 2, 0.75, _branch_context(lm, 2)),
+                          5, 0.75, _branch_context(lm, 5))
+    path = tmp_path / "model.toyl"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    cfg, h = model.config, model.branches[2].hidden_dim
+    first = 29 + 8 * (2 * cfg.vocab_size + cfg.num_layers * cfg.embed_dim) * cfg.embed_dim + 4
+    second = first + 8 + 8 * 2 * cfg.embed_dim * h
+    struct.pack_into("<I", blob, first, first_exit)
+    struct.pack_into("<I", blob, second, second_exit)
+    if rank is not None:
+        struct.pack_into("<I", blob, second + 4, rank)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        load_model(path)
+
+
 @pytest.mark.parametrize("tensor, value", [
     ("embedding", np.nan), ("blocks[1]", np.inf), ("lm_head", -np.inf),
     ("branches[2].w_u", np.nan), ("branches[2].w_v", np.inf),
@@ -393,6 +421,12 @@ def test_calibration_activations_deterministic(lm):
     assert a.shape == (lm.config.embed_dim, 32)
 
 
+@pytest.mark.parametrize("num_contexts", [0, 2.5, True])
+def test_calibration_activations_rejects_bad_context_count(lm, num_contexts):
+    with pytest.raises(InvalidInputError, match="num_contexts must be an int >= 1"):
+        calibration_activations(lm, 2, num_contexts=num_contexts)
+
+
 def test_calibration_activations_are_exit_states_without_the_head(lm, monkeypatch):
     model = attach_branch(lm, 2, 0.75, _branch_context(lm, 2))
     vocab, window = model.config.vocab_size, model.config.context_window
@@ -409,3 +443,32 @@ def test_calibration_activations_are_exit_states_without_the_head(lm, monkeypatc
     assert got.tobytes() == want.tobytes()
     with pytest.raises(InvalidInputError, match=re.escape("exit index must be in 1..8, got 9")):
         calibration_activations(model, 9)
+
+
+def test_build_and_calibration_make_no_scalar_draws(monkeypatch):
+    # Reference from the scalar generator first: one normal() per weight in
+    # the documented order, one uniform() per calibration token.
+    cfg = ToyLmConfig(vocab_size=64, embed_dim=32, num_layers=6, context_window=8, seed=41)
+    vocab, d, window = cfg.vocab_size, cfg.embed_dim, cfg.context_window
+    scalar = Rng(cfg.seed)
+    weights = np.array([scalar.normal() for _ in range((2 * vocab + 6 * d) * d)])
+    weights = weights.reshape(-1, d) * (1.0 / np.sqrt(d))
+    lm = build(cfg)
+    scalar = Rng(7_117)
+    contexts = [[min(int(scalar.uniform() * vocab), vocab - 1) for _ in range(window)]
+                for _ in range(256)]
+    want = np.stack([forward_exit(lm, c, 2)[1].state for c in contexts], axis=1)
+
+    calls = {"uniform": 0, "normal": 0}
+    for name in calls:
+        def counted(self, _draw=getattr(Rng, name), _name=name):
+            calls[_name] += 1
+            return _draw(self)
+        monkeypatch.setattr(Rng, name, counted)
+    built = build(cfg)
+    got = calibration_activations(built, 2, num_contexts=256)
+    assert calls == {"uniform": 0, "normal": 0}
+    assert built.embedding.tobytes() == weights[:vocab].tobytes()
+    assert b"".join(w.tobytes() for w in built.blocks) == weights[vocab:-vocab].tobytes()
+    assert built.lm_head.tobytes() == weights[-vocab:].tobytes()
+    assert got.tobytes() == want.tobytes()
