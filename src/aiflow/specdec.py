@@ -9,15 +9,21 @@ Three tiers chain the rule: the edge-verified stream (each token paired with
 the edge's full distribution at that position) is the draft stream the cloud
 verifies, so the final output law is the cloud's.
 
-Decoder contract: a tier model has an int `vocab_size` and a method
-`next_dist(context) -> TokenDistribution` over that vocabulary. All tiers of
-a run share one vocab_size. A run checks its prompt once, against that
+Decoder contract: a tier model has an int `vocab_size` and two methods
+over that vocabulary. `next_dist(context) -> TokenDistribution` gives the
+distribution of the token after context; the drafter calls it once per
+drafted token. `next_dists(context, tokens) -> list[TokenDistribution]`
+gives, for each i in range(len(tokens)), the distribution after
+context + tokens[:i], equal to what next_dist would return there; each
+verifier calls it once per round, on the whole batch it scores. All tiers
+of a run share one vocab_size. A run checks its prompt once, against that
 vocabulary, before any draw; drafted and corrected tokens lie inside it by
-construction. The run then keeps one append-only token list: drafting and
-verification append to it and truncate it back, and each round extends it
-with the emitted tokens. next_dist receives that list itself, so it must
-neither keep nor mutate it; it may read only the tail it needs, which keeps
-the work per emitted token independent of the context length.
+construction. The run then keeps one append-only token list: drafting
+appends to it and truncates it back, and each round extends it with the
+emitted tokens. Both methods receive that list itself, and next_dists a
+batch's token list too, so they must neither keep nor mutate them; they may
+read only the tail of the context they need, which keeps the work per
+emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
@@ -41,7 +47,6 @@ consumed its full gamma draws, so draw counts never depend on timing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,13 +235,6 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     )
 
 
-def expected_acceptance(p_d: TokenDistribution, p_t: TokenDistribution) -> float:
-    """Probability a token drafted from p_d survives verification against p_t."""
-    if p_d.probs.size != p_t.probs.size:
-        raise InvalidInputError("distributions must share a vocabulary")
-    return float(np.minimum(p_d.probs, p_t.probs).sum())
-
-
 @dataclass
 class _RoundOutcome:
     emitted: list[int]
@@ -251,20 +249,12 @@ def _verify_chain(
     Each verifier emits its accepted prefix plus any correction. For three
     tiers the middle verifier's emitted stream, paired with its own
     per-position distributions, becomes the draft batch the last tier
-    verifies. Each verifier appends the batch to context as it goes; context
-    is restored before returning.
+    verifies. Each verifier scores its whole batch in one next_dists call.
     """
     records: list[RoundRecord] = []
     current = batch
-    base = len(context)
     for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
-        target_dists = []
-        try:
-            for token in current.tokens:
-                target_dists.append(models[upper].next_dist(context))
-                context.append(token)
-        finally:
-            del context[base:]
+        target_dists = models[upper].next_dists(context, current.tokens)
         result = verify(target_dists, current, rngs[upper])
         records.append(RoundRecord(f"{lower}->{upper}", len(current.tokens), result.accepted_count))
         stream = current.tokens[: result.accepted_count]
@@ -350,17 +340,6 @@ def run_sequential(
 ) -> DecodeTranscript:
     """Strictly alternating draft and verify rounds, whatever cfg.mode says."""
     return _decode(cfg, models, prompt, num_tokens, rng, lookahead=False)[0]
-
-
-def pipeline_schedule(cfg: ProtocolConfig) -> int:
-    """Draft length that balances drafting against one verify forward.
-
-    gamma* = max(1, round(verify_forward_cost / draft_token_cost)), rounding
-    half away from zero.
-    """
-    device_cost = cfg.per_token_compute_cost[cfg.tiers[0]]
-    verify_cost = cfg.per_token_compute_cost[cfg.tiers[1]]
-    return max(1, int(math.floor(verify_cost / device_cost + 0.5)))
 
 
 def run_pipelined(

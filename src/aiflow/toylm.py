@@ -13,6 +13,14 @@ attached at exit l is a whitened low-rank stand-in for block l+1, applied in
 the same residual form (x <- x + tanh(w_u @ (w_v @ x))) before the head, and
 only affects the early-exit prediction, never the resumed trunk.
 
+Stacked forwards (a verifier scoring a drafted batch, calibration) run many
+states at once, one per row, and give each row the bytes of its own vector
+forward. Every product is np.matmul(w, X[:, :, None]): a stack of
+matrix-vector products, each the BLAS gemv that w @ x runs, where the
+matrix-matrix product w @ X.T would round differently. Window sums reduce
+over a non-contiguous axis in window order, as the vector sum does, and the
+head's reductions run along each row exactly as over one vector.
+
 Everything is deterministic: weights come from one seeded Rng in a documented
 order (embedding rows, then each block, then the head, all row-major, every
 entry scaled by 1/sqrt(d)).
@@ -88,6 +96,8 @@ class ExitActivation:
     state: np.ndarray
 
     def __post_init__(self):
+        if not _is_int(self.exit_index):
+            raise InvalidInputError(f"exit index must be an int, got {self.exit_index!r}")
         object.__setattr__(self, "state", require_vector(self.state, "state"))
 
 
@@ -151,6 +161,24 @@ def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
     return lm.embedding[window].sum(axis=0) / len(window)
 
 
+def _window_states(lm: ToyLm, tokens: list[int], count: int) -> np.ndarray:
+    """count x d initial states: row i for tokens[: len(tokens) - count + 1 + i].
+
+    When every one of those windows is full, one gather sums them all.
+    """
+    window = lm.config.context_window
+    first = len(tokens) - count + 1
+    if first < window:
+        return np.stack([_initial_state(lm, tokens[: first + i]) for i in range(count)])
+    tail = np.array(tokens[first - window :])
+    return _gather_states(lm, tail[np.arange(count)[:, None] + np.arange(window)])
+
+
+def _gather_states(lm: ToyLm, windows: np.ndarray) -> np.ndarray:
+    """Initial states of full windows, one per row of a count x window token matrix."""
+    return lm.embedding[windows].sum(axis=1) / windows.shape[1]
+
+
 def _normalize(x: np.ndarray) -> np.ndarray:
     centered = x - x.sum() / x.size
     rms = math.sqrt(float((centered * centered).sum()) / x.size + _RMS_FLOOR)
@@ -164,8 +192,28 @@ def _head(lm: ToyLm, x: np.ndarray) -> TokenDistribution:
     return TokenDistribution(probs=expd / expd.sum())
 
 
+def _heads(lm: ToyLm, xs: np.ndarray) -> list[TokenDistribution]:
+    """_head of each row of xs, with _normalize and the softmax done per row."""
+    size = xs.shape[1]
+    centered = xs - (xs.sum(axis=1) / size)[:, None]
+    rms = np.sqrt((centered * centered).sum(axis=1) / size + _RMS_FLOOR)
+    logits = np.matmul(lm.lm_head, (centered / rms[:, None])[:, :, None])[:, :, 0]
+    logits = logits - logits.max(axis=1)[:, None]
+    expd = np.exp(logits)
+    probs = expd / expd.sum(axis=1)[:, None]
+    return [TokenDistribution(probs=p) for p in probs]
+
+
 def _apply_block(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x + np.tanh(w @ x)
+
+
+def _apply_blocks(blocks, xs: np.ndarray) -> np.ndarray:
+    """_apply_block through each of blocks, for every row of xs."""
+    cols = xs[:, :, None]
+    for w in blocks:
+        cols = cols + np.tanh(np.matmul(w, cols))
+    return cols[:, :, 0]
 
 
 def forward_full(lm: ToyLm, context) -> TokenDistribution:
@@ -177,25 +225,23 @@ def forward_full(lm: ToyLm, context) -> TokenDistribution:
     return _head(lm, x)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_exit(lm: ToyLm, exit_index) -> None:
-    if not isinstance(exit_index, int) or not 1 <= exit_index <= lm.config.num_layers:
+    if not _is_int(exit_index) or not 1 <= exit_index <= lm.config.num_layers:
         raise InvalidInputError(
             f"exit index must be in 1..{lm.config.num_layers}, got {exit_index}"
         )
 
 
-def _exit_state(lm: ToyLm, tokens: list[int], exit_index: int) -> np.ndarray:
-    """Pre-branch hidden state at exit_index for checked tokens."""
-    x = _initial_state(lm, tokens)
-    for w in lm.blocks[:exit_index]:
-        x = _apply_block(w, x)
-    return x
-
-
 def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDistribution]:
     """(pre-branch state, early prediction) at exit_index; checks both inputs."""
     _check_exit(lm, exit_index)
-    x = _exit_state(lm, _check_context(lm, context), exit_index)
+    x = _initial_state(lm, _check_context(lm, context))
+    for w in lm.blocks[:exit_index]:
+        x = _apply_block(w, x)
     branch = lm.branches.get(exit_index)
     if branch is None:
         return x, _head(lm, x)
@@ -210,10 +256,7 @@ def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution
 
 def resume_from(lm: ToyLm, act: ExitActivation) -> TokenDistribution:
     """Continue a captured activation through the remaining blocks and the head."""
-    if not 1 <= act.exit_index <= lm.config.num_layers:
-        raise InvalidInputError(
-            f"exit index must be in 1..{lm.config.num_layers}, got {act.exit_index}"
-        )
+    _check_exit(lm, act.exit_index)
     state = require_vector(act.state, "activation state")
     if state.size != lm.config.embed_dim:
         raise InvalidInputError(
@@ -231,21 +274,19 @@ def calibration_activations(
     """Pre-branch activations at an exit over a seeded corpus of random contexts.
 
     Each context is context_window tokens drawn uniformly from the
-    vocabulary. Returns a d x num_contexts matrix (one activation per
-    column), ready for whitening: column i equals
+    vocabulary. Returns a C-contiguous d x num_contexts matrix (one
+    activation per column), ready for whitening: column i equals
     forward_exit(lm, context_i, exit_index)[1].state, computed without the
-    branch or the head.
+    branch or the head, in one stacked forward.
     """
     require_int("num_contexts", num_contexts, 1)
     _check_exit(lm, exit_index)
     vocab, window = lm.config.vocab_size, lm.config.context_window
     # Equal to min(int(u * vocab), vocab - 1) per uniform() draw, in draw order.
     draws = Rng(seed).uniforms(num_contexts * window) * vocab
-    tokens = np.minimum(draws.astype(np.int64), vocab - 1).tolist()
-    cols = np.empty((lm.config.embed_dim, num_contexts))
-    for i in range(num_contexts):
-        cols[:, i] = _exit_state(lm, tokens[i * window : (i + 1) * window], exit_index)
-    return cols
+    tokens = np.minimum(draws.astype(np.int64), vocab - 1).reshape(num_contexts, window)
+    states = _apply_blocks(lm.blocks[:exit_index], _gather_states(lm, tokens))
+    return np.ascontiguousarray(states.T)
 
 
 def attach_branch(
@@ -288,14 +329,19 @@ def sample(dist: TokenDistribution, rng: Rng) -> int:
 
 @dataclass(frozen=True)
 class LmDecoder:
-    """Adapter giving a ToyLm the one-method decoder interface protocols use.
+    """Adapter giving a ToyLm the decoder interface protocols use.
 
     exit_index None means the full model; an integer exits early there
-    (using whatever branch is attached).
+    (using whatever branch is attached). It must be an int in
+    1..num_layers; anything else raises InvalidInputError here.
     """
 
     lm: ToyLm
     exit_index: int | None = None
+
+    def __post_init__(self):
+        if self.exit_index is not None:
+            _check_exit(self.lm, self.exit_index)
 
     @property
     def vocab_size(self) -> int:
@@ -312,6 +358,24 @@ class LmDecoder:
         if self.exit_index is None:
             return forward_full(self.lm, window)
         return _exit_forward(self.lm, window, self.exit_index)[1]
+
+    def next_dists(self, context, tokens) -> list[TokenDistribution]:
+        """next_dist(context + tokens[:i]) for each i, from one stacked forward.
+
+        Each distribution is byte-identical to the next_dist call it stands
+        for. Only the context window's tail of context is read and checked,
+        together with tokens.
+        """
+        lm, count = self.lm, len(tokens)
+        if not count:
+            return []
+        seq = _check_context(lm, [*context[-lm.config.context_window :], *tokens])
+        # exit_index None slices every block and finds no branch.
+        states = _apply_blocks(lm.blocks[: self.exit_index], _window_states(lm, seq[:-1], count))
+        branch = lm.branches.get(self.exit_index)
+        if branch is not None:
+            states = states + np.tanh(branch.apply(states[:, :, None])[:, :, 0])
+        return _heads(lm, states)
 
 
 def save_model(lm: ToyLm, path) -> None:

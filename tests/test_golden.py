@@ -6,7 +6,12 @@ They were recorded before the protocol stopped keeping time and one netsim
 scheduler took over both decode modes, so they show that both changes kept
 sequential traces and metrics, and zero-jitter pipelined traces, byte for
 byte. The TOFC digest was recorded before every code length and coding
-table came to be read from one bin-mass table per model dimension. A digest
+table came to be read from one bin-mass table per model dimension. The
+long-prompt specdec digests were recorded while each verifier still ran one
+forward per drafted position, before it scored a batch in one stacked
+forward; its prompt outruns the context window, so every verified batch
+takes the full-window gather, while criterion 9's one-token prompt also
+takes the partial windows. A digest
 that changes means program output changed: update it only together with a
 note on what changed and why.
 """
@@ -81,6 +86,20 @@ CRITERION_9_SPECDEC = {
                             "edge": {"layers": 3, "seed": 4}}}],
 }
 
+# Three tiers sequential at gamma 5 and two tiers pipelined at gamma 3,
+# from a 17-token prompt over a 6-token context window.
+LONG_PROMPT_SPECDEC = {
+    "vocab_size": 24, "embed_dim": 12, "context_window": 6,
+    "prompt": [(7 * i + 3) % 24 for i in range(17)], "num_tokens": 90, "seed": 23,
+    "configs": [
+        {"mode": "sequential", "tiers": ["device", "edge", "cloud"], "gamma": 5,
+         "models": {"device": {"layers": 1, "seed": 6}, "edge": {"layers": 2, "seed": 6},
+                    "cloud": {"layers": 4, "seed": 6}}},
+        {"mode": "pipelined", "tiers": ["device", "edge"], "gamma": 3,
+         "models": {"device": {"layers": 1, "seed": 6}, "edge": {"layers": 3, "seed": 6}}},
+    ],
+}
+
 GOLDEN = [
     ("simulate", README_SIMULATE, "trace.jsonl",
      "3c969b9e33233a5058f67c0aed351e54bef8584bf9d769110ccc7d63ff376360"),
@@ -92,6 +111,10 @@ GOLDEN = [
      "937118aa7eef1618f4168c5880d0a67bddaa5f78d6042683feeb0c7d66e2d93d"),
     ("specdec", CRITERION_9_SPECDEC, "summary.json",
      "324ef3060bef63610bcacbb09617533ba8d7f659577ca35e6906af46b5e695f7"),
+    ("specdec", LONG_PROMPT_SPECDEC, "specdec.csv",
+     "6d0fbb3db24830eb52225a52a89707541c4b34efb17c0daf5c8aa297a96ccbf4"),
+    ("specdec", LONG_PROMPT_SPECDEC, "summary.json",
+     "021658267939e09dbd73c5008bbf5ef565683b2c3ca5fb16da4001b23f105b3c"),
 ]
 
 
@@ -100,7 +123,7 @@ GOLDEN = [
     GOLDEN,
     ids=["readme-simulate-trace", "jittered-sequential-trace",
          "jittered-sequential-metrics", "criterion-9-specdec-csv",
-         "criterion-9-summary"],
+         "criterion-9-summary", "long-prompt-specdec-csv", "long-prompt-summary"],
 )
 def test_output_matches_pinned_digest(tmp_path, command, config, output, digest):
     path = tmp_path / "config.json"

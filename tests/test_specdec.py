@@ -24,8 +24,6 @@ from aiflow.specdec import (
     DraftBatch,
     ProtocolConfig,
     draft,
-    expected_acceptance,
-    pipeline_schedule,
     run_pipelined,
     run_protocol,
     run_sequential,
@@ -152,11 +150,18 @@ class TestPromptCheckedOnce:
                 self.first = None
                 self.same = True
 
-            def next_dist(self, context):
+            def seen(self, context):
                 if self.first is None:
                     self.first = context
                 self.same = self.same and context is self.first
+
+            def next_dist(self, context):
+                self.seen(context)
                 return self.decoder.next_dist(context)
+
+            def next_dists(self, context, tokens):
+                self.seen(context)
+                return self.decoder.next_dists(context, tokens)
 
         def per_token(cfg, num_tokens):
             models = {role: SameList(lm_decoder(2 * i + 1, i)) for i, role in enumerate(cfg.tiers)}
@@ -238,22 +243,6 @@ class TestVerify:
                 assert res.rng_draws_used == res.accepted_count + 2
 
 
-class TestExpectedAcceptance:
-    def test_identical_is_one(self):
-        d = dist(0.3, 0.3, 0.4)
-        assert expected_acceptance(d, d) == pytest.approx(1.0, abs=1e-15)
-
-    def test_half_overlap(self):
-        assert expected_acceptance(dist(0.5, 0.5), dist(1.0, 0.0)) == pytest.approx(0.5)
-
-    def test_disjoint_is_zero(self):
-        assert expected_acceptance(dist(1.0, 0.0), dist(0.0, 1.0)) == 0.0
-
-    def test_overlap_sum(self):
-        got = expected_acceptance(dist(0.6, 0.4), dist(0.8, 0.2))
-        assert got == pytest.approx(0.8, abs=1e-15)
-
-
 class TestMarginalEnumeration:
     def test_two_tier_output_law_is_the_verifier(self):
         cfg = two_tier(gamma=2)
@@ -295,7 +284,7 @@ class TestMarginalEnumeration:
             "device": FixedModel([0.5, 0.5]),
             "edge": FixedModel([0.8, 0.2]),
         }
-        alpha = expected_acceptance(models["device"].dist, models["edge"].dist)
+        alpha = float(np.minimum(models["device"].dist.probs, models["edge"].dist.probs).sum())
         assert alpha == pytest.approx(0.7, abs=1e-15)
         paths = enumerate_round(cfg, models, [])
         mean_emitted = sum(len(tokens) * w for tokens, w in paths)
@@ -391,36 +380,45 @@ class TestRunSequential:
         assert drafted_total == 10
 
 
-class TestPipelineSchedule:
-    def test_balanced_ratio(self):
-        cfg = ProtocolConfig(
-            draft_len=1,
-            tiers=("device", "edge"),
-            per_token_compute_cost={"device": 0.010, "edge": 0.040},
-        )
-        assert pipeline_schedule(cfg) == 4
+class TestForwardCalls:
+    class Counting:
+        """Counts each method's calls and the batch sizes next_dists scores."""
 
-    def test_fast_verifier_floors_at_one(self):
-        cfg = ProtocolConfig(
-            draft_len=1,
-            tiers=("device", "edge"),
-            per_token_compute_cost={"device": 0.010, "edge": 0.005},
-        )
-        assert pipeline_schedule(cfg) == 1
+        def __init__(self, decoder):
+            self.decoder = decoder
+            self.vocab_size = decoder.vocab_size
+            self.single = 0
+            self.batches = []
 
-    def test_half_rounds_away_from_zero(self):
-        cfg = ProtocolConfig(
-            draft_len=1,
-            tiers=("device", "edge"),
-            per_token_compute_cost={"device": 0.010, "edge": 0.035},
-        )
-        assert pipeline_schedule(cfg) == 4
-        cfg2 = ProtocolConfig(
-            draft_len=1,
-            tiers=("device", "edge"),
-            per_token_compute_cost={"device": 0.010, "edge": 0.0349},
-        )
-        assert pipeline_schedule(cfg2) == 3
+        def next_dist(self, context):
+            self.single += 1
+            return self.decoder.next_dist(context)
+
+        def next_dists(self, context, tokens):
+            self.batches.append(len(tokens))
+            return self.decoder.next_dists(context, tokens)
+
+    @pytest.mark.parametrize("cfg", [two_tier(gamma=4), two_tier(gamma=3, mode="pipelined"),
+                                     three_tier(gamma=4)], ids=["2-tier", "pipelined", "3-tier"])
+    def test_verifiers_score_each_batch_in_one_call(self, cfg):
+        models = {role: self.Counting(lm_decoder(2 * i + 1, i))
+                  for i, role in enumerate(cfg.tiers)}
+        if cfg.mode == "pipelined":
+            transcript, stats = run_pipelined(cfg, models, [5, 1, 7], 60, Rng(8))
+            discarded = stats.discarded_batches
+            assert discarded > 1  # lookaheads dropped by corrections, not only the last
+        else:
+            transcript, discarded = run_sequential(cfg, models, [5, 1, 7], 60, Rng(8)), 0
+        drafter = models[cfg.tiers[0]]
+        # Every drafted token is one next_dist call, lookahead batches included.
+        batches = transcript.totals.rounds + discarded
+        assert drafter.single == cfg.draft_len * batches
+        assert drafter.batches == []
+        for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
+            stage = [r.drafted for r in transcript.per_round if r.stage == f"{lower}->{upper}"]
+            assert len(stage) == transcript.totals.rounds
+            assert models[upper].batches == stage
+            assert models[upper].single == 0
 
 
 class TestRunPipelined:

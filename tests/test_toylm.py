@@ -134,6 +134,23 @@ def test_exit_index_validation(lm):
         forward_exit(lm, [1], lm.config.num_layers + 1)
 
 
+@pytest.mark.parametrize("exit_index", [True, False, 2.0, np.int64(2), "2", 0, 9])
+def test_exit_index_must_be_an_int_in_range(lm, exit_index):
+    message = re.escape(f"exit index must be in 1..8, got {exit_index}")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        forward_exit(lm, [1], exit_index)
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        LmDecoder(lm, exit_index)
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        calibration_activations(lm, exit_index, num_contexts=4)
+
+
+@pytest.mark.parametrize("exit_index", [True, 2.0, np.int64(2), "2", None])
+def test_exit_activation_rejects_a_non_int_exit(lm, exit_index):
+    with pytest.raises(InvalidInputError, match="^exit index must be an int, got "):
+        ExitActivation(exit_index=exit_index, state=np.zeros(lm.config.embed_dim))
+
+
 # --- resume alignment -------------------------------------------------------------
 
 def test_resume_reproduces_full_pass_everywhere(lm):
@@ -321,6 +338,67 @@ def test_lm_decoder_exit_builds_no_activation(lm, monkeypatch):
     assert decoder.next_dist(context).probs.tobytes() == want.tobytes()
 
 
+# --- stacked forwards ---------------------------------------------------------------
+
+def test_stacked_products_equal_per_row_products():
+    # The stacked forwards rest on these identities: np.matmul over a stack
+    # of column vectors runs, per row, the matrix-vector product w @ x runs,
+    # and a window sum over a stack adds in the same order as over one
+    # window. A numpy or BLAS build that breaks either would change sampled
+    # tokens, so it fails here first.
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        rows, cols, count = (int(n) for n in rng.integers((1, 1, 1), (97, 65, 9)))
+        w = rng.standard_normal((rows, cols))
+        xs = rng.standard_normal((count, cols))
+        stacked = np.matmul(w, xs[:, :, None])[:, :, 0]
+        windows = rng.integers(0, rows, size=(count, int(rng.integers(1, 17))))
+        sums = w[windows].sum(axis=1)
+        for i in range(count):
+            assert stacked[i].tobytes() == (w @ xs[i]).tobytes()
+            assert sums[i].tobytes() == w[windows[i]].sum(axis=0).tobytes()
+
+
+def _branched(d, window, seed):
+    lm = build(ToyLmConfig(vocab_size=40, embed_dim=d, num_layers=4, context_window=window,
+                           seed=seed))
+    return attach_branch(lm, 2, 0.5, whiten(calibration_activations(lm, 2, 64, seed)))
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_next_dists_equal_per_position_next_dist(d):
+    window = 3 + d // 8  # 4, 5, 7 and 11 tokens
+    model = _branched(d, window, seed=d)
+    # The full model, an exit with a branch and an exit without one.
+    decoders = [LmDecoder(model), LmDecoder(model, 2), LmDecoder(model, 3)]
+    rng = np.random.default_rng(d)
+    for length in (0, 1, window - 1, window, window + 1, 3 * window):
+        for count in range(1, 9):
+            context = rng.integers(0, 40, size=length).tolist()
+            tokens = rng.integers(0, 40, size=count).tolist()
+            before = (list(context), list(tokens))
+            for decoder in decoders:
+                got = [p.probs.tobytes() for p in decoder.next_dists(context, tokens)]
+                want = [decoder.next_dist(context + tokens[:i]).probs.tobytes()
+                        for i in range(count)]
+                assert got == want, (decoder.exit_index, length, count)
+            assert (context, tokens) == before
+
+
+def test_next_dists_checks_the_window_and_the_tokens(lm):
+    decoder = LmDecoder(lm, 2)
+    assert decoder.next_dists([1, 2], []) == []
+    with pytest.raises(InvalidTokenError, match="^token 32 outside vocabulary of 32$"):
+        decoder.next_dists([1, 2], [3, 32])
+    with pytest.raises(InvalidTokenError, match="^token -1 outside vocabulary of 32$"):
+        decoder.next_dists([0, 0, -1], [3])
+    # Like next_dist, it reads nothing before the context window.
+    window = lm.config.context_window
+    stale = [99] + [1] * window
+    assert decoder.next_dists(stale, [2])[0].probs.tobytes() == \
+        decoder.next_dist(stale).probs.tobytes()
+
+
 # --- persistence ------------------------------------------------------------------
 
 def test_model_container_roundtrip(tmp_path, lm):
@@ -443,6 +521,19 @@ def test_calibration_activations_are_exit_states_without_the_head(lm, monkeypatc
     assert got.tobytes() == want.tobytes()
     with pytest.raises(InvalidInputError, match=re.escape("exit index must be in 1..8, got 9")):
         calibration_activations(model, 9)
+
+
+@pytest.mark.parametrize("d, window, exit_index", [(8, 4, 1), (16, 8, 2), (32, 9, 3), (64, 5, 4)])
+def test_calibration_activations_are_per_column_exit_states(d, window, exit_index):
+    model = _branched(d, window, seed=d + window)
+    vocab = model.config.vocab_size
+    rng = Rng(13)
+    contexts = [[min(int(rng.uniform() * vocab), vocab - 1) for _ in range(window)]
+                for _ in range(50)]
+    want = np.stack([forward_exit(model, c, exit_index)[1].state for c in contexts], axis=1)
+    got = calibration_activations(model, exit_index, num_contexts=50, seed=13)
+    assert got.shape == (d, 50) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_build_and_calibration_make_no_scalar_draws(monkeypatch):
