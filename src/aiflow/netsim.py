@@ -13,6 +13,10 @@ Verdict messages carry one 4-byte accept count plus 4 bytes per token the
 receiver has not seen: the verifier's correction, and in three-tier runs the
 middle tier's correction when the top tier accepted it into the stream.
 
+One object per run holds the link jitter streams, the FIFO arrival times,
+the transmit and byte totals and the event rows; every runner logs through
+it and returns what it finishes with: (trace, MetricsRecord).
+
 Event sequencing: events are logged in causal order, numbered in that order,
 and the final trace is sorted by (time, sequence). Trace serialization is
 JSON lines with exactly the keys t, seq, kind, src, dst, bytes; the
@@ -144,21 +148,6 @@ def transmit_time(num_bytes: int, link: LinkSpec, rng: Rng) -> float:
     return max(t, 0.0)
 
 
-class _EventLog:
-    def __init__(self):
-        self._rows = []
-
-    def add(self, time, kind, src, dst, num_bytes, note=""):
-        self._rows.append((float(time), kind, src, dst, int(num_bytes), note))
-
-    def finalize(self) -> list[Event]:
-        events = [
-            Event(time=t, seq=i, kind=kind, src=src, dst=dst, bytes=b, note=note)
-            for i, (t, kind, src, dst, b, note) in enumerate(self._rows)
-        ]
-        return sorted(events, key=lambda e: (e.time, e.seq))
-
-
 def serialize_trace(trace) -> bytes:
     """JSON-lines trace, one {t, seq, kind, src, dst, bytes} per event."""
     lines = []
@@ -176,40 +165,41 @@ def serialize_trace(trace) -> bytes:
 
 
 class _Net:
-    """Per-run link state: jitter streams, FIFO ordering, byte totals."""
+    """One simulated run: jitter streams, FIFO ordering, byte totals, events."""
 
     def __init__(self, topology: Topology, seed: int):
         self.topology = topology
         base = Rng(seed)
         self._rngs = {(l.src, l.dst): base.spawn(l.seed) for l in topology.links}
         self._last_arrival = {}
+        self._rows = []
         self.transmit_s = 0.0
         self.bytes_up = 0
         self.bytes_down = 0
 
-    def _account(self, src: str, dst: str, num_bytes: int):
-        src_rank = _TIER_RANK[self.topology.node(src).tier]
-        dst_rank = _TIER_RANK[self.topology.node(dst).tier]
-        if dst_rank >= src_rank:
+    def log(self, time: float, node: str, note: str, kind: str = "compute-done"):
+        """Record a step that happens on one node and moves no bytes."""
+        self._rows.append((float(time), kind, node, node, 0, note))
+
+    def send(self, now: float, src: str, dst: str, payload_bytes: int, note: str):
+        """Deliver and log a message, keeping per-link FIFO order; returns arrival."""
+        num_bytes = FRAME_BYTES + payload_bytes
+        t = transmit_time(num_bytes, self.topology.link(src, dst), self._rngs[(src, dst)])
+        self.transmit_s += t
+        if _TIER_RANK[self.topology.node(dst).tier] >= _TIER_RANK[self.topology.node(src).tier]:
             self.bytes_up += num_bytes
         else:
             self.bytes_down += num_bytes
-
-    def send(self, now: float, src: str, dst: str, payload_bytes: int, log, note=""):
-        """Deliver a message, keeping per-link FIFO order; returns arrival."""
-        link = self.topology.link(src, dst)
-        num_bytes = FRAME_BYTES + payload_bytes
-        t = transmit_time(num_bytes, link, self._rngs[(src, dst)])
-        self.transmit_s += t
-        self._account(src, dst, num_bytes)
         arrival = max(now + t, self._last_arrival.get((src, dst), 0.0))
         self._last_arrival[(src, dst)] = arrival
-        log.add(arrival, "message-delivered", src, dst, num_bytes, note)
+        self._rows.append((float(arrival), "message-delivered", src, dst, int(num_bytes), note))
         return arrival
 
-    def metrics(self, tokens, wall_s, device_s, server_s, acceptance=1.0) -> MetricsRecord:
-        """The run's MetricsRecord, with this net's transmit time and byte totals."""
-        return MetricsRecord(
+    def finish(self, tokens, wall_s, device_s, server_s, acceptance=1.0):
+        """The run's trace, sorted by (time, seq), and its MetricsRecord."""
+        events = [Event(t, seq, *row) for seq, (t, *row) in enumerate(self._rows)]
+        events.sort(key=lambda e: (e.time, e.seq))
+        return events, MetricsRecord(
             tokens, wall_s, device_s, self.transmit_s, server_s, self.bytes_up,
             self.bytes_down, acceptance,
         )
@@ -271,7 +261,6 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     for role in cfg.tiers:
         topology.node(role)
     net = _Net(topology, seed)
-    log = _EventLog()
     boundaries = len(cfg.tiers) - 1
     device = cfg.tiers[0]
     draft_cost = cfg.draft_len * cfg.per_token_compute_cost[device]
@@ -287,7 +276,7 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
             device_compute += draft_cost
         else:
             draft_done = lookahead_done
-        log.add(draft_done, "compute-done", device, device, 0, "draft-batch")
+        net.log(draft_done, device, "draft-batch")
         if cfg.mode == "pipelined":
             # At most one batch ahead: the lookahead starts once this batch
             # is drafted and the verdict on the batch before it is in.
@@ -295,25 +284,24 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
             device_compute += draft_cost
         now = draft_done
         for lower, upper, rec in zip(cfg.tiers, cfg.tiers[1:], records):
-            now = net.send(now, lower, upper, TOKEN_BYTES * rec.drafted, log, "tokens")
+            now = net.send(now, lower, upper, TOKEN_BYTES * rec.drafted, "tokens")
             verify_cost = cfg.per_token_compute_cost[upper]
             now = max(now, free_at.get(upper, 0.0)) + verify_cost
             free_at[upper] = now
             server_compute += verify_cost
-            log.add(now, "compute-done", upper, upper, 0, "verify")
+            net.log(now, upper, "verify")
         payloads = _verdict_payloads(records)
         for hop, payload in enumerate(payloads):
             upper = cfg.tiers[len(cfg.tiers) - 1 - hop]
             lower = cfg.tiers[len(cfg.tiers) - 2 - hop]
-            now = net.send(now, upper, lower, payload, log, "verdict")
+            now = net.send(now, upper, lower, payload, "verdict")
         verdict_at = now
         if records[-1].accepted < records[-1].drafted:
             lookahead_done = None
-    metrics = net.metrics(
+    return net.finish(
         len(transcript.emitted_tokens), verdict_at, device_compute, server_compute,
         _acceptance_rate(transcript.per_round, boundaries),
     )
-    return log.finalize(), metrics
 
 
 def run_single_tier_scenario(topology: Topology, node_id: str, num_tokens: int):
@@ -321,23 +309,13 @@ def run_single_tier_scenario(topology: Topology, node_id: str, num_tokens: int):
     require_int("num_tokens", num_tokens, 0)
     node = topology.node(node_id)
     cost = topology.cost(node_id, "token")
-    log = _EventLog()
+    net = _Net(topology, 0)  # sends nothing, so the seed draws nothing
     now = 0.0
     for _ in range(num_tokens):
         now += cost
-        log.add(now, "compute-done", node_id, node_id, 0, "token")
+        net.log(now, node_id, "token")
     on_device = node.tier == "device"
-    metrics = MetricsRecord(
-        tokens_emitted=num_tokens,
-        simulated_wall_s=now,
-        device_compute_s=now if on_device else 0.0,
-        transmit_s=0.0,
-        server_compute_s=0.0 if on_device else now,
-        bytes_up=0,
-        bytes_down=0,
-        acceptance_rate=1.0,
-    )
-    return log.finalize(), metrics
+    return net.finish(num_tokens, now, now if on_device else 0.0, 0.0 if on_device else now)
 
 
 def run_tofc_scenario(
@@ -346,18 +324,17 @@ def run_tofc_scenario(
 ):
     """Compress on the device, uplink the container, decode on the server."""
     net = _Net(topology, seed)
-    log = _EventLog()
     encode_cost = topology.cost(device, "feature") * features.count
     decode_cost = topology.cost(server, "decode")
     bs, stats = tofc_pipeline(features, cfg)
     blob = bs.to_bytes()
     now = encode_cost
-    log.add(now, "compute-done", device, device, 0, "tofc-encode")
-    now = net.send(now, device, server, len(blob), log, "bitstream")
+    net.log(now, device, "tofc-encode")
+    now = net.send(now, device, server, len(blob), "bitstream")
     server_cost = decode_cost * stats["M"]
     now += server_cost
-    log.add(now, "compute-done", server, server, 0, "tofc-decode")
-    return log.finalize(), net.metrics(0, now, encode_cost, server_cost), stats
+    net.log(now, server, "tofc-decode")
+    return (*net.finish(0, now, encode_cost, server_cost), stats)
 
 
 def run_device_server_collab(
@@ -371,8 +348,7 @@ def run_device_server_collab(
     broadcast goes out after the server's aggregation compute, and the run
     ends when every revision has arrived back.
     """
-    if num_devices < 1:
-        raise InvalidInputError("need at least one device")
+    require_int("num_devices", num_devices, 1)
     sizes = {"request_bytes": request_bytes, "response_bytes": response_bytes,
              "broadcast_bytes": broadcast_bytes, "revision_bytes": revision_bytes}
     for name, size in sizes.items():
@@ -385,21 +361,20 @@ def run_device_server_collab(
         )
     topology.node(server)
     net = _Net(topology, seed)
-    log = _EventLog()
     response_arrivals = []
     for dev in devices:
-        t_req = net.send(0.0, server, dev, request_bytes, log, "request")
-        response_arrivals.append(net.send(t_req, dev, server, response_bytes, log, "response"))
+        t_req = net.send(0.0, server, dev, request_bytes, "request")
+        response_arrivals.append(net.send(t_req, dev, server, response_bytes, "response"))
     agg_at = max(response_arrivals)
-    log.add(agg_at, "scenario-step", server, server, 0, "aggregate")
+    net.log(agg_at, server, "aggregate", "scenario-step")
     agg_cost = float(topology.node(server).compute_cost.get("aggregate", 0.0))
     broadcast_at = agg_at + agg_cost
     revision_arrivals = []
     for dev in devices:
-        t_b = net.send(broadcast_at, server, dev, broadcast_bytes, log, "broadcast")
-        revision_arrivals.append(net.send(t_b, dev, server, revision_bytes, log, "revision"))
+        t_b = net.send(broadcast_at, server, dev, broadcast_bytes, "broadcast")
+        revision_arrivals.append(net.send(t_b, dev, server, revision_bytes, "revision"))
     wall = max(revision_arrivals)
-    return log.finalize(), net.metrics(0, wall, 0.0, agg_cost)
+    return net.finish(0, wall, 0.0, agg_cost)
 
 
 def default_topology() -> Topology:
@@ -430,8 +405,7 @@ def default_topology() -> Topology:
 
 def collab_topology(num_devices: int, latencies=None, server: str = "edge") -> Topology:
     """A star of device nodes around one server node."""
-    if num_devices < 1:
-        raise InvalidInputError("need at least one device")
+    require_int("num_devices", num_devices, 1)
     if latencies is None:
         latencies = [1e-3] * num_devices
     if len(latencies) != num_devices:

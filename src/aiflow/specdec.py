@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
 from .numerics import Rng, require_int
-from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample, token_int
+from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,6 @@ class PipelineStats:
     discarded_batches: int
 
 
-def _checked_prompt(prompt, vocab_size: int) -> list[int]:
-    """A new list of the prompt's tokens as plain ints inside the vocabulary.
-
-    A non-integer token anywhere is reported before an out-of-range one.
-    """
-    tokens = list(prompt)
-    if set(map(type, tokens)) != {int}:  # the per-token check only for non-int tokens
-        tokens = [token_int(t) for t in tokens]
-    return check_tokens(tokens, vocab_size)
-
-
 def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """Autoregressively sample gamma tokens from the drafting model.
 
@@ -168,7 +157,7 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     keeps the checked copy as its base_context.
     """
     require_int("gamma", gamma, 1)
-    base = _checked_prompt(context, device_model.vocab_size)
+    base = check_tokens(context, device_model.vocab_size)
     return replace(_draft(device_model, base, gamma, rng), base_context=base)
 
 
@@ -296,7 +285,7 @@ def _decode(
     vocabs = {role: models[role].vocab_size for role in cfg.tiers}
     if len(set(vocabs.values())) != 1:
         raise InvalidInputError(f"tiers must share one vocab_size, got {vocabs}")
-    context = _checked_prompt(prompt, vocabs[cfg.tiers[0]])
+    context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
     drafter, draft_rng = models[cfg.tiers[0]], streams[cfg.tiers[0]]
     start, end = len(context), len(context) + num_tokens

@@ -32,7 +32,7 @@ from .errors import (
     IoError,
     MalformedBitstreamError,
 )
-from .numerics import Rng, require_matrix
+from .numerics import Rng, require_int, require_matrix
 from .rangecoder import RangeDecoder, RangeEncoder
 
 B_MIN = 1e-3
@@ -90,8 +90,8 @@ class LaplacianModel:
             raise InvalidInputError("model parameters must be finite")
         if (self.b < B_MIN).any():
             raise InvalidInputError(f"scale parameters must be >= {B_MIN}")
-        if self.id < 0 or self.q_range < 1:
-            raise InvalidInputError("id must be >= 0 and q_range >= 1")
+        require_int("id", self.id, 0)
+        require_int("q_range", self.q_range, 1)
 
     @property
     def dim(self) -> int:
@@ -108,24 +108,13 @@ def _laplace_cdf(x, mu, b):
 def _bin_masses(model: LaplacianModel, j: int) -> tuple[int, np.ndarray]:
     """(lo, p): the masses of the unit bins lo..lo + 2*q_range, then the escape mass.
 
-    The one evaluation of the Laplace CDF; every code length, pmf value and
-    coding table reads this table.
+    The one evaluation of the Laplace CDF; every code length and coding table
+    reads this table.
     """
     lo = int(np.rint(model.mu[j])) - model.q_range
     edges = np.arange(lo, lo + 2 * model.q_range + 2) - 0.5
     cdf = _laplace_cdf(edges, float(model.mu[j]), float(model.b[j]))
     return lo, np.append(np.diff(cdf), cdf[0] + (1.0 - cdf[-1]))
-
-
-def pmf(model: LaplacianModel, dim: int, q: int) -> float:
-    """Mass of the unit bin at integer q; out-of-range q share the escape mass."""
-    if not 0 <= dim < model.dim:
-        raise InvalidInputError("dimension out of range")
-    if not isinstance(q, (int, np.integer)):
-        raise InvalidInputError(f"symbol {q!r} is not an integer")
-    lo, p = _bin_masses(model, dim)
-    idx = q - lo
-    return float(p[idx] if 0 <= idx < p.size - 1 else p[-1])
 
 
 def fit_laplacian(calib: np.ndarray, model_id: int, q_range: int = 255) -> LaplacianModel:
@@ -143,7 +132,8 @@ def fit_laplacian_models(fs: FeatureSet, num_models: int) -> tuple[LaplacianMode
 
     Each model needs at least two rows, so 1 <= num_models <= N/2.
     """
-    if not 1 <= num_models <= fs.count // 2:
+    require_int("num_models", num_models, 1)
+    if num_models > fs.count // 2:
         raise InvalidInputError(
             f"num_models must be in [1, N/2] = [1, {fs.count // 2}], got {num_models}"
         )
@@ -426,10 +416,8 @@ class TofcConfig:
     models: tuple[LaplacianModel, ...]
 
     def __post_init__(self):
-        if self.num_centers < 1:
-            raise InvalidInputError("num_centers must be >= 1")
-        if self.k_neighbors < 1:
-            raise InvalidInputError("k_neighbors must be >= 1")
+        require_int("num_centers", self.num_centers, 1)
+        require_int("k_neighbors", self.k_neighbors, 1)
         if not self.models:
             raise InvalidInputError("need at least one entropy model")
         dim = self.models[0].dim

@@ -53,15 +53,10 @@ class ToyLmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise InvalidInputError("vocab_size must be >= 2")
-        if self.embed_dim < 1:
-            raise InvalidInputError("embed_dim must be >= 1")
-        if self.num_layers < 1:
-            raise InvalidInputError("num_layers must be >= 1")
-        if self.context_window < 1:
-            raise InvalidInputError("context_window must be >= 1")
-        if not 0 <= self.seed < (1 << 64):
+        for name, minimum in (("vocab_size", 2), ("embed_dim", 1), ("num_layers", 1),
+                              ("context_window", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
+        if self.seed >= 1 << 64:
             raise InvalidInputError("seed must fit in 64 bits")
 
 
@@ -129,28 +124,26 @@ def build(config: ToyLmConfig) -> ToyLm:
 def check_tokens(context, vocab_size: int) -> list[int]:
     """context as a new list of plain ints in [0, vocab_size).
 
-    The first bad token, in context order, raises InvalidTokenError naming it.
+    A bad token raises InvalidTokenError naming it: the first non-integer
+    (or bool) token if there is one, else the first one outside the vocabulary.
     """
     tokens = list(context)
     # C-level passes only: exact ints (no bool) inside the vocabulary. Any
-    # other context takes the loop, which names the first bad token.
+    # other context takes the loops, which name the first bad token.
     if set(map(type, tokens)) == {int} and 0 <= min(tokens) and max(tokens) < vocab_size:
         return tokens
     for t in tokens:
-        if not 0 <= token_int(t) < vocab_size:
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+            raise InvalidTokenError(f"token {t!r} is not an integer")
+    tokens = [int(t) for t in tokens]
+    for t in tokens:
+        if not 0 <= t < vocab_size:
             raise InvalidTokenError(f"token {t} outside vocabulary of {vocab_size}")
-    return [int(t) for t in tokens]
+    return tokens
 
 
 def _check_context(lm: ToyLm, context) -> list[int]:
     return check_tokens(context, lm.config.vocab_size)
-
-
-def token_int(t) -> int:
-    """t as a plain int; a bool or a non-integer token is an InvalidTokenError."""
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
-        raise InvalidTokenError(f"token {t!r} is not an integer")
-    return int(t)
 
 
 def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
@@ -237,8 +230,7 @@ def _check_exit(lm: ToyLm, exit_index) -> None:
 
 
 def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDistribution]:
-    """(pre-branch state, early prediction) at exit_index; checks both inputs."""
-    _check_exit(lm, exit_index)
+    """(pre-branch state, early prediction) at a checked exit_index; checks the context."""
     x = _initial_state(lm, _check_context(lm, context))
     for w in lm.blocks[:exit_index]:
         x = _apply_block(w, x)
@@ -250,6 +242,7 @@ def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDist
 
 def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
     """Early prediction at exit_index plus the resumable pre-branch activation."""
+    _check_exit(lm, exit_index)
     x, dist = _exit_forward(lm, context, exit_index)
     return dist, ExitActivation(exit_index=exit_index, state=x.copy())
 
@@ -297,7 +290,7 @@ def attach_branch(
     The branch factors W_{exit_index+1} at rank h = round(ratio * d / 2)
     (half-up), so its 2*d*h parameters come to ~ratio times one block.
     """
-    if not isinstance(exit_index, int) or not 1 <= exit_index < lm.config.num_layers:
+    if not _is_int(exit_index) or not 1 <= exit_index < lm.config.num_layers:
         raise InvalidInputError(
             "exit index must leave at least one later block to decompose"
         )

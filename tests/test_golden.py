@@ -11,7 +11,10 @@ long-prompt specdec digests were recorded while each verifier still ran one
 forward per drafted position, before it scored a batch in one stacked
 forward; its prompt outruns the context window, so every verified batch
 takes the full-window gather, while criterion 9's one-token prompt also
-takes the partial windows. A digest
+takes the partial windows. The single-tier, collab and TOFC scenario
+digests were recorded while each run still kept its event log in an object
+apart from its link state, and the single-tier runner built its metrics
+record field by field. A digest
 that changes means program output changed: update it only together with a
 note on what changed and why.
 """
@@ -100,6 +103,53 @@ LONG_PROMPT_SPECDEC = {
     ],
 }
 
+_TIERED_NODES = [
+    {"id": "device", "tier": "device",
+     "compute_cost": {"token": 0.010, "feature": 2e-4}},
+    {"id": "edge", "tier": "edge",
+     "compute_cost": {"token": 0.030, "decode": 1e-4, "aggregate": 0.004}},
+]
+
+# Autoregressive decoding on the edge node alone.
+SINGLE_TIER = {
+    "topology": {"nodes": _TIERED_NODES, "links": []},
+    "scenario": {"kind": "single", "node": "edge", "num_tokens": 25},
+    "seed": 3,
+}
+
+# Three devices around the edge server, each link jittered past its latency.
+COLLAB_JITTERED = {
+    "topology": {
+        "nodes": [
+            {"id": "edge", "tier": "edge", "compute_cost": {"token": 0.030, "aggregate": 0.004}},
+            *({"id": f"device_{i}", "tier": "device", "compute_cost": {"token": 0.010}}
+              for i in range(3)),
+        ],
+        "links": [
+            link
+            for i in range(3)
+            for link in (
+                _link("edge", f"device_{i}", 0.001 * (i + 1), 1e7, 0.0015 * (i + 1), 2 * i + 1),
+                _link(f"device_{i}", "edge", 0.001 * (i + 1), 1e6, 0.002, 2 * i + 2),
+            )
+        ],
+    },
+    "scenario": {"kind": "collab", "num_devices": 3, "response_bytes": 2048},
+    "seed": 9,
+}
+
+# Feature compression on the device, uplinked over a jittered link.
+TOFC_SCENARIO = {
+    "topology": {
+        "nodes": _TIERED_NODES,
+        "links": [_link("device", "edge", 0.002, 1e6, 0.001, 1),
+                  _link("edge", "device", 0.002, 1e6, 0.001, 2)],
+    },
+    "scenario": {"kind": "tofc", "num_points": 60, "dim": 5, "num_groups": 3,
+                 "num_centers": 8, "k_neighbors": 4, "num_models": 2},
+    "seed": 13,
+}
+
 GOLDEN = [
     ("simulate", README_SIMULATE, "trace.jsonl",
      "3c969b9e33233a5058f67c0aed351e54bef8584bf9d769110ccc7d63ff376360"),
@@ -115,6 +165,18 @@ GOLDEN = [
      "6d0fbb3db24830eb52225a52a89707541c4b34efb17c0daf5c8aa297a96ccbf4"),
     ("specdec", LONG_PROMPT_SPECDEC, "summary.json",
      "021658267939e09dbd73c5008bbf5ef565683b2c3ca5fb16da4001b23f105b3c"),
+    ("simulate", SINGLE_TIER, "trace.jsonl",
+     "1949ef601530bdf5a8fb545ddde186eb8a7505c5965d85ae86ed1fca005c698b"),
+    ("simulate", SINGLE_TIER, "metrics.csv",
+     "aeb5e59dbcf67de2be39d21e02c0cce27b6b637ac76225346edab10eac686ce8"),
+    ("simulate", COLLAB_JITTERED, "trace.jsonl",
+     "2252993594ff1dfa36aadfed29b9a7de4cecc72ab5d31961c38827f2b587fd03"),
+    ("simulate", COLLAB_JITTERED, "metrics.csv",
+     "99f768b0292f208ef1a65186382c83db4f6672e7eb96e470a18f25bf95f56874"),
+    ("simulate", TOFC_SCENARIO, "trace.jsonl",
+     "75c6ef69aeafd42ce617cdbf9dd588fa830c2a4f2891d0914dd2bec668c7f79a"),
+    ("simulate", TOFC_SCENARIO, "metrics.csv",
+     "3d698b532cecb4e7d9de853e15fa0ab8f412dfc2300315b566e0aeff34909c0f"),
 ]
 
 
@@ -123,7 +185,9 @@ GOLDEN = [
     GOLDEN,
     ids=["readme-simulate-trace", "jittered-sequential-trace",
          "jittered-sequential-metrics", "criterion-9-specdec-csv",
-         "criterion-9-summary", "long-prompt-specdec-csv", "long-prompt-summary"],
+         "criterion-9-summary", "long-prompt-specdec-csv", "long-prompt-summary",
+         "single-tier-trace", "single-tier-metrics", "collab-jittered-trace",
+         "collab-jittered-metrics", "tofc-scenario-trace", "tofc-scenario-metrics"],
 )
 def test_output_matches_pinned_digest(tmp_path, command, config, output, digest):
     path = tmp_path / "config.json"

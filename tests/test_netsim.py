@@ -654,6 +654,14 @@ class TestCollab:
         with pytest.raises(InvalidScenarioError):
             run_device_server_collab(topo, 3, seed=1)
 
+    @pytest.mark.parametrize("num_devices", [2.5, True, 0])
+    def test_device_count_must_be_an_int(self, num_devices):
+        message = re.escape(f"num_devices must be an int >= 1, got {num_devices!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            collab_topology(num_devices)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            run_device_server_collab(collab_topology(2), num_devices, 0)
+
     @pytest.mark.parametrize(
         "field", ["request_bytes", "response_bytes", "broadcast_bytes", "revision_bytes"]
     )

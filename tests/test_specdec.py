@@ -122,6 +122,16 @@ class TestPromptCheckedOnce:
         with pytest.raises(InvalidTokenError, match=match):
             run_pipelined(two_tier(mode="pipelined"), models, prompt, 4, Rng(0))
 
+    def test_every_entry_point_names_the_non_integer_token_first(self):
+        decoder = lm_decoder(3, 1)
+        match = f"^{re.escape('token 2.5 is not an integer')}$"
+        with pytest.raises(InvalidTokenError, match=match):
+            toylm.forward_full(decoder.lm, [99, 2.5])
+        with pytest.raises(InvalidTokenError, match=match):
+            decoder.next_dists([99], [2.5])
+        with pytest.raises(InvalidTokenError, match=match):
+            draft(decoder, [99, 2.5], 2, Rng(0))
+
     def test_tiers_with_different_vocabularies_rejected(self):
         models = {"device": lm_decoder(1, 1, vocab_size=32),
                   "edge": lm_decoder(2, 2, vocab_size=24)}

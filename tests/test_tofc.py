@@ -1,6 +1,7 @@
 """Feature compression tests: clustering oracle, entropy model, codec."""
 
 import math
+import re
 import struct
 import tracemalloc
 
@@ -29,11 +30,11 @@ from aiflow.tofc import (
     load_features,
     load_features_csv,
     make_blob_features,
-    pmf,
     quantize,
     route,
     save_features,
     tofc_pipeline,
+    _bin_masses,
 )
 
 
@@ -202,6 +203,23 @@ class TestLaplacianFit:
             with pytest.raises(InvalidInputError):
                 fit_laplacian_models(fs, num_models)
 
+    @pytest.mark.parametrize("num_models", [2.5, True])
+    def test_model_count_must_be_an_int(self, num_models):
+        fs = make_blob_features(10, 3, 2, Rng(4))
+        message = re.escape(f"num_models must be an int >= 1, got {num_models!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            fit_laplacian_models(fs, num_models)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q_range": 2.5}, "q_range must be an int >= 1, got 2.5"),
+        ({"q_range": True}, "q_range must be an int >= 1, got True"),
+        ({"model_id": 1.5}, "id must be an int >= 0, got 1.5"),
+    ])
+    def test_model_id_and_range_must_be_ints(self, kwargs, message):
+        calib = make_blob_features(10, 3, 2, Rng(4)).features
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            fit_laplacian(calib, **{"model_id": 0, **kwargs})
+
     def test_model_validation(self):
         with pytest.raises(InvalidInputError):
             LaplacianModel(mu=np.zeros(2), b=np.array([1.0, 1e-9]), id=0)
@@ -211,6 +229,13 @@ class TestLaplacianFit:
             LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=-1)
 
 
+def bin_mass(model, j, q):
+    """The mass _bin_masses gives symbol q in dimension j; out-of-range q read the escape."""
+    lo, p = _bin_masses(model, j)
+    idx = q - lo
+    return float(p[idx] if 0 <= idx < p.size - 1 else p[-1])
+
+
 class TestPmf:
     def model(self, mu=0.0, b=1.0, q_range=255):
         return LaplacianModel(
@@ -218,32 +243,25 @@ class TestPmf:
         )
 
     def test_unit_bin_at_center(self):
-        got = pmf(self.model(), 0, 0)
+        got = bin_mass(self.model(), 0, 0)
         assert got == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
 
     def test_symmetry(self):
         m = self.model()
-        assert pmf(m, 0, 1) == pytest.approx(pmf(m, 0, -1), abs=1e-15)
+        assert bin_mass(m, 0, 1) == pytest.approx(bin_mass(m, 0, -1), abs=1e-15)
 
     def test_normalization_with_escape(self):
         for mu, b, q_range in [(0.0, 1.0, 255), (3.7, 0.4, 16), (-2.0, B_MIN, 8)]:
             m = self.model(mu, b, q_range)
             lo = int(np.rint(mu)) - q_range
             hi = int(np.rint(mu)) + q_range
-            total = sum(pmf(m, 0, q) for q in range(lo, hi + 1))
-            total += pmf(m, 0, hi + 1)
+            total = sum(bin_mass(m, 0, q) for q in range(lo, hi + 1))
+            total += bin_mass(m, 0, hi + 1)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_shares_escape_mass(self):
         m = self.model(0.0, 2.0, 32)
-        assert pmf(m, 0, 33) == pmf(m, 0, 500) == pmf(m, 0, -40)
-
-    def test_non_integer_symbol_rejected(self):
-        m = self.model()
-        assert pmf(m, 0, np.int64(3)) == pmf(m, 0, 3)
-        for q in (2.0, 0.5):
-            with pytest.raises(InvalidInputError, match="is not an integer"):
-                pmf(m, 0, q)
+        assert bin_mass(m, 0, 33) == bin_mass(m, 0, 500) == bin_mass(m, 0, -40)
 
 
 class TestEstimateRate:
@@ -254,7 +272,7 @@ class TestEstimateRate:
     def test_half_probability_costs_one_bit(self):
         b = 1.0 / (2.0 * math.log(2.0))
         model = LaplacianModel(mu=np.array([0.0]), b=np.array([b]), id=0)
-        assert pmf(model, 0, 0) == pytest.approx(0.5, abs=1e-15)
+        assert bin_mass(model, 0, 0) == pytest.approx(0.5, abs=1e-15)
         bits = estimate_rate(np.array([[0]]), model)
         assert bits == pytest.approx(1.0, abs=1e-9)
 
@@ -267,7 +285,7 @@ class TestEstimateRate:
 
     def test_escape_adds_raw_bits(self):
         model = LaplacianModel(mu=np.array([0.0]), b=np.array([1.0]), id=0, q_range=8)
-        esc = pmf(model, 0, 9)
+        esc = bin_mass(model, 0, 9)
         bits = estimate_rate(np.array([[50]]), model)
         assert bits == pytest.approx(-math.log2(esc) + 32.0, rel=1e-12)
 
@@ -283,7 +301,7 @@ class TestEstimateRate:
                 expected = 0.0
                 for j, q in enumerate(row.tolist()):
                     escaped = abs(q - int(np.rint(mu[j]))) > q_range
-                    expected += -np.log2(pmf(model, j, q)) + (32.0 if escaped else 0.0)
+                    expected += -np.log2(bin_mass(model, j, q)) + (32.0 if escaped else 0.0)
                 assert estimate_rate(row, model) == expected
 
     def test_wrong_shape_rejected(self):
@@ -568,6 +586,15 @@ class TestPipeline:
         cfg = TofcConfig(num_centers=4, k_neighbors=3, models=wrong_dim)
         with pytest.raises(InvalidInputError):
             tofc_pipeline(self.fs, cfg)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_centers": 2.5}, "num_centers must be an int >= 1, got 2.5"),
+        ({"num_centers": True}, "num_centers must be an int >= 1, got True"),
+        ({"k_neighbors": 2.5}, "k_neighbors must be an int >= 1, got 2.5"),
+    ])
+    def test_config_counts_must_be_ints(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            TofcConfig(**{"num_centers": 4, "k_neighbors": 3, "models": self.models, **kwargs})
 
 
 class TestFeatureIO:

@@ -58,6 +58,16 @@ def test_build_rejects_invalid_config():
         ToyLmConfig(context_window=0)
 
 
+@pytest.mark.parametrize("field, value, minimum", [
+    ("context_window", 2.5, 1), ("vocab_size", 2.5, 2), ("embed_dim", True, 1),
+    ("num_layers", "3", 1), ("seed", 1.5, 0),
+])
+def test_config_sizes_must_be_ints(field, value, minimum):
+    message = re.escape(f"{field} must be an int >= {minimum}, got {value!r}")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        ToyLmConfig(**{field: value})
+
+
 # --- forward passes -------------------------------------------------------------
 
 def test_empty_context_gives_uniform_distribution(lm):
@@ -145,6 +155,23 @@ def test_exit_index_must_be_an_int_in_range(lm, exit_index):
         calibration_activations(lm, exit_index, num_contexts=4)
 
 
+def test_decoder_checks_its_exit_index_once(lm, monkeypatch):
+    calls = [0]
+    check_exit = toylm._check_exit
+
+    def counting(model, exit_index):
+        calls[0] += 1
+        check_exit(model, exit_index)
+
+    monkeypatch.setattr(toylm, "_check_exit", counting)
+    decoder = LmDecoder(lm, 2)
+    for length in range(6):
+        decoder.next_dist(list(range(length)))
+    assert calls[0] == 1
+    forward_exit(lm, [1], 2)
+    assert calls[0] == 2
+
+
 @pytest.mark.parametrize("exit_index", [True, 2.0, np.int64(2), "2", None])
 def test_exit_activation_rejects_a_non_int_exit(lm, exit_index):
     with pytest.raises(InvalidInputError, match="^exit index must be an int, got "):
@@ -223,6 +250,12 @@ def test_attach_branch_validation(lm):
         attach_branch(lm, 2, 0.0, ctx)
     with pytest.raises(InvalidInputError):
         attach_branch(lm, 2, 1.5, ctx)
+
+
+@pytest.mark.parametrize("exit_index", [True, 2.0])
+def test_attach_branch_exit_must_be_an_int(lm, exit_index):
+    with pytest.raises(InvalidInputError, match="^exit index must leave at least one"):
+        attach_branch(lm, exit_index, 0.75, _branch_context(lm, 2))
 
 
 # --- sampling ---------------------------------------------------------------------
