@@ -256,7 +256,10 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     A sequential round drafts once the last verdict reaches the drafter. A
     pipelined round verifies the batch the drafter made one round ahead,
     unless the last round's correction discarded it; then the drafter starts
-    afresh once that verdict arrives. Returns (trace, MetricsRecord).
+    afresh once that verdict arrives. The simulated device still drafts each
+    lookahead speculatively, before its verdict, so its compute is priced
+    even where specdec skips the forwards of a discarded one. Returns
+    (trace, MetricsRecord).
     """
     for role in cfg.tiers:
         topology.node(role)
@@ -352,6 +355,8 @@ def run_device_server_collab(
     sizes = {"request_bytes": request_bytes, "response_bytes": response_bytes,
              "broadcast_bytes": broadcast_bytes, "revision_bytes": revision_bytes}
     for name, size in sizes.items():
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise InvalidScenarioError(f"{name} must be an int, got {size!r}")
         if size < 0:
             raise InvalidScenarioError(f"{name} must be >= 0, got {size}")
     devices = [n.id for n in topology.nodes if n.tier == "device"][:num_devices]

@@ -27,22 +27,27 @@ emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
-draw. The drafter burns one uniform per drafted token; a verifier burns one
-uniform per scanned position plus one per resample. Because the streams are
-per-role, sequential and pipelined execution consume them in the same
-per-role order, which is what makes the two modes emit identical tokens when
-nothing is ever rejected.
+draw. The drafter burns one uniform per drafted token, reserving a batch's
+gamma uniforms before it drafts the batch; a verifier burns one uniform per
+scanned position plus one per resample. Because the streams are per-role,
+sequential and pipelined execution consume them in the same per-role order,
+which is what makes the two modes emit identical tokens when nothing is ever
+rejected.
 
 One loop runs both modes: a pipelined run is a sequential run in which the
-device drafts the next batch, from the optimistic prefix, before each
-verification; a correction discards that batch. The mode is the entry
-point's: run_sequential stays sequential even given a pipelined config.
+drafter reserves the next batch's draws before each verification. The
+lookahead batch is drafted from those draws only once it will be verified:
+after a full acceptance that leaves tokens to emit. A correction, or the end
+of the run, drops the reserved draws without a forward. The mode is the
+entry point's: run_sequential stays sequential even given a pipelined
+config.
 
 The protocol decides which draws happen and in what order, never when:
 neither run mode keeps time. A transcript records every verification
 outcome, and the network simulator (aiflow.netsim) lays its rounds out on
-the simulated clock. A lookahead batch aborted by a correction still
-consumed its full gamma draws, so draw counts never depend on timing.
+the simulated clock, where the device drafts each lookahead speculatively.
+A lookahead aborted by a correction still consumed its full gamma draws, so
+draw counts never depend on timing.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
 from .numerics import Rng, require_int
-from .toylm import TokenDistribution, check_tokens, inverse_cdf, sample
+from .toylm import TokenDistribution, check_tokens, inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,8 @@ class DecodeTranscript:
 class PipelineStats:
     """What a pipelined run did beyond its transcript.
 
-    discarded_batches counts lookahead batches drafted but never verified:
-    one per correction, plus the batch drafted past the end of the run.
+    discarded_batches counts lookahead batches reserved but never drafted:
+    one per correction, plus the batch reserved past the end of the run.
     """
 
     discarded_batches: int
@@ -158,21 +163,23 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """
     require_int("gamma", gamma, 1)
     base = check_tokens(context, device_model.vocab_size)
-    return replace(_draft(device_model, base, gamma, rng), base_context=base)
+    draws = [rng.uniform() for _ in range(gamma)]
+    return replace(_draft(device_model, base, draws), base_context=base)
 
 
-def _draft(device_model, context: list[int], gamma: int, rng: Rng) -> DraftBatch:
-    """gamma draws from a checked context, which is restored before returning.
+def _draft(device_model, context: list[int], draws: list[float]) -> DraftBatch:
+    """One token per reserved uniform, from a checked context restored on return.
 
-    Each drawn token is appended to context for the next draw.
+    Each token is the inverse-CDF draw of its uniform under the drafter's
+    distribution, and is appended to context for the next one.
     """
     base = len(context)
     tokens: list[int] = []
     dists: list[TokenDistribution] = []
     try:
-        for _ in range(gamma):
+        for u in draws:
             dist = device_model.next_dist(context)
-            token = sample(dist, rng)
+            token = inverse_cdf(dist.probs, u)
             tokens.append(token)
             dists.append(dist)
             context.append(token)
@@ -263,7 +270,8 @@ def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict)
     back, so it holds the same tokens on return.
     """
     drafter = cfg.tiers[0]
-    batch = _draft(models[drafter], context, cfg.draft_len, rngs[drafter])
+    draws = [rngs[drafter].uniform() for _ in range(cfg.draft_len)]
+    batch = _draft(models[drafter], context, draws)
     return _verify_chain(cfg, models, context, batch, rngs)
 
 
@@ -273,8 +281,9 @@ def _decode(
     """The run loop: draft-verify rounds until num_tokens are emitted.
 
     context is the run's one token list: the checked prompt followed by the
-    tokens emitted so far. With lookahead, each round also drafts the next
-    batch from the optimistic prefix (this batch fully accepted). per_round
+    tokens emitted so far. With lookahead, each round reserves the next
+    batch's draws before verifying, and drafts that batch from them only
+    after a full acceptance that leaves tokens to emit. per_round
     keeps outcomes exactly as they happened; totals account for the emitted
     stream after truncation to num_tokens.
     """
@@ -288,18 +297,16 @@ def _decode(
     context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
     drafter, draft_rng = models[cfg.tiers[0]], streams[cfg.tiers[0]]
+    gamma = cfg.draft_len
     start, end = len(context), len(context) + num_tokens
     records: list[RoundRecord] = []
     rounds = rejected = accepted = corrections = 0
     batch = ahead = None
     while len(context) < end:
         if batch is None:
-            batch = _draft(drafter, context, cfg.draft_len, draft_rng)
+            batch = _draft(drafter, context, [draft_rng.uniform() for _ in range(gamma)])
         if lookahead:
-            base = len(context)
-            context.extend(batch.tokens)
-            ahead = _draft(drafter, context, cfg.draft_len, draft_rng)
-            del context[base:]
+            ahead = [draft_rng.uniform() for _ in range(gamma)]
         outcome = _verify_chain(cfg, models, context, batch, streams)
         rounds += 1
         records.extend(outcome.records)
@@ -308,12 +315,15 @@ def _decode(
         accepted += min(len(used), final.accepted)
         corrections += max(0, len(used) - final.accepted)
         context.extend(used)
+        batch = None
         if final.accepted < final.drafted:
             rejected += 1
             ahead = None
-        batch = ahead
-    # Each correction drops a lookahead, as does a run that ends with one drafted.
-    discarded = rejected + (batch is not None) if lookahead else 0
+        elif ahead is not None and len(context) < end:
+            # Fully accepted: context is now the prefix the lookahead assumed.
+            batch, ahead = _draft(drafter, context, ahead), None
+    # Each correction drops a lookahead, as does a run that ends with one reserved.
+    discarded = rejected + (ahead is not None) if lookahead else 0
     transcript = DecodeTranscript(
         emitted_tokens=context[start:],
         per_round=records,
@@ -337,9 +347,10 @@ def run_pipelined(
     """Two-tier decoding with the device drafting one batch ahead.
 
     While the verifier works on batch i, the device drafts batch i+1 from the
-    optimistic prefix (batch i fully accepted). A correction discards that
-    lookahead batch, its draws included, and the next round drafts afresh
-    from the corrected prefix.
+    optimistic prefix (batch i fully accepted). Here its gamma draws are
+    reserved at that point and its forwards run only once it will be
+    verified. A correction discards that lookahead batch, its draws
+    included, and the next round drafts afresh from the corrected prefix.
     """
     if cfg.mode != "pipelined":
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")

@@ -218,6 +218,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     Memory grows as N^2 + _ROW_BLOCK*N*d floats: one N x N distance matrix,
     filled _ROW_BLOCK rows at a time, never an N x N x d difference array.
     """
+    for name, value in (("k_neighbors", k_neighbors), ("num_centers", num_centers)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInputError(f"{name} must be an int, got {value!r}")
     feats = fs.features
     n = fs.count
     if not 1 <= num_centers <= n:

@@ -673,6 +673,15 @@ class TestCollab:
         _, m = run_scenario(topo, dict(scn, **{field: 0}), 1)
         assert m.simulated_wall_s > 0.0
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "256", None, -2.5])
+    @pytest.mark.parametrize(
+        "field", ["request_bytes", "response_bytes", "broadcast_bytes", "revision_bytes"]
+    )
+    def test_message_size_must_be_an_int(self, field, value):
+        message = re.escape(f"{field} must be an int, got {value!r}")
+        with pytest.raises(InvalidScenarioError, match=f"^{message}$"):
+            run_device_server_collab(collab_topology(2), 2, 0, **{field: value})
+
 
 class TestSpeedupTrend:
     def test_pipelined_device_edge_beats_edge_only(self):

@@ -19,10 +19,13 @@ from aiflow.errors import (
     InvalidTokenError,
     ProtocolViolationError,
 )
+from aiflow.familial import whiten
 from aiflow.numerics import Rng
 from aiflow.specdec import (
     DraftBatch,
     ProtocolConfig,
+    RoundRecord,
+    TranscriptTotals,
     draft,
     run_pipelined,
     run_protocol,
@@ -31,7 +34,15 @@ from aiflow.specdec import (
     verify,
 )
 from aiflow import toylm
-from aiflow.toylm import LmDecoder, TokenDistribution, ToyLmConfig, build, sample
+from aiflow.toylm import (
+    LmDecoder,
+    TokenDistribution,
+    ToyLmConfig,
+    attach_branch,
+    build,
+    calibration_activations,
+    sample,
+)
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -415,14 +426,13 @@ class TestForwardCalls:
                   for i, role in enumerate(cfg.tiers)}
         if cfg.mode == "pipelined":
             transcript, stats = run_pipelined(cfg, models, [5, 1, 7], 60, Rng(8))
-            discarded = stats.discarded_batches
-            assert discarded > 1  # lookaheads dropped by corrections, not only the last
+            assert stats.discarded_batches > 1  # lookaheads dropped by corrections too
         else:
-            transcript, discarded = run_sequential(cfg, models, [5, 1, 7], 60, Rng(8)), 0
+            transcript = run_sequential(cfg, models, [5, 1, 7], 60, Rng(8))
         drafter = models[cfg.tiers[0]]
-        # Every drafted token is one next_dist call, lookahead batches included.
-        batches = transcript.totals.rounds + discarded
-        assert drafter.single == cfg.draft_len * batches
+        # Every drafted token is one next_dist call, and only verified batches
+        # are drafted: a discarded lookahead costs draws but no forward.
+        assert drafter.single == cfg.draft_len * transcript.totals.rounds
         assert drafter.batches == []
         for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
             stage = [r.drafted for r in transcript.per_round if r.stage == f"{lower}->{upper}"]
@@ -494,6 +504,100 @@ class TestRunPipelined:
         assert run_protocol(pipe, models, [3], 20, Rng(6)) == run_pipelined(
             pipe, models, [3], 20, Rng(6)
         )[0]
+
+
+def eager_pipelined(cfg, models, prompt, num_tokens, rng):
+    """Reference pipelined run that drafts every lookahead before its verdict.
+
+    Returns (emitted_tokens, per_round, totals, discarded_batches).
+    """
+    lower, upper = cfg.tiers
+    drafter, verifier = models[lower], models[upper]
+    draft_rng, verify_rng = rng.spawn(0), rng.spawn(1)
+
+    def eager_draft(context):
+        context, tokens, dists = list(context), [], []
+        for _ in range(cfg.draft_len):
+            dist = drafter.next_dist(context)
+            tokens.append(sample(dist, draft_rng))
+            dists.append(dist)
+            context.append(tokens[-1])
+        return DraftBatch(tokens=tokens, draft_dists=dists)
+
+    context = list(prompt)
+    start, end = len(context), len(context) + num_tokens
+    per_round = []
+    rounds = rejected = accepted = corrections = 0
+    batch = ahead = None
+    while len(context) < end:
+        if batch is None:
+            batch = eager_draft(context)
+        ahead = eager_draft(context + batch.tokens)
+        result = verify(verifier.next_dists(list(context), batch.tokens), batch, verify_rng)
+        rounds += 1
+        per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens), result.accepted_count))
+        emitted = batch.tokens[: result.accepted_count]
+        if result.correction_token is not None:
+            emitted.append(result.correction_token)
+        used = emitted[: end - len(context)]
+        accepted += min(len(used), result.accepted_count)
+        corrections += max(0, len(used) - result.accepted_count)
+        context.extend(used)
+        if result.correction_token is not None:
+            rejected += 1
+            ahead = None
+        batch = ahead
+    totals = TranscriptTotals(accepted=accepted, corrections=corrections,
+                              rejected=rejected, rounds=rounds)
+    return context[start:], per_round, totals, rejected + (batch is not None)
+
+
+def family_pair(branch):
+    """Exit-2 drafter and full verifier on one 4-layer ToyLm."""
+    lm = build(ToyLmConfig(vocab_size=32, embed_dim=8, num_layers=4, context_window=4, seed=21))
+    if branch:
+        lm = attach_branch(lm, 2, 0.75, whiten(calibration_activations(lm, 2, 64, seed=5)))
+    return LmDecoder(lm, 2), LmDecoder(lm)
+
+
+ORACLE_PAIRS = {
+    "independent": lambda: (lm_decoder(1, 3), lm_decoder(3, 4)),
+    "family-plain": lambda: family_pair(branch=False),
+    "family-branch": lambda: family_pair(branch=True),
+    "all-accept": lambda: (lm_decoder(2, 6),) * 2,
+    "all-reject": lambda: (FixedModel([1.0, 0.0]), FixedModel([0.0, 1.0])),
+}
+
+
+class TestLookaheadOracle:
+    """run_pipelined drafts a lookahead only once it will be verified.
+
+    It must emit what the eager reference emits. Later tokens depend on the
+    position of the drafter's stream, so equal tokens over long runs also
+    show that every discarded lookahead still consumed its gamma draws.
+    """
+
+    @pytest.mark.parametrize("num_tokens", [48, 37])
+    @pytest.mark.parametrize("pair", ORACLE_PAIRS)
+    @pytest.mark.parametrize("gamma", range(1, 7))
+    def test_matches_eager_lookahead(self, gamma, pair, num_tokens):
+        device, edge = ORACLE_PAIRS[pair]()
+        cfg = two_tier(gamma=gamma, mode="pipelined")
+        seed = 100 * gamma + num_tokens
+        tokens, per_round, totals, discarded = eager_pipelined(
+            cfg, {"device": device, "edge": edge}, [1, 0], num_tokens, Rng(seed))
+        counting = TestForwardCalls.Counting(device)
+        transcript, stats = run_pipelined(
+            cfg, {"device": counting, "edge": edge}, [1, 0], num_tokens, Rng(seed))
+        assert transcript.emitted_tokens == tokens
+        assert transcript.per_round == per_round
+        assert transcript.totals == totals
+        assert stats.discarded_batches == discarded
+        assert counting.single == gamma * totals.rounds
+        if pair == "all-accept":
+            assert totals.rejected == 0 and discarded == 1
+        if pair == "all-reject":
+            assert discarded == totals.rounds == num_tokens
 
 
 class TestTranscriptJson:

@@ -116,6 +116,16 @@ class TestDpcKnn:
         with pytest.raises(InvalidInputError):
             dpc_knn_cluster(fs, 0, 2)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("field", ["k_neighbors", "num_centers"])
+    def test_counts_must_be_ints(self, field, value):
+        # The other count is out of range for 20 points: types come first.
+        counts = {"k_neighbors": 99, "num_centers": 99, field: value}
+        fs = make_blob_features(20, 3, 2, Rng(1))
+        message = re.escape(f"{field} must be an int, got {value!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            dpc_knn_cluster(fs, **counts)
+
     def test_matches_bruteforce_oracle(self):
         rng = Rng(909)
         for trial in range(200):
