@@ -11,36 +11,37 @@ verifies, so the final output law is the cloud's.
 
 Decoder contract: a tier model has an int `vocab_size` and two methods
 over that vocabulary. `next_dist(context) -> TokenDistribution` gives the
-distribution of the token after context; the drafter calls it once per
-drafted token. `next_dists(context, tokens) -> list[TokenDistribution]`
-gives, for each i in range(len(tokens)), the distribution after
-context + tokens[:i], equal to what next_dist would return there; each
-verifier calls it once per round, on the whole batch it scores. All tiers
-of a run share one vocab_size. A run checks its prompt once, against that
-vocabulary, before any draw; drafted and corrected tokens lie inside it by
-construction. The run then keeps one append-only token list: drafting
-appends to it and truncates it back, and each round extends it with the
-emitted tokens. Both methods receive that list itself, and next_dists a
-batch's token list too, so they must neither keep nor mutate them; they may
-read only the tail of the context they need, which keeps the work per
-emitted token independent of the context length.
+distribution of the token after context. `next_dists(context, tokens) ->
+list[TokenDistribution]` gives, for each i in range(len(tokens)), the
+distribution after context + tokens[:i], equal to what next_dist would
+return there. The first boundary is scanned position by position: at each
+scanned position the drafter calls next_dist once to draft the token and the
+first verifier calls next_dist once, on the same context, to score it; the
+scan stops at the first rejection, so no position past it is drafted or
+scored. A third tier calls next_dists once per round, on the middle tier's
+whole emitted stream. All tiers of a run share one vocab_size. A run checks
+its prompt once, against that vocabulary, before any draw; drafted and
+corrected tokens lie inside it by construction. The run then keeps one
+append-only token list: the scan appends to it and truncates it back, and
+each round extends it with the emitted tokens. Both methods receive that
+list itself, and next_dists a stream's token list too, so they must neither
+keep nor mutate them; they may read only the tail of the context they need,
+which keeps the work per emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
-draw. The drafter burns one uniform per drafted token, reserving a batch's
-gamma uniforms before it drafts the batch; a verifier burns one uniform per
-scanned position plus one per resample. Because the streams are per-role,
-sequential and pipelined execution consume them in the same per-role order,
-which is what makes the two modes emit identical tokens when nothing is ever
-rejected.
+draw. A round reserves all gamma drafter uniforms before its first forward,
+scanned or not; a verifier burns one uniform per scanned position plus one
+per resample. Because the streams are per-role, sequential and pipelined
+execution consume them in the same per-role order, which is what makes the
+two modes emit identical tokens when nothing is ever rejected.
 
 One loop runs both modes: a pipelined run is a sequential run in which the
-drafter reserves the next batch's draws before each verification. The
-lookahead batch is drafted from those draws only once it will be verified:
-after a full acceptance that leaves tokens to emit. A correction, or the end
-of the run, drops the reserved draws without a forward. The mode is the
-entry point's: run_sequential stays sequential even given a pipelined
-config.
+drafter reserves the next round's draws before each verification. After a
+full acceptance that leaves tokens to emit, those reserved draws are the
+next round's draws. A correction, or the end of the run, drops them without
+a forward. The mode is the entry point's: run_sequential stays sequential
+even given a pipelined config.
 
 The protocol decides which draws happen and in what order, never when:
 neither run mode keeps time. A transcript records every verification
@@ -52,7 +53,8 @@ draw counts never depend on timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,15 +110,24 @@ class ProtocolConfig:
             raise InvalidInputError("tier roles must be distinct")
         for role in self.tiers:
             cost = self.per_token_compute_cost.get(role)
-            if cost is None or not cost > 0.0:
-                raise InvalidInputError(f"per_token_compute_cost[{role!r}] must be > 0")
+            if cost is None or not (math.isfinite(cost) and cost > 0.0):
+                raise InvalidInputError(
+                    f"per_token_compute_cost[{role!r}] must be finite and > 0"
+                )
         if self.mode not in ("sequential", "pipelined"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One verification outcome at one tier boundary."""
+    """One verification outcome at one tier boundary.
+
+    drafted is the batch the lower tier is charged for. At the first
+    boundary that is gamma: the device drafts every position, since it
+    cannot know where the verifier rejects, even though the run itself
+    drafts only the positions it scans. At a later boundary it is the length
+    of the lower tier's emitted stream.
+    """
 
     stage: str
     drafted: int
@@ -159,76 +170,61 @@ def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """Autoregressively sample gamma tokens from the drafting model.
 
     The context is checked against the model's vocab_size first; the batch
-    keeps the checked copy as its base_context.
+    keeps the checked copy as its base_context. Each token is the
+    inverse-CDF draw of one uniform under the drafter's distribution.
     """
     require_int("gamma", gamma, 1)
     base = check_tokens(context, device_model.vocab_size)
-    draws = [rng.uniform() for _ in range(gamma)]
-    return replace(_draft(device_model, base, draws), base_context=base)
+    running, tokens, dists = list(base), [], []
+    for _ in range(gamma):
+        dists.append(device_model.next_dist(running))
+        tokens.append(inverse_cdf(dists[-1].probs, rng.uniform()))
+        running.append(tokens[-1])
+    return DraftBatch(tokens=tokens, draft_dists=dists, base_context=base)
 
 
-def _draft(device_model, context: list[int], draws: list[float]) -> DraftBatch:
-    """One token per reserved uniform, from a checked context restored on return.
+def _judge(i: int, token: int, p_d: TokenDistribution, p_t: TokenDistribution,
+           rng: Rng) -> int | None:
+    """The accept/resample rule at position i: None accepts token, else the correction.
 
-    Each token is the inverse-CDF draw of its uniform under the drafter's
-    distribution, and is appended to context for the next one.
+    token is accepted when u <= min(1, p_t(x)/p_d(x)); a rejection draws the
+    correction from the normalized residual max(0, p_t - p_d).
     """
-    base = len(context)
-    tokens: list[int] = []
-    dists: list[TokenDistribution] = []
-    try:
-        for u in draws:
-            dist = device_model.next_dist(context)
-            token = inverse_cdf(dist.probs, u)
-            tokens.append(token)
-            dists.append(dist)
-            context.append(token)
-    finally:
-        del context[base:]
-    return DraftBatch(tokens=tokens, draft_dists=dists)
+    if p_t.probs.size != p_d.probs.size:
+        raise InvalidInputError(
+            f"target and draft distributions at position {i} do not share a vocabulary "
+            f"({p_t.probs.size} vs {p_d.probs.size} tokens)"
+        )
+    pd = float(p_d.probs[token])
+    if pd == 0.0:
+        raise ProtocolViolationError(
+            f"drafted token {token} at position {i} has zero draft probability"
+        )
+    if rng.uniform() <= min(1.0, float(p_t.probs[token]) / pd):
+        return None
+    residual = np.maximum(p_t.probs - p_d.probs, 0.0)
+    mass = float(residual.sum())
+    if mass <= 0.0:
+        raise InvariantViolationError("rejection occurred but the residual distribution is empty")
+    return inverse_cdf(residual / mass, rng.uniform())
 
 
 def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     """Accept a prefix of the batch under the target model, correcting the rest.
 
-    Walks positions in order. At position i, the drafted token x is accepted
-    when u <= min(1, p_t(x)/p_d(x)); the first rejection draws the correction
-    from the normalized residual max(0, p_t - p_d) and stops the scan.
+    Walks positions in order under the accept/resample rule; the first
+    rejection draws the correction and stops the scan.
     """
     if len(target_dists) != len(batch.tokens):
         raise InvalidInputError(
             f"got {len(target_dists)} target distributions for {len(batch.tokens)} tokens"
         )
-    draws = 0
-    for i, (token, p_d) in enumerate(zip(batch.tokens, batch.draft_dists)):
-        p_t = target_dists[i]
-        if p_t.probs.size != p_d.probs.size:
-            raise InvalidInputError(
-                f"target and draft distributions at position {i} do not share a vocabulary "
-                f"({p_t.probs.size} vs {p_d.probs.size} tokens)"
-            )
-        pd = float(p_d.probs[token])
-        if pd == 0.0:
-            raise ProtocolViolationError(
-                f"drafted token {token} at position {i} has zero draft probability"
-            )
-        pt = float(p_t.probs[token])
-        u = rng.uniform()
-        draws += 1
-        if u <= min(1.0, pt / pd):
-            continue
-        residual = np.maximum(p_t.probs - p_d.probs, 0.0)
-        mass = float(residual.sum())
-        if mass <= 0.0:
-            raise InvariantViolationError(
-                "rejection occurred but the residual distribution is empty"
-            )
-        correction = inverse_cdf(residual / mass, rng.uniform())
-        draws += 1
-        return VerifyResult(accepted_count=i, correction_token=correction, rng_draws_used=draws)
-    return VerifyResult(
-        accepted_count=len(batch.tokens), correction_token=None, rng_draws_used=draws
-    )
+    for i, (token, p_d, p_t) in enumerate(zip(batch.tokens, batch.draft_dists, target_dists)):
+        correction = _judge(i, token, p_d, p_t, rng)
+        if correction is not None:
+            return VerifyResult(accepted_count=i, correction_token=correction, rng_draws_used=i + 2)
+    count = len(batch.tokens)
+    return VerifyResult(accepted_count=count, correction_token=None, rng_draws_used=count)
 
 
 @dataclass
@@ -237,42 +233,59 @@ class _RoundOutcome:
     records: list[RoundRecord]
 
 
-def _verify_chain(
-    cfg: ProtocolConfig, models: dict, context: list[int], batch: DraftBatch, rngs: dict
+def _round(
+    cfg: ProtocolConfig, models: dict, context: list[int], draws: list[float], rngs: dict
 ) -> _RoundOutcome:
-    """Verify a batch drafted from context at every tier boundary, bottom up.
+    """One draft-verify round from the drafter's reserved draws.
 
-    Each verifier emits its accepted prefix plus any correction. For three
-    tiers the middle verifier's emitted stream, paired with its own
-    per-position distributions, becomes the draft batch the last tier
-    verifies. Each verifier scores its whole batch in one next_dists call.
+    The drafter and the first verifier walk the batch's positions together:
+    at position i the drafter samples token i from draws[i], the verifier
+    scores the same context, and the scan stops at the first rejection, so
+    no position past it is drafted or scored. Each higher tier then verifies
+    the emitted stream below it, paired with that tier's per-position
+    distributions (the stream's law there), in one next_dists call. context
+    is extended during the scan and holds the same tokens on return.
     """
-    records: list[RoundRecord] = []
-    current = batch
-    for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
-        target_dists = models[upper].next_dists(context, current.tokens)
-        result = verify(target_dists, current, rngs[upper])
-        records.append(RoundRecord(f"{lower}->{upper}", len(current.tokens), result.accepted_count))
-        stream = current.tokens[: result.accepted_count]
+    lower, upper = cfg.tiers[:2]
+    drafter, verifier, rng = models[lower], models[upper], rngs[upper]
+    base = len(context)
+    target_dists: list[TokenDistribution] = []
+    correction = None
+    try:
+        for i, u in enumerate(draws):
+            p_d = drafter.next_dist(context)
+            token = inverse_cdf(p_d.probs, u)
+            target_dists.append(verifier.next_dist(context))
+            correction = _judge(i, token, p_d, target_dists[-1], rng)
+            if correction is not None:
+                break
+            context.append(token)
+        stream = context[base:]
+    finally:
+        del context[base:]
+    records = [RoundRecord(f"{lower}->{upper}", len(draws), len(stream))]
+    if correction is not None:
+        stream.append(correction)
+    if len(cfg.tiers) == 3:
+        top = cfg.tiers[2]
+        batch = DraftBatch(tokens=stream, draft_dists=target_dists)
+        result = verify(models[top].next_dists(context, stream), batch, rngs[top])
+        records.append(RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count))
+        stream = stream[: result.accepted_count]
         if result.correction_token is not None:
             stream.append(result.correction_token)
-        # The emitted stream's law at each position is the verifier's own
-        # distribution there, so those distributions are the claimed draft
-        # law for the next tier up.
-        current = DraftBatch(tokens=stream, draft_dists=target_dists[: len(stream)])
-    return _RoundOutcome(emitted=current.tokens, records=records)
+    return _RoundOutcome(emitted=stream, records=records)
 
 
 def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict) -> _RoundOutcome:
     """One draft-verify round; rngs maps each tier role to its stream.
 
-    context is a list of checked tokens that the round extends and truncates
-    back, so it holds the same tokens on return.
+    The round reserves the drafter's draft_len uniforms before its first
+    forward. context is a list of checked tokens that the round extends and
+    truncates back, so it holds the same tokens on return.
     """
-    drafter = cfg.tiers[0]
-    draws = [rngs[drafter].uniform() for _ in range(cfg.draft_len)]
-    batch = _draft(models[drafter], context, draws)
-    return _verify_chain(cfg, models, context, batch, rngs)
+    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
+    return _round(cfg, models, context, draws, rngs)
 
 
 def _decode(
@@ -282,9 +295,9 @@ def _decode(
 
     context is the run's one token list: the checked prompt followed by the
     tokens emitted so far. With lookahead, each round reserves the next
-    batch's draws before verifying, and drafts that batch from them only
-    after a full acceptance that leaves tokens to emit. per_round
-    keeps outcomes exactly as they happened; totals account for the emitted
+    batch's draws before verifying; they become the next round's draws only
+    after a full acceptance that leaves tokens to emit. per_round keeps
+    outcomes exactly as they happened; totals account for the emitted
     stream after truncation to num_tokens.
     """
     require_int("num_tokens", num_tokens, 0)
@@ -296,18 +309,17 @@ def _decode(
         raise InvalidInputError(f"tiers must share one vocab_size, got {vocabs}")
     context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
-    drafter, draft_rng = models[cfg.tiers[0]], streams[cfg.tiers[0]]
-    gamma = cfg.draft_len
+    draft_rng, gamma = streams[cfg.tiers[0]], cfg.draft_len
     start, end = len(context), len(context) + num_tokens
     records: list[RoundRecord] = []
     rounds = rejected = accepted = corrections = 0
-    batch = ahead = None
+    draws = ahead = None
     while len(context) < end:
-        if batch is None:
-            batch = _draft(drafter, context, [draft_rng.uniform() for _ in range(gamma)])
+        if draws is None:
+            draws = [draft_rng.uniform() for _ in range(gamma)]
         if lookahead:
             ahead = [draft_rng.uniform() for _ in range(gamma)]
-        outcome = _verify_chain(cfg, models, context, batch, streams)
+        outcome = _round(cfg, models, context, draws, streams)
         rounds += 1
         records.extend(outcome.records)
         final = outcome.records[-1]
@@ -315,13 +327,13 @@ def _decode(
         accepted += min(len(used), final.accepted)
         corrections += max(0, len(used) - final.accepted)
         context.extend(used)
-        batch = None
+        draws = None
         if final.accepted < final.drafted:
             rejected += 1
             ahead = None
-        elif ahead is not None and len(context) < end:
+        elif len(context) < end:
             # Fully accepted: context is now the prefix the lookahead assumed.
-            batch, ahead = _draft(drafter, context, ahead), None
+            draws, ahead = ahead, None
     # Each correction drops a lookahead, as does a run that ends with one reserved.
     discarded = rejected + (ahead is not None) if lookahead else 0
     transcript = DecodeTranscript(
@@ -348,9 +360,10 @@ def run_pipelined(
 
     While the verifier works on batch i, the device drafts batch i+1 from the
     optimistic prefix (batch i fully accepted). Here its gamma draws are
-    reserved at that point and its forwards run only once it will be
-    verified. A correction discards that lookahead batch, its draws
-    included, and the next round drafts afresh from the corrected prefix.
+    reserved at that point and become the next round's draws, scanned
+    position by position like any round's. A correction discards that
+    lookahead batch, its draws included, and the next round drafts afresh
+    from the corrected prefix.
     """
     if cfg.mode != "pipelined":
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")

@@ -338,13 +338,21 @@ def _validate_models(models, dim: int):
 def _coding_tables(model: LaplacianModel):
     """Per-dimension (lo, freqs, cum) lists with freqs summing to exactly 2^16.
 
-    The alphabet is the in-range symbols followed by one escape entry.
+    The alphabet is the in-range symbols followed by one escape entry. A
+    q_range so wide that the floor of 1 per entry overdraws the total raises
+    InvalidInputError.
     """
     tables = []
     for j in range(model.dim):
         lo, p = _bin_masses(model, j)
         freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
-        freqs[int(np.argmax(freqs))] += _TOTAL - int(freqs.sum())
+        top = int(np.argmax(freqs))
+        freqs[top] += _TOTAL - int(freqs.sum())
+        if freqs[top] < 1:
+            raise InvalidInputError(
+                f"model {model.id} dimension {j}: q_range {model.q_range} leaves too little "
+                "of the 2^16 frequency total to give every symbol a frequency >= 1"
+            )
         if freqs.min() < 1 or int(freqs.sum()) != _TOTAL:
             raise InvariantViolationError("frequency table repair failed")
         cum = np.concatenate(([0], np.cumsum(freqs)))

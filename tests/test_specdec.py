@@ -1,6 +1,7 @@
 """Draft-verify protocol tests: forced paths, exact marginals, run modes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -401,6 +402,12 @@ class TestRunSequential:
         assert drafted_total == 10
 
 
+def scanned_positions(cfg, transcript):
+    """Positions the first boundary drafts and scores: up to its first rejection."""
+    first = f"{cfg.tiers[0]}->{cfg.tiers[1]}"
+    return sum(min(r.accepted + 1, r.drafted) for r in transcript.per_round if r.stage == first)
+
+
 class TestForwardCalls:
     class Counting:
         """Counts each method's calls and the batch sizes next_dists scores."""
@@ -429,16 +436,19 @@ class TestForwardCalls:
             assert stats.discarded_batches > 1  # lookaheads dropped by corrections too
         else:
             transcript = run_sequential(cfg, models, [5, 1, 7], 60, Rng(8))
-        drafter = models[cfg.tiers[0]]
-        # Every drafted token is one next_dist call, and only verified batches
-        # are drafted: a discarded lookahead costs draws but no forward.
-        assert drafter.single == cfg.draft_len * transcript.totals.rounds
-        assert drafter.batches == []
-        for lower, upper in zip(cfg.tiers, cfg.tiers[1:]):
-            stage = [r.drafted for r in transcript.per_round if r.stage == f"{lower}->{upper}"]
+        drafter, first = models[cfg.tiers[0]], models[cfg.tiers[1]]
+        # The first boundary drafts and scores position by position up to the
+        # first rejection: one next_dist call each per scanned position. A
+        # discarded lookahead costs draws but no forward.
+        assert drafter.single == first.single == scanned_positions(cfg, transcript)
+        assert drafter.batches == first.batches == []
+        # A third tier scores the middle tier's emitted stream in one call.
+        if len(cfg.tiers) == 3:
+            middle, top = cfg.tiers[1:]
+            stage = [r.drafted for r in transcript.per_round if r.stage == f"{middle}->{top}"]
             assert len(stage) == transcript.totals.rounds
-            assert models[upper].batches == stage
-            assert models[upper].single == 0
+            assert models[top].batches == stage
+            assert models[top].single == 0
 
 
 class TestRunPipelined:
@@ -593,11 +603,100 @@ class TestLookaheadOracle:
         assert transcript.per_round == per_round
         assert transcript.totals == totals
         assert stats.discarded_batches == discarded
-        assert counting.single == gamma * totals.rounds
+        assert counting.single == scanned_positions(cfg, transcript)
         if pair == "all-accept":
             assert totals.rejected == 0 and discarded == 1
         if pair == "all-reject":
             assert discarded == totals.rounds == num_tokens
+
+
+def batch_sequential(cfg, models, prompt, num_tokens, rng):
+    """Reference sequential run that drafts each whole batch before verifying it.
+
+    Every boundary scores its batch in one next_dists call and verify.
+    Returns (emitted_tokens, per_round, totals).
+    """
+    streams = [rng.spawn(i) for i in range(len(cfg.tiers))]
+    drafter = models[cfg.tiers[0]]
+    context = list(prompt)
+    start, end = len(context), len(context) + num_tokens
+    per_round = []
+    rounds = rejected = accepted = corrections = 0
+    while len(context) < end:
+        running, tokens, dists = list(context), [], []
+        for _ in range(cfg.draft_len):
+            dists.append(drafter.next_dist(running))
+            tokens.append(sample(dists[-1], streams[0]))
+            running.append(tokens[-1])
+        batch = DraftBatch(tokens=tokens, draft_dists=dists)
+        for i, (lower, upper) in enumerate(zip(cfg.tiers, cfg.tiers[1:])):
+            target = models[upper].next_dists(list(context), batch.tokens)
+            result = verify(target, batch, streams[i + 1])
+            per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens),
+                                         result.accepted_count))
+            emitted = batch.tokens[: result.accepted_count]
+            if result.correction_token is not None:
+                emitted.append(result.correction_token)
+            batch = DraftBatch(tokens=emitted, draft_dists=target[: len(emitted)])
+        rounds += 1
+        used = batch.tokens[: end - len(context)]
+        accepted += min(len(used), result.accepted_count)
+        corrections += max(0, len(used) - result.accepted_count)
+        rejected += result.correction_token is not None
+        context.extend(used)
+    totals = TranscriptTotals(accepted=accepted, corrections=corrections,
+                              rejected=rejected, rounds=rounds)
+    return context[start:], per_round, totals
+
+
+def family_chain():
+    """Exit-1 and exit-2 drafters under the full model, on one 4-layer ToyLm."""
+    lm = family_pair(branch=False)[1].lm
+    return LmDecoder(lm, 1), LmDecoder(lm, 2), LmDecoder(lm)
+
+
+ORACLE_CHAINS = {
+    "independent": lambda: (lm_decoder(1, 3), lm_decoder(3, 4)),
+    "family-branch": lambda: family_pair(branch=True),
+    "all-accept": lambda: (lm_decoder(2, 6),) * 2,
+    "all-reject": lambda: (FixedModel([1.0, 0.0]), FixedModel([0.0, 1.0])),
+    "3-independent": lambda: (lm_decoder(1, 3), lm_decoder(2, 5), lm_decoder(3, 4)),
+    "3-family": family_chain,
+    "3-all-accept": lambda: (lm_decoder(2, 6),) * 3,
+    "3-all-reject": lambda: (FixedModel([1.0, 0.0]), FixedModel([0.0, 1.0]),
+                             FixedModel([1.0, 0.0])),
+}
+
+
+class TestScanOracle:
+    """run_sequential scans the first boundary position by position.
+
+    It must emit what drafting and scoring each whole batch emits: the
+    tokens after the first rejection are never read, and every stream still
+    advances by the same draws, which long runs would expose.
+    """
+
+    @pytest.mark.parametrize("num_tokens", [48, 37])
+    @pytest.mark.parametrize("chain", ORACLE_CHAINS)
+    @pytest.mark.parametrize("gamma", range(1, 7))
+    def test_matches_whole_batch_decoding(self, gamma, chain, num_tokens):
+        decoders = ORACLE_CHAINS[chain]()
+        cfg = two_tier(gamma) if len(decoders) == 2 else three_tier(gamma)
+        seed = 100 * gamma + num_tokens
+        tokens, per_round, totals = batch_sequential(
+            cfg, dict(zip(cfg.tiers, decoders)), [1, 0], num_tokens, Rng(seed))
+        counting = [TestForwardCalls.Counting(d) for d in decoders]
+        transcript = run_sequential(cfg, dict(zip(cfg.tiers, counting)), [1, 0], num_tokens,
+                                    Rng(seed))
+        assert transcript.emitted_tokens == tokens
+        assert transcript.per_round == per_round
+        assert transcript.totals == totals
+        scanned = scanned_positions(cfg, transcript)
+        assert counting[0].single == counting[1].single == scanned
+        if chain.endswith("all-accept"):
+            assert totals.rejected == 0 and scanned == gamma * totals.rounds
+        if chain.endswith("all-reject"):
+            assert totals.rounds == num_tokens and scanned == totals.rounds
 
 
 class TestTranscriptJson:
@@ -630,6 +729,13 @@ class TestProtocolConfig:
                 draft_len=1, tiers=("a", "b"),
                 per_token_compute_cost={"a": 1, "b": 1}, mode="warp",
             )
+
+    @pytest.mark.parametrize("cost", [math.inf, math.nan, -math.inf])
+    def test_cost_must_be_finite(self, cost):
+        message = "per_token_compute_cost['b'] must be finite and > 0"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            ProtocolConfig(draft_len=1, tiers=("a", "b"),
+                           per_token_compute_cost={"a": 1, "b": cost})
 
     @pytest.mark.parametrize("draft_len", [2.5, 2.0, True, "2", None])
     def test_draft_len_must_be_an_int(self, draft_len):

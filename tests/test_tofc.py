@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -441,6 +442,25 @@ class TestCodec:
         symbols = np.array([[0, 999], [-1234567, 3]], dtype=np.int64)
         bs = encode(symbols, [model], [0, 0])
         assert np.array_equal(decode(bs, [model]), symbols)
+
+    @pytest.mark.parametrize("q_range, b", [(1596, None), (1000, 20.0)])
+    def test_q_range_too_wide_for_the_frequency_total(self, q_range, b):
+        # Every symbol needs a frequency >= 1 out of 2^16, so a wide alphabet
+        # under a wide scale cannot be coded: a bad input, not a defect.
+        if b is None:
+            model = fit_laplacian(make_blob_features(40, 3, 2, Rng(1)).features, 0, q_range)
+        else:
+            model = LaplacianModel(mu=np.zeros(2), b=np.array([1.0, b]), id=0, q_range=q_range)
+        symbols = np.zeros((2, model.dim), dtype=np.int64)
+        assert estimate_rate(symbols, model) > 0.0
+        message = (f"model 0 dimension 1: q_range {q_range} leaves too little of the "
+                   "2^16 frequency total to give every symbol a frequency >= 1")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            encode(symbols, [model], [0, 0])
+        narrow = replace(model, q_range=255)
+        bs = encode(symbols, [narrow], [0, 0])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            decode(bs, [model])
 
     def test_symbols_outside_int32_rejected(self):
         model = LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=0, q_range=4)
