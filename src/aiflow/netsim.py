@@ -148,6 +148,10 @@ def transmit_time(num_bytes: int, link: LinkSpec, rng: Rng) -> float:
     return max(t, 0.0)
 
 
+# The encoder json.dumps builds for these separators, built once, not per row.
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def serialize_trace(trace) -> bytes:
     """JSON-lines trace, one {t, seq, kind, src, dst, bytes} per event."""
     lines = []
@@ -160,7 +164,7 @@ def serialize_trace(trace) -> bytes:
             "dst": e.dst,
             "bytes": e.bytes,
         }
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        lines.append(_ROW_ENCODER.encode(obj))
     return ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
 
 

@@ -9,24 +9,28 @@ Three tiers chain the rule: the edge-verified stream (each token paired with
 the edge's full distribution at that position) is the draft stream the cloud
 verifies, so the final output law is the cloud's.
 
-Decoder contract: a tier model has an int `vocab_size` and two methods
-over that vocabulary. `next_dist(context) -> TokenDistribution` gives the
+Decoder contract: a tier model has an int `vocab_size` and two methods over
+that vocabulary. `next_dist(context) -> TokenDistribution` gives the
 distribution of the token after context. `next_dists(context, tokens) ->
 list[TokenDistribution]` gives, for each i in range(len(tokens)), the
 distribution after context + tokens[:i], equal to what next_dist would
 return there. The first boundary is scanned position by position: at each
-scanned position the drafter calls next_dist once to draft the token and the
-first verifier calls next_dist once, on the same context, to score it; the
-scan stops at the first rejection, so no position past it is drafted or
-scored. A third tier calls next_dists once per round, on the middle tier's
-whole emitted stream. All tiers of a run share one vocab_size. A run checks
-its prompt once, against that vocabulary, before any draw; drafted and
-corrected tokens lie inside it by construction. The run then keeps one
-append-only token list: the scan appends to it and truncates it back, and
-each round extends it with the emitted tokens. Both methods receive that
-list itself, and next_dists a stream's token list too, so they must neither
-keep nor mutate them; they may read only the tail of the context they need,
-which keeps the work per emitted token independent of the context length.
+scanned position the pair's scorer (toylm.pair_scorer, chosen once per run)
+gives the drafter's distribution, from which the token is drafted, and the
+first verifier's on the same context, which scores it; the scan stops at the
+first rejection, so no position past it is drafted or scored. A familial
+pair (two LmDecoders on one ToyLm, the verifier exiting at or after the
+drafter) is scored by one shared-trunk forward; any other pair by one
+next_dist call per tier. A third tier calls next_dists once per round, on
+the middle tier's whole emitted stream. All tiers of a run share one
+vocab_size. A run checks its prompt once, against that vocabulary, before
+any draw; drafted and corrected tokens lie inside it by construction. The
+run then keeps one append-only token list: the scan appends to it and
+truncates it back, and each round extends it with the emitted tokens. Both
+methods receive that list itself, and next_dists a stream's token list too,
+so they must neither keep nor mutate them; they may read only the tail of
+the context they need, which keeps the work per emitted token independent of
+the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
@@ -60,7 +64,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
 from .numerics import Rng, require_int
-from .toylm import TokenDistribution, check_tokens, inverse_cdf
+from .toylm import TokenDistribution, check_tokens, inverse_cdf, pair_scorer
 
 
 @dataclass(frozen=True)
@@ -234,29 +238,30 @@ class _RoundOutcome:
 
 
 def _round(
-    cfg: ProtocolConfig, models: dict, context: list[int], draws: list[float], rngs: dict
+    cfg: ProtocolConfig, models: dict, score, context: list[int], draws: list[float], rngs: dict
 ) -> _RoundOutcome:
     """One draft-verify round from the drafter's reserved draws.
 
-    The drafter and the first verifier walk the batch's positions together:
-    at position i the drafter samples token i from draws[i], the verifier
-    scores the same context, and the scan stops at the first rejection, so
-    no position past it is drafted or scored. Each higher tier then verifies
-    the emitted stream below it, paired with that tier's per-position
-    distributions (the stream's law there), in one next_dists call. context
-    is extended during the scan and holds the same tokens on return.
+    The drafter and the first verifier walk the batch's positions together,
+    score being their pair_scorer: at position i the drafter samples token i
+    from draws[i], the verifier scores the same context, and the scan stops at
+    the first rejection, so no position past it is drafted or scored. Each
+    higher tier then verifies the emitted stream below it, paired with that
+    tier's per-position distributions (the stream's law there), in one
+    next_dists call. context is extended during the scan and holds the same
+    tokens on return.
     """
     lower, upper = cfg.tiers[:2]
-    drafter, verifier, rng = models[lower], models[upper], rngs[upper]
+    rng = rngs[upper]
     base = len(context)
     target_dists: list[TokenDistribution] = []
     correction = None
     try:
         for i, u in enumerate(draws):
-            p_d = drafter.next_dist(context)
+            p_d, p_t = score(context)
             token = inverse_cdf(p_d.probs, u)
-            target_dists.append(verifier.next_dist(context))
-            correction = _judge(i, token, p_d, target_dists[-1], rng)
+            target_dists.append(p_t)
+            correction = _judge(i, token, p_d, p_t, rng)
             if correction is not None:
                 break
             context.append(token)
@@ -284,8 +289,10 @@ def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict)
     forward. context is a list of checked tokens that the round extends and
     truncates back, so it holds the same tokens on return.
     """
-    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
-    return _round(cfg, models, context, draws, rngs)
+    drafter, verifier = cfg.tiers[:2]
+    draws = [rngs[drafter].uniform() for _ in range(cfg.draft_len)]
+    score = pair_scorer(models[drafter], models[verifier])
+    return _round(cfg, models, score, context, draws, rngs)
 
 
 def _decode(
@@ -310,6 +317,7 @@ def _decode(
     context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
     draft_rng, gamma = streams[cfg.tiers[0]], cfg.draft_len
+    score = pair_scorer(models[cfg.tiers[0]], models[cfg.tiers[1]])
     start, end = len(context), len(context) + num_tokens
     records: list[RoundRecord] = []
     rounds = rejected = accepted = corrections = 0
@@ -319,7 +327,7 @@ def _decode(
             draws = [draft_rng.uniform() for _ in range(gamma)]
         if lookahead:
             ahead = [draft_rng.uniform() for _ in range(gamma)]
-        outcome = _round(cfg, models, context, draws, streams)
+        outcome = _round(cfg, models, score, context, draws, streams)
         rounds += 1
         records.extend(outcome.records)
         final = outcome.records[-1]

@@ -7,11 +7,14 @@ where normalize subtracts the mean and divides by the RMS (with a 1e-12 floor
 inside the square root so the empty-context zero vector stays well defined).
 
 Exit points sit after every block. An activation captured at exit l can be
-resumed through blocks l+1..L to reproduce the full forward pass exactly;
-that alignment is the property the decoding protocols rely on. A branch
-attached at exit l is a whitened low-rank stand-in for block l+1, applied in
-the same residual form (x <- x + tanh(w_u @ (w_v @ x))) before the head, and
-only affects the early-exit prediction, never the resumed trunk.
+resumed through blocks l+1..L to reproduce the full forward pass exactly.
+Decoding relies on that alignment: trunk_dists scores an exit-l drafter and
+a deeper verifier on one model with one trunk pass, the verifier resuming
+the drafter's pre-branch state, and both distributions are byte-identical
+to separate forwards. A branch attached at exit l is a whitened low-rank
+stand-in for block l+1, applied in the same residual form
+(x <- x + tanh(w_u @ (w_v @ x))) before the head, and only affects the
+early-exit prediction, never the resumed trunk.
 
 Stacked forwards (a verifier scoring a drafted batch, calibration) run many
 states at once, one per row, and give each row the bytes of its own vector
@@ -32,6 +35,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -150,8 +154,9 @@ def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
     window = tokens[-lm.config.context_window :]
     if not window:
         return np.zeros(lm.config.embed_dim)
-    # sum / count is the arithmetic of ndarray.mean, without its wrappers.
-    return lm.embedding[window].sum(axis=0) / len(window)
+    # take gathers the rows fancy indexing would, with less overhead per
+    # call; sum / count is the arithmetic of ndarray.mean, without its wrappers.
+    return lm.embedding.take(window, axis=0).sum(axis=0) / len(window)
 
 
 def _window_states(lm: ToyLm, tokens: list[int], count: int) -> np.ndarray:
@@ -230,14 +235,25 @@ def _check_exit(lm: ToyLm, exit_index) -> None:
 
 
 def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDistribution]:
-    """(pre-branch state, early prediction) at a checked exit_index; checks the context."""
+    """(pre-branch state, early prediction) at a checked exit_index; checks the context.
+
+    exit_index None runs every block and takes the plain head.
+    """
     x = _initial_state(lm, _check_context(lm, context))
     for w in lm.blocks[:exit_index]:
         x = _apply_block(w, x)
+    return x, _exit_head(lm, x, exit_index)
+
+
+def _exit_head(lm: ToyLm, x: np.ndarray, exit_index: int | None) -> TokenDistribution:
+    """Head of the pre-branch state x at exit_index, through its branch if one is attached.
+
+    exit_index None (after the last block) has no branch.
+    """
     branch = lm.branches.get(exit_index)
     if branch is None:
-        return x, _head(lm, x)
-    return x, _head(lm, x + np.tanh(branch.apply(x)))
+        return _head(lm, x)
+    return _head(lm, x + np.tanh(branch.apply(x)))
 
 
 def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
@@ -369,6 +385,41 @@ class LmDecoder:
         if branch is not None:
             states = states + np.tanh(branch.apply(states[:, :, None])[:, :, 0])
         return _heads(lm, states)
+
+
+def pair_scorer(drafter, verifier):
+    """The function context -> (drafter.next_dist(context), verifier.next_dist(context)).
+
+    Chosen once per pair. A familial pair is two LmDecoders on the same
+    ToyLm whose verifier exits at or after the drafter (None: after the last
+    block); it is scored by trunk_dists, one trunk pass per context. Any
+    other pair, a wrapped decoder included, gets the two next_dist calls.
+    """
+    if type(drafter) is LmDecoder and type(verifier) is LmDecoder and drafter.lm is verifier.lm:
+        first, last = drafter.exit_index, verifier.exit_index
+        if last is None or (first is not None and first <= last):
+            return partial(trunk_dists, drafter.lm, first, last)
+    return lambda context: (drafter.next_dist(context), verifier.next_dist(context))
+
+
+def trunk_dists(lm: ToyLm, first, last, context) -> tuple[TokenDistribution, TokenDistribution]:
+    """LmDecoder(lm, first) and LmDecoder(lm, last)'s next_dist(context), from one trunk pass.
+
+    first and last are exits as LmDecoder takes them, last None or at or
+    after first; pair_scorer checks that once per pair. The window is
+    checked, the initial state built and blocks[:first] applied once. The
+    first distribution is the head of that state, through first's branch if
+    one is attached. The second continues the same pre-branch state through
+    the blocks between the exits, as resume_from does, then takes last's
+    branch and the head. Both are byte-identical to the next_dist calls;
+    equal exits share one distribution.
+    """
+    x, p_d = _exit_forward(lm, context[-lm.config.context_window :], first)
+    if last == first:
+        return p_d, p_d
+    for w in lm.blocks[first:last]:
+        x = _apply_block(w, x)
+    return p_d, _exit_head(lm, x, last)
 
 
 def save_model(lm: ToyLm, path) -> None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+import pytest
 
 from aiflow.specdec import run_round
-from aiflow.toylm import TokenDistribution
+from aiflow.toylm import LmDecoder, TokenDistribution
 
 
 class ListRng:
@@ -34,6 +35,20 @@ class ListRng:
 
     def exhausted(self):
         return self.index == len(self.values)
+
+
+@pytest.fixture
+def next_dist_calls(monkeypatch):
+    """A one-item list counting the LmDecoder.next_dist calls made during the test."""
+    calls = [0]
+    next_dist = LmDecoder.next_dist
+
+    def counting(self, context):
+        calls[0] += 1
+        return next_dist(self, context)
+
+    monkeypatch.setattr(LmDecoder, "next_dist", counting)
+    return calls
 
 
 class TableModel:

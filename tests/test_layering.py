@@ -60,3 +60,8 @@ def test_netsim_defines_no_config_layer():
                 for t in n.targets if isinstance(t, ast.Name)}
     moved = {"read_fields", "tier_models", "decode_setup", "run_scenario", "zero_metrics"}
     assert defined.isdisjoint(moved)
+
+
+def test_toylm_imports_neither_protocol_nor_simulator():
+    # The shared-trunk pair scorer lives in toylm; specdec imports it.
+    assert package_imports("toylm").isdisjoint({"specdec", "netsim"})

@@ -450,6 +450,34 @@ class TestForwardCalls:
             assert models[top].batches == stage
             assert models[top].single == 0
 
+    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+    @pytest.mark.parametrize("first", [1, 3, 5, None])
+    def test_familial_pair_runs_one_trunk_per_position(self, first, mode, monkeypatch):
+        lm = build(ToyLmConfig(vocab_size=32, embed_dim=8, num_layers=5, context_window=4,
+                               seed=13))
+        drafter = LmDecoder(lm, first)
+        models = {"device": drafter, "edge": drafter if first is None else LmDecoder(lm)}
+        counts = {"blocks": 0, "states": 0}
+        apply_block, initial_state = toylm._apply_block, toylm._initial_state
+
+        def counting_block(w, x):
+            counts["blocks"] += 1
+            return apply_block(w, x)
+
+        def counting_state(lm, tokens):
+            counts["states"] += 1
+            return initial_state(lm, tokens)
+
+        monkeypatch.setattr(toylm, "_apply_block", counting_block)
+        monkeypatch.setattr(toylm, "_initial_state", counting_state)
+        cfg = two_tier(gamma=4, mode=mode)
+        transcript = run_protocol(cfg, models, [5, 1, 7], 40, Rng(4))
+        # The pair shares its trunk: L blocks and one initial state per
+        # scanned position, not l + L blocks and two states (identical
+        # tiers: L, not 2L).
+        scanned = scanned_positions(cfg, transcript)
+        assert counts == {"blocks": 5 * scanned, "states": scanned}
+
 
 class TestRunPipelined:
     def test_mode_and_tier_validation(self):
@@ -579,6 +607,14 @@ ORACLE_PAIRS = {
 }
 
 
+FAMILIAL_PAIRS = {
+    "family-plain": lambda: family_pair(branch=False),
+    "family-branch": lambda: family_pair(branch=True),
+    "equal-exits": lambda: (LmDecoder(family_pair(branch=True)[0].lm, 2),) * 2,
+    "identical": lambda: (lm_decoder(2, 6),) * 2,
+}
+
+
 class TestLookaheadOracle:
     """run_pipelined drafts a lookahead only once it will be verified.
 
@@ -608,6 +644,24 @@ class TestLookaheadOracle:
             assert totals.rejected == 0 and discarded == 1
         if pair == "all-reject":
             assert discarded == totals.rounds == num_tokens
+
+    @pytest.mark.parametrize("num_tokens", [48, 37])
+    @pytest.mark.parametrize("pair", FAMILIAL_PAIRS)
+    @pytest.mark.parametrize("gamma", range(1, 7))
+    def test_unwrapped_familial_pair_matches_eager_lookahead(self, gamma, pair, num_tokens,
+                                                             next_dist_calls):
+        models = dict(zip(("device", "edge"), FAMILIAL_PAIRS[pair]()))
+        cfg = two_tier(gamma=gamma, mode="pipelined")
+        seed = 100 * gamma + num_tokens
+        tokens, per_round, totals, discarded = eager_pipelined(cfg, models, [1, 0], num_tokens,
+                                                               Rng(seed))
+        calls = next_dist_calls[0]  # the reference's own forwards
+        transcript, stats = run_pipelined(cfg, models, [1, 0], num_tokens, Rng(seed))
+        assert transcript.emitted_tokens == tokens
+        assert transcript.per_round == per_round
+        assert transcript.totals == totals
+        assert stats.discarded_batches == discarded
+        assert next_dist_calls[0] == calls  # every position took the shared trunk
 
 
 def batch_sequential(cfg, models, prompt, num_tokens, rng):
@@ -668,6 +722,14 @@ ORACLE_CHAINS = {
 }
 
 
+FAMILIAL_CHAINS = {
+    **FAMILIAL_PAIRS,
+    "3-family": family_chain,
+    "3-family-branch": lambda: (*family_pair(branch=True), lm_decoder(3, 4)),
+    "3-identical": lambda: (lm_decoder(2, 6),) * 3,
+}
+
+
 class TestScanOracle:
     """run_sequential scans the first boundary position by position.
 
@@ -697,6 +759,23 @@ class TestScanOracle:
             assert totals.rejected == 0 and scanned == gamma * totals.rounds
         if chain.endswith("all-reject"):
             assert totals.rounds == num_tokens and scanned == totals.rounds
+
+    @pytest.mark.parametrize("num_tokens", [48, 37])
+    @pytest.mark.parametrize("chain", FAMILIAL_CHAINS)
+    @pytest.mark.parametrize("gamma", range(1, 7))
+    def test_unwrapped_familial_chain_matches_whole_batch_decoding(self, gamma, chain,
+                                                                   num_tokens, next_dist_calls):
+        decoders = FAMILIAL_CHAINS[chain]()
+        cfg = two_tier(gamma) if len(decoders) == 2 else three_tier(gamma)
+        models = dict(zip(cfg.tiers, decoders))
+        seed = 100 * gamma + num_tokens
+        tokens, per_round, totals = batch_sequential(cfg, models, [1, 0], num_tokens, Rng(seed))
+        calls = next_dist_calls[0]  # the reference's own forwards
+        transcript = run_sequential(cfg, models, [1, 0], num_tokens, Rng(seed))
+        assert transcript.emitted_tokens == tokens
+        assert transcript.per_round == per_round
+        assert transcript.totals == totals
+        assert next_dist_calls[0] == calls  # every position took the shared trunk
 
 
 class TestTranscriptJson:

@@ -418,6 +418,110 @@ def test_next_dists_equal_per_position_next_dist(d):
             assert (context, tokens) == before
 
 
+def test_initial_state_gather_equals_fancy_indexing():
+    rng = np.random.default_rng(31)
+    for _ in range(600):
+        vocab, d, window = (int(n) for n in rng.integers((2, 4, 1), (65, 49, 13)))
+        model = ToyLm(config=ToyLmConfig(vocab_size=vocab, embed_dim=d, num_layers=1,
+                                         context_window=window),
+                      embedding=rng.standard_normal((vocab, d)), blocks=(),
+                      lm_head=rng.standard_normal((vocab, d)))
+        tokens = rng.integers(0, vocab, size=int(rng.integers(1, 2 * window + 1))).tolist()
+        tail = tokens[-window:]
+        want = model.embedding[tail].sum(axis=0) / len(tail)
+        assert toylm._initial_state(model, tokens).tobytes() == want.tobytes()
+        empty = toylm._initial_state(model, [])
+        assert empty.shape == (d,) and not empty.any()
+
+
+# --- familial pairs -----------------------------------------------------------------
+
+def _with_branches(layers, seed):
+    """A ToyLm with a branch at every odd exit that leaves a later block."""
+    model = build(ToyLmConfig(vocab_size=24, embed_dim=8, num_layers=layers,
+                              context_window=4, seed=seed))
+    for exit_index in range(1, layers, 2):
+        ctx = whiten(calibration_activations(model, exit_index, 32, seed))
+        model = attach_branch(model, exit_index, 0.5, ctx)
+    return model
+
+
+@pytest.mark.parametrize("branches", [False, True], ids=["plain", "branches"])
+@pytest.mark.parametrize("layers", range(1, 7))
+def test_pair_scorer_equals_the_two_next_dist_calls(layers, branches, next_dist_calls):
+    model = (_with_branches(layers, seed=layers) if branches else
+             build(ToyLmConfig(vocab_size=24, embed_dim=8, num_layers=layers,
+                               context_window=4, seed=layers)))
+    exits = [*range(1, layers + 1), None]
+    pairs = [(LmDecoder(model, first), LmDecoder(model, last))
+             for i, first in enumerate(exits) for last in exits[i:]]
+    want = {}
+    rng = np.random.default_rng(layers)
+    contexts = [rng.integers(0, 24, size=n).tolist() for n in (0, 1, 3, 4, 5, 11)]
+    for k, (drafter, verifier) in enumerate(pairs):
+        for j, context in enumerate(contexts):
+            want[k, j] = (drafter.next_dist(context).probs.tobytes(),
+                          verifier.next_dist(context).probs.tobytes())
+    calls = next_dist_calls[0]
+    for k, (drafter, verifier) in enumerate(pairs):
+        score = toylm.pair_scorer(drafter, verifier)
+        for j, context in enumerate(contexts):
+            before = list(context)
+            p_d, p_t = score(context)
+            assert (p_d.probs.tobytes(), p_t.probs.tobytes()) == want[k, j], \
+                (drafter.exit_index, verifier.exit_index, len(context))
+            assert context == before
+    # Every pair above shares its trunk: no next_dist call was needed.
+    assert next_dist_calls[0] == calls
+
+
+def test_pair_scorer_other_pairs_call_next_dist_twice(lm, next_dist_calls):
+    twin = build(lm.config)  # equal weights, another model object
+    shallow_verifier = (LmDecoder(lm, 3), LmDecoder(lm, 2))
+    other_model = (LmDecoder(lm, 2), LmDecoder(twin))
+    full_drafter = (LmDecoder(lm), LmDecoder(lm, 5))
+
+    class Wrapped:
+        def __init__(self, decoder):
+            self.decoder = decoder
+
+        def next_dist(self, context):
+            return self.decoder.next_dist(context)
+
+    class Subclass(LmDecoder):
+        def next_dist(self, context):
+            return super().next_dist(context)
+
+    wrapped = (Wrapped(LmDecoder(lm, 2)), LmDecoder(lm))
+    subclassed = (LmDecoder(lm, 2), Subclass(lm))
+    context = [3, 1, 4, 1, 5]
+    for drafter, verifier in (shallow_verifier, other_model, full_drafter, wrapped, subclassed):
+        want = (drafter.next_dist(context).probs.tobytes(),
+                verifier.next_dist(context).probs.tobytes())
+        calls = next_dist_calls[0]
+        p_d, p_t = toylm.pair_scorer(drafter, verifier)(context)
+        assert (p_d.probs.tobytes(), p_t.probs.tobytes()) == want
+        assert next_dist_calls[0] - calls == 2
+
+
+def test_trunk_dists_checks_the_window_once(lm, monkeypatch):
+    checked = []
+    check_context = toylm._check_context
+
+    def counting(model, context):
+        checked.append(len(context))
+        return check_context(model, context)
+
+    monkeypatch.setattr(toylm, "_check_context", counting)
+    window = lm.config.context_window
+    stale = [99] + [1] * window  # only the window is read, as by next_dist
+    p_d, p_t = toylm.pair_scorer(LmDecoder(lm, 2), LmDecoder(lm))(stale)
+    assert checked == [window]
+    assert p_t.probs.tobytes() == forward_full(lm, stale[1:]).probs.tobytes()
+    with pytest.raises(InvalidTokenError, match="^token 32 outside vocabulary of 32$"):
+        toylm.trunk_dists(lm, 2, None, [0, 32])
+
+
 def test_next_dists_checks_the_window_and_the_tokens(lm):
     decoder = LmDecoder(lm, 2)
     assert decoder.next_dists([1, 2], []) == []
