@@ -388,20 +388,3 @@ def run_protocol(
         return run_pipelined(cfg, models, prompt, num_tokens, rng)[0]
     return run_sequential(cfg, models, prompt, num_tokens, rng)
 
-
-def transcript_to_json(transcript: DecodeTranscript) -> dict:
-    """JSON-ready dict: {tokens, rounds, totals}."""
-    return {
-        "tokens": list(transcript.emitted_tokens),
-        "rounds": [
-            {"stage": r.stage, "drafted": r.drafted, "accepted": r.accepted}
-            for r in transcript.per_round
-        ],
-        "totals": {
-            "accepted": transcript.totals.accepted,
-            "corrections": transcript.totals.corrections,
-            "rejected": transcript.totals.rejected,
-            "rounds": transcript.totals.rounds,
-            "emitted": len(transcript.emitted_tokens),
-        },
-    }

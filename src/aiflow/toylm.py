@@ -16,11 +16,14 @@ stand-in for block l+1, applied in the same residual form
 (x <- x + tanh(w_u @ (w_v @ x))) before the head, and only affects the
 early-exit prediction, never the resumed trunk.
 
-Stacked forwards (a verifier scoring a drafted batch, calibration) run many
-states at once, one per row, and give each row the bytes of its own vector
-forward. Every product is np.matmul(w, X[:, :, None]): a stack of
-matrix-vector products, each the BLAS gemv that w @ x runs, where the
-matrix-matrix product w @ X.T would round differently. Window sums reduce
+Every forward walks the trunk through one walker, _walk, which applies
+blocks with the one block kernel, _apply_block, and the branch rule is
+written once, in _branch. Both take one state of shape (d,) or a stack of
+states as columns, shape (n, d, 1): a verifier scoring a drafted batch, or
+calibration. @ is np.matmul, so on a stack each product is a stack of
+matrix-vector products, each the BLAS gemv that w @ x runs on one state,
+where the matrix-matrix product w @ X.T would round differently. So every
+stacked row has the bytes of its own vector forward. Window sums reduce
 over a non-contiguous axis in window order, as the vector sum does, and the
 head's reductions run along each row exactly as over one vector.
 
@@ -206,21 +209,28 @@ def _apply_block(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x + np.tanh(w @ x)
 
 
-def _apply_blocks(blocks, xs: np.ndarray) -> np.ndarray:
-    """_apply_block through each of blocks, for every row of xs."""
-    cols = xs[:, :, None]
-    for w in blocks:
-        cols = cols + np.tanh(np.matmul(w, cols))
-    return cols[:, :, 0]
+def _walk(lm: ToyLm, x: np.ndarray, start: int | None, stop: int | None) -> np.ndarray:
+    """x, one state (d,) or a stack of columns (n, d, 1), through blocks[start:stop]."""
+    for w in lm.blocks[start:stop]:
+        x = _apply_block(w, x)
+    return x
+
+
+def _branch(lm: ToyLm, x: np.ndarray, exit_index: int | None) -> np.ndarray:
+    """The pre-branch x at exit_index through its branch, or x itself if none is attached.
+
+    x is one state or a stack of columns, as _walk takes it. exit_index None
+    (after the last block) has no branch.
+    """
+    branch = lm.branches.get(exit_index)
+    if branch is None:
+        return x
+    return x + np.tanh(branch.apply(x))
 
 
 def forward_full(lm: ToyLm, context) -> TokenDistribution:
     """Distribution over the next token after running every block."""
-    tokens = _check_context(lm, context)
-    x = _initial_state(lm, tokens)
-    for w in lm.blocks:
-        x = _apply_block(w, x)
-    return _head(lm, x)
+    return _exit_forward(lm, context, None)[1]
 
 
 def _is_int(value) -> bool:
@@ -239,21 +249,8 @@ def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDist
 
     exit_index None runs every block and takes the plain head.
     """
-    x = _initial_state(lm, _check_context(lm, context))
-    for w in lm.blocks[:exit_index]:
-        x = _apply_block(w, x)
-    return x, _exit_head(lm, x, exit_index)
-
-
-def _exit_head(lm: ToyLm, x: np.ndarray, exit_index: int | None) -> TokenDistribution:
-    """Head of the pre-branch state x at exit_index, through its branch if one is attached.
-
-    exit_index None (after the last block) has no branch.
-    """
-    branch = lm.branches.get(exit_index)
-    if branch is None:
-        return _head(lm, x)
-    return _head(lm, x + np.tanh(branch.apply(x)))
+    x = _walk(lm, _initial_state(lm, _check_context(lm, context)), 0, exit_index)
+    return x, _head(lm, _branch(lm, x, exit_index))
 
 
 def forward_exit(lm: ToyLm, context, exit_index: int) -> tuple[TokenDistribution, ExitActivation]:
@@ -271,10 +268,7 @@ def resume_from(lm: ToyLm, act: ExitActivation) -> TokenDistribution:
         raise InvalidInputError(
             f"activation has dim {state.size}, model expects {lm.config.embed_dim}"
         )
-    x = state
-    for w in lm.blocks[act.exit_index :]:
-        x = _apply_block(w, x)
-    return _head(lm, x)
+    return _head(lm, _walk(lm, state, act.exit_index, None))
 
 
 def calibration_activations(
@@ -294,8 +288,8 @@ def calibration_activations(
     # Equal to min(int(u * vocab), vocab - 1) per uniform() draw, in draw order.
     draws = Rng(seed).uniforms(num_contexts * window) * vocab
     tokens = np.minimum(draws.astype(np.int64), vocab - 1).reshape(num_contexts, window)
-    states = _apply_blocks(lm.blocks[:exit_index], _gather_states(lm, tokens))
-    return np.ascontiguousarray(states.T)
+    cols = _walk(lm, _gather_states(lm, tokens)[:, :, None], 0, exit_index)
+    return np.ascontiguousarray(cols[:, :, 0].T)
 
 
 def attach_branch(
@@ -331,11 +325,6 @@ def inverse_cdf(probs: np.ndarray, u: float) -> int:
     return min(bisect_right(np.cumsum(probs).tolist(), u), probs.size - 1)
 
 
-def sample(dist: TokenDistribution, rng: Rng) -> int:
-    """Inverse-CDF draw over the fixed token order."""
-    return inverse_cdf(dist.probs, rng.uniform())
-
-
 @dataclass(frozen=True)
 class LmDecoder:
     """Adapter giving a ToyLm the decoder interface protocols use.
@@ -363,10 +352,7 @@ class LmDecoder:
         neither copied nor checked here: a decoding run checks its prompt
         once, against this decoder's vocab_size.
         """
-        window = context[-self.lm.config.context_window :]
-        if self.exit_index is None:
-            return forward_full(self.lm, window)
-        return _exit_forward(self.lm, window, self.exit_index)[1]
+        return _exit_forward(self.lm, context[-self.lm.config.context_window :], self.exit_index)[1]
 
     def next_dists(self, context, tokens) -> list[TokenDistribution]:
         """next_dist(context + tokens[:i]) for each i, from one stacked forward.
@@ -379,12 +365,8 @@ class LmDecoder:
         if not count:
             return []
         seq = _check_context(lm, [*context[-lm.config.context_window :], *tokens])
-        # exit_index None slices every block and finds no branch.
-        states = _apply_blocks(lm.blocks[: self.exit_index], _window_states(lm, seq[:-1], count))
-        branch = lm.branches.get(self.exit_index)
-        if branch is not None:
-            states = states + np.tanh(branch.apply(states[:, :, None])[:, :, 0])
-        return _heads(lm, states)
+        cols = _walk(lm, _window_states(lm, seq[:-1], count)[:, :, None], 0, self.exit_index)
+        return _heads(lm, _branch(lm, cols, self.exit_index)[:, :, 0])
 
 
 def pair_scorer(drafter, verifier):
@@ -417,9 +399,7 @@ def trunk_dists(lm: ToyLm, first, last, context) -> tuple[TokenDistribution, Tok
     x, p_d = _exit_forward(lm, context[-lm.config.context_window :], first)
     if last == first:
         return p_d, p_d
-    for w in lm.blocks[first:last]:
-        x = _apply_block(w, x)
-    return p_d, _exit_head(lm, x, last)
+    return p_d, _head(lm, _branch(lm, _walk(lm, x, first, last), last))
 
 
 def save_model(lm: ToyLm, path) -> None:

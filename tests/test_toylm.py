@@ -23,7 +23,6 @@ from aiflow.toylm import (
     forward_full,
     load_model,
     resume_from,
-    sample,
     save_model,
 )
 
@@ -259,33 +258,33 @@ def test_attach_branch_exit_must_be_an_int(lm, exit_index):
 
 
 # --- sampling ---------------------------------------------------------------------
+# Drafting samples a token as inverse_cdf(probs, u) from one uniform() draw.
 
 def test_sample_one_hot_is_certain():
     probs = np.zeros(6)
     probs[3] = 1.0
-    dist = TokenDistribution(probs=probs)
     rng = Rng(1)
-    assert all(sample(dist, rng) == 3 for _ in range(100))
+    assert all(toylm.inverse_cdf(probs, rng.uniform()) == 3 for _ in range(100))
 
 
 def test_sample_uniform_frequencies():
-    dist = TokenDistribution(probs=np.full(4, 0.25))
+    probs = np.full(4, 0.25)
     rng = Rng(99)
     counts = np.zeros(4)
     n = 100_000
     for _ in range(n):
-        counts[sample(dist, rng)] += 1
+        counts[toylm.inverse_cdf(probs, rng.uniform())] += 1
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 
 def test_sample_reproducible(lm):
-    dist = forward_full(lm, [1, 2])
-    a = [sample(dist, Rng(7)) for _ in range(1)]
-    b = [sample(dist, Rng(7)) for _ in range(1)]
+    probs = forward_full(lm, [1, 2]).probs
+    a = [toylm.inverse_cdf(probs, Rng(7).uniform()) for _ in range(1)]
+    b = [toylm.inverse_cdf(probs, Rng(7).uniform()) for _ in range(1)]
     assert a == b
     seq_a, seq_b = Rng(13), Rng(13)
-    assert [sample(dist, seq_a) for _ in range(50)] == [
-        sample(dist, seq_b) for _ in range(50)
+    assert [toylm.inverse_cdf(probs, seq_a.uniform()) for _ in range(50)] == [
+        toylm.inverse_cdf(probs, seq_b.uniform()) for _ in range(50)
     ]
 
 
@@ -374,8 +373,8 @@ def test_lm_decoder_exit_builds_no_activation(lm, monkeypatch):
 # --- stacked forwards ---------------------------------------------------------------
 
 def test_stacked_products_equal_per_row_products():
-    # The stacked forwards rest on these identities: np.matmul over a stack
-    # of column vectors runs, per row, the matrix-vector product w @ x runs,
+    # The stacked forwards rest on these identities: w @ over a stack of
+    # column vectors runs, per row, the matrix-vector product w @ x runs,
     # and a window sum over a stack adds in the same order as over one
     # window. A numpy or BLAS build that breaks either would change sampled
     # tokens, so it fails here first.
@@ -384,7 +383,7 @@ def test_stacked_products_equal_per_row_products():
         rows, cols, count = (int(n) for n in rng.integers((1, 1, 1), (97, 65, 9)))
         w = rng.standard_normal((rows, cols))
         xs = rng.standard_normal((count, cols))
-        stacked = np.matmul(w, xs[:, :, None])[:, :, 0]
+        stacked = (w @ xs[:, :, None])[:, :, 0]
         windows = rng.integers(0, rows, size=(count, int(rng.integers(1, 17))))
         sums = w[windows].sum(axis=1)
         for i in range(count):
@@ -432,6 +431,44 @@ def test_initial_state_gather_equals_fancy_indexing():
         assert toylm._initial_state(model, tokens).tobytes() == want.tobytes()
         empty = toylm._initial_state(model, [])
         assert empty.shape == (d,) and not empty.any()
+
+
+# --- one block kernel -------------------------------------------------------------
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """A one-item list counting toylm._apply_block calls, on one state or a stack."""
+    calls = [0]
+    apply_block = toylm._apply_block
+
+    def counting(w, x):
+        calls[0] += 1
+        return apply_block(w, x)
+
+    monkeypatch.setattr(toylm, "_apply_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("num_contexts", [1, 64])
+@pytest.mark.parametrize("exit_index", [1, 3, 8])
+def test_calibration_applies_each_block_once_to_the_stack(lm, block_calls, exit_index,
+                                                          num_contexts):
+    calibration_activations(lm, exit_index, num_contexts)
+    assert block_calls == [exit_index]
+
+
+@pytest.fixture(scope="module")
+def branched():
+    return _branched(8, 4, seed=3)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("exit_index, blocks", [(2, 2), (3, 3), (None, 4)])
+def test_next_dists_applies_each_block_once_to_the_stack(branched, block_calls, exit_index,
+                                                         blocks, count):
+    # Exit 2 has a branch, which is not a block.
+    LmDecoder(branched, exit_index).next_dists([5, 1], list(range(count)))
+    assert block_calls == [blocks]
 
 
 # --- familial pairs -----------------------------------------------------------------
