@@ -32,6 +32,7 @@ from .errors import (
 )
 from .numerics import (
     cholesky_lower,
+    require_int,
     require_matrix,
     require_vector,
     solve_lower_triangular,
@@ -236,10 +237,8 @@ def hpcd_build(
     up the next rank_per_component singular triplets of w @ S.
     """
     arr = require_matrix(w, "w")
-    if not isinstance(rank_per_component, int) or rank_per_component < 1:
-        raise InvalidInputError("rank_per_component must be >= 1")
-    if not isinstance(num_components, int) or num_components < 1:
-        raise InvalidInputError("num_components must be >= 1")
+    require_int("rank_per_component", rank_per_component, 1)
+    require_int("num_components", num_components, 1)
     components = []
     residual = arr
     for _ in range(num_components):

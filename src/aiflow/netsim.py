@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 from .config import REQUIRED, read_fields, reject_unknown_fields
 from .errors import InvalidInputError, InvalidScenarioError
-from .numerics import Rng, require_int
+from .numerics import Rng, is_real, require_int
 from .specdec import ProtocolConfig, run_protocol
 from .tofc import TofcConfig, tofc_pipeline
 
@@ -51,7 +51,7 @@ class NodeSpec:
         if self.tier not in _TIERS:
             raise InvalidInputError(f"unknown tier {self.tier!r}")
         for op, cost in self.compute_cost.items():
-            if not 0.0 <= float(cost) < math.inf:
+            if not (is_real(cost) and 0.0 <= cost < math.inf):
                 raise InvalidInputError(f"compute cost {op!r} must be finite and >= 0")
 
 
@@ -65,10 +65,16 @@ class LinkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.latency_s < math.inf or not self.bandwidth_bytes_per_s > 0.0:
+        latency, bandwidth, jitter = self.latency_s, self.bandwidth_bytes_per_s, self.jitter_s
+        if not (is_real(latency) and 0.0 < latency < math.inf
+                and is_real(bandwidth) and bandwidth > 0.0):
             raise InvalidInputError("latency must be finite and > 0, bandwidth > 0")
-        if not 0.0 <= self.jitter_s < math.inf:
+        if not (is_real(jitter) and 0.0 <= jitter < math.inf):
             raise InvalidInputError("jitter must be finite and >= 0")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise InvalidInputError(
+                f"link {self.src}->{self.dst} seed must be an int, got {self.seed!r}"
+            )
         if self.seed < 0:
             raise InvalidInputError(f"link {self.src}->{self.dst} seed must be >= 0")
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,11 @@ def require_int(name: str, value, minimum: int) -> None:
     """A non-bool int >= minimum, or an InvalidInputError naming the field."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number (numpy scalars included) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _splitmix64(x: int) -> int:

@@ -9,28 +9,27 @@ Three tiers chain the rule: the edge-verified stream (each token paired with
 the edge's full distribution at that position) is the draft stream the cloud
 verifies, so the final output law is the cloud's.
 
-Decoder contract: a tier model has an int `vocab_size` and two methods over
-that vocabulary. `next_dist(context) -> TokenDistribution` gives the
-distribution of the token after context. `next_dists(context, tokens) ->
-list[TokenDistribution]` gives, for each i in range(len(tokens)), the
-distribution after context + tokens[:i], equal to what next_dist would
-return there. The first boundary is scanned position by position: at each
-scanned position the pair's scorer (toylm.pair_scorer, chosen once per run)
-gives the drafter's distribution, from which the token is drafted, and the
-first verifier's on the same context, which scores it; the scan stops at the
-first rejection, so no position past it is drafted or scored. A familial
-pair (two LmDecoders on one ToyLm, the verifier exiting at or after the
-drafter) is scored by one shared-trunk forward; any other pair by one
-next_dist call per tier. A third tier calls next_dists once per round, on
-the middle tier's whole emitted stream. All tiers of a run share one
+Decoder contract: a tier model has an int `vocab_size` and one method over
+that vocabulary, `next_dist(context) -> TokenDistribution`, the
+distribution of the token after context. The first boundary is scanned
+position by position: at each scanned position the chain's scorer
+(toylm.chain_scorer, chosen once per run) gives every tier's distribution
+on the same context. The drafter's is the one its token is drafted from;
+the first verifier's scores that token; the scan stops at the first
+rejection, so no position past it is drafted or scored. A third tier
+verifies the middle tier's emitted stream from the distributions the scan
+collected: the stream has one token per scanned position, each drafted or
+corrected at that position's context, so no tier runs a forward after the
+scan. Consecutive familial tiers (LmDecoders on one ToyLm, each exiting at
+or after the one before) are scored by one shared-trunk forward; every
+other tier by its own next_dist call. All tiers of a run share one
 vocab_size. A run checks its prompt once, against that vocabulary, before
 any draw; drafted and corrected tokens lie inside it by construction. The
 run then keeps one append-only token list: the scan appends to it and
-truncates it back, and each round extends it with the emitted tokens. Both
-methods receive that list itself, and next_dists a stream's token list too,
-so they must neither keep nor mutate them; they may read only the tail of
-the context they need, which keeps the work per emitted token independent of
-the context length.
+truncates it back, and each round extends it with the emitted tokens.
+next_dist receives that list itself, so it must neither keep nor mutate it;
+it may read only the tail of the context it needs, which keeps the work per
+emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
@@ -63,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, ProtocolViolationError
-from .numerics import Rng, require_int
-from .toylm import TokenDistribution, check_tokens, inverse_cdf, pair_scorer
+from .numerics import Rng, is_real, require_int
+from .toylm import TokenDistribution, chain_scorer, check_tokens, inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class ProtocolConfig:
             raise InvalidInputError("tier roles must be distinct")
         for role in self.tiers:
             cost = self.per_token_compute_cost.get(role)
-            if cost is None or not (math.isfinite(cost) and cost > 0.0):
+            if not (is_real(cost) and math.isfinite(cost) and cost > 0.0):
                 raise InvalidInputError(
                     f"per_token_compute_cost[{role!r}] must be finite and > 0"
                 )
@@ -237,30 +236,31 @@ class _RoundOutcome:
     records: list[RoundRecord]
 
 
-def _round(
-    cfg: ProtocolConfig, models: dict, score, context: list[int], draws: list[float], rngs: dict
-) -> _RoundOutcome:
+def _round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
+           rngs: dict) -> _RoundOutcome:
     """One draft-verify round from the drafter's reserved draws.
 
-    The drafter and the first verifier walk the batch's positions together,
-    score being their pair_scorer: at position i the drafter samples token i
-    from draws[i], the verifier scores the same context, and the scan stops at
-    the first rejection, so no position past it is drafted or scored. Each
-    higher tier then verifies the emitted stream below it, paired with that
-    tier's per-position distributions (the stream's law there), in one
-    next_dists call. context is extended during the scan and holds the same
-    tokens on return.
+    score is the chain's chain_scorer. At scanned position i it gives every
+    tier's distribution on one context: the drafter samples token i from
+    draws[i], the first verifier judges it, and the scan stops at the first
+    rejection, so no position past it is drafted or scored. The emitted
+    stream then has one token per scanned position, so a third tier verifies
+    it from the distributions the scan collected, paired with the middle
+    tier's (the stream's law there). context is extended during the scan and
+    holds the same tokens on return.
     """
     lower, upper = cfg.tiers[:2]
     rng = rngs[upper]
     base = len(context)
     target_dists: list[TokenDistribution] = []
+    top_dists: list[TokenDistribution] = []
     correction = None
     try:
         for i, u in enumerate(draws):
-            p_d, p_t = score(context)
+            p_d, p_t, *p_top = score(context)
             token = inverse_cdf(p_d.probs, u)
             target_dists.append(p_t)
+            top_dists += p_top
             correction = _judge(i, token, p_d, p_t, rng)
             if correction is not None:
                 break
@@ -273,8 +273,7 @@ def _round(
         stream.append(correction)
     if len(cfg.tiers) == 3:
         top = cfg.tiers[2]
-        batch = DraftBatch(tokens=stream, draft_dists=target_dists)
-        result = verify(models[top].next_dists(context, stream), batch, rngs[top])
+        result = verify(top_dists, DraftBatch(tokens=stream, draft_dists=target_dists), rngs[top])
         records.append(RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count))
         stream = stream[: result.accepted_count]
         if result.correction_token is not None:
@@ -289,10 +288,9 @@ def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict)
     forward. context is a list of checked tokens that the round extends and
     truncates back, so it holds the same tokens on return.
     """
-    drafter, verifier = cfg.tiers[:2]
-    draws = [rngs[drafter].uniform() for _ in range(cfg.draft_len)]
-    score = pair_scorer(models[drafter], models[verifier])
-    return _round(cfg, models, score, context, draws, rngs)
+    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
+    score = chain_scorer([models[role] for role in cfg.tiers])
+    return _round(cfg, score, context, draws, rngs)
 
 
 def _decode(
@@ -317,7 +315,7 @@ def _decode(
     context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
     draft_rng, gamma = streams[cfg.tiers[0]], cfg.draft_len
-    score = pair_scorer(models[cfg.tiers[0]], models[cfg.tiers[1]])
+    score = chain_scorer([models[role] for role in cfg.tiers])
     start, end = len(context), len(context) + num_tokens
     records: list[RoundRecord] = []
     rounds = rejected = accepted = corrections = 0
@@ -327,7 +325,7 @@ def _decode(
             draws = [draft_rng.uniform() for _ in range(gamma)]
         if lookahead:
             ahead = [draft_rng.uniform() for _ in range(gamma)]
-        outcome = _round(cfg, models, score, context, draws, streams)
+        outcome = _round(cfg, score, context, draws, streams)
         rounds += 1
         records.extend(outcome.records)
         final = outcome.records[-1]

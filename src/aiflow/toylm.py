@@ -8,24 +8,24 @@ inside the square root so the empty-context zero vector stays well defined).
 
 Exit points sit after every block. An activation captured at exit l can be
 resumed through blocks l+1..L to reproduce the full forward pass exactly.
-Decoding relies on that alignment: trunk_dists scores an exit-l drafter and
-a deeper verifier on one model with one trunk pass, the verifier resuming
-the drafter's pre-branch state, and both distributions are byte-identical
-to separate forwards. A branch attached at exit l is a whitened low-rank
-stand-in for block l+1, applied in the same residual form
-(x <- x + tanh(w_u @ (w_v @ x))) before the head, and only affects the
-early-exit prediction, never the resumed trunk.
+Decoding relies on that alignment: trunk_dists scores a familial chain (a
+device exit, a deeper edge exit, the full cloud, all on one model) with one
+trunk pass, each deeper tier resuming the pre-branch state of the tier
+before it, and every distribution is byte-identical to a separate forward.
+A branch attached at exit l is a whitened low-rank stand-in for block l+1,
+applied in the same residual form (x <- x + tanh(w_u @ (w_v @ x))) before
+the head, and only affects the early-exit prediction, never the resumed
+trunk.
 
 Every forward walks the trunk through one walker, _walk, which applies
 blocks with the one block kernel, _apply_block, and the branch rule is
-written once, in _branch. Both take one state of shape (d,) or a stack of
-states as columns, shape (n, d, 1): a verifier scoring a drafted batch, or
-calibration. @ is np.matmul, so on a stack each product is a stack of
-matrix-vector products, each the BLAS gemv that w @ x runs on one state,
-where the matrix-matrix product w @ X.T would round differently. So every
-stacked row has the bytes of its own vector forward. Window sums reduce
-over a non-contiguous axis in window order, as the vector sum does, and the
-head's reductions run along each row exactly as over one vector.
+written once, in _branch. _walk takes one state of shape (d,) or, for
+calibration, a stack of states as columns, shape (n, d, 1). @ is np.matmul,
+so on a stack each product is a stack of matrix-vector products, each the
+BLAS gemv that w @ x runs on one state, where the matrix-matrix product
+w @ X.T would round differently. So every stacked column has the bytes of
+its own vector forward. Window sums reduce over a non-contiguous axis in
+window order, as the vector sum does.
 
 Everything is deterministic: weights come from one seeded Rng in a documented
 order (embedding rows, then each block, then the head, all row-major, every
@@ -162,19 +162,6 @@ def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
     return lm.embedding.take(window, axis=0).sum(axis=0) / len(window)
 
 
-def _window_states(lm: ToyLm, tokens: list[int], count: int) -> np.ndarray:
-    """count x d initial states: row i for tokens[: len(tokens) - count + 1 + i].
-
-    When every one of those windows is full, one gather sums them all.
-    """
-    window = lm.config.context_window
-    first = len(tokens) - count + 1
-    if first < window:
-        return np.stack([_initial_state(lm, tokens[: first + i]) for i in range(count)])
-    tail = np.array(tokens[first - window :])
-    return _gather_states(lm, tail[np.arange(count)[:, None] + np.arange(window)])
-
-
 def _gather_states(lm: ToyLm, windows: np.ndarray) -> np.ndarray:
     """Initial states of full windows, one per row of a count x window token matrix."""
     return lm.embedding[windows].sum(axis=1) / windows.shape[1]
@@ -193,18 +180,6 @@ def _head(lm: ToyLm, x: np.ndarray) -> TokenDistribution:
     return TokenDistribution(probs=expd / expd.sum())
 
 
-def _heads(lm: ToyLm, xs: np.ndarray) -> list[TokenDistribution]:
-    """_head of each row of xs, with _normalize and the softmax done per row."""
-    size = xs.shape[1]
-    centered = xs - (xs.sum(axis=1) / size)[:, None]
-    rms = np.sqrt((centered * centered).sum(axis=1) / size + _RMS_FLOOR)
-    logits = np.matmul(lm.lm_head, (centered / rms[:, None])[:, :, None])[:, :, 0]
-    logits = logits - logits.max(axis=1)[:, None]
-    expd = np.exp(logits)
-    probs = expd / expd.sum(axis=1)[:, None]
-    return [TokenDistribution(probs=p) for p in probs]
-
-
 def _apply_block(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x + np.tanh(w @ x)
 
@@ -217,10 +192,9 @@ def _walk(lm: ToyLm, x: np.ndarray, start: int | None, stop: int | None) -> np.n
 
 
 def _branch(lm: ToyLm, x: np.ndarray, exit_index: int | None) -> np.ndarray:
-    """The pre-branch x at exit_index through its branch, or x itself if none is attached.
+    """The pre-branch state x at exit_index through its branch, or x itself if none is attached.
 
-    x is one state or a stack of columns, as _walk takes it. exit_index None
-    (after the last block) has no branch.
+    exit_index None (after the last block) has no branch.
     """
     branch = lm.branches.get(exit_index)
     if branch is None:
@@ -354,52 +328,59 @@ class LmDecoder:
         """
         return _exit_forward(self.lm, context[-self.lm.config.context_window :], self.exit_index)[1]
 
-    def next_dists(self, context, tokens) -> list[TokenDistribution]:
-        """next_dist(context + tokens[:i]) for each i, from one stacked forward.
 
-        Each distribution is byte-identical to the next_dist call it stands
-        for. Only the context window's tail of context is read and checked,
-        together with tokens.
-        """
-        lm, count = self.lm, len(tokens)
-        if not count:
-            return []
-        seq = _check_context(lm, [*context[-lm.config.context_window :], *tokens])
-        cols = _walk(lm, _window_states(lm, seq[:-1], count)[:, :, None], 0, self.exit_index)
-        return _heads(lm, _branch(lm, cols, self.exit_index)[:, :, 0])
+def chain_scorer(decoders):
+    """The function context -> tuple of each decoder's next_dist(context), in tier order.
 
-
-def pair_scorer(drafter, verifier):
-    """The function context -> (drafter.next_dist(context), verifier.next_dist(context)).
-
-    Chosen once per pair. A familial pair is two LmDecoders on the same
-    ToyLm whose verifier exits at or after the drafter (None: after the last
-    block); it is scored by trunk_dists, one trunk pass per context. Any
-    other pair, a wrapped decoder included, gets the two next_dist calls.
+    Chosen once per chain. Consecutive LmDecoders on one ToyLm whose exits
+    do not decrease (None: after the last block) are scored by trunk_dists,
+    one trunk pass per context. Every other tier, a wrapped decoder
+    included, gets its own next_dist call.
     """
-    if type(drafter) is LmDecoder and type(verifier) is LmDecoder and drafter.lm is verifier.lm:
-        first, last = drafter.exit_index, verifier.exit_index
-        if last is None or (first is not None and first <= last):
-            return partial(trunk_dists, drafter.lm, first, last)
-    return lambda context: (drafter.next_dist(context), verifier.next_dist(context))
+    runs: list[list] = []
+    for decoder in decoders:
+        last = runs[-1][-1] if runs else None
+        if (type(decoder) is LmDecoder and type(last) is LmDecoder and decoder.lm is last.lm
+                and _exit_order(decoder) >= _exit_order(last)):
+            runs[-1].append(decoder)
+        else:
+            runs.append([decoder])
+    scorers = [partial(trunk_dists, run[0].lm, tuple(d.exit_index for d in run))
+               if len(run) > 1 else partial(_one_dist, run[0]) for run in runs]
+    if len(scorers) == 1:
+        return scorers[0]
+    return lambda context: tuple(p for score in scorers for p in score(context))
 
 
-def trunk_dists(lm: ToyLm, first, last, context) -> tuple[TokenDistribution, TokenDistribution]:
-    """LmDecoder(lm, first) and LmDecoder(lm, last)'s next_dist(context), from one trunk pass.
+def _exit_order(decoder: LmDecoder) -> float:
+    """The decoder's exit as a sort key: None, after the last block, comes last."""
+    return math.inf if decoder.exit_index is None else decoder.exit_index
 
-    first and last are exits as LmDecoder takes them, last None or at or
-    after first; pair_scorer checks that once per pair. The window is
-    checked, the initial state built and blocks[:first] applied once. The
-    first distribution is the head of that state, through first's branch if
-    one is attached. The second continues the same pre-branch state through
-    the blocks between the exits, as resume_from does, then takes last's
-    branch and the head. Both are byte-identical to the next_dist calls;
-    equal exits share one distribution.
+
+def _one_dist(decoder, context) -> tuple[TokenDistribution]:
+    return (decoder.next_dist(context),)
+
+
+def trunk_dists(lm: ToyLm, exits: tuple, context) -> tuple[TokenDistribution, ...]:
+    """Each LmDecoder(lm, exit).next_dist(context), in exits order, from one trunk pass.
+
+    exits are exits as LmDecoder takes them, none before the one ahead of it
+    (None, after the last block, comes last); chain_scorer checks that once
+    per chain. The window is checked, the initial state built and
+    blocks[:exits[0]] applied once. Each distribution is the head of the
+    pre-branch state at its exit, through that exit's branch if one is
+    attached; the next exit continues the same pre-branch state through the
+    blocks between them, as resume_from does. All are byte-identical to the
+    next_dist calls; equal exits share one distribution.
     """
-    x, p_d = _exit_forward(lm, context[-lm.config.context_window :], first)
-    if last == first:
-        return p_d, p_d
-    return p_d, _head(lm, _branch(lm, _walk(lm, x, first, last), last))
+    x, dist = _exit_forward(lm, context[-lm.config.context_window :], exits[0])
+    dists = [dist]
+    for prev, exit_index in zip(exits, exits[1:]):
+        if exit_index != prev:
+            x = _walk(lm, x, prev, exit_index)
+            dist = _head(lm, _branch(lm, x, exit_index))
+        dists.append(dist)
+    return tuple(dists)
 
 
 def save_model(lm: ToyLm, path) -> None:

@@ -74,9 +74,6 @@ class TableModel:
             self._cache[key] = TokenDistribution(probs=probs)
         return self._cache[key]
 
-    def next_dists(self, context, tokens):
-        return [self.next_dist([*context, *tokens[:i]]) for i in range(len(tokens))]
-
 
 class FixedModel:
     """Same distribution at every context."""
@@ -87,9 +84,6 @@ class FixedModel:
 
     def next_dist(self, context):
         return self.dist
-
-    def next_dists(self, context, tokens):
-        return [self.dist] * len(tokens)
 
 
 def draft_paths(model, prefix, gamma):

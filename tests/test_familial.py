@@ -297,6 +297,18 @@ def test_hpcd_truncate_validation():
         hpcd_truncate(stack, 3)
 
 
+@pytest.mark.parametrize("field", ["rank_per_component", "num_components"])
+@pytest.mark.parametrize("value", [True, 2.0, "2", None, 0])
+def test_hpcd_build_counts_must_be_ints(field, value):
+    rng = np.random.default_rng(36)
+    w = rng.normal(size=(3, 3))
+    ctx = whiten(rng.normal(size=(3, 7)), ridge=0.0)
+    counts = {"rank_per_component": 1, "num_components": 2, field: value}
+    message = f"{field} must be an int >= 1, got {value!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        hpcd_build(w, ctx, **counts)
+
+
 # --- container roundtrip ----------------------------------------------------------
 
 def test_layer_container_roundtrip(tmp_path):

@@ -2,7 +2,8 @@
 
 aiflow.config is a leaf that only reads config documents; netsim is only the
 simulator (it builds no models and runs no configs); cli is the top, which
-nothing else imports.
+nothing else imports. specdec holds tier models to the decoder contract:
+vocab_size and next_dist.
 """
 
 import ast
@@ -63,5 +64,40 @@ def test_netsim_defines_no_config_layer():
 
 
 def test_toylm_imports_neither_protocol_nor_simulator():
-    # The shared-trunk pair scorer lives in toylm; specdec imports it.
+    # The shared-trunk chain scorer lives in toylm; specdec imports it.
     assert package_imports("toylm").isdisjoint({"specdec", "netsim"})
+
+
+def _is_model(node, names) -> bool:
+    """Whether node is a tier model: a name in names, or an item of a models dict."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Name) and node.value.id == "models"
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def model_reads(module) -> set:
+    """Attributes the module reads from tier models.
+
+    A tier model is a function parameter named model or *_model, an item
+    models[...] of a parameter named models, or a name assigned from one.
+    getattr or hasattr on a model counts as reading "getattr".
+    """
+    tree = _tree(module)
+    names = {a.arg for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             for a in f.args.args if a.arg == "model" or a.arg.endswith("_model")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _is_model(node.value, names):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_model(node.value, names):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and any(_is_model(a, names) for a in node.args)):
+            reads.add("getattr")
+    return reads
+
+
+def test_specdec_reads_only_the_decoder_contract_from_tier_models():
+    assert model_reads("specdec") == {"next_dist", "vocab_size"}

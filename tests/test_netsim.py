@@ -154,10 +154,25 @@ class TestTopology:
                 LinkSpec("a", "b", latency, 1e6, jitter, 0)
 
     def test_non_finite_compute_cost_rejected(self):
-        for cost in (math.inf, math.nan, -1.0):
+        for cost in (math.inf, math.nan, -1.0, True, False, "abc", "0.5", None, [0.1]):
             with pytest.raises(InvalidInputError,
                                match=re.escape("compute cost 'token' must be finite and >= 0")):
                 NodeSpec(id="a", tier="device", compute_cost={"token": cost})
+
+    @pytest.mark.parametrize("value", [True, "abc", "x", None, [1.0]])
+    @pytest.mark.parametrize("field", ["latency_s", "bandwidth_bytes_per_s", "jitter_s"])
+    def test_non_real_link_params_rejected(self, field, value):
+        params = {"latency_s": 1e-3, "bandwidth_bytes_per_s": 1e6, "jitter_s": 0.0, field: value}
+        message = ("jitter must be finite and >= 0" if field == "jitter_s" else
+                   "latency must be finite and > 0, bandwidth > 0")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            LinkSpec("a", "b", seed=0, **params)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "1", None, np.int64(1)])
+    def test_non_int_link_seed_rejected_at_construction(self, seed):
+        message = f"link a->b seed must be an int, got {seed!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            LinkSpec("a", "b", 1e-3, 1e6, 0.0, seed)
 
     def test_verify_cost_falls_back_to_token(self):
         topo = two_node_topology()

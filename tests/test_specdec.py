@@ -139,7 +139,7 @@ class TestPromptCheckedOnce:
         with pytest.raises(InvalidTokenError, match=match):
             toylm.forward_full(decoder.lm, [99, 2.5])
         with pytest.raises(InvalidTokenError, match=match):
-            decoder.next_dists([99], [2.5])
+            decoder.next_dist([99, 2.5])
         with pytest.raises(InvalidTokenError, match=match):
             draft(decoder, [99, 2.5], 2, Rng(0))
 
@@ -179,10 +179,6 @@ class TestPromptCheckedOnce:
             def next_dist(self, context):
                 self.seen(context)
                 return self.decoder.next_dist(context)
-
-            def next_dists(self, context, tokens):
-                self.seen(context)
-                return self.decoder.next_dists(context, tokens)
 
         def per_token(cfg, num_tokens):
             models = {role: SameList(lm_decoder(2 * i + 1, i)) for i, role in enumerate(cfg.tiers)}
@@ -409,25 +405,20 @@ def scanned_positions(cfg, transcript):
 
 class TestForwardCalls:
     class Counting:
-        """Counts each method's calls and the batch sizes next_dists scores."""
+        """Counts next_dist calls."""
 
         def __init__(self, decoder):
             self.decoder = decoder
             self.vocab_size = decoder.vocab_size
             self.single = 0
-            self.batches = []
 
         def next_dist(self, context):
             self.single += 1
             return self.decoder.next_dist(context)
 
-        def next_dists(self, context, tokens):
-            self.batches.append(len(tokens))
-            return self.decoder.next_dists(context, tokens)
-
     @pytest.mark.parametrize("cfg", [two_tier(gamma=4), two_tier(gamma=3, mode="pipelined"),
                                      three_tier(gamma=4)], ids=["2-tier", "pipelined", "3-tier"])
-    def test_verifiers_score_each_batch_in_one_call(self, cfg):
+    def test_every_tier_scores_each_scanned_position_once(self, cfg):
         models = {role: self.Counting(lm_decoder(2 * i + 1, i))
                   for i, role in enumerate(cfg.tiers)}
         if cfg.mode == "pipelined":
@@ -435,19 +426,17 @@ class TestForwardCalls:
             assert stats.discarded_batches > 1  # lookaheads dropped by corrections too
         else:
             transcript = run_sequential(cfg, models, [5, 1, 7], 60, Rng(8))
-        drafter, first = models[cfg.tiers[0]], models[cfg.tiers[1]]
         # The first boundary drafts and scores position by position up to the
-        # first rejection: one next_dist call each per scanned position. A
-        # discarded lookahead costs draws but no forward.
-        assert drafter.single == first.single == scanned_positions(cfg, transcript)
-        assert drafter.batches == first.batches == []
-        # A third tier scores the middle tier's emitted stream in one call.
+        # first rejection, and every tier scores each scanned position with one
+        # next_dist call. A discarded lookahead costs draws but no forward.
+        scanned = scanned_positions(cfg, transcript)
+        assert [m.single for m in models.values()] == [scanned] * len(cfg.tiers)
+        # A third tier verifies the middle tier's emitted stream, one token
+        # per scanned position, from those distributions.
         if len(cfg.tiers) == 3:
             middle, top = cfg.tiers[1:]
             stage = [r.drafted for r in transcript.per_round if r.stage == f"{middle}->{top}"]
-            assert len(stage) == transcript.totals.rounds
-            assert models[top].batches == stage
-            assert models[top].single == 0
+            assert len(stage) == transcript.totals.rounds and sum(stage) == scanned
 
     @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
     @pytest.mark.parametrize("first", [1, 3, 5, None])
@@ -482,19 +471,25 @@ class TestForwardCalls:
                                seed=13))
         cfg = three_tier(gamma=4)
         models = dict(zip(cfg.tiers, (LmDecoder(lm, 2), LmDecoder(lm, 4), LmDecoder(lm))))
-        blocks = [0]
-        apply_block = toylm._apply_block
+        counts = {"blocks": 0, "states": 0}
+        apply_block, initial_state = toylm._apply_block, toylm._initial_state
 
         def counting_block(w, x):
-            blocks[0] += 1
+            counts["blocks"] += 1
             return apply_block(w, x)
 
+        def counting_state(lm, tokens):
+            counts["states"] += 1
+            return initial_state(lm, tokens)
+
         monkeypatch.setattr(toylm, "_apply_block", counting_block)
+        monkeypatch.setattr(toylm, "_initial_state", counting_state)
         transcript = run_protocol(cfg, models, [5, 1, 7], 40, Rng(4))
-        # The device and edge share the edge's 4 blocks per scanned position;
-        # the cloud scores each round's edge stream as one stack, 6 blocks.
-        scanned, rounds = scanned_positions(cfg, transcript), transcript.totals.rounds
-        assert blocks == [4 * scanned + 6 * rounds]
+        # All three tiers share one trunk: the cloud's 6 blocks and one
+        # initial state per scanned position, with no forward after the scan.
+        scanned = scanned_positions(cfg, transcript)
+        assert counts == {"blocks": 6 * scanned, "states": scanned}
+        assert counts["blocks"] == 354
 
 
 class TestRunPipelined:
@@ -559,6 +554,11 @@ class TestRunPipelined:
         )[0]
 
 
+def dists_along(model, context, tokens):
+    """model.next_dist(context + tokens[:i]) for each i in range(len(tokens))."""
+    return [model.next_dist([*context, *tokens[:i]]) for i in range(len(tokens))]
+
+
 def eager_pipelined(cfg, models, prompt, num_tokens, rng):
     """Reference pipelined run that drafts every lookahead before its verdict.
 
@@ -586,7 +586,7 @@ def eager_pipelined(cfg, models, prompt, num_tokens, rng):
         if batch is None:
             batch = eager_draft(context)
         ahead = eager_draft(context + batch.tokens)
-        result = verify(verifier.next_dists(list(context), batch.tokens), batch, verify_rng)
+        result = verify(dists_along(verifier, context, batch.tokens), batch, verify_rng)
         rounds += 1
         per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens), result.accepted_count))
         emitted = batch.tokens[: result.accepted_count]
@@ -682,7 +682,8 @@ class TestLookaheadOracle:
 def batch_sequential(cfg, models, prompt, num_tokens, rng):
     """Reference sequential run that drafts each whole batch before verifying it.
 
-    Every boundary scores its batch in one next_dists call and verify.
+    Every boundary scores its whole batch, one next_dist call per position,
+    and verifies it.
     Returns (emitted_tokens, per_round, totals).
     """
     streams = [rng.spawn(i) for i in range(len(cfg.tiers))]
@@ -699,7 +700,7 @@ def batch_sequential(cfg, models, prompt, num_tokens, rng):
             running.append(tokens[-1])
         batch = DraftBatch(tokens=tokens, draft_dists=dists)
         for i, (lower, upper) in enumerate(zip(cfg.tiers, cfg.tiers[1:])):
-            target = models[upper].next_dists(list(context), batch.tokens)
+            target = dists_along(models[upper], context, batch.tokens)
             result = verify(target, batch, streams[i + 1])
             per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens),
                                          result.accepted_count))
@@ -741,8 +742,14 @@ FAMILIAL_CHAINS = {
     **FAMILIAL_PAIRS,
     "3-family": family_chain,
     "3-family-branch": lambda: (*family_pair(branch=True), lm_decoder(3, 4)),
+    "3-device-family": lambda: (lm_decoder(1, 3), *family_pair(branch=True)),
     "3-identical": lambda: (lm_decoder(2, 6),) * 3,
 }
+
+
+# Tiers of a familial chain on a model of their own: each takes one
+# next_dist call per scanned position.
+UNSHARED_TIERS = {"3-family-branch": 1, "3-device-family": 1}
 
 
 class TestScanOracle:
@@ -790,7 +797,9 @@ class TestScanOracle:
         assert transcript.emitted_tokens == tokens
         assert transcript.per_round == per_round
         assert transcript.totals == totals
-        assert next_dist_calls[0] == calls  # every position took the shared trunk
+        # Every familial tier took the shared trunk at every scanned position.
+        own = UNSHARED_TIERS.get(chain, 0) * scanned_positions(cfg, transcript)
+        assert next_dist_calls[0] - calls == own
 
 
 class TestProtocolConfig:
@@ -809,7 +818,8 @@ class TestProtocolConfig:
                 per_token_compute_cost={"a": 1, "b": 1}, mode="warp",
             )
 
-    @pytest.mark.parametrize("cost", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("cost", [math.inf, math.nan, -math.inf,
+                                      True, False, "0.1", None, [0.1]])
     def test_cost_must_be_finite(self, cost):
         message = "per_token_compute_cost['b'] must be finite and > 0"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):

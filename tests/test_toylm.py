@@ -1,7 +1,9 @@
 """Tests for the toy language model, exits, branches, and sampling."""
 
+import itertools
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,7 +375,7 @@ def test_lm_decoder_exit_builds_no_activation(lm, monkeypatch):
 # --- stacked forwards ---------------------------------------------------------------
 
 def test_stacked_products_equal_per_row_products():
-    # The stacked forwards rest on these identities: w @ over a stack of
+    # Stacked calibration rests on these identities: w @ over a stack of
     # column vectors runs, per row, the matrix-vector product w @ x runs,
     # and a window sum over a stack adds in the same order as over one
     # window. A numpy or BLAS build that breaks either would change sampled
@@ -395,26 +397,6 @@ def _branched(d, window, seed):
     lm = build(ToyLmConfig(vocab_size=40, embed_dim=d, num_layers=4, context_window=window,
                            seed=seed))
     return attach_branch(lm, 2, 0.5, whiten(calibration_activations(lm, 2, 64, seed)))
-
-
-@pytest.mark.parametrize("d", [8, 16, 32, 64])
-def test_next_dists_equal_per_position_next_dist(d):
-    window = 3 + d // 8  # 4, 5, 7 and 11 tokens
-    model = _branched(d, window, seed=d)
-    # The full model, an exit with a branch and an exit without one.
-    decoders = [LmDecoder(model), LmDecoder(model, 2), LmDecoder(model, 3)]
-    rng = np.random.default_rng(d)
-    for length in (0, 1, window - 1, window, window + 1, 3 * window):
-        for count in range(1, 9):
-            context = rng.integers(0, 40, size=length).tolist()
-            tokens = rng.integers(0, 40, size=count).tolist()
-            before = (list(context), list(tokens))
-            for decoder in decoders:
-                got = [p.probs.tobytes() for p in decoder.next_dists(context, tokens)]
-                want = [decoder.next_dist(context + tokens[:i]).probs.tobytes()
-                        for i in range(count)]
-                assert got == want, (decoder.exit_index, length, count)
-            assert (context, tokens) == before
 
 
 def test_initial_state_gather_equals_fancy_indexing():
@@ -457,21 +439,7 @@ def test_calibration_applies_each_block_once_to_the_stack(lm, block_calls, exit_
     assert block_calls == [exit_index]
 
 
-@pytest.fixture(scope="module")
-def branched():
-    return _branched(8, 4, seed=3)
-
-
-@pytest.mark.parametrize("count", [1, 2, 7])
-@pytest.mark.parametrize("exit_index, blocks", [(2, 2), (3, 3), (None, 4)])
-def test_next_dists_applies_each_block_once_to_the_stack(branched, block_calls, exit_index,
-                                                         blocks, count):
-    # Exit 2 has a branch, which is not a block.
-    LmDecoder(branched, exit_index).next_dists([5, 1], list(range(count)))
-    assert block_calls == [blocks]
-
-
-# --- familial pairs -----------------------------------------------------------------
+# --- familial chains ----------------------------------------------------------------
 
 def _with_branches(layers, seed):
     """A ToyLm with a branch at every odd exit that leaves a later block."""
@@ -483,40 +451,42 @@ def _with_branches(layers, seed):
     return model
 
 
+def _contexts(seed):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 24, size=n).tolist() for n in (0, 1, 3, 4, 5, 11)]
+
+
+def _check_chain(chain, contexts, next_dist_calls, own_calls):
+    """chain_scorer(chain) byte-equals each tier's next_dist, with own_calls next_dist calls."""
+    want = [tuple(d.next_dist(c).probs.tobytes() for d in chain) for c in contexts]
+    calls = next_dist_calls[0]
+    score = toylm.chain_scorer(chain)
+    for context, expected in zip(contexts, want):
+        before = list(context)
+        assert tuple(p.probs.tobytes() for p in score(context)) == expected, \
+            ([getattr(d, "exit_index", d) for d in chain], len(context))
+        assert context == before
+    assert next_dist_calls[0] - calls == own_calls * len(contexts)
+
+
 @pytest.mark.parametrize("branches", [False, True], ids=["plain", "branches"])
 @pytest.mark.parametrize("layers", range(1, 7))
-def test_pair_scorer_equals_the_two_next_dist_calls(layers, branches, next_dist_calls):
+def test_chain_scorer_equals_the_next_dist_calls(layers, branches, next_dist_calls):
     model = (_with_branches(layers, seed=layers) if branches else
              build(ToyLmConfig(vocab_size=24, embed_dim=8, num_layers=layers,
                                context_window=4, seed=layers)))
     exits = [*range(1, layers + 1), None]
-    pairs = [(LmDecoder(model, first), LmDecoder(model, last))
-             for i, first in enumerate(exits) for last in exits[i:]]
-    want = {}
-    rng = np.random.default_rng(layers)
-    contexts = [rng.integers(0, 24, size=n).tolist() for n in (0, 1, 3, 4, 5, 11)]
-    for k, (drafter, verifier) in enumerate(pairs):
-        for j, context in enumerate(contexts):
-            want[k, j] = (drafter.next_dist(context).probs.tobytes(),
-                          verifier.next_dist(context).probs.tobytes())
-    calls = next_dist_calls[0]
-    for k, (drafter, verifier) in enumerate(pairs):
-        score = toylm.pair_scorer(drafter, verifier)
-        for j, context in enumerate(contexts):
-            before = list(context)
-            p_d, p_t = score(context)
-            assert (p_d.probs.tobytes(), p_t.probs.tobytes()) == want[k, j], \
-                (drafter.exit_index, verifier.exit_index, len(context))
-            assert context == before
-    # Every pair above shares its trunk: no next_dist call was needed.
-    assert next_dist_calls[0] == calls
+    contexts = _contexts(layers)
+    # Every non-decreasing exit tuple of 2 and 3 tiers shares its trunk: no
+    # next_dist call is needed.
+    for size in (2, 3):
+        for picked in itertools.combinations_with_replacement(exits, size):
+            _check_chain([LmDecoder(model, e) for e in picked], contexts, next_dist_calls, 0)
 
 
-def test_pair_scorer_other_pairs_call_next_dist_twice(lm, next_dist_calls):
-    twin = build(lm.config)  # equal weights, another model object
-    shallow_verifier = (LmDecoder(lm, 3), LmDecoder(lm, 2))
-    other_model = (LmDecoder(lm, 2), LmDecoder(twin))
-    full_drafter = (LmDecoder(lm), LmDecoder(lm, 5))
+def test_chain_scorer_calls_next_dist_for_each_unshared_tier(next_dist_calls):
+    lm = _with_branches(6, seed=6)
+    twin = replace(lm)  # equal weights, another model object
 
     class Wrapped:
         def __init__(self, decoder):
@@ -529,16 +499,21 @@ def test_pair_scorer_other_pairs_call_next_dist_twice(lm, next_dist_calls):
         def next_dist(self, context):
             return super().next_dist(context)
 
-    wrapped = (Wrapped(LmDecoder(lm, 2)), LmDecoder(lm))
-    subclassed = (LmDecoder(lm, 2), Subclass(lm))
-    context = [3, 1, 4, 1, 5]
-    for drafter, verifier in (shallow_verifier, other_model, full_drafter, wrapped, subclassed):
-        want = (drafter.next_dist(context).probs.tobytes(),
-                verifier.next_dist(context).probs.tobytes())
-        calls = next_dist_calls[0]
-        p_d, p_t = toylm.pair_scorer(drafter, verifier)(context)
-        assert (p_d.probs.tobytes(), p_t.probs.tobytes()) == want
-        assert next_dist_calls[0] - calls == 2
+    device, edge, cloud = LmDecoder(lm, 1), LmDecoder(lm, 3), LmDecoder(lm)
+    chains = [
+        ((LmDecoder(lm, 3), LmDecoder(lm, 2)), 2),  # shallower verifier
+        ((device, LmDecoder(twin)), 2),  # another model
+        ((cloud, LmDecoder(lm, 6)), 2),  # None comes after every exit
+        ((Wrapped(device), cloud), 2),  # a wrapped or derived decoder is not familial
+        ((device, Subclass(lm)), 2),
+        ((device, edge, LmDecoder(twin)), 1),  # a familial pair, then another cloud
+        ((LmDecoder(twin, 2), edge, cloud), 1),  # another device, then a familial pair
+        ((device, LmDecoder(twin, 2), cloud), 3),  # a familial run must be consecutive
+        ((device, LmDecoder(lm, 4), edge), 1),  # the run ends where exits decrease
+    ]
+    contexts = _contexts(6)
+    for chain, own_calls in chains:
+        _check_chain(chain, contexts, next_dist_calls, own_calls)
 
 
 def test_trunk_dists_checks_the_window_once(lm, monkeypatch):
@@ -552,25 +527,11 @@ def test_trunk_dists_checks_the_window_once(lm, monkeypatch):
     monkeypatch.setattr(toylm, "_check_context", counting)
     window = lm.config.context_window
     stale = [99] + [1] * window  # only the window is read, as by next_dist
-    p_d, p_t = toylm.pair_scorer(LmDecoder(lm, 2), LmDecoder(lm))(stale)
+    p_d, p_e, p_t = toylm.chain_scorer([LmDecoder(lm, 2), LmDecoder(lm, 5), LmDecoder(lm)])(stale)
     assert checked == [window]
     assert p_t.probs.tobytes() == forward_full(lm, stale[1:]).probs.tobytes()
     with pytest.raises(InvalidTokenError, match="^token 32 outside vocabulary of 32$"):
-        toylm.trunk_dists(lm, 2, None, [0, 32])
-
-
-def test_next_dists_checks_the_window_and_the_tokens(lm):
-    decoder = LmDecoder(lm, 2)
-    assert decoder.next_dists([1, 2], []) == []
-    with pytest.raises(InvalidTokenError, match="^token 32 outside vocabulary of 32$"):
-        decoder.next_dists([1, 2], [3, 32])
-    with pytest.raises(InvalidTokenError, match="^token -1 outside vocabulary of 32$"):
-        decoder.next_dists([0, 0, -1], [3])
-    # Like next_dist, it reads nothing before the context window.
-    window = lm.config.context_window
-    stale = [99] + [1] * window
-    assert decoder.next_dists(stale, [2])[0].probs.tobytes() == \
-        decoder.next_dist(stale).probs.tobytes()
+        toylm.trunk_dists(lm, (2, None), [0, 32])
 
 
 # --- persistence ------------------------------------------------------------------
