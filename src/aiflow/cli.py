@@ -378,8 +378,6 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
 
 def _load_feature_file(path: str):
     p = Path(path)
-    if not p.exists():
-        raise IoError(f"feature file not found: {path}")
     try:
         if p.suffix == ".csv":
             return load_features_csv(p)
@@ -600,11 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("decompose", True), ("specdec", True), ("tofc", True), ("simulate", True),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+        p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")

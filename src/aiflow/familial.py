@@ -19,16 +19,15 @@ S^-1 is always applied through triangular solves; no inverse is formed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import Reader, header, read_file, write_file
 from .errors import (
     BudgetTooSmallError,
     InvalidInputError,
     InvalidRankError,
-    IoError,
 )
 from .numerics import (
     cholesky_lower,
@@ -40,7 +39,6 @@ from .numerics import (
 )
 
 _FAMD_MAGIC = b"FAMD"
-_FAMD_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -270,14 +268,12 @@ def save_layer(layer: DecomposedLayer, path) -> None:
     little-endian, then w_u and w_v as row-major 64-bit little-endian floats.
     """
     m, n = layer.source_dims
-    header = struct.pack("<4sBIII", _FAMD_MAGIC, _FAMD_VERSION, m, n, layer.hidden_dim)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(layer.w_u, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.w_v, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(
+        path,
+        header(_FAMD_MAGIC, "III", m, n, layer.hidden_dim),
+        np.ascontiguousarray(layer.w_u, dtype="<f8").tobytes(),
+        np.ascontiguousarray(layer.w_v, dtype="<f8").tobytes(),
+    )
 
 
 def load_layer(path) -> DecomposedLayer:
@@ -285,27 +281,9 @@ def load_layer(path) -> DecomposedLayer:
 
     A NaN or infinite weight raises InvalidInputError naming w_u or w_v.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    head_size = struct.calcsize("<4sBIII")
-    if len(blob) < head_size:
-        raise InvalidInputError("container too short for header")
-    magic, version, m, n, h = struct.unpack_from("<4sBIII", blob)
-    if magic != _FAMD_MAGIC:
-        raise InvalidInputError(f"bad magic {magic!r}")
-    if version != _FAMD_VERSION:
-        raise InvalidInputError(f"unsupported container version {version}")
-    expected = head_size + 8 * (m * h + h * n)
-    if len(blob) != expected:
-        raise InvalidInputError(f"container size {len(blob)} != expected {expected}")
-    w_u = np.frombuffer(blob, dtype="<f8", count=m * h, offset=head_size)
-    w_v = np.frombuffer(blob, dtype="<f8", count=h * n, offset=head_size + 8 * m * h)
-    return DecomposedLayer(
-        w_u=require_matrix(w_u.reshape(m, h).astype(np.float64), "w_u"),
-        w_v=require_matrix(w_v.reshape(h, n).astype(np.float64), "w_v"),
-        hidden_dim=int(h),
-        source_dims=(int(m), int(n)),
-    )
+    reader = Reader(read_file(path), _FAMD_MAGIC, "III")
+    m, n, h = reader.fields
+    w_u = reader.matrix(m, h, "w_u")
+    w_v = reader.matrix(h, n, "w_v")
+    reader.end()
+    return DecomposedLayer(w_u=w_u, w_v=w_v, hidden_dim=int(h), source_dims=(int(m), int(n)))

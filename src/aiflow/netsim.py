@@ -50,6 +50,8 @@ class NodeSpec:
     def __post_init__(self):
         if self.tier not in _TIERS:
             raise InvalidInputError(f"unknown tier {self.tier!r}")
+        if not isinstance(self.compute_cost, dict):
+            raise InvalidInputError("compute_cost must be a dict")
         for op, cost in self.compute_cost.items():
             if not (is_real(cost) and 0.0 <= cost < math.inf):
                 raise InvalidInputError(f"compute cost {op!r} must be finite and >= 0")

@@ -107,10 +107,14 @@ class ProtocolConfig:
 
     def __post_init__(self):
         require_int("draft_len", self.draft_len, 1)
-        if not 2 <= len(self.tiers) <= 3:
-            raise InvalidInputError("tiers must list 2 or 3 roles")
-        if len(set(self.tiers)) != len(self.tiers):
-            raise InvalidInputError("tier roles must be distinct")
+        roles = self.tiers
+        if not (isinstance(roles, tuple) and all(isinstance(r, str) for r in roles)
+                and 2 <= len(set(roles)) == len(roles) <= 3):
+            raise InvalidInputError(
+                f"tiers must be a tuple of 2 or 3 distinct str roles, got {roles!r}"
+            )
+        if not isinstance(self.per_token_compute_cost, dict):
+            raise InvalidInputError("per_token_compute_cost must be a dict")
         for role in self.tiers:
             cost = self.per_token_compute_cost.get(role)
             if not (is_real(cost) and math.isfinite(cost) and cost > 0.0):

@@ -20,12 +20,12 @@ Conventions that affect bitstreams, all fixed on purpose:
 from __future__ import annotations
 
 import bisect
-import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import Reader, header, read_file, write_file
 from .errors import (
     InvalidInputError,
     InvariantViolationError,
@@ -38,10 +38,8 @@ from .rangecoder import RangeDecoder, RangeEncoder
 B_MIN = 1e-3
 _TOTAL = 1 << 16
 _FEAT_MAGIC = b"FEAT"
-_FEAT_VERSION = 1
 _TOFC_MAGIC = b"TOFC"
-_TOFC_VERSION = 1
-_HEAD = struct.Struct("<4sBHHB")
+_TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
 _ROW_BLOCK = 64
@@ -278,7 +276,6 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
 class Bitstream:
     """Range-coded symbols plus the header needed to decode them."""
 
-    version: int
     dim: int
     num_models: int
     model_ids: tuple[int, ...]
@@ -289,31 +286,23 @@ class Bitstream:
         return len(self.model_ids)
 
     def to_bytes(self) -> bytes:
-        head = _HEAD.pack(
-            _TOFC_MAGIC, self.version, self.num_clusters, self.dim, self.num_models
+        head = header(
+            _TOFC_MAGIC, _TOFC_HEAD, self.num_clusters, self.dim, self.num_models
         ) + bytes(self.model_ids)
         crc = zlib.crc32(head + self.payload) & 0xFFFFFFFF
-        return head + struct.pack("<I", crc) + self.payload
+        return head + crc.to_bytes(4, "little") + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
-        if len(data) < _HEAD.size + 4:
-            raise MalformedBitstreamError("container shorter than its header")
-        magic, version, m, dim, num_models = _HEAD.unpack_from(data, 0)
-        if magic != _TOFC_MAGIC:
-            raise MalformedBitstreamError(f"bad magic {magic!r}")
-        if version != _TOFC_VERSION:
-            raise MalformedBitstreamError(f"unsupported version {version}")
-        if len(data) < _HEAD.size + m + 4:
-            raise MalformedBitstreamError("container truncated in model ids")
-        ids_end = _HEAD.size + m
-        model_ids = tuple(data[_HEAD.size : ids_end])
-        (crc,) = struct.unpack_from("<I", data, ids_end)
-        payload = data[ids_end + 4 :]
+        reader = Reader(data, _TOFC_MAGIC, _TOFC_HEAD, MalformedBitstreamError)
+        m, dim, num_models = reader.fields
+        model_ids = tuple(reader.take(m, "model ids"))
+        ids_end = reader.offset
+        (crc,) = reader.unpack("I", "checksum")
+        payload = reader.take(len(data) - reader.offset, "payload")
         if zlib.crc32(data[:ids_end] + payload) & 0xFFFFFFFF != crc:
             raise MalformedBitstreamError("checksum mismatch")
         return cls(
-            version=version,
             dim=dim,
             num_models=num_models,
             model_ids=model_ids,
@@ -369,11 +358,15 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
     if m > 65535 or d > 65535 or d < 1:
         raise InvalidInputError("symbol matrix does not fit the container limits")
     _validate_models(models, d)
-    ids = [int(e) for e in routing]
+    ids = []
+    for pos, e in enumerate(routing):
+        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or not 0 <= e < len(models):
+            raise InvalidInputError(
+                f"routing[{pos}] must be an int model id in 0..{len(models) - 1}, got {e!r}"
+            )
+        ids.append(int(e))
     if len(ids) != m:
         raise InvalidInputError(f"routing must name a model per row ({m})")
-    if any(not 0 <= e < len(models) for e in ids):
-        raise InvalidInputError("routing references an unknown model id")
     if arr.size and not (int(arr.min()) >= -(1 << 31) and int(arr.max()) < 1 << 31):
         raise InvalidInputError("symbols must lie in [-2**31, 2**31); escapes store 32 bits")
     tables = {model.id: _coding_tables(model) for model in models}
@@ -388,7 +381,6 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
                 enc.encode(cum[esc], freqs[esc], _TOTAL)
                 enc.encode_raw(q & 0xFFFFFFFF, _RAW_BITS)
     return Bitstream(
-        version=_TOFC_VERSION,
         dim=d,
         num_models=len(models),
         model_ids=tuple(ids),
@@ -469,33 +461,15 @@ def make_blob_features(num_points: int, dim: int, num_groups: int, rng: Rng) -> 
 
 def save_features(path, fs: FeatureSet):
     """Binary feature file: FEAT magic, version, counts, float32 rows."""
-    head = struct.pack("<4sBII", _FEAT_MAGIC, _FEAT_VERSION, fs.count, fs.dim)
-    body = fs.features.astype("<f4").tobytes(order="C")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(head + body)
-    except OSError as exc:
-        raise IoError(f"cannot write features: {exc}") from exc
+    head = header(_FEAT_MAGIC, "II", fs.count, fs.dim)
+    write_file(path, head, fs.features.astype("<f4").tobytes(order="C"))
 
 
 def load_features(path) -> FeatureSet:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read features: {exc}") from exc
-    head = struct.Struct("<4sBII")
-    if len(data) < head.size:
-        raise InvalidInputError("feature file shorter than its header")
-    magic, version, n, d = head.unpack_from(data, 0)
-    if magic != _FEAT_MAGIC:
-        raise InvalidInputError(f"bad feature-file magic {magic!r}")
-    if version != _FEAT_VERSION:
-        raise InvalidInputError(f"unsupported feature-file version {version}")
-    body = data[head.size :]
-    if len(body) != n * d * 4:
-        raise InvalidInputError("feature file body does not match its header counts")
-    feats = np.frombuffer(body, dtype="<f4").reshape(n, d).astype(np.float64)
+    reader = Reader(read_file(path), _FEAT_MAGIC, "II")
+    n, d = reader.fields
+    feats = reader.matrix(n, d, "features", dtype="<f4")
+    reader.end()
     return FeatureSet(features=feats)
 
 

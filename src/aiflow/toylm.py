@@ -42,12 +42,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidTokenError, IoError
+from .container import Reader, header, read_file, write_file
+from .errors import InvalidInputError, InvalidTokenError
 from .familial import DecomposedLayer, WhiteningContext, decompose_layer
-from .numerics import Rng, require_int, require_matrix, require_vector
+from .numerics import Rng, require_int, require_vector
 
 _TOYL_MAGIC = b"TOYL"
-_TOYL_VERSION = 1
 _RMS_FLOOR = 1e-12
 
 
@@ -394,32 +394,17 @@ def save_model(lm: ToyLm, path) -> None:
     exit order.
     """
     cfg = lm.config
-    try:
-        with open(path, "wb") as fh:
-            fh.write(
-                struct.pack(
-                    "<4sBIIIIQ",
-                    _TOYL_MAGIC,
-                    _TOYL_VERSION,
-                    cfg.vocab_size,
-                    cfg.embed_dim,
-                    cfg.num_layers,
-                    cfg.context_window,
-                    cfg.seed,
-                )
-            )
-            fh.write(np.ascontiguousarray(lm.embedding, dtype="<f8").tobytes())
-            for block in lm.blocks:
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(lm.lm_head, dtype="<f8").tobytes())
-            fh.write(struct.pack("<I", len(lm.branches)))
-            for exit_index in sorted(lm.branches):
-                branch = lm.branches[exit_index]
-                fh.write(struct.pack("<II", exit_index, branch.hidden_dim))
-                fh.write(np.ascontiguousarray(branch.w_u, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(branch.w_v, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    fields = (cfg.vocab_size, cfg.embed_dim, cfg.num_layers, cfg.context_window, cfg.seed)
+    parts = [header(_TOYL_MAGIC, "IIIIQ", *fields)]
+    for weight in (lm.embedding, *lm.blocks, lm.lm_head):
+        parts.append(np.ascontiguousarray(weight, dtype="<f8").tobytes())
+    parts.append(struct.pack("<I", len(lm.branches)))
+    for exit_index in sorted(lm.branches):
+        branch = lm.branches[exit_index]
+        parts.append(struct.pack("<II", exit_index, branch.hidden_dim))
+        parts.append(np.ascontiguousarray(branch.w_u, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(branch.w_v, dtype="<f8").tobytes())
+    write_file(path, *parts)
 
 
 def load_model(path) -> ToyLm:
@@ -428,58 +413,28 @@ def load_model(path) -> ToyLm:
     A NaN or infinite weight raises InvalidInputError naming its tensor
     (embedding, blocks[i], lm_head, branches[exit].w_u or .w_v).
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    head_fmt = "<4sBIIIIQ"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < head_size:
-        raise InvalidInputError("container too short for header")
-    magic, version, vocab, d, layers, window, seed = struct.unpack_from(head_fmt, blob)
-    if magic != _TOYL_MAGIC:
-        raise InvalidInputError(f"bad magic {magic!r}")
-    if version != _TOYL_VERSION:
-        raise InvalidInputError(f"unsupported container version {version}")
+    reader = Reader(read_file(path), _TOYL_MAGIC, "IIIIQ")
+    vocab, d, layers, window, seed = reader.fields
     config = ToyLmConfig(
         vocab_size=vocab, embed_dim=d, num_layers=layers, context_window=window, seed=seed
     )
-    offset = head_size
-
-    def take(rows, cols, name):
-        nonlocal offset
-        need = rows * cols
-        if offset + 8 * need > len(blob):
-            raise InvalidInputError("container truncated in weight data")
-        arr = np.frombuffer(blob, dtype="<f8", count=need, offset=offset)
-        offset += 8 * need
-        return require_matrix(arr.reshape(rows, cols).astype(np.float64), name)
-
-    embedding = take(vocab, d, "embedding")
-    blocks = tuple(take(d, d, f"blocks[{i}]") for i in range(layers))
-    lm_head = take(vocab, d, "lm_head")
-    if offset + 4 > len(blob):
-        raise InvalidInputError("container truncated before branch count")
-    (branch_count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    embedding = reader.matrix(vocab, d, "embedding")
+    blocks = tuple(reader.matrix(d, d, f"blocks[{i}]") for i in range(layers))
+    lm_head = reader.matrix(vocab, d, "lm_head")
+    (branch_count,) = reader.unpack("I", "branch count")
     branches: dict[int, DecomposedLayer] = {}
     for _ in range(branch_count):
-        if offset + 8 > len(blob):
-            raise InvalidInputError("container truncated in branch header")
-        exit_index, h = struct.unpack_from("<II", blob, offset)
-        offset += 8
+        exit_index, h = reader.unpack("II", "branch record")
         if not max(branches, default=0) < exit_index < layers:
             raise InvalidInputError(
                 f"branch exit {exit_index}: exits must ascend within 1..{layers - 1}"
             )
-        w_u = take(d, h, f"branches[{exit_index}].w_u")
-        w_v = take(h, d, f"branches[{exit_index}].w_v")
+        w_u = reader.matrix(d, h, f"branches[{exit_index}].w_u")
+        w_v = reader.matrix(h, d, f"branches[{exit_index}].w_v")
         branches[int(exit_index)] = DecomposedLayer(
             w_u=w_u, w_v=w_v, hidden_dim=int(h), source_dims=(d, d)
         )
-    if offset != len(blob):
-        raise InvalidInputError("trailing bytes after model data")
+    reader.end()
     return ToyLm(
         config=config,
         embedding=embedding,

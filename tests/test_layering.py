@@ -101,3 +101,14 @@ def model_reads(module) -> set:
 
 def test_specdec_reads_only_the_decoder_contract_from_tier_models():
     assert model_reads("specdec") == {"next_dist", "vocab_size"}
+
+
+def test_container_imports_only_errors_and_numerics():
+    assert package_imports("container") == {"errors", "numerics"}
+
+
+def test_only_container_opens_container_files():
+    for module in ("toylm", "familial", "tofc"):
+        calls = [n for n in ast.walk(_tree(module)) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == "open"]
+        assert calls == [], module

@@ -159,6 +159,11 @@ class TestTopology:
                                match=re.escape("compute cost 'token' must be finite and >= 0")):
                 NodeSpec(id="a", tier="device", compute_cost={"token": cost})
 
+    @pytest.mark.parametrize("costs", [None, [("token", 1.0)], "token", 1.0])
+    def test_compute_cost_map_must_be_a_dict(self, costs):
+        with pytest.raises(InvalidInputError, match="^compute_cost must be a dict$"):
+            NodeSpec(id="a", tier="device", compute_cost=costs)
+
     @pytest.mark.parametrize("value", [True, "abc", "x", None, [1.0]])
     @pytest.mark.parametrize("field", ["latency_s", "bandwidth_bytes_per_s", "jitter_s"])
     def test_non_real_link_params_rejected(self, field, value):

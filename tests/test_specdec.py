@@ -826,6 +826,19 @@ class TestProtocolConfig:
             ProtocolConfig(draft_len=1, tiers=("a", "b"),
                            per_token_compute_cost={"a": 1, "b": cost})
 
+    @pytest.mark.parametrize("tiers", ["ab", (1, 2), ["a", "b"], ("a", 2), ("a",),
+                                       ("a", "a"), ("a", "b", "c", "d"), None])
+    def test_tiers_must_be_a_tuple_of_distinct_str_roles(self, tiers):
+        message = f"tiers must be a tuple of 2 or 3 distinct str roles, got {tiers!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            ProtocolConfig(draft_len=1, tiers=tiers,
+                           per_token_compute_cost={"a": 1, "b": 1, 1: 1, 2: 1})
+
+    @pytest.mark.parametrize("costs", [None, [1, 1], (("a", 1), ("b", 1)), 1.0])
+    def test_cost_map_must_be_a_dict(self, costs):
+        with pytest.raises(InvalidInputError, match="^per_token_compute_cost must be a dict$"):
+            ProtocolConfig(draft_len=1, tiers=("a", "b"), per_token_compute_cost=costs)
+
     @pytest.mark.parametrize("draft_len", [2.5, 2.0, True, "2", None])
     def test_draft_len_must_be_an_int(self, draft_len):
         message = f"draft_len must be an int >= 1, got {draft_len!r}"

@@ -512,6 +512,24 @@ class TestCodec:
         with pytest.raises(InvalidInputError):
             encode(symbols, shuffled, [0])
 
+    @pytest.mark.parametrize("bad", [0.7, 1.0, "1", True, False, np.True_, np.float64(1.0),
+                                     None, 2, -1, np.int64(2)])
+    def test_routing_ids_must_be_int_model_ids(self, bad):
+        models = two_models(2)
+        symbols = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        message = f"routing[1] must be an int model id in 0..1, got {bad!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            encode(symbols, models, [0, bad])
+
+    @pytest.mark.parametrize("routing", [[np.int64(1), np.uint8(0)],
+                                         np.array([1, 0], dtype=np.intp)])
+    def test_routing_accepts_numpy_integers(self, routing):
+        models = two_models(2)
+        symbols = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        bs = encode(symbols, models, routing)
+        assert bs.model_ids == (1, 0) and all(type(e) is int for e in bs.model_ids)
+        assert bs.to_bytes() == encode(symbols, models, [1, 0]).to_bytes()
+
 
 class TestRouting:
     def test_single_model(self):
