@@ -6,11 +6,16 @@ on a described topology), report (merge finished run directories). Runs
 are assembled from configs here: tier_models and decode_setup build the
 decoders, run_scenario dispatches a simulate scenario to netsim.
 
-Shared flags: --config PATH, --seed N (overrides the config's seed),
---out DIR, --format csv|json. CSV output is RFC 4180 with LF line endings
-and 17 significant digits for reals, so identical config and seed reproduce
-byte-identical files. The AIFLOW_LOG environment variable (error, info,
-debug) sets log verbosity.
+Shared flags: --config PATH, --seed N (overrides the config's seed, which
+is still checked), --out DIR, --format csv|json. main reads the whole
+config and its topology once, with the command's table, before anything
+is written; each cmd_* takes the fields that read returns and reads each
+nested object (sweep entry, layer, scenario, model spec) once, with its
+own table, so an unknown key anywhere is exit 2 naming it. An error is
+printed once, as "error: <message>" on stderr. CSV output is RFC 4180
+with LF line endings and 17 significant digits for reals, so identical
+config and seed reproduce byte-identical files. The AIFLOW_LOG
+environment variable (error, info, debug) sets log verbosity.
 
 Every run directory gets a manifest.json written after all other files, the
 completion marker: config path, resolved seed, tool version, output names,
@@ -36,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import REQUIRED, load_config, read_fields, reject_unknown_fields
+from .config import REQUIRED, load_config, read_fields
 from .errors import (
     BudgetTooSmallError,
     ConfigError,
@@ -82,8 +87,6 @@ from .tofc import (
 )
 from .toylm import LmDecoder, ToyLmConfig, build
 
-_LOG = logging.getLogger("aiflow")
-
 _CONFIG_ERRORS = (
     ConfigError, InvalidScenarioError, SchemaError, InvalidInputError,
     BudgetTooSmallError, InvalidRankError,
@@ -117,13 +120,14 @@ class RunDir:
 
     def __init__(self, out_dir, config_path, seed):
         self.path = Path(out_dir)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.config_path = str(config_path) if config_path else None
         self.seed = seed
         self.outputs = []
         self.started = _utc_now()
 
     def file(self, name: str) -> Path:
+        """The path of output name; the directory is made with the first one."""
+        self.path.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.path / name
 
@@ -156,12 +160,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _topology_from_config(cfg: dict):
-    if "topology" in cfg:
-        return topology_from_dict(cfg["topology"])
-    return default_topology()
-
-
 def _relative_gap(predicted: float, measured: float) -> float:
     scale = max(abs(predicted), abs(measured), 1e-30)
     return abs(predicted - measured) / scale
@@ -179,16 +177,17 @@ DECODE_FIELDS = {
 def tier_models(specs: dict, tiers, sizes: dict, where: str, built: dict | None = None) -> dict:
     """One toy decoder per tier from its {layers, seed} spec in specs.
 
-    sizes supplies vocab_size, embed_dim and context_window, each falling
-    back to MODEL_DEFAULTS. where prefixes error messages, which name the
-    offending field. built, when given, maps each ToyLmConfig to its
-    decoder: a config found there is reused, a new one is built and added.
+    specs holds one spec per tier and nothing else. sizes holds the read
+    vocab_size, embed_dim and context_window. where prefixes error
+    messages, which name the offending field. built, when given, maps each
+    ToyLmConfig to its decoder: a config found there is reused, a new one
+    is built and added.
     """
     built = {} if built is None else built
     unknown = set(specs) - set(tiers)
     if unknown:
         raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
-    shared = read_fields(sizes, MODEL_SIZE_FIELDS, where)
+    shared = {key: sizes[key] for key in MODEL_DEFAULTS}
     models = {}
     for tier in tiers:
         if tier not in specs:
@@ -209,21 +208,21 @@ def decode_setup(
 ):
     """(ProtocolConfig, tier models) from entry's tiers, gamma, mode, models.
 
-    sizes holds the model sizes and built the decoders built so far (see
-    tier_models). The drafter is priced by its "token" cost, each verifier
-    by its "verify" cost.
+    entry holds the DECODE_FIELDS as read_fields returned them, sizes the
+    read model sizes and built the decoders built so far (see tier_models).
+    The drafter is priced by its "token" cost, each verifier by its
+    "verify" cost.
     """
-    fields = read_fields(entry, DECODE_FIELDS, where)
-    tiers = tuple(fields["tiers"])
+    tiers = tuple(entry["tiers"])
     costs = {t: topology.cost(t, "verify" if i else "token") for i, t in enumerate(tiers)}
     try:
         cfg = ProtocolConfig(
-            draft_len=fields["gamma"], tiers=tiers, per_token_compute_cost=costs,
-            mode=fields["mode"],
+            draft_len=entry["gamma"], tiers=tiers, per_token_compute_cost=costs,
+            mode=entry["mode"],
         )
     except InvalidInputError as exc:
         raise InvalidScenarioError(f"{where}: {exc}") from exc
-    return cfg, tier_models(fields["models"], tiers, sizes, where, built)
+    return cfg, tier_models(entry["models"], tiers, sizes, where, built)
 
 
 _DECOMPOSE_FIELDS = {
@@ -242,7 +241,7 @@ _TOFC_FIELDS = {
 }
 
 
-def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_decompose(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
     """Low-rank sweep or budgeted allocation over seeded dense layers.
 
     Writes decompose.csv with layer, h, predicted_loss, measured_loss,
@@ -250,7 +249,6 @@ def cmd_decompose(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     agree to 1e-8 relative; disagreement aborts the run as an invariant
     violation.
     """
-    fields = read_fields(cfg, _DECOMPOSE_FIELDS, "config")
     if not fields["layers"]:
         raise ConfigError("'layers' must be a non-empty list of {m, n} objects")
     num_calib = fields["num_calib"]
@@ -321,7 +319,7 @@ def _tv_distance(tokens_a, tokens_b, vocab) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_specdec(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
     """Sweep draft-verify configurations; writes specdec.csv and summary.json.
 
     tv_distance_to_target compares the emitted token histogram against a
@@ -331,18 +329,17 @@ def cmd_specdec(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
     topology; model sizes default to MODEL_DEFAULTS. Entries share
     each distinct tier model, and the reference of each distinct verifier.
     """
-    fields = read_fields(cfg, _SPECDEC_FIELDS, "config")
-    prompt, num_tokens = fields["prompt"], fields["num_tokens"]
+    prompt, num_tokens, topology = fields["prompt"], fields["num_tokens"], fields["topology"]
     if not fields["configs"]:
         raise ConfigError("'configs' must be a non-empty list")
-    topology = _topology_from_config(cfg)
     rows = []
     summary = []
     built = {}
     references = {}
     for idx, entry in enumerate(fields["configs"]):
-        reject_unknown_fields(entry, DECODE_FIELDS, f"configs[{idx}]")
-        proto, models = decode_setup(topology, entry, fields, f"configs[{idx}]", built)
+        where = f"configs[{idx}]"
+        entry = read_fields(entry, DECODE_FIELDS, where)
+        proto, models = decode_setup(topology, entry, fields, where, built)
         transcript = run_protocol(proto, models, prompt, num_tokens, Rng(seed))
         _, metrics = schedule_specdec(topology, proto, transcript, seed)
         verifier = models[proto.tiers[-1]]
@@ -386,22 +383,20 @@ def _load_feature_file(path: str):
         raise IoError(f"feature file {path} is unreadable: {exc}") from exc
 
 
-def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_tofc(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
     """Compression sweep over cluster counts; writes tofc.csv."""
-    fields = read_fields(cfg, _TOFC_FIELDS, "config")
     features = _load_feature_file(fields["features"])
     if not fields["num_centers_sweep"]:
         raise ConfigError("'num_centers_sweep' must be non-empty")
     models = fit_laplacian_models(features, fields["num_models"])
-    topology = _topology_from_config(cfg)
     rows = []
     for m_centers in fields["num_centers_sweep"]:
         tofc_cfg = TofcConfig(
             num_centers=m_centers, k_neighbors=fields["k_neighbors"], models=models
         )
         _, metrics, stats = run_tofc_scenario(
-            topology, tofc_cfg, features, device=fields["device"], server=fields["server"],
-            seed=seed,
+            fields["topology"], tofc_cfg, features, device=fields["device"],
+            server=fields["server"], seed=seed,
         )
         rows.append(
             (
@@ -420,6 +415,7 @@ def cmd_tofc(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
 
 
 _SCENARIO_FIELDS = {
+    "empty": {},
     "specdec": {
         **DECODE_FIELDS, **MODEL_SIZE_FIELDS,
         "num_tokens": (int, REQUIRED), "prompt": ([int], [0]),
@@ -443,16 +439,17 @@ _SCENARIO_FIELDS = {
 def run_scenario(topology: Topology, scenario: dict, seed: int):
     """Dispatch a scenario description; returns (trace, MetricsRecord).
 
-    An empty description (or kind "empty") produces an empty trace and
-    zeroed metrics.
+    The scenario is read once, with its kind's table plus "kind". An empty
+    description (or kind "empty") produces an empty trace and zeroed
+    metrics.
     """
-    if not scenario or scenario.get("kind") == "empty":
-        return [], MetricsRecord(0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
-    kind = scenario.get("kind")
-    if kind not in _SCENARIO_FIELDS:
+    kind = scenario.get("kind", "empty")
+    if not isinstance(kind, str) or kind not in _SCENARIO_FIELDS:
         raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    reject_unknown_fields(scenario, {*_SCENARIO_FIELDS[kind], "kind"}, "scenario")
-    params = read_fields(scenario, _SCENARIO_FIELDS[kind], "scenario")
+    params = read_fields(scenario, {"kind": (str, kind), **_SCENARIO_FIELDS[kind]}, "scenario")
+    del params["kind"]
+    if kind == "empty":
+        return [], MetricsRecord(0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
     if kind == "single":
         return run_single_tier_scenario(topology, params["node"], params["num_tokens"])
     if kind == "specdec":
@@ -477,11 +474,9 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
     return run_device_server_collab(topology, seed=seed, **params)
 
 
-def cmd_simulate(cfg: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_simulate(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
     """One scenario on a described topology; writes trace.jsonl and metrics."""
-    topology = _topology_from_config(cfg)
-    scenario = read_fields(cfg, {"scenario": (dict, {})}, "config")["scenario"]
-    trace, metrics = run_scenario(topology, scenario, seed)
+    trace, metrics = run_scenario(fields["topology"], fields["scenario"], seed)
     with open(run.file("trace.jsonl"), "wb") as fh:
         fh.write(serialize_trace(trace))
     metric_dict = metrics.as_dict()
@@ -617,12 +612,13 @@ _COMMANDS = {
     "tofc": cmd_tofc,
     "simulate": cmd_simulate,
 }
-# The top-level config keys each command reads, besides "seed".
-_CONFIG_KEYS = {
-    "decompose": set(_DECOMPOSE_FIELDS),
-    "specdec": {*_SPECDEC_FIELDS, "topology"},
-    "tofc": {*_TOFC_FIELDS, "topology"},
-    "simulate": {"scenario", "topology"},
+# Each command's whole top-level config; a None topology is the default one.
+_TOPOLOGY_FIELD = {"topology": (dict, None)}
+_CONFIG_FIELDS = {
+    "decompose": _DECOMPOSE_FIELDS,
+    "specdec": {**_SPECDEC_FIELDS, **_TOPOLOGY_FIELD},
+    "tofc": {**_TOFC_FIELDS, **_TOPOLOGY_FIELD},
+    "simulate": {"scenario": (dict, {}), **_TOPOLOGY_FIELD},
 }
 
 
@@ -635,17 +631,18 @@ def main(argv=None) -> int:
             cmd_report(args.runs, run, args.format)
             run.finish()
             return 0
-        cfg = load_config(args.config)
-        reject_unknown_fields(cfg, {*_CONFIG_KEYS[args.command], "seed"}, "config")
-        seed = args.seed
-        if seed is None:
-            seed = read_fields(cfg, {"seed": (int, 0)}, "config")["seed"]
+        fields = read_fields(
+            load_config(args.config), {"seed": (int, 0), **_CONFIG_FIELDS[args.command]}, "config"
+        )
+        if "topology" in fields:
+            doc = fields["topology"]
+            fields["topology"] = default_topology() if doc is None else topology_from_dict(doc)
+        seed = fields["seed"] if args.seed is None else args.seed
         run = RunDir(args.out, args.config, seed)
-        _COMMANDS[args.command](cfg, seed, run, args.format)
+        _COMMANDS[args.command](fields, seed, run, args.format)
         run.finish()
         return 0
     except _CONFIG_ERRORS + _IO_ERRORS + _INVARIANT_ERRORS as exc:
-        _LOG.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _CONFIG_ERRORS) else 3 if isinstance(exc, _IO_ERRORS) else 4
 

@@ -1,8 +1,8 @@
 """Config documents: JSON loading and the typed field reader.
 
-Every config field, in every subcommand, scenario and topology, is read
-through read_fields and checked for unknown keys by reject_unknown_fields;
-both name the offending field by its path.
+Every config object, in every subcommand, scenario and topology, is read
+once, by read_fields, which rejects a key its table does not list and
+names the offending field by its path.
 """
 
 from __future__ import annotations
@@ -50,10 +50,14 @@ def read_fields(doc, fields: dict, where: str) -> dict:
     kind is int, float, str, dict or list, or [kind] for a list of that
     kind. As in JSON Schema, an integral float is an int and a bool is not
     a number. A missing field takes its default unless that is REQUIRED.
-    Raises InvalidScenarioError naming the field, prefixed by where.
+    Raises InvalidScenarioError naming the field, prefixed by where; keys
+    of doc outside fields are rejected first, all named at once.
     """
     if not isinstance(doc, dict):
         raise InvalidScenarioError(f"{where} must be an object, not {doc!r}")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise InvalidScenarioError(f"{where} has unknown fields: {sorted(unknown)}")
     out = {}
     for name, (kind, default) in fields.items():
         if name not in doc and default is REQUIRED:
@@ -68,9 +72,3 @@ def read_fields(doc, fields: dict, where: str) -> dict:
             ) from None
     return out
 
-
-def reject_unknown_fields(doc: dict, known, where: str) -> None:
-    """InvalidScenarioError naming the keys of doc outside known, if any."""
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise InvalidScenarioError(f"{where} has unknown fields: {sorted(unknown)}")

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .config import REQUIRED, read_fields, reject_unknown_fields
+from .config import REQUIRED, read_fields
 from .errors import InvalidInputError, InvalidScenarioError
 from .numerics import Rng, is_real, require_int
 from .specdec import ProtocolConfig, run_protocol
@@ -446,14 +446,11 @@ _LINK_FIELDS = {
 
 def topology_from_dict(doc: dict) -> Topology:
     """The topology a config's "topology" object describes."""
-    fields = {"nodes": ([dict], REQUIRED), "links": ([dict], REQUIRED)}
-    top = read_fields(doc, fields, "topology")
-    reject_unknown_fields(doc, fields, "topology")
+    top = read_fields(doc, {"nodes": ([dict], REQUIRED), "links": ([dict], REQUIRED)}, "topology")
     try:
         nodes = []
         for i, spec in enumerate(top["nodes"]):
             where = f"topology.nodes[{i}]"
-            reject_unknown_fields(spec, _NODE_FIELDS, where)
             node = read_fields(spec, _NODE_FIELDS, where)
             costs = node["compute_cost"]
             costs = read_fields(
@@ -463,7 +460,6 @@ def topology_from_dict(doc: dict) -> Topology:
         links = []
         for i, spec in enumerate(top["links"]):
             where = f"topology.links[{i}]"
-            reject_unknown_fields(spec, _LINK_FIELDS, where)
             # _LINK_FIELDS lists LinkSpec's fields in order.
             links.append(LinkSpec(*read_fields(spec, _LINK_FIELDS, where).values()))
         return Topology(nodes=tuple(nodes), links=tuple(links))

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,11 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "'layers'" in capsys.readouterr().err
 
+    def test_unknown_layer_field_rejected(self, tmp_path, capsys):
+        cfg = decompose_config(tmp_path, layers=[{"m": 4, "n": 3, "h": 2}])
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: layers[0] has unknown fields: ['h']" in capsys.readouterr().err
+
     def test_both_sweep_and_budget_rejected(self, tmp_path):
         cfg = decompose_config(tmp_path, budget=50)
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -268,6 +277,14 @@ class TestSpecdec:
         assert main(["specdec", "--config", cfg, "--out", str(out)]) == 2
         assert "configs[0] has unknown fields: ['mdoe']" in capsys.readouterr().err
         assert not (out / "specdec.csv").exists()
+
+    def test_unknown_model_spec_field_rejected(self, tmp_path, capsys):
+        entry = self.mixed_pair(3)
+        entry["models"]["device"]["exit"] = 3
+        cfg = specdec_config(tmp_path, [entry], num_tokens=8)
+        assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "error: configs[0].models.device has unknown fields: ['exit']" in err
 
     def test_missing_model_spec_rejected(self, tmp_path, capsys):
         entry = self.identical_pair()
@@ -438,6 +455,23 @@ class TestSimulate:
         _, rows = read_csv(out / "metrics.csv")
         assert float(rows[0][1]) == 0.0
 
+    def test_empty_kind_and_extra_keys(self, tmp_path, capsys):
+        cfg = self.sim_config(tmp_path, {"kind": "empty"})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "trace.jsonl").read_bytes() == b""
+        cfg = self.sim_config(tmp_path, {"kind": "empty", "bogus": 1})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: scenario has unknown fields: ['bogus']" in capsys.readouterr().err
+
+    def test_unknown_model_spec_field_rejected(self, tmp_path, capsys):
+        scenario = self.specdec_scenario()
+        scenario["models"]["device"]["ratio"] = 0.5
+        cfg = self.sim_config(tmp_path, scenario)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario.models.device has unknown fields: ['ratio']" in err
+
     def test_unknown_scenario_kind_rejected(self, tmp_path):
         cfg = self.sim_config(tmp_path, {"kind": "teleport"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -558,6 +592,33 @@ class TestHarness:
         manifest = json.loads((out / "manifest.json").read_text())
         files = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["outputs"]) == files
+
+    def test_config_seed_checked_despite_seed_flag(self, tmp_path, capsys):
+        cfg = decompose_config(tmp_path, seed="abc")
+        argv = ["decompose", "--config", cfg, "--out", str(tmp_path / "r"), "--seed", "3"]
+        assert main(argv) == 2
+        assert "error: config.seed must be int, not 'abc'" in capsys.readouterr().err
+
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path):
+        # Missing num_tokens fails the read; an empty sweep fails before any output.
+        out = tmp_path / "r"
+        for doc in ({"configs": [specdec_entry()]}, {"num_tokens": 8, "configs": []}):
+            cfg = write_config(tmp_path / "spec.json", doc)
+            assert main(["specdec", "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
+
+    def test_error_printed_once(self, tmp_path):
+        cfg = decompose_config(tmp_path, sed=3)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("AIFLOW_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "aiflow.cli", "decompose", "--config", cfg,
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: config has unknown fields: ['sed']"]
 
     def test_malformed_json_config(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -6,10 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aiflow.cli import _SCENARIO_FIELDS, MODEL_DEFAULTS, decode_setup, run_scenario, tier_models
+from aiflow import cli
+from aiflow.cli import (
+    _MODEL_SPEC_FIELDS,
+    _SCENARIO_FIELDS,
+    MODEL_DEFAULTS,
+    decode_setup,
+    run_scenario,
+)
 from aiflow.config import REQUIRED, read_fields
 from aiflow.errors import InvalidInputError, InvalidScenarioError
 from aiflow.netsim import (
+    _LINK_FIELDS,
+    _NODE_FIELDS,
     FRAME_BYTES,
     TOKEN_BYTES,
     LinkSpec,
@@ -459,7 +468,7 @@ class TestReadFields:
     def test_typed_values_and_defaults(self):
         got = read_fields({"n": 3.0}, self.TABLE, "cfg")
         assert got == {"n": 3, "x": 0.5, "names": ["a"]} and type(got["n"]) is int
-        got = read_fields({"n": 2, "x": 1, "names": [], "other": None}, self.TABLE, "cfg")
+        got = read_fields({"n": 2, "x": 1, "names": []}, self.TABLE, "cfg")
         assert got == {"n": 2, "x": 1.0, "names": []} and type(got["x"]) is float
 
     @pytest.mark.parametrize("doc, message", [
@@ -473,6 +482,9 @@ class TestReadFields:
         ({"n": 1, "names": "ab"}, "cfg.names must be list of string, not 'ab'"),
         ({"n": 1, "names": ["a", 3]}, "cfg.names must be list of string, not ['a', 3]"),
         ([1], "cfg must be an object, not [1]"),
+        ({"n": 1, "other": None}, "cfg has unknown fields: ['other']"),
+        # Unknown keys are named before any field is read.
+        ({"n": "abc", "b": 1, "a": 2}, "cfg has unknown fields: ['a', 'b']"),
     ])
     def test_bad_fields_named(self, doc, message):
         with pytest.raises(InvalidScenarioError, match=re.escape(message)):
@@ -484,6 +496,11 @@ class TestReadFields:
             run_scenario(default_topology(), scn, seed=1)
 
 
+def read_specdec(scenario):
+    """A specdec scenario as run_scenario reads it: decode entry and model sizes in one."""
+    return read_fields(scenario, {"kind": (str, REQUIRED), **_SCENARIO_FIELDS["specdec"]}, "here")
+
+
 class TestDecodeSetup:
     def verify_priced_topology(self):
         topo = two_node_topology()
@@ -491,7 +508,8 @@ class TestDecodeSetup:
         return Topology(nodes=(topo.nodes[0], edge), links=topo.links)
 
     def test_drafter_priced_by_token_verifier_by_verify(self):
-        cfg, models = decode_setup(self.verify_priced_topology(), specdec_scenario(), {}, "here")
+        fields = read_specdec(specdec_scenario())
+        cfg, models = decode_setup(self.verify_priced_topology(), fields, fields, "here")
         assert cfg.per_token_compute_cost == {"device": 0.010, "edge": 0.005}
         assert (cfg.tiers, cfg.draft_len, cfg.mode) == (("device", "edge"), 4, "sequential")
         assert set(models) == {"device", "edge"}
@@ -505,32 +523,49 @@ class TestDecodeSetup:
             assert m.server_compute_s == pytest.approx(len(verifies) * 0.005, rel=1e-12)
 
     def test_topology_without_verify_prices_token(self):
-        cfg, _ = decode_setup(two_node_topology(), specdec_scenario(), {}, "here")
+        fields = read_specdec(specdec_scenario())
+        cfg, _ = decode_setup(two_node_topology(), fields, fields, "here")
         assert cfg.per_token_compute_cost == {"device": 0.010, "edge": 0.030}
 
 
 class TestTierModels:
-    def test_sizes_default_to_model_defaults(self):
-        specs = {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}
-        models = tier_models(specs, ("device", "edge"), {}, "here")
+    """tier_models as run_scenario calls it, with the scenario's read sizes."""
+
+    def built_models(self, scenario, monkeypatch):
+        built = []
+        tier_models = cli.tier_models
+
+        def recorded(*args, **kwargs):
+            built.append(tier_models(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "tier_models", recorded)
+        run_scenario(two_node_topology(), scenario, seed=1)
+        return built[0]
+
+    def test_sizes_default_to_model_defaults(self, monkeypatch):
+        scn = {key: value for key, value in specdec_scenario(num_tokens=2).items()
+               if key not in MODEL_DEFAULTS}
+        scn["models"]["edge"]["layers"] = 2
+        models = self.built_models(scn, monkeypatch)
         for model in models.values():
             cfg = model.lm.config
             assert (cfg.vocab_size, cfg.embed_dim, cfg.context_window) == (32, 16, 8)
         assert models["edge"].lm.config.num_layers == 2
 
     def test_missing_and_unknown_tiers_named(self):
-        specs = {"device": {"layers": 1, "seed": 5}}
-        with pytest.raises(InvalidScenarioError, match=r"here is missing field 'models.edge'"):
-            tier_models(specs, ("device", "edge"), {}, "here")
-        specs = dict(specs, edge={"layers": 1, "seed": 5}, moon={"layers": 1, "seed": 5})
+        scn = specdec_scenario()
+        del scn["models"]["edge"]
+        with pytest.raises(InvalidScenarioError, match=r"scenario is missing field 'models.edge'"):
+            run_scenario(two_node_topology(), scn, seed=1)
+        scn["models"].update(edge={"layers": 1, "seed": 5}, moon={"layers": 1, "seed": 5})
         with pytest.raises(InvalidScenarioError, match="moon"):
-            tier_models(specs, ("device", "edge"), {}, "here")
+            run_scenario(two_node_topology(), scn, seed=1)
 
     def test_bad_sizes_rejected(self):
-        specs = {"device": {"layers": 1, "seed": 5}, "edge": {"layers": 2, "seed": 5}}
         for sizes in ({"vocab_size": "many"}, {"vocab_size": 1}):
-            with pytest.raises(InvalidScenarioError):
-                tier_models(specs, ("device", "edge"), sizes, "here")
+            with pytest.raises(InvalidScenarioError, match="vocab_size"):
+                run_scenario(two_node_topology(), dict(specdec_scenario(), **sizes), seed=1)
 
 
 class TestScenarioSchema:
@@ -539,22 +574,36 @@ class TestScenarioSchema:
     def definitions(self):
         return json.loads(SCHEMA.read_text(encoding="utf-8"))["definitions"]
 
+    @staticmethod
+    def assert_table_matches(schema, fields, what):
+        """The schema object lists fields' names, required names and defaults."""
+        assert set(schema["properties"]) == set(fields), what
+        required = {name for name, (_, default) in fields.items() if default is REQUIRED}
+        assert set(schema.get("required", ())) == required, what
+        assert schema["additionalProperties"] is False, what
+        defaults = {name: default for name, (_, default) in fields.items()
+                    if default is not REQUIRED}
+        # A field without a schema default reads as None (feature_seed: the run seed).
+        assert {name: schema["properties"][name].get("default") for name in defaults} \
+            == defaults, what
+
     def test_scenario_properties_match_code(self):
         defs = self.definitions()
         kinds = {name[: -len("_scenario")] for name in defs if name.endswith("_scenario")}
-        assert kinds - {"empty"} == set(_SCENARIO_FIELDS)
+        assert kinds == set(_SCENARIO_FIELDS)
         for kind, fields in _SCENARIO_FIELDS.items():
-            schema = defs[f"{kind}_scenario"]
-            assert set(schema["properties"]) == set(fields) | {"kind"}, kind
-            required = {name for name, (_, default) in fields.items() if default is REQUIRED}
-            assert set(schema["required"]) == required | {"kind"}, kind
-            defaults = {
-                name: default for name, (_, default) in fields.items()
-                if default is not REQUIRED
-            }
-            # A field without a schema default reads as None (feature_seed: the run seed).
-            assert {name: schema["properties"][name].get("default") for name in defaults} \
-                == defaults, kind
+            self.assert_table_matches(
+                defs[f"{kind}_scenario"], {"kind": (str, REQUIRED), **fields}, kind
+            )
+
+    def test_topology_properties_match_code(self):
+        defs = self.definitions()
+        self.assert_table_matches(defs["node"], _NODE_FIELDS, "node")
+        self.assert_table_matches(defs["link"], _LINK_FIELDS, "link")
+
+    def test_model_spec_properties_match_code(self):
+        models = self.definitions()["specdec_scenario"]["properties"]["models"]
+        self.assert_table_matches(models["additionalProperties"], _MODEL_SPEC_FIELDS, "model")
 
     def test_link_seed_is_a_spawn_key(self):
         seed = self.definitions()["link"]["properties"]["seed"]
@@ -751,6 +800,10 @@ class TestRunScenario:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidScenarioError):
             run_scenario(default_topology(), {"kind": "teleport"}, seed=1)
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(InvalidScenarioError, match=re.escape("unknown scenario kind [1]")):
+            run_scenario(default_topology(), {"kind": [1]}, seed=1)
 
     def test_unknown_parameter_rejected(self):
         scn = {"kind": "single", "node": "edge", "num_tokens": 3, "warp": 9}
