@@ -14,8 +14,7 @@ nested object (sweep entry, layer, scenario, model spec) once, with its
 own table, so an unknown key anywhere is exit 2 naming it. An error is
 printed once, as "error: <message>" on stderr. CSV output is RFC 4180
 with LF line endings and 17 significant digits for reals, so identical
-config and seed reproduce byte-identical files. The AIFLOW_LOG
-environment variable (error, info, debug) sets log verbosity.
+config and seed reproduce byte-identical files.
 
 Every run directory gets a manifest.json written after all other files, the
 completion marker: config path, resolved seed, tool version, output names,
@@ -32,8 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -578,14 +575,6 @@ def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
     )
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("AIFLOW_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        raise ConfigError(f"AIFLOW_LOG must be error, info, or debug, not {level_name!r}")
-    logging.basicConfig(level=levels[level_name], stream=sys.stderr)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aiflow",
@@ -624,7 +613,6 @@ _CONFIG_FIELDS = {
 
 def main(argv=None) -> int:
     try:
-        _configure_logging()
         args = build_parser().parse_args(argv)
         if args.command == "report":
             run = RunDir(args.out, None, 0)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .numerics import (
     cholesky_lower,
+    is_real,
     require_int,
     require_matrix,
     require_vector,
@@ -52,6 +53,9 @@ class WhiteningContext:
     calib_count: int
     ridge: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "s", require_matrix(self.s, "s"))
+
     @property
     def dim(self) -> int:
         return self.s.shape[0]
@@ -67,6 +71,8 @@ class DecomposedLayer:
     source_dims: tuple[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "w_u", require_matrix(self.w_u, "w_u"))
+        object.__setattr__(self, "w_v", require_matrix(self.w_v, "w_v"))
         m, n = self.source_dims
         if self.w_u.shape != (m, self.hidden_dim):
             raise InvalidInputError(
@@ -132,9 +138,9 @@ def whiten(x, ridge: float | None = None) -> WhiteningContext:
     cov = arr @ arr.T
     if ridge is None:
         ridge = 1e-6 * float(np.trace(cov)) / n
+    if not (is_real(ridge) and np.isfinite(ridge) and ridge >= 0.0):
+        raise InvalidInputError(f"ridge must be a finite real >= 0, got {ridge!r}")
     ridge = float(ridge)
-    if not np.isfinite(ridge) or ridge < 0.0:
-        raise InvalidInputError("ridge must be finite and non-negative")
     s = cholesky_lower(cov + ridge * np.eye(n))
     return WhiteningContext(s=s, calib_count=count, ridge=ridge)
 

@@ -9,9 +9,14 @@ never depend on timing), then one scheduler, schedule_specdec, lays the
 transcript's rounds out on the simulated clock for both decode modes, so
 identical inputs always produce byte-identical traces.
 
-Verdict messages carry one 4-byte accept count plus 4 bytes per token the
-receiver has not seen: the verifier's correction, and in three-tier runs the
-middle tier's correction when the top tier accepted it into the stream.
+A decode round is charged from its records, one (scanned, accepted) per tier
+boundary. The first hop carries draft_len tokens: the device sends the whole
+batch, since it cannot know where the verifier will reject. A later hop
+carries the previous boundary's scanned tokens, the stream the tier below
+emitted. A boundary drew a correction exactly when accepted < scanned. Its
+verdict carries one 4-byte accept count plus 4 bytes per token the receiver
+has not seen: the verifier's correction, and in three-tier runs the middle
+tier's correction when the top tier accepted it into the stream.
 
 One object per run holds the link jitter streams, the FIFO arrival times,
 the transmit and byte totals and the event rows; every runner logs through
@@ -224,26 +229,21 @@ def _verdict_payloads(records):
     correction tokens the receiving side has not seen yet.
     """
     final = records[-1]
-    final_corr = 1 if final.accepted < final.drafted else 0
+    final_corr = int(final.accepted < final.scanned)
     if len(records) == 1:
         return [TOKEN_BYTES * (1 + final_corr)]
     mid = records[0]
-    mid_corr = 1 if mid.accepted < mid.drafted else 0
-    mid_corr_survived = 1 if (mid_corr and final.accepted > mid.accepted) else 0
+    mid_corr_survived = int(mid.accepted < mid.scanned and final.accepted > mid.accepted)
     return [
         TOKEN_BYTES * (1 + final_corr),
         TOKEN_BYTES * (1 + final_corr + mid_corr_survived),
     ]
 
 
-def _acceptance_rate(records, boundary_count):
-    """Accepted fraction of scanned positions at the emission boundary."""
-    accepted = 0
-    scanned = 0
-    for rec in records[boundary_count - 1 :: boundary_count]:
-        accepted += rec.accepted
-        scanned += rec.accepted + (1 if rec.accepted < rec.drafted else 0)
-    return accepted / scanned if scanned else 1.0
+def _acceptance_rate(per_round):
+    """Accepted fraction of scanned positions at each round's emission boundary."""
+    scanned = sum(records[-1].scanned for records in per_round)
+    return sum(records[-1].accepted for records in per_round) / scanned if scanned else 1.0
 
 
 def run_specdec_scenario(
@@ -276,7 +276,6 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     for role in cfg.tiers:
         topology.node(role)
     net = _Net(topology, seed)
-    boundaries = len(cfg.tiers) - 1
     device = cfg.tiers[0]
     draft_cost = cfg.draft_len * cfg.per_token_compute_cost[device]
     device_compute = 0.0
@@ -284,8 +283,7 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     verdict_at = 0.0
     free_at = {}
     lookahead_done = None
-    for start in range(0, len(transcript.per_round), boundaries):
-        records = transcript.per_round[start : start + boundaries]
+    for records in transcript.per_round:
         if lookahead_done is None:
             draft_done = verdict_at + draft_cost
             device_compute += draft_cost
@@ -298,8 +296,10 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
             lookahead_done = max(draft_done, verdict_at) + draft_cost
             device_compute += draft_cost
         now = draft_done
+        batch = cfg.draft_len
         for lower, upper, rec in zip(cfg.tiers, cfg.tiers[1:], records):
-            now = net.send(now, lower, upper, TOKEN_BYTES * rec.drafted, "tokens")
+            now = net.send(now, lower, upper, TOKEN_BYTES * batch, "tokens")
+            batch = rec.scanned
             verify_cost = cfg.per_token_compute_cost[upper]
             now = max(now, free_at.get(upper, 0.0)) + verify_cost
             free_at[upper] = now
@@ -311,11 +311,11 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
             lower = cfg.tiers[len(cfg.tiers) - 2 - hop]
             now = net.send(now, upper, lower, payload, "verdict")
         verdict_at = now
-        if records[-1].accepted < records[-1].drafted:
+        if records[-1].accepted < records[-1].scanned:
             lookahead_done = None
     return net.finish(
         len(transcript.emitted_tokens), verdict_at, device_compute, server_compute,
-        _acceptance_rate(transcript.per_round, boundaries),
+        _acceptance_rate(transcript.per_round),
     )
 
 

@@ -47,9 +47,10 @@ a forward. The mode is the entry point's: run_sequential stays sequential
 even given a pipelined config.
 
 The protocol decides which draws happen and in what order, never when:
-neither run mode keeps time. A transcript records every verification
-outcome, and the network simulator (aiflow.netsim) lays its rounds out on
-the simulated clock, where the device drafts each lookahead speculatively.
+neither run mode keeps time. A transcript records what each tier boundary
+scanned and accepted, round by round; the network simulator (aiflow.netsim)
+alone prices the rounds and lays them out on the simulated clock, where the
+device drafts each lookahead speculatively.
 A lookahead aborted by a correction still consumed its full gamma draws, so
 draw counts never depend on timing.
 """
@@ -129,15 +130,14 @@ class ProtocolConfig:
 class RoundRecord:
     """One verification outcome at one tier boundary.
 
-    drafted is the batch the lower tier is charged for. At the first
-    boundary that is gamma: the device drafts every position, since it
-    cannot know where the verifier rejects, even though the run itself
-    drafts only the positions it scans. At a later boundary it is the length
-    of the lower tier's emitted stream.
+    scanned is the number of positions the boundary's verifier judged: the
+    accepted ones plus the correction, if it drew one. So the boundary drew
+    a correction exactly when accepted < scanned, and scanned is also the
+    length of the stream the boundary emitted.
     """
 
     stage: str
-    drafted: int
+    scanned: int
     accepted: int
 
 
@@ -151,8 +151,10 @@ class TranscriptTotals:
 
 @dataclass(frozen=True)
 class DecodeTranscript:
+    """per_round holds one tuple of boundary records per round, drafter's first."""
+
     emitted_tokens: list[int]
-    per_round: list[RoundRecord]
+    per_round: list[tuple[RoundRecord, ...]]
     totals: TranscriptTotals
 
     def __post_init__(self):
@@ -237,7 +239,7 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
 @dataclass
 class _RoundOutcome:
     emitted: list[int]
-    records: list[RoundRecord]
+    records: tuple[RoundRecord, ...]
 
 
 def _round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
@@ -272,16 +274,16 @@ def _round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
         stream = context[base:]
     finally:
         del context[base:]
-    records = [RoundRecord(f"{lower}->{upper}", len(draws), len(stream))]
+    records = (RoundRecord(f"{lower}->{upper}", len(target_dists), len(stream)),)
     if correction is not None:
         stream.append(correction)
     if len(cfg.tiers) == 3:
         top = cfg.tiers[2]
         result = verify(top_dists, DraftBatch(tokens=stream, draft_dists=target_dists), rngs[top])
-        records.append(RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count))
         stream = stream[: result.accepted_count]
         if result.correction_token is not None:
             stream.append(result.correction_token)
+        records += (RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count),)
     return _RoundOutcome(emitted=stream, records=records)
 
 
@@ -321,8 +323,8 @@ def _decode(
     draft_rng, gamma = streams[cfg.tiers[0]], cfg.draft_len
     score = chain_scorer([models[role] for role in cfg.tiers])
     start, end = len(context), len(context) + num_tokens
-    records: list[RoundRecord] = []
-    rounds = rejected = accepted = corrections = 0
+    records: list[tuple[RoundRecord, ...]] = []
+    rejected = accepted = corrections = 0
     draws = ahead = None
     while len(context) < end:
         if draws is None:
@@ -330,15 +332,14 @@ def _decode(
         if lookahead:
             ahead = [draft_rng.uniform() for _ in range(gamma)]
         outcome = _round(cfg, score, context, draws, streams)
-        rounds += 1
-        records.extend(outcome.records)
+        records.append(outcome.records)
         final = outcome.records[-1]
         used = outcome.emitted[: end - len(context)]
         accepted += min(len(used), final.accepted)
         corrections += max(0, len(used) - final.accepted)
         context.extend(used)
         draws = None
-        if final.accepted < final.drafted:
+        if final.accepted < final.scanned:
             rejected += 1
             ahead = None
         elif len(context) < end:
@@ -350,7 +351,7 @@ def _decode(
         emitted_tokens=context[start:],
         per_round=records,
         totals=TranscriptTotals(
-            accepted=accepted, corrections=corrections, rejected=rejected, rounds=rounds
+            accepted=accepted, corrections=corrections, rejected=rejected, rounds=len(records)
         ),
     )
     return transcript, PipelineStats(discarded_batches=discarded)

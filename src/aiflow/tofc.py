@@ -32,7 +32,7 @@ from .errors import (
     IoError,
     MalformedBitstreamError,
 )
-from .numerics import Rng, require_int, require_matrix
+from .numerics import Rng, require_int, require_matrix, require_vector
 from .rangecoder import RangeDecoder, RangeEncoder
 
 B_MIN = 1e-3
@@ -82,10 +82,10 @@ class LaplacianModel:
     q_range: int = 255
 
     def __post_init__(self):
-        if self.mu.ndim != 1 or self.b.ndim != 1 or self.mu.shape != self.b.shape:
+        object.__setattr__(self, "mu", require_vector(self.mu, "mu"))
+        object.__setattr__(self, "b", require_vector(self.b, "b"))
+        if self.mu.shape != self.b.shape:
             raise InvalidInputError("mu and b must be equal-length vectors")
-        if not (np.isfinite(self.mu).all() and np.isfinite(self.b).all()):
-            raise InvalidInputError("model parameters must be finite")
         if (self.b < B_MIN).any():
             raise InvalidInputError(f"scale parameters must be >= {B_MIN}")
         require_int("id", self.id, 0)
@@ -310,12 +310,17 @@ class Bitstream:
         )
 
 
-def _validate_models(models, dim: int):
+def _validate_models(models, dim: int | None = None):
+    """LaplacianModels with ids 0..E-1, all of dim (the first model's if None)."""
     if not models:
         raise InvalidInputError("need at least one model")
     if len(models) > 255:
         raise InvalidInputError("at most 255 models fit the container")
     for pos, model in enumerate(models):
+        if not isinstance(model, LaplacianModel):
+            raise InvalidInputError(f"models[{pos}] must be a LaplacianModel, got {model!r}")
+        if dim is None:
+            dim = model.dim
         if model.id != pos:
             raise InvalidInputError("model ids must equal their list positions")
         if model.dim != dim:
@@ -421,10 +426,7 @@ class TofcConfig:
     def __post_init__(self):
         require_int("num_centers", self.num_centers, 1)
         require_int("k_neighbors", self.k_neighbors, 1)
-        if not self.models:
-            raise InvalidInputError("need at least one entropy model")
-        dim = self.models[0].dim
-        _validate_models(self.models, dim)
+        _validate_models(self.models)
 
 
 def tofc_pipeline(fs: FeatureSet, cfg: TofcConfig):

@@ -45,7 +45,7 @@ import numpy as np
 from .container import Reader, header, read_file, write_file
 from .errors import InvalidInputError, InvalidTokenError
 from .familial import DecomposedLayer, WhiteningContext, decompose_layer
-from .numerics import Rng, require_int, require_vector
+from .numerics import Rng, is_real, require_int, require_vector
 
 _TOYL_MAGIC = b"TOYL"
 _RMS_FLOOR = 1e-12
@@ -278,8 +278,10 @@ def attach_branch(
         raise InvalidInputError(
             "exit index must leave at least one later block to decompose"
         )
-    if not 0.0 < compression_ratio <= 1.0:
-        raise InvalidInputError("compression_ratio must be in (0, 1]")
+    if not (is_real(compression_ratio) and 0.0 < compression_ratio <= 1.0):
+        raise InvalidInputError(
+            f"compression_ratio must be a real in (0, 1], got {compression_ratio!r}"
+        )
     d = lm.config.embed_dim
     h = int(math.floor(compression_ratio * d / 2.0 + 0.5))
     if h < 1:

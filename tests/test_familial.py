@@ -15,6 +15,7 @@ from aiflow.errors import (
 )
 from aiflow.familial import (
     DecomposedLayer,
+    WhiteningContext,
     allocate_ranks,
     decompose_layer,
     hpcd_build,
@@ -74,6 +75,28 @@ def test_whiten_default_ridge_and_rejects_nan():
         whiten(np.array([[np.nan, 1.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
         whiten(x, ridge=-1.0)
+
+
+@pytest.mark.parametrize("ridge", ["1", True, [1.0], float("nan"), math.inf])
+def test_whiten_ridge_must_be_a_finite_real(ridge):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"ridge must be a finite real >= 0, got {ridge!r}")):
+        whiten(np.eye(2), ridge=ridge)
+
+
+def test_whitening_context_coerces_its_factor():
+    ctx = WhiteningContext(s=[[2, 0], [1, 3]], calib_count=4, ridge=0.0)
+    assert ctx.s.dtype == np.float64 and ctx.dim == 2
+    with pytest.raises(InvalidInputError, match=r"^s contains NaN or Inf$"):
+        WhiteningContext(s=[[np.nan]], calib_count=1, ridge=0.0)
+    with pytest.raises(InvalidInputError, match=re.escape("s must be 2-D, got shape (2,)")):
+        WhiteningContext(s=[1.0, 2.0], calib_count=1, ridge=0.0)
+
+
+def test_whiten_accepts_numpy_and_int_ridges():
+    ctx = whiten(np.eye(2), ridge=np.float32(0.25))
+    assert ctx.ridge == 0.25 and type(ctx.ridge) is float
+    assert whiten(np.eye(2), ridge=0).ridge == 0.0
 
 
 # --- layer decomposition ------------------------------------------------------
@@ -325,14 +348,34 @@ def test_layer_container_roundtrip(tmp_path):
     assert loaded.source_dims == (6, 4)
 
 
+def test_decomposed_layer_coerces_its_factors():
+    layer = DecomposedLayer(w_u=[[1.0], [2.0]], w_v=[[3, 4]], hidden_dim=1, source_dims=(2, 2))
+    assert layer.w_u.dtype == layer.w_v.dtype == np.float64
+    assert np.array_equal(layer.product(), [[3.0, 4.0], [6.0, 8.0]])
+
+
+@pytest.mark.parametrize("factors, message", [
+    ({"w_u": [[np.nan]]}, "w_u contains NaN or Inf"),
+    ({"w_v": [[-np.inf]]}, "w_v contains NaN or Inf"),
+    ({"w_u": [1.0]}, "w_u must be 2-D, got shape (1,)"),
+    ({"w_v": [[[1.0]]]}, "w_v must be 2-D, got shape (1, 1, 1)"),
+])
+def test_decomposed_layer_rejects_bad_factors(factors, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        DecomposedLayer(**{"w_u": [[1.0]], "w_v": [[1.0]], **factors}, hidden_dim=1,
+                        source_dims=(1, 1))
+
+
 @pytest.mark.parametrize("tensor, value", [("w_u", np.nan), ("w_v", -np.inf)])
 def test_layer_container_rejects_non_finite_weights(tmp_path, tensor, value):
     rng = np.random.default_rng(43)
     layer = decompose_layer(rng.normal(size=(5, 4)), whiten(rng.normal(size=(4, 8))), 2)
-    factors = {"w_u": layer.w_u.copy(), "w_v": layer.w_v.copy()}
-    factors[tensor][1, 0] = value
     path = tmp_path / "bad.famd"
-    save_layer(DecomposedLayer(hidden_dim=2, source_dims=(5, 4), **factors), path)
+    save_layer(layer, path)
+    # Write the bad weight into the saved file: a DecomposedLayer rejects one in memory.
+    blob, weight = path.read_bytes(), struct.pack("<d", getattr(layer, tensor)[1, 0])
+    assert blob.count(weight) == 1
+    path.write_bytes(blob.replace(weight, struct.pack("<d", value)))
     with pytest.raises(InvalidInputError, match=f"^{tensor} contains NaN or Inf$"):
         load_layer(path)
 

@@ -30,12 +30,13 @@ from aiflow.netsim import (
     run_single_tier_scenario,
     run_specdec_scenario,
     run_tofc_scenario,
+    schedule_specdec,
     serialize_trace,
     topology_from_dict,
     transmit_time,
 )
 from aiflow.numerics import Rng
-from aiflow.specdec import ProtocolConfig, run_pipelined
+from aiflow.specdec import ProtocolConfig, run_pipelined, run_protocol
 from aiflow.tofc import TofcConfig, fit_laplacian, make_blob_features
 
 from conftest import FixedModel, TableModel
@@ -460,6 +461,48 @@ class TestPipelinedSchedule:
                         if e.kind == "message-delivered" and (e.src, e.dst) == link]
             assert len(arrivals) == 40
             assert arrivals == sorted(arrivals)
+
+
+def hop_bytes(trace, src, dst):
+    """Bytes of each tokens message on one hop, in send order."""
+    return [e.bytes for e in sorted(trace, key=lambda e: e.seq)
+            if e.note == "tokens" and (e.src, e.dst) == (src, dst)]
+
+
+class TestRoundCharges:
+    """schedule_specdec alone decides what a round's messages carry."""
+
+    @pytest.mark.parametrize("cfg", [sequential_pair(4), pipelined_pair(4)],
+                             ids=["sequential", "pipelined"])
+    def test_rejection_at_position_zero_still_ships_the_whole_batch(self, cfg):
+        models = {"device": FixedModel([1.0, 0.0]), "edge": FixedModel([0.0, 1.0])}
+        transcript = run_protocol(cfg, models, [], 5, Rng(2))
+        assert [(r.scanned, r.accepted) for (r,) in transcript.per_round] == [(1, 0)] * 5
+        trace, m = schedule_specdec(two_node_topology(), cfg, transcript, seed=2)
+        # The device cannot know where the verifier rejects, so it sends all
+        # draft_len tokens although only one position was scanned.
+        assert hop_bytes(trace, "device", "edge") == [FRAME_BYTES + 4 * TOKEN_BYTES] * 5
+        assert m.bytes_up == 5 * (FRAME_BYTES + 4 * TOKEN_BYTES)
+        assert m.acceptance_rate == 0.0
+
+    def test_later_hop_carries_the_lower_boundary_stream(self):
+        cfg = ProtocolConfig(
+            draft_len=4, tiers=("device", "edge", "cloud"),
+            per_token_compute_cost={"device": 0.010, "edge": 0.030, "cloud": 0.050},
+        )
+        models = {"device": TableModel(4, 5), "edge": TableModel(4, 6),
+                  "cloud": TableModel(4, 7)}
+        transcript = run_protocol(cfg, models, [1], 40, Rng(31))
+        firsts = [first.scanned for first, _ in transcript.per_round]
+        assert min(firsts) < 4  # some round's edge rejected before the batch end
+        trace, m = schedule_specdec(default_topology(), cfg, transcript, seed=31)
+        rounds = transcript.totals.rounds
+        assert hop_bytes(trace, "device", "edge") == [FRAME_BYTES + 4 * TOKEN_BYTES] * rounds
+        assert hop_bytes(trace, "edge", "cloud") == [FRAME_BYTES + TOKEN_BYTES * n
+                                                     for n in firsts]
+        tops = [top for _, top in transcript.per_round]
+        assert m.acceptance_rate == (sum(t.accepted for t in tops)
+                                     / sum(t.scanned for t in tops))
 
 
 class TestReadFields:

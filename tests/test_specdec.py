@@ -315,12 +315,8 @@ class TestMarginalEnumeration:
             "edge": FixedModel([0.8, 0.2]),
         }
         transcript = run_sequential(cfg, models, [], 4000, Rng(99))
-        scanned = 0
-        accepted = 0
-        for rec in transcript.per_round:
-            accepted += rec.accepted
-            scanned += rec.accepted + (1 if rec.accepted < rec.drafted else 0)
-        rate = accepted / scanned
+        scanned = sum(rec.scanned for (rec,) in transcript.per_round)
+        rate = sum(rec.accepted for (rec,) in transcript.per_round) / scanned
         sigma = (0.7 * 0.3 / scanned) ** 0.5
         assert abs(rate - 0.7) < 4 * sigma
 
@@ -333,8 +329,10 @@ class TestRunSequential:
         assert len(t.emitted_tokens) == 17
         assert t.totals.accepted + t.totals.corrections == 17
         assert t.totals.rounds == len(t.per_round)
-        assert all(r.drafted == 3 for r in t.per_round)
-        assert all(0 <= r.accepted <= r.drafted for r in t.per_round)
+        # A round scans up to its first rejection: all three positions when
+        # it accepts them all, else the accepted ones and the correction.
+        assert all(0 <= r.accepted <= 3 and r.scanned - r.accepted == (r.accepted < 3)
+                   for (r,) in t.per_round)
 
     def test_zero_tokens(self):
         cfg = two_tier()
@@ -353,7 +351,7 @@ class TestRunSequential:
         cfg = two_tier(gamma=3)
         t = run_sequential(cfg, {"device": model, "edge": model}, [2], 12, Rng(123))
         assert t.totals.corrections == 0
-        assert all(r.accepted == r.drafted for r in t.per_round)
+        assert all((r.scanned, r.accepted) == (3, 3) for (r,) in t.per_round)
         # Drafter-only reference: sample autoregressively from the same
         # model using the drafter's child stream.
         ref_rng = Rng(123).spawn(0)
@@ -374,15 +372,16 @@ class TestRunSequential:
         }
         t = run_sequential(cfg, models, [1], 20, Rng(31))
         assert len(t.emitted_tokens) == 20
-        stages = [r.stage for r in t.per_round]
-        assert stages[::2] == ["device->edge"] * (len(stages) // 2)
-        assert stages[1::2] == ["edge->cloud"] * (len(stages) // 2)
-        for lower, upper in zip(t.per_round[::2], t.per_round[1::2]):
-            assert lower.drafted == 3
-            # The chained batch is the lower tier's accepted prefix plus
-            # its correction when one was drawn.
-            assert upper.drafted in (lower.accepted, lower.accepted + 1)
-            assert upper.drafted >= 1
+        assert len(t.per_round) == t.totals.rounds
+        for lower, upper in t.per_round:
+            assert (lower.stage, upper.stage) == ("device->edge", "edge->cloud")
+            assert 0 <= lower.accepted <= 3
+            assert lower.scanned - lower.accepted == (lower.accepted < 3)
+            # The chained batch is the lower tier's emitted stream, one token
+            # per position it scanned; the upper tier scans it up to its
+            # first rejection.
+            assert 0 <= upper.accepted <= lower.scanned
+            assert upper.scanned - upper.accepted == (upper.accepted < lower.scanned)
 
     def test_truncation_totals_account_for_cut_round(self):
         cfg = two_tier(gamma=5)
@@ -393,14 +392,12 @@ class TestRunSequential:
         # All-accept rounds of five tokens overshoot seven; the spill is
         # not counted in totals.
         assert t.totals.accepted == 7
-        drafted_total = sum(r.drafted for r in t.per_round)
-        assert drafted_total == 10
+        assert [r.scanned for (r,) in t.per_round] == [5, 5]
 
 
-def scanned_positions(cfg, transcript):
+def scanned_positions(transcript):
     """Positions the first boundary drafts and scores: up to its first rejection."""
-    first = f"{cfg.tiers[0]}->{cfg.tiers[1]}"
-    return sum(min(r.accepted + 1, r.drafted) for r in transcript.per_round if r.stage == first)
+    return sum(first.scanned for first, *_ in transcript.per_round)
 
 
 class TestForwardCalls:
@@ -429,14 +426,15 @@ class TestForwardCalls:
         # The first boundary drafts and scores position by position up to the
         # first rejection, and every tier scores each scanned position with one
         # next_dist call. A discarded lookahead costs draws but no forward.
-        scanned = scanned_positions(cfg, transcript)
+        scanned = scanned_positions(transcript)
         assert [m.single for m in models.values()] == [scanned] * len(cfg.tiers)
         # A third tier verifies the middle tier's emitted stream, one token
-        # per scanned position, from those distributions.
+        # per scanned position, from those distributions, up to its first
+        # rejection: it scans the whole stream when it accepts it all.
         if len(cfg.tiers) == 3:
-            middle, top = cfg.tiers[1:]
-            stage = [r.drafted for r in transcript.per_round if r.stage == f"{middle}->{top}"]
-            assert len(stage) == transcript.totals.rounds and sum(stage) == scanned
+            assert all(top.scanned <= first.scanned
+                       and (top.accepted < top.scanned or top.scanned == first.scanned)
+                       for first, top in transcript.per_round)
 
     @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
     @pytest.mark.parametrize("first", [1, 3, 5, None])
@@ -463,7 +461,7 @@ class TestForwardCalls:
         # The pair shares its trunk: L blocks and one initial state per
         # scanned position, not l + L blocks and two states (identical
         # tiers: L, not 2L).
-        scanned = scanned_positions(cfg, transcript)
+        scanned = scanned_positions(transcript)
         assert counts == {"blocks": 5 * scanned, "states": scanned}
 
     def test_familial_chain_blocks_per_position_and_round(self, monkeypatch):
@@ -487,7 +485,7 @@ class TestForwardCalls:
         transcript = run_protocol(cfg, models, [5, 1, 7], 40, Rng(4))
         # All three tiers share one trunk: the cloud's 6 blocks and one
         # initial state per scanned position, with no forward after the scan.
-        scanned = scanned_positions(cfg, transcript)
+        scanned = scanned_positions(transcript)
         assert counts == {"blocks": 6 * scanned, "states": scanned}
         assert counts["blocks"] == 354
 
@@ -526,14 +524,15 @@ class TestRunPipelined:
         assert stats.discarded_batches == t_pipe.totals.rounds == 6
 
     def test_rejected_counts_rounds_not_discarded_tokens(self):
-        # Every round drafts two tokens and rejects the first, so twelve draft
-        # tokens are thrown away over six rounds; rejected counts the rounds.
+        # Every round rejects its first position, so it scans one position and
+        # accepts none; the device is still charged its two-token batch each
+        # round (netsim's priced bytes). rejected counts the rounds.
         models = {"device": FixedModel([1.0, 0.0]), "edge": FixedModel([0.0, 1.0])}
         t_seq = run_sequential(two_tier(gamma=2), models, [], 6, Rng(5))
         t_pipe, _ = run_pipelined(two_tier(gamma=2, mode="pipelined"), models, [], 6, Rng(5))
         for t in (t_seq, t_pipe):
             assert t.totals.rejected == t.totals.rounds == 6
-            assert sum(r.drafted - r.accepted for r in t.per_round) == 12
+            assert [(r.scanned, r.accepted) for (r,) in t.per_round] == [(1, 0)] * 6
 
     def test_sequential_entry_ignores_pipelined_mode(self):
         models = {"device": TableModel(4, 1), "edge": TableModel(4, 2)}
@@ -588,10 +587,10 @@ def eager_pipelined(cfg, models, prompt, num_tokens, rng):
         ahead = eager_draft(context + batch.tokens)
         result = verify(dists_along(verifier, context, batch.tokens), batch, verify_rng)
         rounds += 1
-        per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens), result.accepted_count))
         emitted = batch.tokens[: result.accepted_count]
         if result.correction_token is not None:
             emitted.append(result.correction_token)
+        per_round.append((RoundRecord(f"{lower}->{upper}", len(emitted), result.accepted_count),))
         used = emitted[: end - len(context)]
         accepted += min(len(used), result.accepted_count)
         corrections += max(0, len(used) - result.accepted_count)
@@ -654,7 +653,7 @@ class TestLookaheadOracle:
         assert transcript.per_round == per_round
         assert transcript.totals == totals
         assert stats.discarded_batches == discarded
-        assert counting.single == scanned_positions(cfg, transcript)
+        assert counting.single == scanned_positions(transcript)
         if pair == "all-accept":
             assert totals.rejected == 0 and discarded == 1
         if pair == "all-reject":
@@ -699,15 +698,16 @@ def batch_sequential(cfg, models, prompt, num_tokens, rng):
             tokens.append(sample(dists[-1], streams[0]))
             running.append(tokens[-1])
         batch = DraftBatch(tokens=tokens, draft_dists=dists)
+        records = []
         for i, (lower, upper) in enumerate(zip(cfg.tiers, cfg.tiers[1:])):
             target = dists_along(models[upper], context, batch.tokens)
             result = verify(target, batch, streams[i + 1])
-            per_round.append(RoundRecord(f"{lower}->{upper}", len(batch.tokens),
-                                         result.accepted_count))
             emitted = batch.tokens[: result.accepted_count]
             if result.correction_token is not None:
                 emitted.append(result.correction_token)
+            records.append(RoundRecord(f"{lower}->{upper}", len(emitted), result.accepted_count))
             batch = DraftBatch(tokens=emitted, draft_dists=target[: len(emitted)])
+        per_round.append(tuple(records))
         rounds += 1
         used = batch.tokens[: end - len(context)]
         accepted += min(len(used), result.accepted_count)
@@ -775,7 +775,7 @@ class TestScanOracle:
         assert transcript.emitted_tokens == tokens
         assert transcript.per_round == per_round
         assert transcript.totals == totals
-        scanned = scanned_positions(cfg, transcript)
+        scanned = scanned_positions(transcript)
         assert counting[0].single == counting[1].single == scanned
         if chain.endswith("all-accept"):
             assert totals.rejected == 0 and scanned == gamma * totals.rounds
@@ -798,7 +798,7 @@ class TestScanOracle:
         assert transcript.per_round == per_round
         assert transcript.totals == totals
         # Every familial tier took the shared trunk at every scanned position.
-        own = UNSHARED_TIERS.get(chain, 0) * scanned_positions(cfg, transcript)
+        own = UNSHARED_TIERS.get(chain, 0) * scanned_positions(transcript)
         assert next_dist_calls[0] - calls == own
 
 

@@ -239,6 +239,23 @@ class TestLaplacianFit:
         with pytest.raises(InvalidInputError):
             LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=-1)
 
+    def test_model_coerces_its_parameters(self):
+        model = LaplacianModel(mu=[0.0, 1], b=[1.0, 2.0], id=0)
+        assert model.mu.dtype == model.b.dtype == np.float64
+        assert model.dim == 2
+        symbols = np.array([[0, 1]], dtype=np.int64)
+        assert np.array_equal(decode(encode(symbols, [model], [0]), [model]), symbols)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"mu": [np.nan]}, "mu contains NaN or Inf"),
+        ({"b": [np.inf]}, "b contains NaN or Inf"),
+        ({"mu": [[0.0]]}, "mu must be 1-D, got shape (1, 1)"),
+        ({"b": 1.0}, "b must be 1-D, got shape ()"),
+    ])
+    def test_model_rejects_bad_parameters(self, params, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            LaplacianModel(**{"mu": [0.0], "b": [1.0], **params}, id=0)
+
 
 def bin_mass(model, j, q):
     """The mass _bin_masses gives symbol q in dimension j; out-of-range q read the escape."""
@@ -392,6 +409,23 @@ def two_models(d):
 
 
 class TestCodec:
+    @pytest.mark.parametrize("entry", [1, None, "model", {"mu": [0.0], "b": [1.0], "id": 1}])
+    def test_models_must_be_laplacian_models(self, entry):
+        models = [*two_models(2)[:1], entry]
+        message = f"^{re.escape(f'models[1] must be a LaplacianModel, got {entry!r}')}$"
+        symbols = np.array([[0, 1]], dtype=np.int64)
+        with pytest.raises(InvalidInputError, match=message):
+            TofcConfig(2, 1, models)
+        with pytest.raises(InvalidInputError, match=message):
+            encode(symbols, models, [0])
+        bs = encode(symbols, two_models(2), [0])
+        with pytest.raises(InvalidInputError, match=message):
+            decode(bs, models)
+
+    def test_config_rejects_a_non_model_first_entry(self):
+        with pytest.raises(InvalidInputError, match="^models\\[0\\] must be a LaplacianModel"):
+            TofcConfig(2, 1, [1, 2])
+
     def test_roundtrip_fuzz(self):
         rng = Rng(2718)
         models = two_models(3)

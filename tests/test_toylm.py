@@ -10,7 +10,7 @@ import pytest
 
 from aiflow import toylm
 from aiflow.errors import InvalidInputError, InvalidTokenError
-from aiflow.familial import DecomposedLayer, whiten
+from aiflow.familial import whiten
 from aiflow.numerics import Rng
 from aiflow.toylm import (
     ExitActivation,
@@ -251,6 +251,20 @@ def test_attach_branch_validation(lm):
         attach_branch(lm, 2, 0.0, ctx)
     with pytest.raises(InvalidInputError):
         attach_branch(lm, 2, 1.5, ctx)
+
+
+@pytest.mark.parametrize("ratio", ["0.5", True, None, [0.5]])
+def test_attach_branch_ratio_must_be_a_real(lm, ratio):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"compression_ratio must be a real in (0, 1], got {ratio!r}")):
+        attach_branch(lm, 1, ratio, _branch_context(lm, 1))
+
+
+def test_attach_branch_accepts_a_numpy_ratio(lm):
+    ctx = _branch_context(lm, 2)
+    branch = attach_branch(lm, 2, np.float64(0.75), ctx).branches[2]
+    assert branch.hidden_dim == 6
+    assert np.array_equal(branch.product(), attach_branch(lm, 2, 0.75, ctx).branches[2].product())
 
 
 @pytest.mark.parametrize("exit_index", [True, 2.0])
@@ -590,20 +604,16 @@ def test_model_container_rejects_non_finite_weights(tmp_path, lm, tensor, value)
     model = attach_branch(lm, 2, 0.75, _branch_context(lm, 2))
     branch = model.branches[2]
     weights = {
-        "embedding": model.embedding.copy(), "lm_head": model.lm_head.copy(),
-        "branches[2].w_u": branch.w_u.copy(), "branches[2].w_v": branch.w_v.copy(),
-        **{f"blocks[{i}]": b.copy() for i, b in enumerate(model.blocks)},
+        "embedding": model.embedding, "lm_head": model.lm_head,
+        "branches[2].w_u": branch.w_u, "branches[2].w_v": branch.w_v,
+        **{f"blocks[{i}]": b for i, b in enumerate(model.blocks)},
     }
-    weights[tensor][0, -1] = value
-    bad = ToyLm(
-        config=model.config, embedding=weights["embedding"],
-        blocks=tuple(weights[f"blocks[{i}]"] for i in range(len(model.blocks))),
-        lm_head=weights["lm_head"],
-        branches={2: DecomposedLayer(weights["branches[2].w_u"], weights["branches[2].w_v"],
-                                     branch.hidden_dim, branch.source_dims)},
-    )
     path = tmp_path / "bad.toyl"
-    save_model(bad, path)
+    save_model(model, path)
+    # Write the bad weight into the saved file: a DecomposedLayer rejects one in memory.
+    blob, weight = path.read_bytes(), struct.pack("<d", weights[tensor][0, -1])
+    assert blob.count(weight) == 1
+    path.write_bytes(blob.replace(weight, struct.pack("<d", value)))
     with pytest.raises(InvalidInputError, match=f"^{re.escape(tensor)} contains NaN or Inf$"):
         load_model(path)
 
