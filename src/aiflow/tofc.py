@@ -43,6 +43,10 @@ _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
 _ROW_BLOCK = 64
+# The widest alphabet, 2*q_range + 2 entries, that fits the 2^16 frequency total.
+Q_RANGE_MAX = (_TOTAL - 2) // 2
+# Bound on |mu|, so that every alphabet lo..lo + 2*q_range + 1 fits int64.
+_MU_LIMIT = 2.0**62
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +94,10 @@ class LaplacianModel:
             raise InvalidInputError(f"scale parameters must be >= {B_MIN}")
         require_int("id", self.id, 0)
         require_int("q_range", self.q_range, 1)
+        if self.q_range > Q_RANGE_MAX:
+            raise InvalidInputError(f"q_range must be <= {Q_RANGE_MAX}, got {self.q_range}")
+        if (np.abs(self.mu) >= _MU_LIMIT).any():
+            raise InvalidInputError("mu must lie in (-2**62, 2**62)")
 
     @property
     def dim(self) -> int:
@@ -103,16 +111,21 @@ def _laplace_cdf(x, mu, b):
     return np.where(z < 0.0, below, above)
 
 
-def _bin_masses(model: LaplacianModel, j: int) -> tuple[int, np.ndarray]:
-    """(lo, p): the masses of the unit bins lo..lo + 2*q_range, then the escape mass.
+def _bin_table(model: LaplacianModel) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, p): row j holds the masses of dimension j's unit bins lo[j]..lo[j] +
+    2*q_range, then its escape mass; lo has shape (d,), p (d, 2*q_range + 2).
 
-    The one evaluation of the Laplace CDF; every code length and coding table
-    reads this table.
+    The one evaluation of the Laplace CDF, over all d x (2*q_range + 2) bin
+    edges at once; every code length and coding table reads this table.
     """
-    lo = int(np.rint(model.mu[j])) - model.q_range
-    edges = np.arange(lo, lo + 2 * model.q_range + 2) - 0.5
-    cdf = _laplace_cdf(edges, float(model.mu[j]), float(model.b[j]))
-    return lo, np.append(np.diff(cdf), cdf[0] + (1.0 - cdf[-1]))
+    q = model.q_range
+    lo = np.rint(model.mu).astype(np.int64) - q
+    edges = (lo[:, None] + np.arange(2 * q + 2)) - 0.5
+    cdf = _laplace_cdf(edges, model.mu[:, None], model.b[:, None])
+    p = np.empty_like(cdf)
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[:, :-1])
+    p[:, -1] = cdf[:, 0] + (1.0 - cdf[:, -1])
+    return lo, p
 
 
 def fit_laplacian(calib: np.ndarray, model_id: int, q_range: int = 255) -> LaplacianModel:
@@ -165,17 +178,20 @@ def _row_bits(rows: np.ndarray, model: LaplacianModel) -> np.ndarray:
     """Ideal code length of each row, summed over dimensions in order.
 
     A symbol costs -log2 of its bin mass; an escaped one -log2 of the escape
-    mass plus its 32 raw bits.
+    mass plus its 32 raw bits. The costs of all dimensions come from one
+    table and one gather; the sum then adds them one dimension at a time, as
+    np.sum's pairwise order would round differently.
     """
+    lo, p = _bin_table(model)
+    with np.errstate(divide="ignore"):
+        cost = -np.log2(p)
+    esc = p.shape[1] - 1
+    cost[:, esc] += _RAW_BITS
+    inside = (rows >= lo) & (rows < lo + esc)
+    picked = cost[np.arange(model.dim), np.where(inside, rows - lo, esc)]
     bits = np.zeros(rows.shape[0])
     for j in range(model.dim):
-        lo, p = _bin_masses(model, j)
-        with np.errstate(divide="ignore"):
-            cost = -np.log2(p)
-        esc = p.size - 1
-        cost[esc] += _RAW_BITS
-        q = rows[:, j]
-        bits += cost[np.where((q >= lo) & (q < lo + esc), q - lo, esc)]
+        bits += picked[:, j]
     return bits
 
 
@@ -204,6 +220,27 @@ def balance_metric(selection_counts) -> float:
     return float(np.sum((f - 1.0 / counts.size) ** 2))
 
 
+def _sq_distances(feats: np.ndarray, k: int, blocks: list[slice]):
+    """(d2, knn): the N x N squared distances, and each row's k + 1 smallest, sorted.
+
+    Column 0 of knn is a zero distance (the point itself or a duplicate).
+    """
+    n = feats.shape[0]
+    d2 = np.empty((n, n))
+    knn = np.empty((n, k + 1))
+    for blk in blocks:
+        # Columns left of the block were mirrored in by the blocks before it.
+        # Squared in place (x ** 2 is np.square) and dropped before the next
+        # block's is made, so one block of differences is alive at a time.
+        diff = feats[blk, None, :] - feats[None, blk.start :, :]
+        d2[blk, blk.start :] = np.sum(np.square(diff, out=diff), axis=-1)
+        del diff
+        d2[blk.stop :, blk] = d2[blk, blk.stop :].T
+        knn[blk] = np.partition(d2[blk], k, axis=1)[:, : k + 1]
+    knn.sort(axis=1)
+    return d2, knn
+
+
 def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> ClusterResult:
     """Density-peak clustering with KNN densities, then per-cluster averaging.
 
@@ -215,6 +252,10 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
 
     Memory grows as N^2 + _ROW_BLOCK*N*d floats: one N x N distance matrix,
     filled _ROW_BLOCK rows at a time, never an N x N x d difference array.
+    Each pair is computed once: a row block is differenced only against the
+    columns from its first row on, and the part right of the block is
+    mirrored below it. In round-to-nearest a - b is exactly -(b - a), so the
+    mirrored squared sums equal the ones a full row would compute.
     """
     for name, value in (("k_neighbors", k_neighbors), ("num_centers", num_centers)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -234,18 +275,8 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     if not 1 <= k_neighbors < n:
         raise InvalidInputError(f"k_neighbors must be in [1, {n - 1}]")
     blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
-    d2 = np.empty((n, n))
-    knn = np.empty((n, k_neighbors + 1))
-    for blk in blocks:
-        # Squared in place (x ** 2 is np.square) and dropped before the next
-        # block's is made, so one block of differences is alive at a time.
-        diff = feats[blk, None, :] - feats[None, :, :]
-        d2[blk] = np.sum(np.square(diff, out=diff), axis=-1)
-        del diff
-        knn[blk] = np.partition(d2[blk], k_neighbors, axis=1)[:, : k_neighbors + 1]
-    # The k+1 smallest of each row, sorted; column 0 is a zero distance (the
-    # point itself or a duplicate), so the mean adds what a full sort would.
-    knn.sort(axis=1)
+    d2, knn = _sq_distances(feats, k_neighbors, blocks)
+    # The mean over the k nearest adds what a full sort of each row would.
     rho = np.exp(-np.mean(knn[:, 1:], axis=1))
     dist = np.sqrt(d2, out=d2)
     max_pair = float(dist.max())
@@ -311,7 +342,12 @@ class Bitstream:
 
 
 def _validate_models(models, dim: int | None = None):
-    """LaplacianModels with ids 0..E-1, all of dim (the first model's if None)."""
+    """A list or tuple of LaplacianModels with ids 0..E-1, all of dim (the
+    first model's if None)."""
+    if not isinstance(models, (list, tuple)):
+        raise InvalidInputError(
+            f"models must be a list or tuple of LaplacianModels, got {type(models).__name__}"
+        )
     if not models:
         raise InvalidInputError("need at least one model")
     if len(models) > 255:
@@ -332,26 +368,28 @@ def _validate_models(models, dim: int | None = None):
 def _coding_tables(model: LaplacianModel):
     """Per-dimension (lo, freqs, cum) lists with freqs summing to exactly 2^16.
 
-    The alphabet is the in-range symbols followed by one escape entry. A
-    q_range so wide that the floor of 1 per entry overdraws the total raises
-    InvalidInputError.
+    The alphabet is the in-range symbols followed by one escape entry. All
+    dimensions are scaled, floored at 1 and repaired on their largest entry
+    together, from one bin table. A q_range so wide that the floor of 1 per
+    entry overdraws the total raises InvalidInputError naming the first such
+    dimension.
     """
-    tables = []
-    for j in range(model.dim):
-        lo, p = _bin_masses(model, j)
-        freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
-        top = int(np.argmax(freqs))
-        freqs[top] += _TOTAL - int(freqs.sum())
-        if freqs[top] < 1:
-            raise InvalidInputError(
-                f"model {model.id} dimension {j}: q_range {model.q_range} leaves too little "
-                "of the 2^16 frequency total to give every symbol a frequency >= 1"
-            )
-        if freqs.min() < 1 or int(freqs.sum()) != _TOTAL:
-            raise InvariantViolationError("frequency table repair failed")
-        cum = np.concatenate(([0], np.cumsum(freqs)))
-        tables.append((lo, freqs.tolist(), cum.tolist()))
-    return tables
+    lo, p = _bin_table(model)
+    freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
+    dims = np.arange(model.dim)
+    top = np.argmax(freqs, axis=1)
+    freqs[dims, top] += _TOTAL - freqs.sum(axis=1)
+    overdrawn = np.flatnonzero(freqs[dims, top] < 1)
+    if overdrawn.size:
+        raise InvalidInputError(
+            f"model {model.id} dimension {overdrawn[0]}: q_range {model.q_range} leaves too "
+            "little of the 2^16 frequency total to give every symbol a frequency >= 1"
+        )
+    if freqs.min() < 1 or (freqs.sum(axis=1) != _TOTAL).any():
+        raise InvariantViolationError("frequency table repair failed")
+    cum = np.zeros((model.dim, freqs.shape[1] + 1), dtype=np.int64)
+    np.cumsum(freqs, axis=1, out=cum[:, 1:])
+    return list(zip(lo.tolist(), freqs.tolist(), cum.tolist()))
 
 
 def encode(symbols: np.ndarray, models, routing) -> Bitstream:
@@ -363,6 +401,11 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
     if m > 65535 or d > 65535 or d < 1:
         raise InvalidInputError("symbol matrix does not fit the container limits")
     _validate_models(models, d)
+    if not (isinstance(routing, (list, tuple))
+            or isinstance(routing, np.ndarray) and routing.ndim == 1):
+        raise InvalidInputError(
+            f"routing must be a list, tuple or 1-D array of model ids, got {routing!r}"
+        )
     ids = []
     for pos, e in enumerate(routing):
         if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or not 0 <= e < len(models):

@@ -45,7 +45,7 @@ import numpy as np
 from .container import Reader, header, read_file, write_file
 from .errors import InvalidInputError, InvalidTokenError
 from .familial import DecomposedLayer, WhiteningContext, decompose_layer
-from .numerics import Rng, is_real, require_int, require_vector
+from .numerics import Rng, is_real, require_int, require_matrix, require_vector
 
 _TOYL_MAGIC = b"TOYL"
 _RMS_FLOOR = 1e-12
@@ -105,11 +105,42 @@ class ExitActivation:
 
 @dataclass(frozen=True)
 class ToyLm:
+    """Weights, coerced to float64 and checked against config once, at construction."""
+
     config: ToyLmConfig
     embedding: np.ndarray
     blocks: tuple[np.ndarray, ...]
     lm_head: np.ndarray
     branches: dict[int, DecomposedLayer] = field(default_factory=dict)
+
+    def __post_init__(self):
+        cfg = self.config
+        if not isinstance(cfg, ToyLmConfig):
+            raise InvalidInputError(f"config must be a ToyLmConfig, got {cfg!r}")
+        vocab, d, layers = cfg.vocab_size, cfg.embed_dim, cfg.num_layers
+        if not isinstance(self.blocks, (list, tuple)) or len(self.blocks) != layers:
+            raise InvalidInputError(f"blocks must be a list or tuple of {layers} matrices")
+        object.__setattr__(self, "embedding", _weight(self.embedding, "embedding", (vocab, d)))
+        object.__setattr__(self, "blocks", tuple(
+            _weight(w, f"blocks[{i}]", (d, d)) for i, w in enumerate(self.blocks)
+        ))
+        object.__setattr__(self, "lm_head", _weight(self.lm_head, "lm_head", (vocab, d)))
+        if not isinstance(self.branches, dict):
+            raise InvalidInputError(f"branches must be a dict, got {type(self.branches).__name__}")
+        for exit_index, branch in self.branches.items():
+            if not (_is_int(exit_index) and 1 <= exit_index < layers
+                    and isinstance(branch, DecomposedLayer) and branch.source_dims == (d, d)):
+                raise InvalidInputError(
+                    f"branches[{exit_index!r}] must be a DecomposedLayer of a {d} x {d} block "
+                    f"at an exit in 1..{layers - 1}"
+                )
+
+
+def _weight(w, name: str, shape: tuple[int, int]) -> np.ndarray:
+    arr = require_matrix(w, name)
+    if arr.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 def build(config: ToyLmConfig) -> ToyLm:

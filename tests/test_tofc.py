@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aiflow import tofc
 from aiflow.errors import (
     InvalidInputError,
     MalformedBitstreamError,
@@ -17,6 +18,7 @@ from aiflow.numerics import Rng
 from aiflow.rangecoder import RangeDecoder, RangeEncoder
 from aiflow.tofc import (
     B_MIN,
+    Q_RANGE_MAX,
     Bitstream,
     FeatureSet,
     LaplacianModel,
@@ -35,7 +37,13 @@ from aiflow.tofc import (
     route,
     save_features,
     tofc_pipeline,
-    _bin_masses,
+    _ROW_BLOCK,
+    _TOTAL,
+    _bin_table,
+    _coding_tables,
+    _laplace_cdf,
+    _row_bits,
+    _sq_distances,
 )
 
 
@@ -239,6 +247,21 @@ class TestLaplacianFit:
         with pytest.raises(InvalidInputError):
             LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=-1)
 
+    def test_q_range_is_bounded_by_the_frequency_total(self):
+        assert Q_RANGE_MAX == 32767  # 2 * Q_RANGE_MAX + 2 entries fill 2^16 at 1 each
+        LaplacianModel(mu=[0.0], b=[1.0], id=0, q_range=Q_RANGE_MAX)
+        for q_range in (Q_RANGE_MAX + 1, 2**62):
+            message = f"q_range must be <= 32767, got {q_range}"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                LaplacianModel(mu=[0.0], b=[1.0], id=0, q_range=q_range)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                fit_laplacian(np.array([[0.0], [1.0]]), 0, q_range)
+
+    @pytest.mark.parametrize("mu", [2.0**62, -(2.0**62), 1e300])
+    def test_location_is_bounded(self, mu):
+        with pytest.raises(InvalidInputError, match=re.escape("mu must lie in (-2**62, 2**62)")):
+            LaplacianModel(mu=[0.0, mu], b=[1.0, 1.0], id=0)
+
     def test_model_coerces_its_parameters(self):
         model = LaplacianModel(mu=[0.0, 1], b=[1.0, 2.0], id=0)
         assert model.mu.dtype == model.b.dtype == np.float64
@@ -257,11 +280,146 @@ class TestLaplacianFit:
             LaplacianModel(**{"mu": [0.0], "b": [1.0], **params}, id=0)
 
 
+def oracle_bin_masses(model, j):
+    """(lo, p) of dimension j alone: the unit-bin masses, then the escape mass."""
+    lo = int(np.rint(model.mu[j])) - model.q_range
+    edges = np.arange(lo, lo + 2 * model.q_range + 2) - 0.5
+    cdf = _laplace_cdf(edges, float(model.mu[j]), float(model.b[j]))
+    return lo, np.append(np.diff(cdf), cdf[0] + (1.0 - cdf[-1]))
+
+
+def oracle_row_bits(rows, model):
+    """Code length of each row, built and summed one dimension at a time."""
+    bits = np.zeros(rows.shape[0])
+    for j in range(model.dim):
+        lo, p = oracle_bin_masses(model, j)
+        with np.errstate(divide="ignore"):
+            cost = -np.log2(p)
+        esc = p.size - 1
+        cost[esc] += 32
+        q = rows[:, j]
+        bits += cost[np.where((q >= lo) & (q < lo + esc), q - lo, esc)]
+    return bits
+
+
+def oracle_coding_tables(model):
+    """(lo, freqs, cum) per dimension, each table scaled and repaired on its own."""
+    tables = []
+    for j in range(model.dim):
+        lo, p = oracle_bin_masses(model, j)
+        freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
+        top = int(np.argmax(freqs))
+        freqs[top] += _TOTAL - int(freqs.sum())
+        if freqs[top] < 1:
+            raise InvalidInputError(
+                f"model {model.id} dimension {j}: q_range {model.q_range} leaves too little "
+                "of the 2^16 frequency total to give every symbol a frequency >= 1"
+            )
+        cum = np.concatenate(([0], np.cumsum(freqs)))
+        tables.append((lo, freqs.tolist(), cum.tolist()))
+    return tables
+
+
 def bin_mass(model, j, q):
-    """The mass _bin_masses gives symbol q in dimension j; out-of-range q read the escape."""
-    lo, p = _bin_masses(model, j)
-    idx = q - lo
-    return float(p[idx] if 0 <= idx < p.size - 1 else p[-1])
+    """The mass _bin_table gives symbol q in dimension j; out-of-range q read the escape."""
+    lo, p = _bin_table(model)
+    idx = q - int(lo[j])
+    return float(p[j, idx] if 0 <= idx < p.shape[1] - 1 else p[j, -1])
+
+
+def random_model(rng, d, q_range, model_id=0):
+    mu = rng.normal(size=d) * 30.0
+    b = np.exp(rng.normal(size=d) * 2.0) + B_MIN
+    return LaplacianModel(mu=mu, b=b, id=model_id, q_range=q_range)
+
+
+class TestOneTablePass:
+    """Every table equals the one its dimension alone gives, bit for bit."""
+
+    def test_bin_table_equals_the_per_dimension_masses(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            model = random_model(rng, int(rng.integers(1, 41)), int(rng.integers(1, 401)))
+            lo, p = _bin_table(model)
+            assert lo.shape == (model.dim,) and p.shape == (model.dim, 2 * model.q_range + 2)
+            for j in range(model.dim):
+                want_lo, want_p = oracle_bin_masses(model, j)
+                assert int(lo[j]) == want_lo
+                assert p[j].tobytes() == want_p.tobytes()
+
+    def test_row_bits_equal_the_per_dimension_sum(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            model = random_model(rng, int(rng.integers(1, 41)), int(rng.integers(1, 401)))
+            m = int(rng.integers(0, 30))
+            rows = np.rint(model.mu + 4.0 * model.b * rng.normal(size=(m, model.dim)))
+            rows = rows.astype(np.int64)
+            if m:
+                rows[0, 0] = np.iinfo(np.int64).min  # escapes at both ends of int64
+                rows[-1, -1] = np.iinfo(np.int64).max
+            assert _row_bits(rows, model).tobytes() == oracle_row_bits(rows, model).tobytes()
+
+    def test_coding_tables_equal_the_per_dimension_tables(self):
+        # Up to 2,000 the widest alphabets overdraw the total on some dimension.
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            model = random_model(rng, int(rng.integers(1, 41)), int(rng.integers(1, 2001)))
+            try:
+                want = oracle_coding_tables(model)
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
+                    _coding_tables(model)
+            else:
+                got = _coding_tables(model)
+                assert got == want
+                assert all(type(lo) is int for lo, _, _ in got)
+
+    def test_too_wide_q_range_names_the_first_failing_dimension(self):
+        # Dimensions 2 and 4 are too wide for the frequency total; 0, 1, 3 fit.
+        b = np.array([1.0, 1.0, 20.0, 1.0, 20.0])
+        model = LaplacianModel(mu=np.zeros(5), b=b, id=3, q_range=1000)
+        with pytest.raises(InvalidInputError) as want:
+            oracle_coding_tables(model)
+        assert "dimension 2:" in str(want.value)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
+            _coding_tables(model)
+
+    def test_one_cdf_evaluation_per_model_table(self, monkeypatch):
+        # One pipeline (route and encode) and one decode build 3 tables per
+        # model; each is one CDF call over all dimensions, not one per dimension.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _laplace_cdf(*args)
+
+        monkeypatch.setattr(tofc, "_laplace_cdf", counted)
+        fs = make_blob_features(48, 6, 3, Rng(8))
+        models = fit_laplacian_models(fs, 3)
+        bs, _ = tofc_pipeline(fs, TofcConfig(12, 3, models))
+        decode(bs, models)
+        assert len(calls) == 3 * len(models)
+
+
+def full_row_sq_distances(f):
+    return np.sum(np.square(f[:, None] - f[None]), -1)
+
+
+class TestSymmetricDistances:
+    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 128, 130, 200])
+    def test_distances_equal_the_full_row_sums(self, n):
+        rng = Rng(7000 + n)
+        feats = rng.normal_matrix(n, 7) * 3.0
+        feats[n // 2] = feats[0]
+        feats[n - 1] = feats[1]
+        feats[3::41] *= 400.0
+        k = min(5, n - 1)
+        blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
+        d2, knn = _sq_distances(feats, k, blocks)
+        want = full_row_sq_distances(feats)
+        assert d2.tobytes() == want.tobytes()
+        assert knn.tobytes() == np.sort(want, axis=1)[:, : k + 1].tobytes()
+
 
 
 class TestPmf:
@@ -421,6 +579,32 @@ class TestCodec:
         bs = encode(symbols, two_models(2), [0])
         with pytest.raises(InvalidInputError, match=message):
             decode(bs, models)
+
+    @pytest.mark.parametrize("models", [5, None, "ab", np.array([1])])
+    def test_models_must_be_a_list_or_tuple(self, models):
+        message = "^models must be a list or tuple of LaplacianModels, got "
+        symbols = np.array([[0, 1]], dtype=np.int64)
+        with pytest.raises(InvalidInputError, match=message):
+            TofcConfig(2, 1, models)
+        with pytest.raises(InvalidInputError, match=message):
+            encode(symbols, models, [0])
+        with pytest.raises(InvalidInputError, match=message):
+            decode(encode(symbols, two_models(2), [0]), models)
+
+    def test_a_bare_model_is_not_a_model_list(self):
+        model = two_models(2)[0]
+        message = "^models must be a list or tuple of LaplacianModels, got LaplacianModel$"
+        with pytest.raises(InvalidInputError, match=message):
+            TofcConfig(2, 1, model)
+        with pytest.raises(InvalidInputError, match=message):
+            encode(np.array([[0, 1]], dtype=np.int64), model, [0])
+
+    @pytest.mark.parametrize("routing", [5, None, np.int64(0), np.array(0), np.zeros((1, 1), int)])
+    def test_routing_must_be_a_list_tuple_or_vector(self, routing):
+        symbols = np.array([[0, 1]], dtype=np.int64)
+        message = "^routing must be a list, tuple or 1-D array of model ids, got "
+        with pytest.raises(InvalidInputError, match=message):
+            encode(symbols, two_models(2), routing)
 
     def test_config_rejects_a_non_model_first_entry(self):
         with pytest.raises(InvalidInputError, match="^models\\[0\\] must be a LaplacianModel"):

@@ -71,6 +71,40 @@ def test_config_sizes_must_be_ints(field, value, minimum):
 
 # --- forward passes -------------------------------------------------------------
 
+def test_model_coerces_list_weights(lm):
+    listed = ToyLm(config=lm.config, embedding=lm.embedding.tolist(),
+                   blocks=[w.tolist() for w in lm.blocks], lm_head=lm.lm_head.tolist())
+    assert isinstance(listed.blocks, tuple)
+    assert all(w.dtype == np.float64 for w in (listed.embedding, *listed.blocks, listed.lm_head))
+    assert forward_full(listed, [1, 2]).probs.tobytes() == forward_full(lm, [1, 2]).probs.tobytes()
+
+
+def test_model_keeps_float64_weights_without_copying(lm):
+    again = replace(lm, branches={})
+    assert again.embedding is lm.embedding and again.lm_head is lm.lm_head
+    assert all(a is b for a, b in zip(again.blocks, lm.blocks))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"embedding": np.zeros((31, 16))}, "embedding must have shape (32, 16), got (31, 16)"),
+    ({"lm_head": np.zeros(16)}, "lm_head must be 2-D, got shape (16,)"),
+    ({"lm_head": np.full((32, 16), np.nan)}, "lm_head contains NaN or Inf"),
+    ({"blocks": (np.zeros((16, 16)),) * 7}, "blocks must be a list or tuple of 8 matrices"),
+    ({"blocks": np.zeros((8, 16, 16))}, "blocks must be a list or tuple of 8 matrices"),
+    ({"blocks": (np.zeros((16, 16)),) * 7 + (np.zeros((16, 15)),)},
+     "blocks[7] must have shape (16, 16), got (16, 15)"),
+    ({"blocks": (np.zeros((16, 16)),) * 2 + ([[np.inf]],) + (np.zeros((16, 16)),) * 5},
+     "blocks[2] contains NaN or Inf"),
+    ({"config": "tiny"}, "config must be a ToyLmConfig, got 'tiny'"),
+    ({"branches": [1]}, "branches must be a dict, got list"),
+    ({"branches": {8: None}},
+     "branches[8] must be a DecomposedLayer of a 16 x 16 block at an exit in 1..7"),
+])
+def test_model_checks_its_weights_against_config(lm, change, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        replace(lm, **change)
+
+
 def test_empty_context_gives_uniform_distribution(lm):
     # The zero start vector normalizes to zero, so all logits are equal and
     # the softmax is exactly uniform.
@@ -419,7 +453,7 @@ def test_initial_state_gather_equals_fancy_indexing():
         vocab, d, window = (int(n) for n in rng.integers((2, 4, 1), (65, 49, 13)))
         model = ToyLm(config=ToyLmConfig(vocab_size=vocab, embed_dim=d, num_layers=1,
                                          context_window=window),
-                      embedding=rng.standard_normal((vocab, d)), blocks=(),
+                      embedding=rng.standard_normal((vocab, d)), blocks=(np.zeros((d, d)),),
                       lm_head=rng.standard_normal((vocab, d)))
         tokens = rng.integers(0, vocab, size=int(rng.integers(1, 2 * window + 1))).tolist()
         tail = tokens[-window:]
