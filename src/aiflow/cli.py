@@ -523,20 +523,26 @@ def _xy_series(header, rows):
 def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
     """Merge finished run directories into consolidated tables.
 
-    A single run's tables pass through unchanged. Multiple runs with equal
-    headers are row-concatenated under a leading run_id column; differing
-    headers are a schema error naming both column sets.
+    A run's id is its directory's basename; two runs with one id are a
+    config error naming both paths. A single run's tables pass through
+    unchanged. Multiple runs with equal headers are row-concatenated under
+    a leading run_id column; differing headers are a schema error naming
+    both column sets.
     """
     if not run_dirs:
         raise ConfigError("report needs at least one run directory")
     tables = {}
     order = []
-    run_ids = []
+    run_paths = {}
     for run_dir in run_dirs:
         rd = Path(run_dir)
-        manifest = _read_manifest(rd)
         run_id = rd.name
-        run_ids.append(run_id)
+        if run_id in run_paths:
+            raise ConfigError(
+                f"runs {run_paths[run_id]} and {run_dir} share the run id {run_id!r}"
+            )
+        run_paths[run_id] = run_dir
+        manifest = _read_manifest(rd)
         for name in manifest.get("outputs", []):
             if not name.endswith(".csv"):
                 continue
@@ -571,7 +577,7 @@ def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
         consolidated.append({"table": name, "rows": sum(len(v[2]) for v in versions)})
     _write_json(
         run.file("report.json"),
-        {"runs": run_ids, "tables": consolidated},
+        {"runs": list(run_paths), "tables": consolidated},
     )
 
 

@@ -270,7 +270,8 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     unless the last round's correction discarded it; then the drafter starts
     afresh once that verdict arrives. The simulated device still drafts each
     lookahead speculatively, before its verdict, so its compute is priced
-    even where specdec skips the forwards of a discarded one. Returns
+    even where specdec skips the forwards of a discarded one. Every round
+    must hold one record per tier boundary, len(cfg.tiers) - 1. Returns
     (trace, MetricsRecord).
     """
     for role in cfg.tiers:
@@ -283,7 +284,12 @@ def schedule_specdec(topology: Topology, cfg: ProtocolConfig, transcript, seed: 
     verdict_at = 0.0
     free_at = {}
     lookahead_done = None
-    for records in transcript.per_round:
+    for r, records in enumerate(transcript.per_round):
+        if len(records) != len(cfg.tiers) - 1:
+            raise InvalidInputError(
+                f"round {r} holds {len(records)} boundary records; "
+                f"{len(cfg.tiers)} tiers need {len(cfg.tiers) - 1}"
+            )
         if lookahead_done is None:
             draft_done = verdict_at + draft_cost
             device_compute += draft_cost
@@ -418,23 +424,6 @@ def default_topology() -> Topology:
             LinkSpec("cloud", "edge", 2e-3, 1e8, 0.0, 4),
         ),
     )
-
-
-def collab_topology(num_devices: int, latencies=None, server: str = "edge") -> Topology:
-    """A star of device nodes around one server node."""
-    require_int("num_devices", num_devices, 1)
-    if latencies is None:
-        latencies = [1e-3] * num_devices
-    if len(latencies) != num_devices:
-        raise InvalidInputError("need one latency per device")
-    nodes = [NodeSpec(id=server, tier="edge", compute_cost={"token": 0.030, "aggregate": 0.0})]
-    links = []
-    for i, lat in enumerate(latencies):
-        dev = f"device_{i}"
-        nodes.append(NodeSpec(id=dev, tier="device", compute_cost={"token": 0.010}))
-        links.append(LinkSpec(server, dev, lat, 1e7, 0.0, 2 * i + 1))
-        links.append(LinkSpec(dev, server, lat, 1e7, 0.0, 2 * i + 2))
-    return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
 _NODE_FIELDS = {"id": (str, REQUIRED), "tier": (str, REQUIRED), "compute_cost": (dict, REQUIRED)}

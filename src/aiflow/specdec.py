@@ -33,11 +33,13 @@ emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
-draw. A round reserves all gamma drafter uniforms before its first forward,
-scanned or not; a verifier burns one uniform per scanned position plus one
-per resample. Because the streams are per-role, sequential and pipelined
-execution consume them in the same per-role order, which is what makes the
-two modes emit identical tokens when nothing is ever rejected.
+draw. The run loop picks the chain's scorer once per run and reserves each
+round's gamma drafter uniforms before the round's first forward, scanned or
+not; run_round then draws only from the verifiers' streams, one uniform per
+scanned position plus one per resample. Because the streams are per-role,
+sequential and pipelined execution consume them in the same per-role order,
+which is what makes the two modes emit identical tokens when nothing is
+ever rejected.
 
 One loop runs both modes: a pipelined run is a sequential run in which the
 drafter reserves the next round's draws before each verification. After a
@@ -236,15 +238,14 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     return VerifyResult(accepted_count=count, correction_token=None, rng_draws_used=count)
 
 
-@dataclass
-class _RoundOutcome:
-    emitted: list[int]
-    records: tuple[RoundRecord, ...]
+def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
+              rngs: dict) -> tuple[list[int], tuple[RoundRecord, ...]]:
+    """One draft-verify round; returns (emitted, records).
 
-
-def _round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
-           rngs: dict) -> _RoundOutcome:
-    """One draft-verify round from the drafter's reserved draws.
+    emitted is the token stream the round emits; records holds one
+    RoundRecord per tier boundary, drafter's first. draws are the drafter's
+    draft_len uniforms, reserved by the caller before the round's first
+    forward; rngs maps each verifier role to its stream.
 
     score is the chain's chain_scorer. At scanned position i it gives every
     tier's distribution on one context: the drafter samples token i from
@@ -284,19 +285,7 @@ def _round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
         if result.correction_token is not None:
             stream.append(result.correction_token)
         records += (RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count),)
-    return _RoundOutcome(emitted=stream, records=records)
-
-
-def run_round(cfg: ProtocolConfig, models: dict, context: list[int], rngs: dict) -> _RoundOutcome:
-    """One draft-verify round; rngs maps each tier role to its stream.
-
-    The round reserves the drafter's draft_len uniforms before its first
-    forward. context is a list of checked tokens that the round extends and
-    truncates back, so it holds the same tokens on return.
-    """
-    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
-    score = chain_scorer([models[role] for role in cfg.tiers])
-    return _round(cfg, score, context, draws, rngs)
+    return stream, records
 
 
 def _decode(
@@ -331,10 +320,10 @@ def _decode(
             draws = [draft_rng.uniform() for _ in range(gamma)]
         if lookahead:
             ahead = [draft_rng.uniform() for _ in range(gamma)]
-        outcome = _round(cfg, score, context, draws, streams)
-        records.append(outcome.records)
-        final = outcome.records[-1]
-        used = outcome.emitted[: end - len(context)]
+        emitted, round_records = run_round(cfg, score, context, draws, streams)
+        records.append(round_records)
+        final = round_records[-1]
+        used = emitted[: end - len(context)]
         accepted += min(len(used), final.accepted)
         corrections += max(0, len(used) - final.accepted)
         context.extend(used)

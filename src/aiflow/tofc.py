@@ -200,12 +200,23 @@ def estimate_rate(symbols, model: LaplacianModel) -> float:
     return float(_row_bits(_as_symbol_rows(symbols, model.dim), model).sum())
 
 
-def route(merged_row: np.ndarray, models) -> int:
-    """Id of the model that prices the quantized row cheapest; ties go low."""
-    if not models:
-        raise InvalidInputError("need at least one model")
-    symbols = quantize(np.atleast_1d(np.asarray(merged_row, dtype=np.float64)))
-    return min(models, key=lambda m: (estimate_rate(symbols, m), m.id)).id
+def route(symbols: np.ndarray, models) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, bits): each quantized row's cheapest model and its code length there.
+
+    symbols is an M x d integer matrix; models are checked as encode checks
+    them. One E x M table of row code lengths is built; ids[r] is the first
+    argmin over models, and model ids equal list positions, so ties go to
+    the lowest id. bits[r] is row r's code length under models[ids[r]],
+    equal to estimate_rate(symbols[r], models[ids[r]]).
+    """
+    arr = np.asarray(symbols)
+    if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidInputError("symbols must be a 2-D integer array")
+    _validate_models(models, arr.shape[1])
+    rows = arr.astype(np.int64, copy=False)
+    rates = np.array([_row_bits(rows, model) for model in models])
+    ids = np.argmin(rates, axis=0)
+    return ids, rates[ids, np.arange(rows.shape[0])]
 
 
 def balance_metric(selection_counts) -> float:
@@ -478,12 +489,10 @@ def tofc_pipeline(fs: FeatureSet, cfg: TofcConfig):
         raise InvalidInputError("entropy models do not match the feature dimension")
     clusters = dpc_knn_cluster(fs, cfg.k_neighbors, cfg.num_centers)
     symbols = quantize(clusters.merged)
-    # One E x M table of row code lengths; model ids equal list positions, so
-    # the lowest argmin is route's lowest-id tie break.
-    rates = np.array([_row_bits(symbols, model) for model in cfg.models])
-    routing = np.argmin(rates, axis=0)
+    routing, bits = route(symbols, cfg.models)
     bs = encode(symbols, cfg.models, routing)
-    est_bits = sum(rates[routing, np.arange(symbols.shape[0])].tolist())
+    # Summed in row order; np.sum's pairwise order would round differently.
+    est_bits = sum(bits.tolist())
     counts = np.bincount(routing, minlength=len(cfg.models))
     stats = {
         "M": symbols.shape[0],

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from aiflow.specdec import run_round
-from aiflow.toylm import LmDecoder, TokenDistribution
+from aiflow.toylm import LmDecoder, TokenDistribution, chain_scorer
 
 
 class ListRng:
@@ -137,6 +137,13 @@ def verify_paths(draft_dists, target_dists, tokens):
     return outcomes
 
 
+def replay_round(cfg, models, prefix, rngs):
+    """run_round's emitted tokens, its drafter draws reserved as the run loop does."""
+    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
+    score = chain_scorer([models[role] for role in cfg.tiers])
+    return run_round(cfg, score, list(prefix), draws, rngs)[0]
+
+
 def enumerate_round(cfg, models, prefix):
     """Every (emitted_tokens, weight) of one round, each path replayed for real.
 
@@ -160,8 +167,7 @@ def enumerate_round(cfg, models, prefix):
             stream = tokens[:acc_e] + ([corr_e] if corr_e is not None else [])
             if len(tiers) == 2:
                 rngs = {tiers[0]: ListRng(dev_us), tiers[1]: ListRng(edge_us)}
-                outcome = run_round(cfg, models, list(prefix), rngs)
-                assert outcome.emitted == stream
+                assert replay_round(cfg, models, prefix, rngs) == stream
                 assert all(rngs[r].exhausted() for r in tiers)
                 results.append((tuple(stream), w_d * w_e))
                 continue
@@ -180,8 +186,7 @@ def enumerate_round(cfg, models, prefix):
                     tiers[1]: ListRng(edge_us),
                     tiers[2]: ListRng(cloud_us),
                 }
-                outcome = run_round(cfg, models, list(prefix), rngs)
-                assert outcome.emitted == final
+                assert replay_round(cfg, models, prefix, rngs) == final
                 assert all(rngs[r].exhausted() for r in tiers)
                 results.append((tuple(final), w_d * w_e * w_c))
     return results

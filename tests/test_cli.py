@@ -572,6 +572,19 @@ class TestReport:
         err = capsys.readouterr().err
         assert "z" in err and "y" in err
 
+    @pytest.mark.parametrize("second", ["b/run", "a/run"], ids=["same-basename", "same-dir"])
+    def test_duplicate_run_ids_rejected_before_output(self, tmp_path, capsys, second):
+        cfg = decompose_config(tmp_path)
+        for run_dir in dict.fromkeys(["a/run", second]):
+            assert main(["decompose", "--config", cfg, "--out", str(tmp_path / run_dir)]) == 0
+        first, again = str(tmp_path / "a/run"), str(tmp_path / second)
+        merged = tmp_path / "merged"
+        assert main(["report", first, again, "--out", str(merged)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: runs {first} and {again} share the run id 'run'\n"
+        )
+        assert not merged.exists()
+
     def test_missing_manifest_is_incomplete_run(self, tmp_path):
         bare = tmp_path / "bare"
         bare.mkdir()

@@ -3,7 +3,8 @@
 aiflow.config is a leaf that only reads config documents; netsim is only the
 simulator (it builds no models and runs no configs); cli is the top, which
 nothing else imports. specdec holds tier models to the decoder contract:
-vocab_size and next_dist.
+vocab_size and next_dist. Every public function, class and method is run by
+the package itself, or is listed with the reason it is kept.
 """
 
 import ast
@@ -112,3 +113,67 @@ def test_only_container_opens_container_files():
         calls = [n for n in ast.walk(_tree(module)) if isinstance(n, ast.Call)
                  and isinstance(n.func, ast.Name) and n.func.id == "open"]
         assert calls == [], module
+
+
+# Public names that no code in src/aiflow uses, each with why it stays.
+UNCALLED_API = {
+    "toylm.forward_full": "acceptance criterion 5 (exit/resume alignment)",
+    "toylm.forward_exit": "acceptance criterion 5 (exit/resume alignment)",
+    "toylm.resume_from": "acceptance criterion 5 (exit/resume alignment)",
+    "tofc.estimate_rate": "acceptance criterion 7 (ideal code length vs coded bytes)",
+    "familial.hpcd_build": "acceptance criterion 8; width-familial members (ROADMAP item 8)",
+    "familial.hpcd_truncate": "acceptance criterion 8; width-familial members (ROADMAP item 8)",
+    "toylm.save_model": "TOYL container; shipped members (ROADMAP items 8 and 10)",
+    "toylm.load_model": "TOYL container; shipped members (ROADMAP items 8 and 10)",
+    "familial.save_layer": "FAMD container; shipped members (ROADMAP items 8 and 10)",
+    "familial.load_layer": "FAMD container; shipped members (ROADMAP items 8 and 10)",
+    "numerics.Rng.normal": "the scalar reference that normal_matrix must reproduce",
+    "toylm.calibration_activations": "the decode benchmark's family jobs (ROADMAP item 1)",
+    "toylm.attach_branch": "the decode benchmark's family jobs (ROADMAP item 1)",
+    "tofc.decode": "the compress benchmark and acceptance criterion 7",
+    "tofc.Bitstream.from_bytes": "the compress benchmark's container round trip",
+    "tofc.save_features": "the compress benchmark and the FEAT container tests",
+    "familial.DecomposedLayer.parameter_count": "the branch compression-ratio accounting tests",
+}
+
+
+def public_definitions():
+    """(qualified name, module, node) of each public top-level def and public-class method."""
+    for module in modules():
+        for node in _tree(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{module}.{node.name}", module, node
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            yield f"{module}.{node.name}.{item.name}", module, item
+
+
+def unreferenced_api() -> set:
+    """Public definitions whose name no src/aiflow code outside their own body reads.
+
+    A reference is a bare name or an attribute of that name, so a method counts
+    as used when any attribute access anywhere shares its name.
+    """
+    refs = {}
+    for module in modules():
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((module, node.lineno))
+    return {
+        qual for qual, module, node in public_definitions()
+        if all(m == module and node.lineno <= line <= node.end_lineno
+               for m, line in refs.get(node.name, []))
+    }
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    unlisted = unreferenced_api() - set(UNCALLED_API)
+    assert unlisted == set(), "public and used by nothing in src/aiflow: " + ", ".join(
+        sorted(unlisted))
+
+
+def test_uncalled_api_list_names_only_uncalled_definitions():
+    assert set(UNCALLED_API) - unreferenced_api() == set()

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from aiflow.netsim import (
     LinkSpec,
     NodeSpec,
     Topology,
-    collab_topology,
     default_topology,
     run_device_server_collab,
     run_single_tier_scenario,
@@ -57,6 +57,18 @@ def two_node_topology(latency=1e-3, bandwidth=1e7, jitter=0.0):
             LinkSpec("edge", "device", latency, bandwidth, jitter, 2),
         ),
     )
+
+
+def star_topology(num_devices, latencies=None):
+    """One edge server linked both ways to each of device_0..device_{n-1}."""
+    nodes = [NodeSpec(id="edge", tier="edge", compute_cost={"token": 0.030, "aggregate": 0.0})]
+    links = []
+    for i, lat in enumerate(latencies or [1e-3] * num_devices):
+        dev = f"device_{i}"
+        nodes.append(NodeSpec(id=dev, tier="device", compute_cost={"token": 0.010}))
+        links += [LinkSpec("edge", dev, lat, 1e7, 0.0, 2 * i + 1),
+                  LinkSpec(dev, "edge", lat, 1e7, 0.0, 2 * i + 2)]
+    return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
 def specdec_scenario(mode="sequential", gamma=4, num_tokens=40):
@@ -504,6 +516,36 @@ class TestRoundCharges:
         assert m.acceptance_rate == (sum(t.accepted for t in tops)
                                      / sum(t.scanned for t in tops))
 
+    @pytest.mark.parametrize("run_tiers, price_tiers", [
+        (("device", "edge", "cloud"), ("device", "edge")),
+        (("device", "edge"), ("device", "edge", "cloud")),
+    ], ids=["3-on-2", "2-on-3"])
+    def test_round_records_must_match_the_tier_boundaries(self, run_tiers, price_tiers):
+        costs = {"device": 0.010, "edge": 0.030, "cloud": 0.050}
+        models = {"device": TableModel(4, 5), "edge": TableModel(4, 6),
+                  "cloud": TableModel(4, 7)}
+        run_cfg = ProtocolConfig(draft_len=4, tiers=run_tiers, per_token_compute_cost=costs)
+        price_cfg = ProtocolConfig(draft_len=4, tiers=price_tiers, per_token_compute_cost=costs)
+        transcript = run_protocol(run_cfg, models, [1], 12, Rng(31))
+        message = (f"round 0 holds {len(run_tiers) - 1} boundary records; "
+                   f"{len(price_tiers)} tiers need {len(price_tiers) - 1}")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            schedule_specdec(default_topology(), price_cfg, transcript, seed=31)
+
+    def test_a_short_later_round_is_named(self):
+        cfg = ProtocolConfig(
+            draft_len=4, tiers=("device", "edge", "cloud"),
+            per_token_compute_cost={"device": 0.010, "edge": 0.030, "cloud": 0.050},
+        )
+        models = {"device": TableModel(4, 5), "edge": TableModel(4, 6),
+                  "cloud": TableModel(4, 7)}
+        transcript = run_protocol(cfg, models, [1], 12, Rng(31))
+        rounds = list(transcript.per_round)
+        rounds[2] = rounds[2][:1]
+        short = replace(transcript, per_round=rounds)
+        with pytest.raises(InvalidInputError, match="^round 2 holds 1 boundary records; "):
+            schedule_specdec(default_topology(), cfg, short, seed=31)
+
 
 class TestReadFields:
     TABLE = {"n": (int, REQUIRED), "x": (float, 0.5), "names": ([str], ["a"])}
@@ -736,7 +778,7 @@ class TestTofcScenario:
 
 class TestCollab:
     def test_single_device_four_messages(self):
-        topo = collab_topology(1)
+        topo = star_topology(1)
         trace, m = run_device_server_collab(topo, 1, seed=5)
         messages = [e for e in trace if e.kind == "message-delivered"]
         steps = [e for e in trace if e.kind == "scenario-step"]
@@ -745,7 +787,7 @@ class TestCollab:
         assert m.simulated_wall_s == trace[-1].time
 
     def test_aggregation_at_max_response_arrival(self):
-        topo = collab_topology(5)
+        topo = star_topology(5)
         trace, _ = run_device_server_collab(topo, 5, seed=5)
         step = next(e for e in trace if e.kind == "scenario-step")
         responses = [e for e in trace
@@ -756,13 +798,13 @@ class TestCollab:
 
     def test_slow_link_governs_aggregation(self):
         lats = [1e-3, 2e-3, 50e-3, 3e-3, 4e-3]
-        topo = collab_topology(5, latencies=lats)
+        topo = star_topology(5, latencies=lats)
         trace, _ = run_device_server_collab(topo, 5, seed=5)
         step = next(e for e in trace if e.kind == "scenario-step")
         assert step.time >= 2 * 50e-3
 
     def test_too_few_device_nodes_rejected(self):
-        topo = collab_topology(2)
+        topo = star_topology(2)
         with pytest.raises(InvalidScenarioError):
             run_device_server_collab(topo, 3, seed=1)
 
@@ -770,15 +812,13 @@ class TestCollab:
     def test_device_count_must_be_an_int(self, num_devices):
         message = re.escape(f"num_devices must be an int >= 1, got {num_devices!r}")
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            collab_topology(num_devices)
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            run_device_server_collab(collab_topology(2), num_devices, 0)
+            run_device_server_collab(star_topology(2), num_devices, 0)
 
     @pytest.mark.parametrize(
         "field", ["request_bytes", "response_bytes", "broadcast_bytes", "revision_bytes"]
     )
     def test_negative_message_size_rejected(self, field):
-        topo = collab_topology(2)
+        topo = star_topology(2)
         scn = {"kind": "collab", "num_devices": 2}
         with pytest.raises(InvalidScenarioError, match=f"^{field} must be >= 0, got -10$"):
             run_scenario(topo, dict(scn, **{field: -10}), 1)
@@ -792,7 +832,7 @@ class TestCollab:
     def test_message_size_must_be_an_int(self, field, value):
         message = re.escape(f"{field} must be an int, got {value!r}")
         with pytest.raises(InvalidScenarioError, match=f"^{message}$"):
-            run_device_server_collab(collab_topology(2), 2, 0, **{field: value})
+            run_device_server_collab(star_topology(2), 2, 0, **{field: value})
 
 
 class TestSpeedupTrend:
@@ -884,7 +924,7 @@ class TestRunScenario:
             run_scenario(topo, scn, seed=1)
 
     def test_collab_scenario_roundtrip(self):
-        topo = collab_topology(3)
+        topo = star_topology(3)
         scn = {"kind": "collab", "num_devices": 3, "server": "edge"}
         trace, m = run_scenario(topo, scn, seed=4)
         assert len([e for e in trace if e.kind == "message-delivered"]) == 12

@@ -752,17 +752,21 @@ class TestCodec:
 class TestRouting:
     def test_single_model(self):
         model = LaplacianModel(mu=np.zeros(2), b=np.ones(2), id=0)
-        assert route(np.array([40.0, -3.0]), [model]) == 0
+        ids, bits = route(np.array([[40, -3]]), [model])
+        assert ids.tolist() == [0]
+        assert bits.tolist() == [estimate_rate(np.array([40, -3]), model)]
 
     def test_row_near_a_mean_routes_there(self):
         models = two_models(4)
-        assert route(np.full(4, 0.2), models) == 0
-        assert route(np.full(4, 11.8), models) == 1
+        ids, _ = route(quantize(np.array([np.full(4, 0.2), np.full(4, 11.8)])), models)
+        assert ids.tolist() == [0, 1]
 
     def test_identical_models_tie_to_low_id(self):
         m0 = LaplacianModel(mu=np.zeros(2), b=np.ones(2), id=0)
         m1 = LaplacianModel(mu=np.zeros(2), b=np.ones(2), id=1)
-        assert route(np.array([1.0, 2.0]), [m0, m1]) == 0
+        m2 = LaplacianModel(mu=np.zeros(2), b=np.ones(2), id=2)
+        ids, _ = route(np.array([[1, 2], [0, 0], [-300, 7]]), [m0, m1, m2])
+        assert ids.tolist() == [0, 0, 0]
 
     def test_routed_model_is_rate_optimal(self):
         rng = Rng(77)
@@ -770,11 +774,39 @@ class TestRouting:
             LaplacianModel(mu=np.full(3, c), b=np.full(3, s), id=i)
             for i, (c, s) in enumerate([(0.0, 1.0), (5.0, 2.0), (-4.0, 0.7)])
         ]
-        for _ in range(20):
-            row = np.array([6.0 * (rng.uniform() - 0.5) for _ in range(3)])
-            chosen = route(row, models)
-            rates = [estimate_rate(quantize(row), m) for m in models]
-            assert rates[chosen] <= min(rates) + 1e-12
+        rows = quantize([[6.0 * (rng.uniform() - 0.5) for _ in range(3)] for _ in range(20)])
+        ids, _ = route(rows, models)
+        for row, chosen in zip(rows, ids):
+            rates = [estimate_rate(row, m) for m in models]
+            assert rates[chosen] == min(rates)
+
+    def test_bits_equal_estimate_rate_of_the_routed_model(self):
+        # q_range 3 puts the x400 rows' symbols in the escape bin.
+        rng = Rng(5)
+        feats = np.array([[6.0 * (rng.uniform() - 0.5) for _ in range(4)] for _ in range(30)])
+        feats[::7] *= 400.0
+        models = [fit_laplacian(feats[e::3], e, q_range=3) for e in range(3)]
+        symbols = quantize(feats)
+        ids, bits = route(symbols, models)
+        assert len(set(ids.tolist())) > 1
+        assert bits.tolist() == [
+            estimate_rate(row, models[e]) for row, e in zip(symbols, ids.tolist())
+        ]
+
+    def test_no_rows(self):
+        ids, bits = route(np.zeros((0, 2), dtype=np.int64), two_models(2))
+        assert ids.shape == bits.shape == (0,)
+
+    @pytest.mark.parametrize("symbols, models, message", [
+        (np.zeros((2, 2), dtype=np.int64), two_models(2)[0],
+         "models must be a list or tuple of LaplacianModels, got LaplacianModel"),
+        (np.zeros(2, dtype=np.int64), two_models(2), "symbols must be a 2-D integer array"),
+        (np.zeros((2, 2)), two_models(2), "symbols must be a 2-D integer array"),
+        (np.zeros((2, 3), dtype=np.int64), two_models(2), "model 0 has dim 2, symbols have dim 3"),
+    ], ids=["bare-model", "1-d", "float", "width-mismatch"])
+    def test_rejects_bad_arguments(self, symbols, models, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            route(symbols, models)
 
 
 class TestBalanceMetric:
@@ -836,7 +868,8 @@ class TestPipeline:
                 bs, stats = tofc_pipeline(fs, TofcConfig(m, 3, models))
                 merged = dpc_knn_cluster(fs, 3, m).merged
                 symbols = quantize(merged)
-                routing = [route(row, models) for row in merged]
+                routing = [min((estimate_rate(row, model), e) for e, model in enumerate(models))[1]
+                           for row in symbols]
                 assert list(bs.model_ids) == routing
                 expected = sum(
                     estimate_rate(symbols[r], models[routing[r]]) for r in range(m)
