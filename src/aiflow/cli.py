@@ -523,11 +523,12 @@ def _xy_series(header, rows):
 def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
     """Merge finished run directories into consolidated tables.
 
-    A run's id is its directory's basename; two runs with one id are a
-    config error naming both paths. A single run's tables pass through
-    unchanged. Multiple runs with equal headers are row-concatenated under
-    a leading run_id column; differing headers are a schema error naming
-    both column sets.
+    A run's id is the basename of its resolved directory, so `.` and `a/..`
+    name the directories they stand for; two runs with one id, or a path
+    that resolves to the filesystem root, are a config error naming the
+    paths. A single run's tables pass through unchanged. Multiple runs with
+    equal headers are row-concatenated under a leading run_id column;
+    differing headers are a schema error naming both column sets.
     """
     if not run_dirs:
         raise ConfigError("report needs at least one run directory")
@@ -536,7 +537,9 @@ def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
     run_paths = {}
     for run_dir in run_dirs:
         rd = Path(run_dir)
-        run_id = rd.name
+        run_id = rd.resolve().name
+        if not run_id:
+            raise ConfigError(f"run directory {run_dir} has no name to use as its run id")
         if run_id in run_paths:
             raise ConfigError(
                 f"runs {run_paths[run_id]} and {run_dir} share the run id {run_id!r}"

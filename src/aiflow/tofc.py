@@ -231,23 +231,61 @@ def balance_metric(selection_counts) -> float:
     return float(np.sum((f - 1.0 / counts.size) ** 2))
 
 
+def _plane_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over j of the planes (a[j] - b[j])**2, added in np.sum's order.
+
+    This is the order of numpy's contiguous add.reduce, so the result equals
+    np.sum over a trailing axis of len(a) squares bit for bit: fewer than 8
+    terms left to right; up to 128 terms as 8 running sums over j = k,
+    k + 8, ..., combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
+    left to right; more terms split at n/2 rounded down to a multiple of 8,
+    and each half summed alike.
+    """
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _plane_sum(a[:half], b[:half])
+        total += _plane_sum(a[half:], b[half:])
+        return total
+
+    def plane(j):
+        p = a[j] - b[j]
+        return np.square(p, out=p)
+
+    if n < 8:
+        total = plane(0)
+        rest = range(1, n)
+    else:
+        r = [plane(j) for j in range(8)]
+        tail = n - n % 8
+        for j in range(8, tail):
+            r[j % 8] += plane(j)
+        for step in (1, 2, 4):
+            for i in range(0, 8, 2 * step):
+                r[i] += r[i + step]
+        total = r[0]
+        rest = range(tail, n)
+    for j in rest:
+        total += plane(j)
+    return total
+
+
 def _sq_distances(feats: np.ndarray, k: int, blocks: list[slice]):
     """(d2, knn): the N x N squared distances, and each row's k + 1 smallest, sorted.
 
     Column 0 of knn is a zero distance (the point itself or a duplicate).
+    An overflowing square or sum is left as inf, for the caller to reject.
     """
     n = feats.shape[0]
+    cols = np.ascontiguousarray(feats.T)
     d2 = np.empty((n, n))
     knn = np.empty((n, k + 1))
-    for blk in blocks:
-        # Columns left of the block were mirrored in by the blocks before it.
-        # Squared in place (x ** 2 is np.square) and dropped before the next
-        # block's is made, so one block of differences is alive at a time.
-        diff = feats[blk, None, :] - feats[None, blk.start :, :]
-        d2[blk, blk.start :] = np.sum(np.square(diff, out=diff), axis=-1)
-        del diff
-        d2[blk.stop :, blk] = d2[blk, blk.stop :].T
-        knn[blk] = np.partition(d2[blk], k, axis=1)[:, : k + 1]
+    with np.errstate(over="ignore"):
+        for blk in blocks:
+            # Columns left of the block were mirrored in by the blocks before it.
+            d2[blk, blk.start :] = _plane_sum(cols[:, blk, None], cols[:, None, blk.start :])
+            d2[blk.stop :, blk] = d2[blk, blk.stop :].T
+            knn[blk] = np.partition(d2[blk], k, axis=1)[:, : k + 1]
     knn.sort(axis=1)
     return d2, knn
 
@@ -261,12 +299,22 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     the top num_centers by rho*delta, every point joins its nearest center,
     and a center whose cluster ends up empty keeps its own feature row.
 
-    Memory grows as N^2 + _ROW_BLOCK*N*d floats: one N x N distance matrix,
-    filled _ROW_BLOCK rows at a time, never an N x N x d difference array.
-    Each pair is computed once: a row block is differenced only against the
-    columns from its first row on, and the part right of the block is
-    mirrored below it. In round-to-nearest a - b is exactly -(b - a), so the
-    mirrored squared sums equal the ones a full row would compute.
+    Memory grows as N^2 floats plus a fixed number of _ROW_BLOCK x N planes,
+    whatever d is: one N x N distance matrix, filled _ROW_BLOCK rows at a
+    time, one dimension's plane of squared differences at a time, never a
+    block of d differences per pair. The planes are added in the order
+    np.sum(..., axis=-1) adds each pair's d squares (numpy's pairwise
+    add.reduce, see _plane_sum), so every distance equals the full row sum
+    bit for bit. Each pair is computed once: a row block is differenced only
+    against the columns from its first row on, and the part right of the
+    block is mirrored below it. In round-to-nearest a - b is exactly
+    -(b - a), so the mirrored squared sums equal the ones a full row would
+    compute.
+
+    Features so far apart that a squared distance overflows float64 are
+    rejected with InvalidInputError: the features are finite, so an
+    infinite distance can only be an overflow, and it would make
+    rho * delta NaN.
     """
     for name, value in (("k_neighbors", k_neighbors), ("num_centers", num_centers)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -287,10 +335,14 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
         raise InvalidInputError(f"k_neighbors must be in [1, {n - 1}]")
     blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
     d2, knn = _sq_distances(feats, k_neighbors, blocks)
-    # The mean over the k nearest adds what a full sort of each row would.
-    rho = np.exp(-np.mean(knn[:, 1:], axis=1))
     dist = np.sqrt(d2, out=d2)
     max_pair = float(dist.max())
+    if not np.isfinite(max_pair):
+        raise InvalidInputError(
+            "features are too far apart: a squared pairwise distance overflows float64"
+        )
+    # The mean over the k nearest adds what a full sort of each row would.
+    rho = np.exp(-np.mean(knn[:, 1:], axis=1))
     delta = np.empty(n)
     for blk in blocks:
         denser = rho[None, :] > rho[blk, None]

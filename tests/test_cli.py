@@ -397,6 +397,19 @@ class TestTofc:
         assert main(["tofc", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
         assert "ghost.feat" in capsys.readouterr().err
 
+    def test_overflowing_distances_are_invalid_input(self, tmp_path, capsys):
+        feats = make_blob_features(64, 6, 4, Rng(17)).features.copy()
+        feats[3], feats[7] = 1e200, -1e200
+        # FEAT stores f32, whose squared distances cannot overflow float64.
+        path = tmp_path / "far.csv"
+        np.savetxt(path, feats, delimiter=",", fmt="%.17g")
+        cfg = tofc_config(tmp_path, features=str(path))
+        assert main(["tofc", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "error: features are too far apart: a squared pairwise distance "
+            "overflows float64\n"
+        )
+
     def test_corrupt_feature_magic_is_io_error(self, tmp_path):
         path = tmp_path / "bad.feat"
         good = feature_file(tmp_path)
@@ -582,6 +595,27 @@ class TestReport:
         assert main(["report", first, again, "--out", str(merged)]) == 2
         assert capsys.readouterr().err == (
             f"error: runs {first} and {again} share the run id 'run'\n"
+        )
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("cwd, path", [("run_a", "."), (".", "run_a/logs/..")],
+                             ids=["dot", "dot-dot"])
+    def test_run_id_is_the_resolved_basename(self, tmp_path, monkeypatch, cwd, path):
+        run_a = tmp_path / "run_a"
+        assert main(["decompose", "--config", decompose_config(tmp_path),
+                     "--out", str(run_a)]) == 0
+        (run_a / "logs").mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        merged = tmp_path / "merged"
+        assert main(["report", path, "--out", str(merged)]) == 0
+        assert json.loads((merged / "report.json").read_text())["runs"] == ["run_a"]
+
+    def test_filesystem_root_has_no_run_id(self, tmp_path, capsys):
+        root = Path(tmp_path.anchor)
+        merged = tmp_path / "merged"
+        assert main(["report", str(root), "--out", str(merged)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run directory {root} has no name to use as its run id\n"
         )
         assert not merged.exists()
 

@@ -135,6 +135,14 @@ class TestDpcKnn:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             dpc_knn_cluster(fs, **counts)
 
+    def test_overflowing_distances_are_rejected(self):
+        feats = Rng(3).normal_matrix(20, 3)
+        feats[3], feats[7] = 1e200, -1e200
+        message = "features are too far apart: a squared pairwise distance overflows float64"
+        # The kernel's overflow is the error, not a numpy warning or a NaN gamma.
+        with np.errstate(all="raise"), pytest.raises(InvalidInputError, match=f"^{message}$"):
+            dpc_knn_cluster(FeatureSet(features=feats), 3, 4)
+
     def test_matches_bruteforce_oracle(self):
         rng = Rng(909)
         for trial in range(200):
@@ -405,7 +413,19 @@ def full_row_sq_distances(f):
     return np.sum(np.square(f[:, None] - f[None]), -1)
 
 
+def row_blocks(n):
+    return [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
+
+
 class TestSymmetricDistances:
+    def assert_equal_to_full_rows(self, feats):
+        n = feats.shape[0]
+        k = min(5, n - 1)
+        d2, knn = _sq_distances(feats, k, row_blocks(n))
+        want = full_row_sq_distances(feats)
+        assert d2.tobytes() == want.tobytes()
+        assert knn.tobytes() == np.sort(want, axis=1)[:, : k + 1].tobytes()
+
     @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 128, 130, 200])
     def test_distances_equal_the_full_row_sums(self, n):
         rng = Rng(7000 + n)
@@ -413,12 +433,35 @@ class TestSymmetricDistances:
         feats[n // 2] = feats[0]
         feats[n - 1] = feats[1]
         feats[3::41] *= 400.0
-        k = min(5, n - 1)
-        blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
-        d2, knn = _sq_distances(feats, k, blocks)
-        want = full_row_sq_distances(feats)
-        assert d2.tobytes() == want.tobytes()
-        assert knn.tobytes() == np.sort(want, axis=1)[:, : k + 1].tobytes()
+        self.assert_equal_to_full_rows(feats)
+
+    # Widths on each side of np.sum's 8-way unroll (8) and pairwise split
+    # (128), and widths that split more than once.
+    @pytest.mark.parametrize(
+        "d", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 127, 128, 129, 136, 200, 257, 513]
+    )
+    def test_every_width_adds_in_np_sum_order(self, d):
+        for n in (_ROW_BLOCK - 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3):
+            feats = Rng(7100 + d).normal_matrix(n, d) * 3.0
+            feats[n // 2] = feats[0]
+            feats[5] = 0.0
+            feats[3::41] *= 400.0
+            self.assert_equal_to_full_rows(feats)
+
+    @pytest.mark.parametrize("d", [8, 64, 200])
+    def test_peak_memory_is_a_fixed_number_of_planes(self, d):
+        # Beyond its outputs the kernel holds a bounded number of
+        # _ROW_BLOCK x N planes, whatever d is; a block of d differences per
+        # pair would be _ROW_BLOCK*N*d*8 bytes.
+        n = 512
+        feats = Rng(5).normal_matrix(n, d)
+        tracemalloc.start()
+        try:
+            d2, knn = _sq_distances(feats, 4, row_blocks(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - d2.nbytes - knn.nbytes < 24 * _ROW_BLOCK * n * 8
 
 
 
