@@ -104,7 +104,6 @@ class HpcdStack:
     """Ordered low-rank components whose partial sums approximate one weight."""
 
     components: tuple[tuple[np.ndarray, np.ndarray], ...]
-    ranks: tuple[int, ...]
     source_dims: tuple[int, int]
 
 
@@ -114,7 +113,6 @@ class RankAllocation:
 
     per_layer_rank: list[int]
     predicted_loss: list[float]
-    budget: int
 
 
 def parameter_ratio(m: int, n: int, h: int) -> float:
@@ -226,7 +224,7 @@ def allocate_ranks(layer_sigmas, layer_dims, budget: int) -> RankAllocation:
         ranks[best] += 1
         remaining -= dims[best][0] + dims[best][1]
     losses = [truncation_loss(sigmas[i], ranks[i]) for i in range(len(dims))]
-    return RankAllocation(per_layer_rank=ranks, predicted_loss=losses, budget=budget)
+    return RankAllocation(per_layer_rank=ranks, predicted_loss=losses)
 
 
 def hpcd_build(
@@ -249,11 +247,7 @@ def hpcd_build(
         layer = decompose_layer(residual, ctx, rank_per_component)
         components.append((layer.w_u, layer.w_v))
         residual = residual - layer.product()
-    return HpcdStack(
-        components=tuple(components),
-        ranks=tuple([rank_per_component] * num_components),
-        source_dims=arr.shape,
-    )
+    return HpcdStack(components=tuple(components), source_dims=arr.shape)
 
 
 def hpcd_truncate(stack: HpcdStack, k: int) -> np.ndarray:

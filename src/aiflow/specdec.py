@@ -45,14 +45,16 @@ One loop runs both modes: a pipelined run is a sequential run in which the
 drafter reserves the next round's draws before each verification. After a
 full acceptance that leaves tokens to emit, those reserved draws are the
 next round's draws. A correction, or the end of the run, drops them without
-a forward. The mode is the entry point's: run_sequential stays sequential
-even given a pipelined config.
+a forward. A pipelined config has exactly two tiers: ProtocolConfig rejects
+any other when it is built. The mode is the entry point's: run_sequential
+stays sequential even given a pipelined config.
 
 The protocol decides which draws happen and in what order, never when:
-neither run mode keeps time. A transcript records what each tier boundary
-scanned and accepted, round by round; the network simulator (aiflow.netsim)
-alone prices the rounds and lays them out on the simulated clock, where the
-device drafts each lookahead speculatively.
+neither run mode keeps time. A transcript is the emitted tokens and what each
+tier boundary scanned and accepted, round by round; its totals are derived
+from those records, never kept beside them. The network simulator
+(aiflow.netsim) alone prices the rounds and lays them out on the simulated
+clock, where the device drafts each lookahead speculatively.
 A lookahead aborted by a correction still consumed its full gamma draws, so
 draw counts never depend on timing.
 """
@@ -71,16 +73,10 @@ from .toylm import TokenDistribution, chain_scorer, check_tokens, inverse_cdf
 
 @dataclass(frozen=True)
 class DraftBatch:
-    """Tokens drafted from a base context, with the drafter's distribution each.
-
-    base_context is the checked context a direct draft call started from.
-    Batches drafted inside a run leave it None: their base is the run's one
-    token list, which they do not copy.
-    """
+    """Drafted tokens, with the drafter's distribution at each position."""
 
     tokens: list[int]
     draft_dists: list[TokenDistribution]
-    base_context: list[int] | None = None
 
     def __post_init__(self):
         if not self.tokens or len(self.tokens) != len(self.draft_dists):
@@ -91,16 +87,16 @@ class DraftBatch:
 class VerifyResult:
     accepted_count: int
     correction_token: int | None
-    rng_draws_used: int
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Decoding protocol parameters.
 
-    tiers names the chain from drafter to final verifier (2 or 3 roles);
-    per_token_compute_cost prices one decoded token at the drafter and one
-    verification forward at each verifier, in simulated seconds.
+    tiers names the chain from drafter to final verifier (2 or 3 roles; a
+    pipelined run has exactly 2); per_token_compute_cost prices one decoded
+    token at the drafter and one verification forward at each verifier, in
+    simulated seconds.
     """
 
     draft_len: int
@@ -126,6 +122,8 @@ class ProtocolConfig:
                 )
         if self.mode not in ("sequential", "pipelined"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
+        if self.mode == "pipelined" and len(roles) != 2:
+            raise InvalidInputError("pipelined mode supports exactly two tiers")
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class RoundRecord:
     length of the stream the boundary emitted.
     """
 
-    stage: str
     scanned: int
     accepted: int
 
@@ -157,13 +154,23 @@ class DecodeTranscript:
 
     emitted_tokens: list[int]
     per_round: list[tuple[RoundRecord, ...]]
-    totals: TranscriptTotals
 
-    def __post_init__(self):
-        if self.totals.accepted + self.totals.corrections != len(self.emitted_tokens):
-            raise InvariantViolationError(
-                "transcript totals do not account for the emitted tokens"
-            )
+    @property
+    def totals(self) -> TranscriptTotals:
+        """Counts over the emitted stream, from each round's final boundary.
+
+        The last round may be cut short at num_tokens: only the emitted part
+        of its stream counts towards accepted and corrections, while
+        rejected counts every round whose final boundary drew a correction.
+        """
+        left = emitted = len(self.emitted_tokens)
+        accepted = rejected = 0
+        for *_, final in self.per_round:
+            accepted += min(left, final.accepted)
+            left -= min(left, final.scanned)
+            rejected += final.accepted < final.scanned
+        return TranscriptTotals(accepted=accepted, corrections=emitted - accepted,
+                                rejected=rejected, rounds=len(self.per_round))
 
 
 @dataclass(frozen=True)
@@ -180,18 +187,17 @@ class PipelineStats:
 def draft(device_model, context, gamma: int, rng: Rng) -> DraftBatch:
     """Autoregressively sample gamma tokens from the drafting model.
 
-    The context is checked against the model's vocab_size first; the batch
-    keeps the checked copy as its base_context. Each token is the
-    inverse-CDF draw of one uniform under the drafter's distribution.
+    The context is checked against the model's vocab_size first, and the
+    caller's list is never extended. Each token is the inverse-CDF draw of
+    one uniform under the drafter's distribution.
     """
     require_int("gamma", gamma, 1)
-    base = check_tokens(context, device_model.vocab_size)
-    running, tokens, dists = list(base), [], []
+    running, tokens, dists = check_tokens(context, device_model.vocab_size), [], []
     for _ in range(gamma):
         dists.append(device_model.next_dist(running))
         tokens.append(inverse_cdf(dists[-1].probs, rng.uniform()))
         running.append(tokens[-1])
-    return DraftBatch(tokens=tokens, draft_dists=dists, base_context=base)
+    return DraftBatch(tokens=tokens, draft_dists=dists)
 
 
 def _judge(i: int, token: int, p_d: TokenDistribution, p_t: TokenDistribution,
@@ -233,9 +239,8 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     for i, (token, p_d, p_t) in enumerate(zip(batch.tokens, batch.draft_dists, target_dists)):
         correction = _judge(i, token, p_d, p_t, rng)
         if correction is not None:
-            return VerifyResult(accepted_count=i, correction_token=correction, rng_draws_used=i + 2)
-    count = len(batch.tokens)
-    return VerifyResult(accepted_count=count, correction_token=None, rng_draws_used=count)
+            return VerifyResult(accepted_count=i, correction_token=correction)
+    return VerifyResult(accepted_count=len(batch.tokens), correction_token=None)
 
 
 def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
@@ -256,8 +261,7 @@ def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float]
     tier's (the stream's law there). context is extended during the scan and
     holds the same tokens on return.
     """
-    lower, upper = cfg.tiers[:2]
-    rng = rngs[upper]
+    rng = rngs[cfg.tiers[1]]
     base = len(context)
     target_dists: list[TokenDistribution] = []
     top_dists: list[TokenDistribution] = []
@@ -275,16 +279,16 @@ def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float]
         stream = context[base:]
     finally:
         del context[base:]
-    records = (RoundRecord(f"{lower}->{upper}", len(target_dists), len(stream)),)
+    records = (RoundRecord(len(target_dists), len(stream)),)
     if correction is not None:
         stream.append(correction)
     if len(cfg.tiers) == 3:
-        top = cfg.tiers[2]
-        result = verify(top_dists, DraftBatch(tokens=stream, draft_dists=target_dists), rngs[top])
+        batch = DraftBatch(tokens=stream, draft_dists=target_dists)
+        result = verify(top_dists, batch, rngs[cfg.tiers[2]])
         stream = stream[: result.accepted_count]
         if result.correction_token is not None:
             stream.append(result.correction_token)
-        records += (RoundRecord(f"{upper}->{top}", len(stream), result.accepted_count),)
+        records += (RoundRecord(len(stream), result.accepted_count),)
     return stream, records
 
 
@@ -297,8 +301,8 @@ def _decode(
     tokens emitted so far. With lookahead, each round reserves the next
     batch's draws before verifying; they become the next round's draws only
     after a full acceptance that leaves tokens to emit. per_round keeps
-    outcomes exactly as they happened; totals account for the emitted
-    stream after truncation to num_tokens.
+    outcomes exactly as they happened, the last round's beyond num_tokens
+    included; the transcript's totals count only what was emitted.
     """
     require_int("num_tokens", num_tokens, 0)
     missing = [role for role in cfg.tiers if role not in models]
@@ -313,7 +317,6 @@ def _decode(
     score = chain_scorer([models[role] for role in cfg.tiers])
     start, end = len(context), len(context) + num_tokens
     records: list[tuple[RoundRecord, ...]] = []
-    rejected = accepted = corrections = 0
     draws = ahead = None
     while len(context) < end:
         if draws is None:
@@ -323,26 +326,16 @@ def _decode(
         emitted, round_records = run_round(cfg, score, context, draws, streams)
         records.append(round_records)
         final = round_records[-1]
-        used = emitted[: end - len(context)]
-        accepted += min(len(used), final.accepted)
-        corrections += max(0, len(used) - final.accepted)
-        context.extend(used)
+        context.extend(emitted[: end - len(context)])
         draws = None
         if final.accepted < final.scanned:
-            rejected += 1
             ahead = None
         elif len(context) < end:
             # Fully accepted: context is now the prefix the lookahead assumed.
             draws, ahead = ahead, None
+    transcript = DecodeTranscript(emitted_tokens=context[start:], per_round=records)
     # Each correction drops a lookahead, as does a run that ends with one reserved.
-    discarded = rejected + (ahead is not None) if lookahead else 0
-    transcript = DecodeTranscript(
-        emitted_tokens=context[start:],
-        per_round=records,
-        totals=TranscriptTotals(
-            accepted=accepted, corrections=corrections, rejected=rejected, rounds=len(records)
-        ),
-    )
+    discarded = transcript.totals.rejected + (ahead is not None) if lookahead else 0
     return transcript, PipelineStats(discarded_batches=discarded)
 
 
@@ -367,8 +360,6 @@ def run_pipelined(
     """
     if cfg.mode != "pipelined":
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")
-    if len(cfg.tiers) != 2:
-        raise InvalidInputError("pipelined mode supports exactly two tiers")
     return _decode(cfg, models, prompt, num_tokens, rng, lookahead=True)
 
 

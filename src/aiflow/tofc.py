@@ -342,7 +342,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
             "features are too far apart: a squared pairwise distance overflows float64"
         )
     # The mean over the k nearest adds what a full sort of each row would.
-    rho = np.exp(-np.mean(knn[:, 1:], axis=1))
+    # Its sum may overflow to inf, which is rho 0, as far as float64 can say.
+    with np.errstate(over="ignore"):
+        rho = np.exp(-np.mean(knn[:, 1:], axis=1))
     delta = np.empty(n)
     for blk in blocks:
         denser = rho[None, :] > rho[blk, None]
@@ -566,9 +568,21 @@ def make_blob_features(num_points: int, dim: int, num_groups: int, rng: Rng) -> 
 
 
 def save_features(path, fs: FeatureSet):
-    """Binary feature file: FEAT magic, version, counts, float32 rows."""
+    """Binary feature file: FEAT magic, version, counts, float32 rows.
+
+    A value outside float32's finite range raises InvalidInputError before
+    anything is written: stored as float32 it would become inf, which
+    load_features rejects.
+    """
+    with np.errstate(over="ignore"):
+        rows = fs.features.astype("<f4")
+    if not np.isfinite(rows).all():
+        limit = float(np.finfo(np.float32).max)
+        raise InvalidInputError(
+            f"features outside the float32 range [-{limit:.7g}, {limit:.7g}] cannot be saved"
+        )
     head = header(_FEAT_MAGIC, "II", fs.count, fs.dim)
-    write_file(path, head, fs.features.astype("<f4").tobytes(order="C"))
+    write_file(path, head, rows.tobytes(order="C"))
 
 
 def load_features(path) -> FeatureSet:

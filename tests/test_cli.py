@@ -278,6 +278,16 @@ class TestSpecdec:
         assert "configs[0] has unknown fields: ['mdoe']" in capsys.readouterr().err
         assert not (out / "specdec.csv").exists()
 
+    def test_pipelined_three_tier_entry_rejected(self, tmp_path, capsys):
+        entry = dict(self.mixed_pair(3, mode="pipelined"), tiers=["device", "edge", "cloud"])
+        entry["models"]["cloud"] = {"layers": 3, "seed": 5}
+        cfg = specdec_config(tmp_path, [entry], num_tokens=8)
+        out = tmp_path / "r"
+        assert main(["specdec", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: configs[0]: pipelined mode supports exactly two tiers" in err
+        assert not out.exists()
+
     def test_unknown_model_spec_field_rejected(self, tmp_path, capsys):
         entry = self.mixed_pair(3)
         entry["models"]["device"]["exit"] = 3
@@ -484,6 +494,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert "error: scenario.models.device has unknown fields: ['ratio']" in err
+
+    def test_pipelined_three_tier_scenario_rejected(self, tmp_path, capsys):
+        scenario = dict(self.specdec_scenario(), mode="pipelined",
+                        tiers=["device", "edge", "cloud"])
+        scenario["models"]["cloud"] = {"layers": 3, "seed": 4}
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})  # default topology
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario: pipelined mode supports exactly two tiers" in err
+        assert not out.exists()
 
     def test_unknown_scenario_kind_rejected(self, tmp_path):
         cfg = self.sim_config(tmp_path, {"kind": "teleport"})

@@ -3,9 +3,13 @@
 The last line perfbench/run.py prints is the result a caller of the
 benchmark reads. A run that exits 0 but ends with anything else, or with a
 NaN or infinite metric (json.dumps writes those as NaN and Infinity, which
-strict JSON has no words for), leaves nothing to compare. This runs the
-benchmark as a subprocess at size tiny, traced for both workloads and timed
-for compress, and reads its last line as strict JSON.
+strict JSON has no words for), leaves nothing to compare. Neither does a
+metric that is missing from it, as when a traced function or a hook
+attribute is gone. This runs the benchmark as a subprocess at size tiny,
+traced for both workloads and timed for compress, reads its last line as
+strict JSON, and checks that it names every metric BENCHMARK.json declares
+for that kind of run: the per_layer ones when traced, the end_to_end ones
+when timed.
 """
 
 import json
@@ -17,6 +21,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def reject_constant(name):
@@ -45,3 +50,6 @@ def test_last_line_is_a_strict_json_result(args):
     assert result["metrics"]
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
+    kind = "per_layer" if "--trace" in args else "end_to_end"
+    missing = [m["name"] for m in DECLARED[kind] if m["name"] not in result["metrics"]]
+    assert not missing, (kind, missing)

@@ -76,18 +76,20 @@ def lm_decoder(layers, seed, vocab_size=32):
 class TestDraft:
     def test_batch_validation(self):
         with pytest.raises(InvalidInputError):
-            DraftBatch(tokens=[1, 2], draft_dists=[dist(1.0)], base_context=[])
+            DraftBatch(tokens=[1, 2], draft_dists=[dist(1.0)])
         with pytest.raises(InvalidInputError):
-            DraftBatch(tokens=[], draft_dists=[], base_context=[])
+            DraftBatch(tokens=[], draft_dists=[])
 
     def test_tokens_follow_inverse_cdf(self):
         # Zero-probability tokens widen the vocabulary to cover the context.
         model = FixedModel([0.2, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         rng = ListRng([0.1, 0.25, 0.95])
-        batch = draft(model, [7], 3, rng)
+        context = [7]
+        batch = draft(model, context, 3, rng)
         assert batch.tokens == [0, 1, 2]
-        assert batch.base_context == [7]
         assert all(d is model.dist for d in batch.draft_dists)
+        assert rng.exhausted()
+        assert context == [7]  # the caller's context is read, never extended
 
     def test_gamma_validation(self):
         with pytest.raises(InvalidInputError):
@@ -106,10 +108,23 @@ class TestDraft:
                           [token], 4, Rng(0))
 
     def test_numpy_integer_tokens_become_ints(self):
-        model = FixedModel([0.5, 0.5, 0.0, 0.0, 0.0])
-        batch = draft(model, [np.int64(3), np.int32(1), 4], 2, Rng(0))
-        assert batch.base_context == [3, 1, 4]
-        assert all(type(t) is int for t in batch.base_context)
+        class Recording(TableModel):
+            def next_dist(self, context):
+                seen.append(list(context))
+                return super().next_dist(context)
+
+        seen = []
+        model = Recording(5, 17)
+        context = [np.int64(3), np.int32(1), 4]
+        batch = draft(model, context, 4, Rng(0))
+        from_numpy = seen[:]
+        seen.clear()
+        assert batch == draft(model, [3, 1, 4], 4, Rng(0))
+        # The model saw plain ints: the same contexts as from the int list.
+        assert from_numpy == seen and len(seen) == 4
+        assert all(type(t) is int for ctx in from_numpy for t in ctx)
+        assert all(type(t) is int for t in batch.tokens)
+        assert context == [3, 1, 4] and type(context[0]) is np.int64
 
 
 class TestPromptCheckedOnce:
@@ -195,11 +210,13 @@ class TestPromptCheckedOnce:
 class TestVerify:
     def test_identical_models_accept_everything(self):
         d = dist(0.25, 0.25, 0.5)
-        batch = DraftBatch(tokens=[2, 0, 1], draft_dists=[d, d, d], base_context=[])
-        res = verify([d, d, d], batch, Rng(5))
+        batch = DraftBatch(tokens=[2, 0, 1], draft_dists=[d, d, d])
+        # One uniform per accepted position and no resample.
+        rng = ListRng([0.999, 0.5, 0.0])
+        res = verify([d, d, d], batch, rng)
         assert res.accepted_count == 3
         assert res.correction_token is None
-        assert res.rng_draws_used == 3
+        assert rng.exhausted()
 
     def test_forced_rejection_resamples_from_residual(self):
         # Draft law (0.5, 0.5), target law (1, 0). A drafted 1 must be
@@ -207,29 +224,29 @@ class TestVerify:
         # residual, which is all mass on token 0.
         p_d = dist(0.5, 0.5)
         p_t = dist(1.0, 0.0)
-        batch = DraftBatch(tokens=[1], draft_dists=[p_d], base_context=[])
-        res = verify([p_t], batch, ListRng([0.5, 0.99]))
+        batch = DraftBatch(tokens=[1], draft_dists=[p_d])
+        rng = ListRng([0.5, 0.99])  # the rejecting uniform, then the resample
+        res = verify([p_t], batch, rng)
         assert res.accepted_count == 0
         assert res.correction_token == 0
-        assert res.rng_draws_used == 2
+        assert rng.exhausted()
 
     def test_accept_then_reject_draw_accounting(self):
         p_d = dist(0.5, 0.5)
         p_t = dist(0.75, 0.25)
-        batch = DraftBatch(
-            tokens=[0, 0, 1], draft_dists=[p_d, p_d, p_d], base_context=[]
-        )
+        batch = DraftBatch(tokens=[0, 0, 1], draft_dists=[p_d, p_d, p_d])
         # Token 0 accepts when u <= 1; token 1 has ratio 0.5 so u = 0.9
         # rejects it; the resample then lands in the positive residual,
-        # which only token 0 carries.
-        res = verify([p_t, p_t, p_t], batch, ListRng([0.3, 0.3, 0.9, 0.1]))
+        # which only token 0 carries. Two accepts, the rejection, the resample.
+        rng = ListRng([0.3, 0.3, 0.9, 0.1])
+        res = verify([p_t, p_t, p_t], batch, rng)
         assert res.accepted_count == 2
         assert res.correction_token == 0
-        assert res.rng_draws_used == 4
+        assert rng.exhausted()
 
     def test_zero_draft_probability_raises(self):
         p_d = dist(1.0, 0.0)
-        batch = DraftBatch(tokens=[1], draft_dists=[p_d], base_context=[])
+        batch = DraftBatch(tokens=[1], draft_dists=[p_d])
         with pytest.raises(ProtocolViolationError):
             verify([dist(0.5, 0.5)], batch, Rng(1))
 
@@ -242,7 +259,7 @@ class TestVerify:
 
     def test_length_mismatch_raises(self):
         p = dist(0.5, 0.5)
-        batch = DraftBatch(tokens=[0, 1], draft_dists=[p, p], base_context=[])
+        batch = DraftBatch(tokens=[0, 1], draft_dists=[p, p])
         with pytest.raises(InvalidInputError):
             verify([p], batch, Rng(1))
 
@@ -252,12 +269,17 @@ class TestVerify:
         p_t = FixedModel([0.1, 0.2, 0.3, 0.4])
         for _ in range(200):
             batch = draft(p_d, [], 5, rng)
-            res = verify([p_t.dist] * 5, batch, rng)
+            values = [rng.uniform() for _ in range(6)]
+            res = verify([p_t.dist] * 5, batch, ListRng(values))
             if res.correction_token is None:
                 assert res.accepted_count == 5
-                assert res.rng_draws_used == 5
+                used = 5
             else:
-                assert res.rng_draws_used == res.accepted_count + 2
+                # The accepted positions and the rejecting one, then the resample.
+                used = res.accepted_count + 1 + 1
+            exact = ListRng(values[:used])
+            assert verify([p_t.dist] * 5, batch, exact) == res
+            assert exact.exhausted()
 
 
 class TestMarginalEnumeration:
@@ -373,8 +395,18 @@ class TestRunSequential:
         t = run_sequential(cfg, models, [1], 20, Rng(31))
         assert len(t.emitted_tokens) == 20
         assert len(t.per_round) == t.totals.rounds
+        # Each round's records run drafter's boundary first: the stream the
+        # run emits is the last record's.
+        assert all(len(records) == 2 for records in t.per_round)
+        emitted = [upper.scanned for _, upper in t.per_round]
+        assert sum(emitted[:-1]) < 20 <= sum(emitted)
+        # Device and edge agree, the cloud rejects every token they emit:
+        # device->edge accepts all three, edge->cloud rejects the first.
+        agree, refuse = FixedModel([1.0, 0.0]), FixedModel([0.0, 1.0])
+        chain = run_sequential(cfg, {"device": agree, "edge": agree, "cloud": refuse},
+                               [], 4, Rng(31))
+        assert chain.per_round == [(RoundRecord(3, 3), RoundRecord(1, 0))] * 4
         for lower, upper in t.per_round:
-            assert (lower.stage, upper.stage) == ("device->edge", "edge->cloud")
             assert 0 <= lower.accepted <= 3
             assert lower.scanned - lower.accepted == (lower.accepted < 3)
             # The chained batch is the lower tier's emitted stream, one token
@@ -494,14 +526,14 @@ class TestRunPipelined:
     def test_mode_and_tier_validation(self):
         with pytest.raises(InvalidInputError):
             run_pipelined(two_tier(), {}, [], 4, Rng(1))
-        cfg3 = ProtocolConfig(
-            draft_len=2,
-            tiers=("device", "edge", "cloud"),
-            per_token_compute_cost={"device": 0.01, "edge": 0.03, "cloud": 0.05},
-            mode="pipelined",
-        )
-        with pytest.raises(InvalidInputError):
-            run_pipelined(cfg3, {}, [], 4, Rng(1))
+        # A pipelined three-tier config is refused when built, at every entry point.
+        with pytest.raises(InvalidInputError, match="^pipelined mode supports exactly two tiers$"):
+            ProtocolConfig(
+                draft_len=2,
+                tiers=("device", "edge", "cloud"),
+                per_token_compute_cost={"device": 0.01, "edge": 0.03, "cloud": 0.05},
+                mode="pipelined",
+            )
 
     def test_identical_tiers_match_sequential_tokens(self):
         model = TableModel(5, 404)
@@ -590,7 +622,7 @@ def eager_pipelined(cfg, models, prompt, num_tokens, rng):
         emitted = batch.tokens[: result.accepted_count]
         if result.correction_token is not None:
             emitted.append(result.correction_token)
-        per_round.append((RoundRecord(f"{lower}->{upper}", len(emitted), result.accepted_count),))
+        per_round.append((RoundRecord(len(emitted), result.accepted_count),))
         used = emitted[: end - len(context)]
         accepted += min(len(used), result.accepted_count)
         corrections += max(0, len(used) - result.accepted_count)
@@ -699,13 +731,13 @@ def batch_sequential(cfg, models, prompt, num_tokens, rng):
             running.append(tokens[-1])
         batch = DraftBatch(tokens=tokens, draft_dists=dists)
         records = []
-        for i, (lower, upper) in enumerate(zip(cfg.tiers, cfg.tiers[1:])):
+        for i, upper in enumerate(cfg.tiers[1:]):
             target = dists_along(models[upper], context, batch.tokens)
             result = verify(target, batch, streams[i + 1])
             emitted = batch.tokens[: result.accepted_count]
             if result.correction_token is not None:
                 emitted.append(result.correction_token)
-            records.append(RoundRecord(f"{lower}->{upper}", len(emitted), result.accepted_count))
+            records.append(RoundRecord(len(emitted), result.accepted_count))
             batch = DraftBatch(tokens=emitted, draft_dists=target[: len(emitted)])
         per_round.append(tuple(records))
         rounds += 1

@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,14 @@ class TestDpcKnn:
         # The kernel's overflow is the error, not a numpy warning or a NaN gamma.
         with np.errstate(all="raise"), pytest.raises(InvalidInputError, match=f"^{message}$"):
             dpc_knn_cluster(FeatureSet(features=feats), 3, 4)
+
+    def test_density_underflow_is_zero_without_a_warning(self):
+        # Every squared distance is 0.98e308, still finite, but the sum of
+        # three for their mean overflows: rho is exp(-inf), which is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = dpc_knn_cluster(FeatureSet(features=np.eye(6) * 0.7e154), 3, 2)
+        assert np.array_equal(res.rho, np.zeros(6))
 
     def test_matches_bruteforce_oracle(self):
         rng = Rng(909)
@@ -946,6 +955,16 @@ class TestFeatureIO:
         save_features(path, fs)
         loaded = load_features(path)
         assert np.array_equal(loaded.features, fs.features.astype("<f4").astype(np.float64))
+
+    def test_float32_range_is_the_limit(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        with pytest.raises(InvalidInputError, match="outside the float32 range"):
+            save_features(path, FeatureSet(features=[[0.0, 1e200]]))
+        assert not path.exists()
+        extremes = FeatureSet(features=[[3.4e38, -3.4e38]])
+        save_features(path, extremes)
+        assert np.array_equal(load_features(path).features,
+                              extremes.features.astype("<f4").astype(np.float64))
 
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "feats.bin"
