@@ -270,10 +270,9 @@ def cmd_decompose(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
     if budget is not None and h_values is not None:
         raise ConfigError("use either 'h_values' or 'budget', not both")
     if budget is not None:
-        allocation = allocate_ranks(
+        sweep = list(enumerate(allocate_ranks(
             [p[5] for p in prepared], [(p[0], p[1]) for p in prepared], budget
-        )
-        sweep = [(i, allocation.per_layer_rank[i]) for i in range(len(prepared))]
+        )))
     elif h_values is not None:
         if not h_values:
             raise ConfigError("'h_values' must be non-empty")

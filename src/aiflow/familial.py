@@ -50,8 +50,6 @@ class WhiteningContext:
     """
 
     s: np.ndarray
-    calib_count: int
-    ridge: float
 
     def __post_init__(self):
         object.__setattr__(self, "s", require_matrix(self.s, "s"))
@@ -63,32 +61,33 @@ class WhiteningContext:
 
 @dataclass(frozen=True)
 class DecomposedLayer:
-    """Two-factor replacement for a dense layer: x -> w_u @ (w_v @ x)."""
+    """Two-factor replacement for a dense m x n layer: x -> w_u @ (w_v @ x).
+
+    w_u is m x h and w_v is h x n, so the factors carry the layer's rank h
+    (hidden_dim) and its dense shape (source_dims). An HPCD stack is a tuple
+    of these, one per component.
+    """
 
     w_u: np.ndarray
     w_v: np.ndarray
-    hidden_dim: int
-    source_dims: tuple[int, int]
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", require_matrix(self.w_u, "w_u"))
         object.__setattr__(self, "w_v", require_matrix(self.w_v, "w_v"))
-        m, n = self.source_dims
-        if self.w_u.shape != (m, self.hidden_dim):
+        if self.w_u.shape[1] != self.w_v.shape[0]:
             raise InvalidInputError(
-                f"w_u shape {self.w_u.shape} does not match ({m}, {self.hidden_dim})"
+                f"w_u shape {self.w_u.shape} does not chain with w_v shape {self.w_v.shape}"
             )
-        if self.w_v.shape != (self.hidden_dim, n):
-            raise InvalidInputError(
-                f"w_v shape {self.w_v.shape} does not match ({self.hidden_dim}, {n})"
-            )
-        if not 1 <= self.hidden_dim <= min(m, n):
+        if not 1 <= self.hidden_dim <= min(self.source_dims):
             raise InvalidInputError(f"hidden_dim must be in 1..min(m, n), got {self.hidden_dim}")
 
     @property
-    def parameter_count(self) -> int:
-        m, n = self.source_dims
-        return self.hidden_dim * (m + n)
+    def hidden_dim(self) -> int:
+        return self.w_u.shape[1]
+
+    @property
+    def source_dims(self) -> tuple[int, int]:
+        return self.w_u.shape[0], self.w_v.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Low-rank product w_u @ (w_v @ x); x may be a vector or matrix."""
@@ -99,26 +98,10 @@ class DecomposedLayer:
         return self.w_u @ self.w_v
 
 
-@dataclass(frozen=True)
-class HpcdStack:
-    """Ordered low-rank components whose partial sums approximate one weight."""
-
-    components: tuple[tuple[np.ndarray, np.ndarray], ...]
-    source_dims: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RankAllocation:
-    """Budgeted per-layer ranks with their predicted truncation losses."""
-
-    per_layer_rank: list[int]
-    predicted_loss: list[float]
-
-
 def parameter_ratio(m: int, n: int, h: int) -> float:
     """Fraction of the dense layer's parameters kept: h*(m+n)/(m*n)."""
-    if m < 1 or n < 1 or h < 1:
-        raise InvalidInputError("m, n, h must be positive")
+    for name, value in (("m", m), ("n", n), ("h", h)):
+        require_int(name, value, 1)
     return h * (m + n) / (m * n)
 
 
@@ -138,9 +121,7 @@ def whiten(x, ridge: float | None = None) -> WhiteningContext:
         ridge = 1e-6 * float(np.trace(cov)) / n
     if not (is_real(ridge) and np.isfinite(ridge) and ridge >= 0.0):
         raise InvalidInputError(f"ridge must be a finite real >= 0, got {ridge!r}")
-    ridge = float(ridge)
-    s = cholesky_lower(cov + ridge * np.eye(n))
-    return WhiteningContext(s=s, calib_count=count, ridge=ridge)
+    return WhiteningContext(s=cholesky_lower(cov + float(ridge) * np.eye(n)))
 
 
 def decompose_layer(w, ctx: WhiteningContext, h: int) -> DecomposedLayer:
@@ -161,12 +142,7 @@ def decompose_layer(w, ctx: WhiteningContext, h: int) -> DecomposedLayer:
     w_v = solve_lower_triangular(ctx.s, scaled_vt.T, transpose=True).T
     # Contiguous copies: BLAS picks layout-dependent code paths, and factor
     # layout must not depend on how the factors were produced.
-    return DecomposedLayer(
-        w_u=np.ascontiguousarray(w_u),
-        w_v=np.ascontiguousarray(w_v),
-        hidden_dim=h,
-        source_dims=(m, n),
-    )
+    return DecomposedLayer(w_u=np.ascontiguousarray(w_u), w_v=np.ascontiguousarray(w_v))
 
 
 def truncation_loss(sigma, h: int) -> float:
@@ -181,8 +157,8 @@ def truncation_loss(sigma, h: int) -> float:
     return float(np.sum(vec[h:] ** 2))
 
 
-def allocate_ranks(layer_sigmas, layer_dims, budget: int) -> RankAllocation:
-    """Greedy budgeted rank allocation across layers.
+def allocate_ranks(layer_sigmas, layer_dims, budget: int) -> list[int]:
+    """Greedy budgeted rank allocation across layers; returns each layer's rank.
 
     Every layer starts at rank 1; each step grants +1 rank to the layer with
     the largest marginal gain per parameter, sigma_{h+1}^2 / (m+n), among the
@@ -193,26 +169,27 @@ def allocate_ranks(layer_sigmas, layer_dims, budget: int) -> RankAllocation:
     if len(layer_sigmas) != len(layer_dims) or not layer_dims:
         raise InvalidInputError("layer_sigmas and layer_dims must be equal-length, non-empty")
     sigmas = [require_vector(s, f"sigma[{i}]") for i, s in enumerate(layer_sigmas)]
-    dims = []
-    for i, (m, n) in enumerate(layer_dims):
-        if m < 1 or n < 1:
-            raise InvalidInputError(f"layer_dims[{i}] must be positive")
-        if sigmas[i].size > min(m, n):
+    for i, dim in enumerate(layer_dims):
+        if not isinstance(dim, (tuple, list)) or len(dim) != 2:
+            raise InvalidInputError(f"layer_dims[{i}] must be an (m, n) pair, got {dim!r}")
+        for name, value in zip("mn", dim):
+            require_int(f"layer_dims[{i}].{name}", value, 1)
+        if sigmas[i].size > min(dim):
             raise InvalidInputError(f"sigma[{i}] longer than min(m, n)")
-        dims.append((int(m), int(n)))
+    require_int("budget", budget, 0)
 
-    base_cost = sum(m + n for m, n in dims)
+    steps = [m + n for m, n in layer_dims]
+    base_cost = sum(steps)
     if budget < base_cost:
         raise BudgetTooSmallError(
             f"budget {budget} cannot cover rank 1 for every layer (needs {base_cost})"
         )
-    ranks = [1] * len(dims)
+    ranks = [1] * len(steps)
     remaining = budget - base_cost
     while True:
         best = -1
         best_gain = -1.0
-        for i, (m, n) in enumerate(dims):
-            step = m + n
+        for i, step in enumerate(steps):
             if ranks[i] >= sigmas[i].size or step > remaining:
                 continue
             gain = float(sigmas[i][ranks[i]]) ** 2 / step
@@ -220,16 +197,14 @@ def allocate_ranks(layer_sigmas, layer_dims, budget: int) -> RankAllocation:
                 best = i
                 best_gain = gain
         if best < 0:
-            break
+            return ranks
         ranks[best] += 1
-        remaining -= dims[best][0] + dims[best][1]
-    losses = [truncation_loss(sigmas[i], ranks[i]) for i in range(len(dims))]
-    return RankAllocation(per_layer_rank=ranks, predicted_loss=losses)
+        remaining -= steps[best]
 
 
 def hpcd_build(
     w, ctx: WhiteningContext, rank_per_component: int, num_components: int
-) -> HpcdStack:
+) -> tuple[DecomposedLayer, ...]:
     """Stack of low-rank components fitted on successive residuals.
 
     Component 1 factors w itself; component k >= 2 factors the residual
@@ -245,19 +220,18 @@ def hpcd_build(
     residual = arr
     for _ in range(num_components):
         layer = decompose_layer(residual, ctx, rank_per_component)
-        components.append((layer.w_u, layer.w_v))
+        components.append(layer)
         residual = residual - layer.product()
-    return HpcdStack(components=tuple(components), source_dims=arr.shape)
+    return tuple(components)
 
 
-def hpcd_truncate(stack: HpcdStack, k: int) -> np.ndarray:
+def hpcd_truncate(stack: tuple[DecomposedLayer, ...], k: int) -> np.ndarray:
     """Dense matrix realized by the first k components."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(stack.components):
-        raise InvalidInputError(f"k must be in 1..{len(stack.components)}, got {k}")
-    m, n = stack.source_dims
-    total = np.zeros((m, n))
-    for u, v in stack.components[:k]:
-        total += u @ v
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(stack):
+        raise InvalidInputError(f"k must be in 1..{len(stack)}, got {k}")
+    total = np.zeros(stack[0].source_dims)
+    for layer in stack[:k]:
+        total += layer.product()
     return total
 
 
@@ -286,4 +260,4 @@ def load_layer(path) -> DecomposedLayer:
     w_u = reader.matrix(m, h, "w_u")
     w_v = reader.matrix(h, n, "w_v")
     reader.end()
-    return DecomposedLayer(w_u=w_u, w_v=w_v, hidden_dim=int(h), source_dims=(int(m), int(n)))
+    return DecomposedLayer(w_u=w_u, w_v=w_v)

@@ -43,6 +43,9 @@ _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
 _ROW_BLOCK = 64
+# Bytes dpc_knn_cluster may spend on its N x N float64 distance matrix:
+# 2^30 admits N <= 11,585.
+_DISTANCE_BYTES = 1 << 30
 # The widest alphabet, 2*q_range + 2 entries, that fits the 2^16 frequency total.
 Q_RANGE_MAX = (_TOTAL - 2) // 2
 # Bound on |mu|, so that every alphabet lo..lo + 2*q_range + 1 fits int64.
@@ -311,6 +314,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     -(b - a), so the mirrored squared sums equal the ones a full row would
     compute.
 
+    More points than an N x N matrix of _DISTANCE_BYTES holds (N > 11,585)
+    are rejected with InvalidInputError before anything N x N is allocated.
+
     Features so far apart that a squared distance overflows float64 are
     rejected with InvalidInputError: the features are finite, so an
     infinite distance can only be an overflow, and it would make
@@ -333,6 +339,11 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
         )
     if not 1 <= k_neighbors < n:
         raise InvalidInputError(f"k_neighbors must be in [1, {n - 1}]")
+    if 8 * n * n > _DISTANCE_BYTES:
+        raise InvalidInputError(
+            f"{n} points need {8 * n * n} bytes of pairwise distances; "
+            f"clustering holds at most {_DISTANCE_BYTES}"
+        )
     blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
     d2, knn = _sq_distances(feats, k_neighbors, blocks)
     dist = np.sqrt(d2, out=d2)

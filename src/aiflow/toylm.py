@@ -464,9 +464,7 @@ def load_model(path) -> ToyLm:
             )
         w_u = reader.matrix(d, h, f"branches[{exit_index}].w_u")
         w_v = reader.matrix(h, d, f"branches[{exit_index}].w_v")
-        branches[int(exit_index)] = DecomposedLayer(
-            w_u=w_u, w_v=w_v, hidden_dim=int(h), source_dims=(d, d)
-        )
+        branches[int(exit_index)] = DecomposedLayer(w_u=w_u, w_v=w_v)
     reader.end()
     return ToyLm(
         config=config,

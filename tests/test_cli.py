@@ -179,8 +179,7 @@ class TestDecompose:
             x = rng.normal_matrix(n, 32)
             sigmas.append(svd_reduced(w @ whiten(x, ridge=0.0).s).sigma)
             dims.append((m, n))
-        allocation = allocate_ranks(sigmas, dims, 50)
-        assert [int(r[1]) for r in rows] == allocation.per_layer_rank
+        assert [int(r[1]) for r in rows] == allocate_ranks(sigmas, dims, 50)
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "dec.json", {"num_calib": 8})
@@ -360,6 +359,16 @@ class TestSpecdec:
 
 
 class TestTofc:
+    def test_too_many_points_exit_2(self, tmp_path, capsys):
+        # One row past what the DPC-KNN distance budget holds.
+        features = tmp_path / "wide.csv"
+        features.write_text("".join(f"{i}\n" for i in range(11_586)))
+        cfg = tofc_config(tmp_path, features=str(features), num_centers_sweep=[8])
+        assert main(["tofc", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 11586 points need 1073883168 bytes")
+
     def test_payload_monotone_in_m(self, tmp_path):
         cfg = tofc_config(tmp_path)
         out = tmp_path / "run"

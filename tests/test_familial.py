@@ -1,5 +1,6 @@
 """Tests for whitened decomposition, rank allocation, and residual stacking."""
 
+import dataclasses
 import math
 import re
 import struct
@@ -39,10 +40,10 @@ def _whitened_sigma_sq(w, s):
 
 def test_whiten_identity_covariance():
     n = 5
-    ctx = whiten(np.eye(n), ridge=0.25)
+    x = np.eye(n)
+    ctx = whiten(x, ridge=0.25)
     assert np.allclose(ctx.s, math.sqrt(1.25) * np.eye(n), atol=1e-14)
-    assert ctx.calib_count == n
-    assert ctx.ridge == 0.25
+    assert np.allclose(ctx.s @ ctx.s.T - x @ x.T, 0.25 * np.eye(n), rtol=0, atol=1e-14)
 
 
 def test_whiten_near_singular_needs_ridge():
@@ -70,7 +71,9 @@ def test_whiten_factor_identity_seeded():
 def test_whiten_default_ridge_and_rejects_nan():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
     ctx = whiten(x)
-    assert ctx.ridge == pytest.approx(1e-6 * 5.0 / 2.0)
+    ridged = ctx.s @ ctx.s.T - x @ x.T
+    assert np.diag(ridged) == pytest.approx([1e-6 * 5.0 / 2.0] * 2, rel=1e-8)
+    assert ridged[0, 1] == ridged[1, 0] == 0.0
     with pytest.raises(InvalidInputError):
         whiten(np.array([[np.nan, 1.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
@@ -85,18 +88,20 @@ def test_whiten_ridge_must_be_a_finite_real(ridge):
 
 
 def test_whitening_context_coerces_its_factor():
-    ctx = WhiteningContext(s=[[2, 0], [1, 3]], calib_count=4, ridge=0.0)
+    ctx = WhiteningContext(s=[[2, 0], [1, 3]])
     assert ctx.s.dtype == np.float64 and ctx.dim == 2
+    assert [f.name for f in dataclasses.fields(ctx)] == ["s"]
     with pytest.raises(InvalidInputError, match=r"^s contains NaN or Inf$"):
-        WhiteningContext(s=[[np.nan]], calib_count=1, ridge=0.0)
+        WhiteningContext(s=[[np.nan]])
     with pytest.raises(InvalidInputError, match=re.escape("s must be 2-D, got shape (2,)")):
-        WhiteningContext(s=[1.0, 2.0], calib_count=1, ridge=0.0)
+        WhiteningContext(s=[1.0, 2.0])
 
 
 def test_whiten_accepts_numpy_and_int_ridges():
     ctx = whiten(np.eye(2), ridge=np.float32(0.25))
-    assert ctx.ridge == 0.25 and type(ctx.ridge) is float
-    assert whiten(np.eye(2), ridge=0).ridge == 0.0
+    assert ctx.s.dtype == np.float64
+    assert np.array_equal(ctx.s, whiten(np.eye(2), ridge=0.25).s)
+    assert np.array_equal(whiten(np.eye(2), ridge=0).s, np.eye(2))
 
 
 # --- layer decomposition ------------------------------------------------------
@@ -127,6 +132,18 @@ def test_parameter_ratio_formula():
     assert parameter_ratio(4, 2, 1) == pytest.approx(6 / 8)
     with pytest.raises(InvalidInputError):
         parameter_ratio(0, 4, 1)
+
+
+@pytest.mark.parametrize("args, field, value", [
+    ((2.5, 3, 1), "m", 2.5),
+    ((4, 3.0, 1), "n", 3.0),
+    ((4, 3, True), "h", True),
+    ((4, 3, None), "h", None),
+])
+def test_parameter_ratio_dimensions_must_be_ints(args, field, value):
+    message = f"{field} must be an int >= 1, got {value!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        parameter_ratio(*args)
 
 
 def test_decompose_rank_validation():
@@ -186,27 +203,37 @@ def test_truncation_loss_validation():
 
 def test_allocate_single_layer_full_budget():
     sigma = np.array([4.0, 3.0, 2.0, 1.0])
-    alloc = allocate_ranks([sigma], [(4, 4)], budget=4 * 8)
-    assert alloc.per_layer_rank == [4]
-    assert alloc.predicted_loss == [0.0]
+    assert allocate_ranks([sigma], [(4, 4)], budget=4 * 8) == [4]
 
 
 def test_allocate_tie_goes_to_lowest_index():
     sigma = np.array([3.0, 2.0])
-    alloc = allocate_ranks([sigma, sigma], [(2, 2), (2, 2)], budget=2 * 4 + 4)
-    assert alloc.per_layer_rank == [2, 1]
+    assert allocate_ranks([sigma, sigma], [(2, 2), (2, 2)], budget=2 * 4 + 4) == [2, 1]
 
 
 def test_allocate_prefers_larger_marginal_gain():
     a = np.array([10.0, 1.0])
     b = np.array([5.0, 5.0])
-    alloc = allocate_ranks([a, b], [(2, 2), (2, 2)], budget=2 * 4 + 4)
-    assert alloc.per_layer_rank == [1, 2]
+    assert allocate_ranks([a, b], [(2, 2), (2, 2)], budget=2 * 4 + 4) == [1, 2]
 
 
 def test_allocate_budget_too_small():
     with pytest.raises(BudgetTooSmallError):
         allocate_ranks([np.array([1.0])], [(3, 3)], budget=5)
+
+
+@pytest.mark.parametrize("dims, budget, message", [
+    ([(2.5, 3)], 100, "layer_dims[0].m must be an int >= 1, got 2.5"),
+    ([(3, 0)], 100, "layer_dims[0].n must be an int >= 1, got 0"),
+    ([(3, 3, 1)], 100, "layer_dims[0] must be an (m, n) pair, got (3, 3, 1)"),
+    ([3], 100, "layer_dims[0] must be an (m, n) pair, got 3"),
+    ([(3, 3)], 12.7, "budget must be an int >= 0, got 12.7"),
+    ([(3, 3)], None, "budget must be an int >= 0, got None"),
+    ([(3, 3)], True, "budget must be an int >= 0, got True"),
+])
+def test_allocate_integer_arguments_are_checked(dims, budget, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        allocate_ranks([np.array([2.0, 1.0])], dims, budget)
 
 
 def test_allocate_respects_budget_and_matches_loss():
@@ -222,11 +249,12 @@ def test_allocate_respects_budget_and_matches_loss():
             sigmas.append(np.sort(rng.uniform(0, 4, size=min(m, n)))[::-1])
         base = sum(m + n for m, n in dims)
         budget = base + int(rng.integers(0, 30))
-        alloc = allocate_ranks(sigmas, dims, budget)
-        spent = sum(h * (m + n) for h, (m, n) in zip(alloc.per_layer_rank, dims))
+        ranks = allocate_ranks(sigmas, dims, budget)
+        assert all(type(h) is int for h in ranks)
+        spent = sum(h * (m + n) for h, (m, n) in zip(ranks, dims))
         assert spent <= budget
-        for h, sig, loss in zip(alloc.per_layer_rank, sigmas, alloc.predicted_loss):
-            assert loss == pytest.approx(truncation_loss(sig, h))
+        for h, sig in zip(ranks, sigmas):
+            assert 1 <= h <= sig.size
 
 
 def test_allocate_matches_exhaustive_optimum_equal_dims():
@@ -243,8 +271,8 @@ def test_allocate_matches_exhaustive_optimum_equal_dims():
         sigmas = [np.sort(rng.uniform(0, 4, size=n))[::-1] for _ in range(layers)]
         max_steps = min(20, layers * (n - 1))
         budget = layers * (m + n) + int(rng.integers(0, max_steps + 1)) * (m + n)
-        alloc = allocate_ranks(sigmas, dims, budget)
-        greedy_total = sum(alloc.predicted_loss)
+        ranks = allocate_ranks(sigmas, dims, budget)
+        greedy_total = sum(truncation_loss(s, h) for s, h in zip(sigmas, ranks))
 
         best = math.inf
         for combo in itertools.product(range(1, n + 1), repeat=layers):
@@ -275,8 +303,9 @@ def test_hpcd_single_component_equals_decompose():
     ctx = whiten(rng.normal(size=(4, 9)), ridge=0.0)
     stack = hpcd_build(w, ctx, rank_per_component=2, num_components=1)
     layer = decompose_layer(w, ctx, 2)
-    assert np.array_equal(stack.components[0][0], layer.w_u)
-    assert np.array_equal(stack.components[0][1], layer.w_v)
+    assert isinstance(stack, tuple) and len(stack) == 1
+    assert np.array_equal(stack[0].w_u, layer.w_u)
+    assert np.array_equal(stack[0].w_v, layer.w_v)
     assert np.allclose(hpcd_truncate(stack, 1), layer.product(), atol=0.0)
 
 
@@ -349,8 +378,10 @@ def test_layer_container_roundtrip(tmp_path):
 
 
 def test_decomposed_layer_coerces_its_factors():
-    layer = DecomposedLayer(w_u=[[1.0], [2.0]], w_v=[[3, 4]], hidden_dim=1, source_dims=(2, 2))
+    layer = DecomposedLayer(w_u=[[1.0], [2.0]], w_v=[[3, 4]])
     assert layer.w_u.dtype == layer.w_v.dtype == np.float64
+    assert [f.name for f in dataclasses.fields(layer)] == ["w_u", "w_v"]
+    assert layer.hidden_dim == 1 and layer.source_dims == (2, 2)
     assert np.array_equal(layer.product(), [[3.0, 4.0], [6.0, 8.0]])
 
 
@@ -362,8 +393,35 @@ def test_decomposed_layer_coerces_its_factors():
 ])
 def test_decomposed_layer_rejects_bad_factors(factors, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-        DecomposedLayer(**{"w_u": [[1.0]], "w_v": [[1.0]], **factors}, hidden_dim=1,
-                        source_dims=(1, 1))
+        DecomposedLayer(**{"w_u": [[1.0]], "w_v": [[1.0]], **factors})
+
+
+def test_decomposed_layer_factors_must_chain():
+    message = "w_u shape (3, 2) does not chain with w_v shape (3, 4)"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        DecomposedLayer(w_u=np.ones((3, 2)), w_v=np.ones((3, 4)))
+
+
+def test_decomposed_layer_rank_is_at_most_the_smaller_side():
+    message = "hidden_dim must be in 1..min(m, n), got 3"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        DecomposedLayer(w_u=np.ones((2, 3)), w_v=np.ones((3, 4)))
+
+
+def test_hpcd_components_roundtrip_through_the_layer_container(tmp_path):
+    rng = np.random.default_rng(44)
+    w = rng.normal(size=(6, 5))
+    ctx = whiten(rng.normal(size=(5, 9)), ridge=0.0)
+    stack = hpcd_build(w, ctx, rank_per_component=2, num_components=3)
+    assert len(stack) == 3
+    for k, layer in enumerate(stack):
+        assert isinstance(layer, DecomposedLayer)
+        assert layer.hidden_dim == 2 and layer.source_dims == (6, 5)
+        path = tmp_path / f"component{k}.famd"
+        save_layer(layer, path)
+        loaded = load_layer(path)
+        assert loaded.w_u.tobytes() == layer.w_u.tobytes()
+        assert loaded.w_v.tobytes() == layer.w_v.tobytes()
 
 
 @pytest.mark.parametrize("tensor, value", [("w_u", np.nan), ("w_v", -np.inf)])

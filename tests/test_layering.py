@@ -4,7 +4,8 @@ aiflow.config is a leaf that only reads config documents; netsim is only the
 simulator (it builds no models and runs no configs); cli is the top, which
 nothing else imports. specdec holds tier models to the decoder contract:
 vocab_size and next_dist. Every public function, class and method is run by
-the package itself, or is listed with the reason it is kept.
+the package itself, and every public record field is read by it, or each is
+listed with the reason it is kept.
 """
 
 import ast
@@ -115,7 +116,7 @@ def test_only_container_opens_container_files():
         assert calls == [], module
 
 
-# Public names that no code in src/aiflow uses, each with why it stays.
+# Public names and fields that no code in src/aiflow uses or reads, each with why it stays.
 UNCALLED_API = {
     "toylm.forward_full": "acceptance criterion 5 (exit/resume alignment)",
     "toylm.forward_exit": "acceptance criterion 5 (exit/resume alignment)",
@@ -133,40 +134,58 @@ UNCALLED_API = {
     "tofc.decode": "the compress benchmark and acceptance criterion 7",
     "tofc.Bitstream.from_bytes": "the compress benchmark's container round trip",
     "tofc.save_features": "the compress benchmark and the FEAT container tests",
-    "familial.DecomposedLayer.parameter_count": "the branch compression-ratio accounting tests",
+    "netsim.Event.note": "the trace tests; the trace export (ROADMAP item 5)",
+    "specdec.TranscriptTotals.corrections": "the transcript-totals tests",
+    "specdec.TranscriptTotals.rounds": "the transcript tests; the benchmark's specdec.rounds",
+    "specdec.PipelineStats.discarded_batches": "the benchmark's specdec.discarded_batches",
+    "tofc.ClusterResult.center_indices": "acceptance criterion 6 and the DPC-KNN oracle tests",
+    "tofc.ClusterResult.assignment": "acceptance criterion 6 and the DPC-KNN oracle tests",
+    "tofc.ClusterResult.rho": "the DPC-KNN density and distance oracle tests",
+    "tofc.ClusterResult.delta": "the DPC-KNN density and distance oracle tests",
 }
 
 
 def public_definitions():
-    """(qualified name, module, node) of each public top-level def and public-class method."""
+    """(qualified name, module, name, node) of each public top-level def, and of each
+    public-class method and annotated field."""
     for module in modules():
         for node in _tree(module).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield f"{module}.{node.name}", module, node
+                yield f"{module}.{node.name}", module, node.name, node
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                            yield f"{module}.{node.name}.{item.name}", module, item
+                        if isinstance(item, ast.FunctionDef):
+                            name = item.name
+                        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            name = item.target.id
+                        else:
+                            continue
+                        if not name.startswith("_"):
+                            yield f"{module}.{node.name}.{name}", module, name, item
 
 
 def unreferenced_api() -> set:
     """Public definitions whose name no src/aiflow code outside their own body reads.
 
-    A reference is a bare name or an attribute of that name, so a method counts
-    as used when any attribute access anywhere shares its name.
+    A reference to a def is a bare name or an attribute of that name, so a method
+    counts as used when any attribute access anywhere shares its name. A field is
+    read only as an attribute: a local variable or keyword of its name is not a read.
     """
-    refs = {}
+    names, attrs = {}, {}
     for module in modules():
         for node in ast.walk(_tree(module)):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append((module, node.lineno))
+                names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append((module, node.lineno))
-    return {
-        qual for qual, module, node in public_definitions()
-        if all(m == module and node.lineno <= line <= node.end_lineno
-               for m, line in refs.get(node.name, []))
-    }
+                attrs.setdefault(node.attr, []).append((module, node.lineno))
+    unread = set()
+    for qual, module, name, node in public_definitions():
+        refs = attrs.get(name, [])
+        if not isinstance(node, ast.AnnAssign):
+            refs = refs + names.get(name, [])
+        if all(m == module and node.lineno <= line <= node.end_lineno for m, line in refs):
+            unread.add(qual)
+    return unread
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():

