@@ -15,6 +15,11 @@ Conventions that affect bitstreams, all fixed on purpose:
     as raw bits;
   - frequency tables scale the model pmf to a total of 2^16 with every entry
     at least 1, repairing the rounding remainder on the largest entry.
+
+A model builds its tables once, on first use, and keeps them: its bin table
+(routing prices rows from it) and int32 coding tables (encode gathers each
+symbol's interval from them with numpy, decode bisects their rows). The
+range coder is still called once per symbol and once per raw escape bit.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,9 @@ _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
 _ROW_BLOCK = 64
+# Bin-table entries _bin_table fills per step (at least one dimension's row):
+# its temporaries stay a few times this, whatever d and q_range are.
+_BIN_ENTRIES = 1 << 16
 # Bytes dpc_knn_cluster may spend on its N x N float64 distance matrix:
 # 2^30 admits N <= 11,585.
 _DISTANCE_BYTES = 1 << 30
@@ -81,7 +90,12 @@ class ClusterResult:
 
 @dataclass(frozen=True, eq=False)
 class LaplacianModel:
-    """Per-dimension Laplace(mu, b) entropy model with integer-bin pmf."""
+    """Per-dimension Laplace(mu, b) entropy model with integer-bin pmf.
+
+    mu and b are read-only copies of the caller's arrays, so the model stays
+    the one its checks passed. Its bin table and coding tables are derived
+    from them on first use and kept for the model's lifetime.
+    """
 
     mu: np.ndarray
     b: np.ndarray
@@ -89,8 +103,8 @@ class LaplacianModel:
     q_range: int = 255
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", require_vector(self.mu, "mu"))
-        object.__setattr__(self, "b", require_vector(self.b, "b"))
+        object.__setattr__(self, "mu", _frozen(require_vector(self.mu, "mu").copy()))
+        object.__setattr__(self, "b", _frozen(require_vector(self.b, "b").copy()))
         if self.mu.shape != self.b.shape:
             raise InvalidInputError("mu and b must be equal-length vectors")
         if (self.b < B_MIN).any():
@@ -106,6 +120,51 @@ class LaplacianModel:
     def dim(self) -> int:
         return self.mu.shape[0]
 
+    def __reduce__(self):
+        # A pickled or deep-copied model is built afresh through the checks,
+        # so its parameters are read-only too and its tables its own.
+        return type(self), (self.mu, self.b, self.id, self.q_range)
+
+    @cached_property
+    def _bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """The model's (lo, p) bin table, see _bin_table; code lengths read only this."""
+        lo, p = _bin_table(self)
+        return _frozen(lo), _frozen(p)
+
+    @cached_property
+    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(freqs, cum): int32 coding tables, row j dimension j's alphabet.
+
+        freqs (d, 2*q_range + 2) holds the in-range symbols' frequencies, then
+        the escape's, each row summing to exactly 2^16; cum (d, 2*q_range + 3)
+        their running sums from 0. All dimensions are scaled, floored at 1 and
+        repaired on their largest entry together, from the bin table. A q_range
+        so wide that the floor of 1 per entry overdraws the total raises
+        InvalidInputError naming the first such dimension, on every use.
+        """
+        p = self._bins[1]
+        freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
+        dims = np.arange(self.dim)
+        top = np.argmax(freqs, axis=1)
+        freqs[dims, top] += _TOTAL - freqs.sum(axis=1)
+        overdrawn = np.flatnonzero(freqs[dims, top] < 1)
+        if overdrawn.size:
+            raise InvalidInputError(
+                f"model {self.id} dimension {overdrawn[0]}: q_range {self.q_range} leaves too "
+                "little of the 2^16 frequency total to give every symbol a frequency >= 1"
+            )
+        if freqs.min() < 1 or (freqs.sum(axis=1) != _TOTAL).any():
+            raise InvariantViolationError("frequency table repair failed")
+        cum = np.zeros((self.dim, freqs.shape[1] + 1), dtype=np.int32)
+        np.cumsum(freqs, axis=1, out=cum[:, 1:])
+        return _frozen(freqs.astype(np.int32)), _frozen(cum)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only."""
+    arr.flags.writeable = False
+    return arr
+
 
 def _laplace_cdf(x, mu, b):
     z = (np.asarray(x, dtype=np.float64) - mu) / b
@@ -118,16 +177,23 @@ def _bin_table(model: LaplacianModel) -> tuple[np.ndarray, np.ndarray]:
     """(lo, p): row j holds the masses of dimension j's unit bins lo[j]..lo[j] +
     2*q_range, then its escape mass; lo has shape (d,), p (d, 2*q_range + 2).
 
-    The one evaluation of the Laplace CDF, over all d x (2*q_range + 2) bin
-    edges at once; every code length and coding table reads this table.
+    The Laplace CDF is evaluated over the bin edges of as many dimensions as
+    fit _BIN_ENTRIES at a time (one dimension if its row alone is wider),
+    never once per dimension. Every operation is elementwise, so the table
+    equals the one a single pass over all d x (2*q_range + 2) edges gives.
     """
     q = model.q_range
+    width = 2 * q + 2
     lo = np.rint(model.mu).astype(np.int64) - q
-    edges = (lo[:, None] + np.arange(2 * q + 2)) - 0.5
-    cdf = _laplace_cdf(edges, model.mu[:, None], model.b[:, None])
-    p = np.empty_like(cdf)
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[:, :-1])
-    p[:, -1] = cdf[:, 0] + (1.0 - cdf[:, -1])
+    offsets = np.arange(width)
+    p = np.empty((model.dim, width))
+    step = max(1, _BIN_ENTRIES // width)
+    for start in range(0, model.dim, step):
+        rows = slice(start, start + step)
+        edges = (lo[rows, None] + offsets) - 0.5
+        cdf = _laplace_cdf(edges, model.mu[rows, None], model.b[rows, None])
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[rows, :-1])
+        p[rows, -1] = cdf[:, 0] + (1.0 - cdf[:, -1])
     return lo, p
 
 
@@ -185,7 +251,7 @@ def _row_bits(rows: np.ndarray, model: LaplacianModel) -> np.ndarray:
     table and one gather; the sum then adds them one dimension at a time, as
     np.sum's pairwise order would round differently.
     """
-    lo, p = _bin_table(model)
+    lo, p = model._bins
     with np.errstate(divide="ignore"):
         cost = -np.log2(p)
     esc = p.shape[1] - 1
@@ -251,8 +317,14 @@ def _plane_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         total += _plane_sum(a[half:], b[half:])
         return total
 
+    shape = np.broadcast_shapes(a[0].shape, b[0].shape)
+
     def plane(j):
-        p = a[j] - b[j]
+        # Copying the row side in and subtracting the column side in place
+        # runs numpy's contiguous loops; the values are exactly a[j] - b[j].
+        p = np.empty(shape)
+        np.copyto(p, a[j])
+        p -= b[j]
         return np.square(p, out=p)
 
     if n < 8:
@@ -441,33 +513,6 @@ def _validate_models(models, dim: int | None = None):
             )
 
 
-def _coding_tables(model: LaplacianModel):
-    """Per-dimension (lo, freqs, cum) lists with freqs summing to exactly 2^16.
-
-    The alphabet is the in-range symbols followed by one escape entry. All
-    dimensions are scaled, floored at 1 and repaired on their largest entry
-    together, from one bin table. A q_range so wide that the floor of 1 per
-    entry overdraws the total raises InvalidInputError naming the first such
-    dimension.
-    """
-    lo, p = _bin_table(model)
-    freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
-    dims = np.arange(model.dim)
-    top = np.argmax(freqs, axis=1)
-    freqs[dims, top] += _TOTAL - freqs.sum(axis=1)
-    overdrawn = np.flatnonzero(freqs[dims, top] < 1)
-    if overdrawn.size:
-        raise InvalidInputError(
-            f"model {model.id} dimension {overdrawn[0]}: q_range {model.q_range} leaves too "
-            "little of the 2^16 frequency total to give every symbol a frequency >= 1"
-        )
-    if freqs.min() < 1 or (freqs.sum(axis=1) != _TOTAL).any():
-        raise InvariantViolationError("frequency table repair failed")
-    cum = np.zeros((model.dim, freqs.shape[1] + 1), dtype=np.int64)
-    np.cumsum(freqs, axis=1, out=cum[:, 1:])
-    return list(zip(lo.tolist(), freqs.tolist(), cum.tolist()))
-
-
 def encode(symbols: np.ndarray, models, routing) -> Bitstream:
     """Range-code quantized rows, each under its routed model, row-major."""
     arr = np.asarray(symbols)
@@ -493,17 +538,29 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
         raise InvalidInputError(f"routing must name a model per row ({m})")
     if arr.size and not (int(arr.min()) >= -(1 << 31) and int(arr.max()) < 1 << 31):
         raise InvalidInputError("symbols must lie in [-2**31, 2**31); escapes store 32 bits")
-    tables = {model.id: _coding_tables(model) for model in models}
+    rows = arr.astype(np.int64)
+    routed = np.array(ids, dtype=np.intp)
+    dims = np.arange(d)
+    cum_lo = np.empty((m, d), dtype=np.int32)
+    freq = np.empty((m, d), dtype=np.int32)
+    escaped = np.empty((m, d), dtype=bool)
+    # Every listed model must be codable, whether or not a row routes to it.
+    for model in models:
+        freqs, cum = model._codes
+        mine = routed == model.id
+        esc = freqs.shape[1] - 1
+        idx = rows[mine] - model._bins[0]
+        outside = (idx < 0) | (idx >= esc)
+        idx[outside] = esc
+        cum_lo[mine] = cum[dims, idx]
+        freq[mine] = freqs[dims, idx]
+        escaped[mine] = outside
     enc = RangeEncoder()
-    for row, e in zip(arr.tolist(), ids):
-        for q, (lo, freqs, cum) in zip(row, tables[e]):
-            idx = q - lo
-            esc = len(freqs) - 1
-            if 0 <= idx < esc:
-                enc.encode(cum[idx], freqs[idx], _TOTAL)
-            else:
-                enc.encode(cum[esc], freqs[esc], _TOTAL)
-                enc.encode_raw(q & 0xFFFFFFFF, _RAW_BITS)
+    for q, c, f, x in zip(rows.ravel().tolist(), cum_lo.ravel().tolist(),
+                          freq.ravel().tolist(), escaped.ravel().tolist()):
+        enc.encode(c, f, _TOTAL)
+        if x:
+            enc.encode_raw(q & 0xFFFFFFFF, _RAW_BITS)
     return Bitstream(
         dim=d,
         num_models=len(models),
@@ -521,19 +578,24 @@ def decode(bs: Bitstream, models) -> np.ndarray:
         )
     if any(not 0 <= e < len(models) for e in bs.model_ids):
         raise MalformedBitstreamError("routing references an unknown model id")
-    tables = {model.id: _coding_tables(model) for model in models}
+    tables = []
+    for model in models:
+        freqs, cum = model._codes
+        rows = zip(model._bins[0].tolist(), map(memoryview, freqs), map(memoryview, cum))
+        tables.append((freqs.shape[1] - 1, list(rows)))
     dec = RangeDecoder(bs.payload)
-    out = np.empty((bs.num_clusters, bs.dim), dtype=np.int64)
-    for r, e in enumerate(bs.model_ids):
-        for j, (lo, freqs, cum) in enumerate(tables[e]):
+    out = []
+    for e in bs.model_ids:
+        esc, rows = tables[e]
+        for lo, freqs, cum in rows:
             idx = bisect.bisect_right(cum, dec.decode_freq(_TOTAL)) - 1
             dec.decode_update(cum[idx], freqs[idx])
-            if idx == len(freqs) - 1:
+            if idx == esc:
                 raw = dec.decode_raw(_RAW_BITS)
-                out[r, j] = raw - (1 << 32) if raw >= (1 << 31) else raw
+                out.append(raw - (1 << 32) if raw >= (1 << 31) else raw)
             else:
-                out[r, j] = lo + idx
-    return out
+                out.append(lo + idx)
+    return np.array(out, dtype=np.int64).reshape(bs.num_clusters, bs.dim)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ attribute is gone. This runs the benchmark as a subprocess at size tiny,
 traced for both workloads and timed for compress, reads its last line as
 strict JSON, and checks that it names every metric BENCHMARK.json declares
 for that kind of run: the per_layer ones when traced, the end_to_end ones
-when timed.
+when timed. A traced compress run also checks that the range coder was
+called once per symbol and once per raw escape bit.
 """
 
 import json
@@ -53,3 +54,9 @@ def test_last_line_is_a_strict_json_result(args):
     kind = "per_layer" if "--trace" in args else "end_to_end"
     missing = [m["name"] for m in DECLARED[kind] if m["name"] not in result["metrics"]]
     assert not missing, (kind, missing)
+    if kind == "per_layer" and "compress" in args:
+        # The coder still codes one symbol (or one raw escape bit) per call,
+        # so its call counts keep measuring the coding loops.
+        value = {name: metric["value"] for name, metric in result["metrics"].items()}
+        calls = value["tofc.symbols"] + 32 * value["tofc.escapes"]
+        assert value["rangecoder.encode.calls"] == value["rangecoder.decode.calls"] == calls

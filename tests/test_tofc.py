@@ -1,6 +1,9 @@
 """Feature compression tests: clustering oracle, entropy model, codec."""
 
+import bisect
+import copy
 import math
+import pickle
 import re
 import struct
 import tracemalloc
@@ -42,7 +45,6 @@ from aiflow.tofc import (
     _ROW_BLOCK,
     _TOTAL,
     _bin_table,
-    _coding_tables,
     _laplace_cdf,
     _row_bits,
     _sq_distances,
@@ -297,6 +299,33 @@ class TestLaplacianFit:
         with pytest.raises(InvalidInputError, match=re.escape("mu must lie in (-2**62, 2**62)")):
             LaplacianModel(mu=[0.0, mu], b=[1.0, 1.0], id=0)
 
+    def test_model_keeps_copies_of_its_parameters(self):
+        # Changing the caller's arrays afterwards cannot undo the model's checks.
+        mu, b = np.zeros(3), np.ones(3)
+        model = LaplacianModel(mu=mu, b=b, id=0)
+        symbols = np.array([[0, 1, -1]], dtype=np.int64)
+        payload = encode(symbols, [model], [0]).payload
+        b[1] = 0.0
+        mu[0] = 1e300
+        assert model.mu.tolist() == [0.0, 0.0, 0.0] and model.b.tolist() == [1.0, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = LaplacianModel(mu=np.zeros(3), b=np.ones(3), id=0)
+            assert encode(symbols, [model], [0]).payload == payload
+            assert encode(symbols, [fresh], [0]).payload == payload
+
+    def test_model_parameters_are_read_only(self):
+        model = LaplacianModel(mu=np.zeros(3), b=np.ones(3), id=0)
+        model._codes
+        copies = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+        for m in [model, *copies]:
+            for arr in (m.mu, m.b):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        for m in copies:
+            assert (m.mu.tolist(), m.b.tolist(), m.id, m.q_range) == ([0.0] * 3, [1.0] * 3, 0, 255)
+            assert "_codes" not in vars(m)  # derived again, from the copy's own parameters
+
     def test_model_coerces_its_parameters(self):
         model = LaplacianModel(mu=[0.0, 1], b=[1.0, 2.0], id=0)
         assert model.mu.dtype == model.b.dtype == np.float64
@@ -402,12 +431,18 @@ class TestOneTablePass:
             try:
                 want = oracle_coding_tables(model)
             except InvalidInputError as exc:
-                with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
-                    _coding_tables(model)
+                for _ in range(2):  # a failed build is not kept: each use raises
+                    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
+                        model._codes
             else:
-                got = _coding_tables(model)
+                freqs, cum = model._codes
+                width = 2 * model.q_range + 2
+                assert freqs.dtype == cum.dtype == np.int32
+                assert freqs.shape == (model.dim, width) and cum.shape == (model.dim, width + 1)
+                got = [(int(lo), f.tolist(), c.tolist())
+                       for lo, f, c in zip(model._bins[0], freqs, cum)]
                 assert got == want
-                assert all(type(lo) is int for lo, _, _ in got)
+                assert model._codes[0] is freqs and model._codes[1] is cum
 
     def test_too_wide_q_range_names_the_first_failing_dimension(self):
         # Dimensions 2 and 4 are too wide for the frequency total; 0, 1, 3 fit.
@@ -417,11 +452,12 @@ class TestOneTablePass:
             oracle_coding_tables(model)
         assert "dimension 2:" in str(want.value)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
-            _coding_tables(model)
+            model._codes
 
     def test_one_cdf_evaluation_per_model_table(self, monkeypatch):
-        # One pipeline (route and encode) and one decode build 3 tables per
-        # model; each is one CDF call over all dimensions, not one per dimension.
+        # A model's tables are built once, on first use, and kept: two
+        # pipelines (route and encode) and two decodes on the same models
+        # evaluate each model's CDF once, over all its dimensions.
         calls = []
 
         def counted(*args):
@@ -431,9 +467,117 @@ class TestOneTablePass:
         monkeypatch.setattr(tofc, "_laplace_cdf", counted)
         fs = make_blob_features(48, 6, 3, Rng(8))
         models = fit_laplacian_models(fs, 3)
-        bs, _ = tofc_pipeline(fs, TofcConfig(12, 3, models))
-        decode(bs, models)
-        assert len(calls) == 3 * len(models)
+        assert not calls  # nothing is built with the model
+        for m in (12, 20):
+            bs, _ = tofc_pipeline(fs, TofcConfig(m, 3, models))
+            decode(bs, models)
+        assert len(calls) == len(models)
+
+    @pytest.mark.parametrize("entries", [7, 600, 2002 * 3, tofc._BIN_ENTRIES])
+    def test_chunked_bin_table_equals_the_one_piece_table(self, monkeypatch, entries):
+        # Budgets below one row, of a few rows, and not dividing d.
+        monkeypatch.setattr(tofc, "_BIN_ENTRIES", entries)
+        rng = np.random.default_rng(15)
+        models = [random_model(rng, 70, 1000), random_model(rng, 3, 20000),
+                  random_model(rng, 33, int(rng.integers(1, 300)))]
+        for model in models:
+            lo, p = _bin_table(model)
+            want_lo, want_p = one_piece_bin_table(model)
+            assert lo.tobytes() == want_lo.tobytes()
+            assert p.tobytes() == want_p.tobytes()
+
+    def test_bin_table_peak_memory_is_the_table_plus_the_budget(self):
+        # A single pass over all d x (2*q_range + 2) edges held about six
+        # tables' worth at once (82 MB here). Beyond the table, a chunk's CDF
+        # temporaries hold about seven arrays of _BIN_ENTRIES float64s.
+        model = LaplacianModel(mu=np.zeros(32), b=np.ones(32), id=0, q_range=Q_RANGE_MAX)
+        tracemalloc.start()
+        try:
+            lo, p = _bin_table(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes + lo.nbytes + 12 * 8 * tofc._BIN_ENTRIES
+
+
+def one_piece_bin_table(model):
+    """The bin table from one CDF evaluation over every dimension's edges."""
+    q = model.q_range
+    lo = np.rint(model.mu).astype(np.int64) - q
+    edges = (lo[:, None] + np.arange(2 * q + 2)) - 0.5
+    cdf = _laplace_cdf(edges, model.mu[:, None], model.b[:, None])
+    p = np.empty_like(cdf)
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[:, :-1])
+    p[:, -1] = cdf[:, 0] + (1.0 - cdf[:, -1])
+    return lo, p
+
+
+def oracle_encode(symbols, models, routing):
+    """The payload of a per-symbol loop over each dimension's own tables."""
+    tables = [oracle_coding_tables(model) for model in models]
+    enc = RangeEncoder()
+    for row, e in zip(symbols.tolist(), routing):
+        for q, (lo, freqs, cum) in zip(row, tables[e]):
+            idx = q - lo
+            esc = len(freqs) - 1
+            if 0 <= idx < esc:
+                enc.encode(cum[idx], freqs[idx], _TOTAL)
+            else:
+                enc.encode(cum[esc], freqs[esc], _TOTAL)
+                enc.encode_raw(q & 0xFFFFFFFF, 32)
+    return enc.finish()
+
+
+def oracle_decode(payload, models, routing, dim):
+    """Symbols back from a payload, one bisect per symbol on per-dimension lists."""
+    tables = [oracle_coding_tables(model) for model in models]
+    dec = RangeDecoder(payload)
+    out = np.empty((len(routing), dim), dtype=np.int64)
+    for r, e in enumerate(routing):
+        for j, (lo, freqs, cum) in enumerate(tables[e]):
+            idx = bisect.bisect_right(cum, dec.decode_freq(_TOTAL)) - 1
+            dec.decode_update(cum[idx], freqs[idx])
+            if idx == len(freqs) - 1:
+                raw = dec.decode_raw(32)
+                out[r, j] = raw - (1 << 32) if raw >= (1 << 31) else raw
+            else:
+                out[r, j] = lo + idx
+    return out
+
+
+class TestCodingLoopOracle:
+    """encode and decode equal the per-symbol loop over per-dimension tables."""
+
+    def test_bytes_and_symbols_equal_the_per_symbol_loop(self):
+        rng = np.random.default_rng(16)
+        extremes = np.array([-(1 << 31), (1 << 31) - 1])
+        for case in range(80):
+            d = int(rng.integers(1, 13))
+            q_range = int(rng.choice([1, 2, int(rng.integers(3, 300))]))
+            models = []
+            while len(models) < int(rng.integers(1, 5)):
+                model = random_model(rng, d, q_range, len(models))
+                try:
+                    oracle_coding_tables(model)
+                except InvalidInputError:
+                    continue  # too wide to code; the table tests cover that
+                models.append(model)
+            m = 0 if case % 10 == 0 else int(rng.integers(1, 20))
+            # Routing leaves some listed models unused.
+            routing = rng.integers(0, max(1, len(models) - 1), size=m).tolist()
+            mu = np.array([models[e].mu for e in routing]).reshape(m, d)
+            b = np.array([models[e].b for e in routing]).reshape(m, d)
+            symbols = np.rint(mu + b * rng.laplace(size=(m, d)) * 2.0).astype(np.int64)
+            symbols[rng.random(size=(m, d)) < 0.05] += 3 * q_range  # escapes
+            symbols = np.clip(symbols, *extremes)
+            ends = rng.random(size=(m, d)) < 0.1
+            symbols[ends] = rng.choice(extremes, size=int(ends.sum()))
+            bs = encode(symbols, models, routing)
+            assert bs.payload == oracle_encode(symbols, models, routing)
+            got = decode(bs, models)
+            assert got.dtype == np.int64 and got.shape == (m, d)
+            assert got.tobytes() == symbols.tobytes()
+            assert oracle_decode(bs.payload, models, routing, d).tobytes() == symbols.tobytes()
 
 
 def full_row_sq_distances(f):
@@ -749,6 +893,9 @@ class TestCodec:
         bs = encode(symbols, [narrow], [0, 0])
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             decode(bs, [model])
+        # A listed model no row routes to is checked all the same.
+        with pytest.raises(InvalidInputError, match="^model 1 dimension 1: "):
+            encode(symbols, [narrow, replace(model, id=1)], [0, 0])
 
     def test_symbols_outside_int32_rejected(self):
         model = LaplacianModel(mu=np.zeros(1), b=np.ones(1), id=0, q_range=4)
