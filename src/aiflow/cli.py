@@ -21,9 +21,11 @@ completion marker: config path, resolved seed, tool version, output names,
 and start/finish timestamps. Timestamps live only in the manifest so data
 files stay reproducible.
 
-Exit codes: 0 success; 2 configuration or scenario errors (including schema
+Exit codes: 0 success, otherwise the exit_code of the error's class (see
+errors.py): 2 configuration or scenario errors (including schema
 mismatches in report); 3 I/O errors, including missing or corrupt input
-files and incomplete run directories; 4 violated internal invariants.
+files and incomplete run directories (an OSError is 3 too); 4 violated
+internal invariants.
 """
 
 from __future__ import annotations
@@ -40,19 +42,14 @@ import numpy as np
 from . import __version__
 from .config import REQUIRED, load_config, read_fields
 from .errors import (
-    BudgetTooSmallError,
+    AiflowError,
     ConfigError,
     IncompleteRunError,
     InvalidInputError,
-    InvalidRankError,
     InvalidScenarioError,
     InvariantViolationError,
     IoError,
-    MalformedBitstreamError,
-    NotPositiveDefiniteError,
-    ProtocolViolationError,
     SchemaError,
-    SingularTriangularError,
 )
 from .familial import (
     allocate_ranks,
@@ -84,17 +81,6 @@ from .tofc import (
 )
 from .toylm import LmDecoder, ToyLmConfig, build
 
-_CONFIG_ERRORS = (
-    ConfigError, InvalidScenarioError, SchemaError, InvalidInputError,
-    BudgetTooSmallError, InvalidRankError,
-)
-_IO_ERRORS = (IoError, IncompleteRunError, MalformedBitstreamError, OSError)
-_INVARIANT_ERRORS = (
-    InvariantViolationError, ProtocolViolationError, NotPositiveDefiniteError,
-    SingularTriangularError,
-)
-
-
 def format_value(value) -> str:
     """One CSV cell: reals carry 17 significant digits, exact for doubles."""
     if isinstance(value, bool):
@@ -113,12 +99,16 @@ def write_csv(path, header, rows) -> None:
 
 
 class RunDir:
-    """Output directory of one run; tracks files and writes the manifest."""
+    """Output directory of one run; tracks files and writes the manifest.
 
-    def __init__(self, out_dir, config_path, seed):
+    fmt is the --format choice: "json" mirrors each table as JSON.
+    """
+
+    def __init__(self, out_dir, config_path, seed, fmt):
         self.path = Path(out_dir)
         self.config_path = str(config_path) if config_path else None
         self.seed = seed
+        self.fmt = fmt
         self.outputs = []
         self.started = _utc_now()
 
@@ -128,9 +118,9 @@ class RunDir:
         self.outputs.append(name)
         return self.path / name
 
-    def table(self, name, header, rows, fmt):
+    def table(self, name, header, rows):
         write_csv(self.file(f"{name}.csv"), header, rows)
-        if fmt == "json":
+        if self.fmt == "json":
             payload = [dict(zip(header, row)) for row in rows]
             _write_json(self.file(f"{name}.json"), payload)
 
@@ -181,14 +171,10 @@ def tier_models(specs: dict, tiers, sizes: dict, where: str, built: dict | None 
     is built and added.
     """
     built = {} if built is None else built
-    unknown = set(specs) - set(tiers)
-    if unknown:
-        raise InvalidScenarioError(f"{where} has model specs for no tier: {sorted(unknown)}")
+    specs = read_fields(specs, dict.fromkeys(tiers, (dict, REQUIRED)), f"{where}.models")
     shared = {key: sizes[key] for key in MODEL_DEFAULTS}
     models = {}
     for tier in tiers:
-        if tier not in specs:
-            raise InvalidScenarioError(f"{where} is missing field 'models.{tier}'")
         spec = read_fields(specs[tier], _MODEL_SPEC_FIELDS, f"{where}.models.{tier}")
         try:
             cfg = ToyLmConfig(num_layers=spec["layers"], seed=spec["seed"], **shared)
@@ -238,7 +224,7 @@ _TOFC_FIELDS = {
 }
 
 
-def cmd_decompose(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_decompose(fields: dict, seed: int, run: RunDir) -> None:
     """Low-rank sweep or budgeted allocation over seeded dense layers.
 
     Writes decompose.csv with layer, h, predicted_loss, measured_loss,
@@ -298,12 +284,7 @@ def cmd_decompose(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
                 f"{measured!r} beyond 1e-8 relative"
             )
         rows.append((i, h, predicted, measured, parameter_ratio(m, n, h)))
-    run.table(
-        "decompose",
-        ["layer", "h", "predicted_loss", "measured_loss", "param_ratio"],
-        rows,
-        fmt,
-    )
+    run.table("decompose", ["layer", "h", "predicted_loss", "measured_loss", "param_ratio"], rows)
 
 
 def _tv_distance(tokens_a, tokens_b, vocab) -> float:
@@ -315,7 +296,7 @@ def _tv_distance(tokens_a, tokens_b, vocab) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def cmd_specdec(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_specdec(fields: dict, seed: int, run: RunDir) -> None:
     """Sweep draft-verify configurations; writes specdec.csv and summary.json.
 
     tv_distance_to_target compares the emitted token histogram against a
@@ -359,13 +340,8 @@ def cmd_specdec(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
                 "tv_distance_to_target": tv,
             }
         )
-    run.table(
-        "specdec",
-        ["mode", "tiers", "gamma", "acceptance_rate", "sim_tokens_per_s",
-         "tv_distance_to_target"],
-        rows,
-        fmt,
-    )
+    run.table("specdec", ["mode", "tiers", "gamma", "acceptance_rate", "sim_tokens_per_s",
+                          "tv_distance_to_target"], rows)
     _write_json(run.file("summary.json"), summary)
 
 
@@ -379,7 +355,7 @@ def _load_feature_file(path: str):
         raise IoError(f"feature file {path} is unreadable: {exc}") from exc
 
 
-def cmd_tofc(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_tofc(fields: dict, seed: int, run: RunDir) -> None:
     """Compression sweep over cluster counts; writes tofc.csv."""
     features = _load_feature_file(fields["features"])
     if not fields["num_centers_sweep"]:
@@ -401,13 +377,8 @@ def cmd_tofc(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
                 metrics.server_compute_s, metrics.simulated_wall_s,
             )
         )
-    run.table(
-        "tofc",
-        ["M", "est_bits", "payload_bytes", "balance", "device_s", "transmit_s",
-         "server_s", "wall_s"],
-        rows,
-        fmt,
-    )
+    run.table("tofc", ["M", "est_bits", "payload_bytes", "balance", "device_s", "transmit_s",
+                       "server_s", "wall_s"], rows)
 
 
 _SCENARIO_FIELDS = {
@@ -470,31 +441,45 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
     return run_device_server_collab(topology, seed=seed, **params)
 
 
-def cmd_simulate(fields: dict, seed: int, run: RunDir, fmt: str) -> None:
+def cmd_simulate(fields: dict, seed: int, run: RunDir) -> None:
     """One scenario on a described topology; writes trace.jsonl and metrics."""
     trace, metrics = run_scenario(fields["topology"], fields["scenario"], seed)
     with open(run.file("trace.jsonl"), "wb") as fh:
         fh.write(serialize_trace(trace))
     metric_dict = metrics.as_dict()
     header = list(metric_dict)
-    run.table("metrics", header, [tuple(metric_dict[k] for k in header)], fmt)
+    run.table("metrics", header, [tuple(metric_dict[k] for k in header)])
 
 
-def _read_manifest(run_dir: Path) -> dict:
+def _plain_name(name) -> bool:
+    """Whether name is a file name inside its directory, not a path out of it."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0")
+
+
+def _read_outputs(run_dir: Path) -> list:
+    """The output names that run_dir's manifest lists, each a plain file name."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise IncompleteRunError(f"{run_dir} has no manifest.json; run incomplete")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise IncompleteRunError(f"unreadable manifest in {run_dir}: {exc}") from exc
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, list) or not all(map(_plain_name, outputs)):
+        raise IncompleteRunError(
+            f"unreadable manifest in {run_dir}: it must be an object whose 'outputs' "
+            "is a list of file names"
+        )
+    return outputs
 
 
 def _read_csv_rows(path: Path):
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, "r", newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: a non-ASCII byte
+        raise IoError(f"cannot read table {path}: {exc}") from exc
     if not rows:
         raise SchemaError(f"{path} is empty")
     return rows[0], rows[1:]
@@ -519,20 +504,21 @@ def _xy_series(header, rows):
     return out
 
 
-def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
+def cmd_report(run_dirs, run: RunDir) -> None:
     """Merge finished run directories into consolidated tables.
 
     A run's id is the basename of its resolved directory, so `.` and `a/..`
     name the directories they stand for; two runs with one id, or a path
     that resolves to the filesystem root, are a config error naming the
-    paths. A single run's tables pass through unchanged. Multiple runs with
-    equal headers are row-concatenated under a leading run_id column;
-    differing headers are a schema error naming both column sets.
+    paths. Only the CSVs a run's manifest lists are read, and every run is
+    read before anything is written. A single run's tables pass through
+    unchanged. Multiple runs with equal headers are row-concatenated under
+    a leading run_id column; differing headers are a schema error naming
+    both column sets.
     """
     if not run_dirs:
         raise ConfigError("report needs at least one run directory")
-    tables = {}
-    order = []
+    tables = {}  # name -> (header, {run_id: rows}), in first-seen order
     run_paths = {}
     for run_dir in run_dirs:
         rd = Path(run_dir)
@@ -544,39 +530,28 @@ def cmd_report(run_dirs, run: RunDir, fmt: str) -> None:
                 f"runs {run_paths[run_id]} and {run_dir} share the run id {run_id!r}"
             )
         run_paths[run_id] = run_dir
-        manifest = _read_manifest(rd)
-        for name in manifest.get("outputs", []):
+        for name in _read_outputs(rd):
             if not name.endswith(".csv"):
                 continue
             header, rows = _read_csv_rows(rd / name)
-            tables.setdefault(name, [])
-            if name not in order:
-                order.append(name)
-            tables[name].append((run_id, header, rows))
-    consolidated = []
-    for name in order:
-        versions = tables[name]
-        base_header = versions[0][1]
-        for run_id, header, _ in versions[1:]:
-            if header != base_header:
+            base, by_run = tables.setdefault(name, (header, {}))
+            if header != base:
                 raise SchemaError(
-                    f"{name}: columns {header} from run {run_id} do not match "
-                    f"{base_header}"
+                    f"{name}: columns {header} from run {run_id} do not match {base}"
                 )
-        stem = name[: -len(".csv")]
-        if len(versions) == 1:
-            merged_header = base_header
-            merged_rows = versions[0][2]
+            by_run[run_id] = rows
+    consolidated = []
+    for name, (header, by_run) in tables.items():
+        rows = [row for run_rows in by_run.values() for row in run_rows]
+        if len(by_run) == 1:
+            write_csv(run.file(name), header, rows)
         else:
-            merged_header = ["run_id"] + base_header
-            merged_rows = [
-                [run_id] + row for run_id, _, rows in versions for row in rows
-            ]
-        write_csv(run.file(name), merged_header, merged_rows)
-        series = _xy_series(base_header, [r for _, _, rows in versions for r in rows])
+            write_csv(run.file(name), ["run_id"] + header,
+                      ([run_id] + row for run_id, run_rows in by_run.items() for row in run_rows))
+        series = _xy_series(header, rows)
         if series:
-            run.table(f"{stem}_xy", ["series", "x", "y"], series, fmt)
-        consolidated.append({"table": name, "rows": sum(len(v[2]) for v in versions)})
+            run.table(f"{name[:-len('.csv')]}_xy", ["series", "x", "y"], series)
+        consolidated.append({"table": name, "rows": len(rows)})
     _write_json(
         run.file("report.json"),
         {"runs": list(run_paths), "tables": consolidated},
@@ -590,16 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_COMMANDS, "report"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "report":
+            p.add_argument("runs", nargs="+")
+        else:
+            p.add_argument("--config", required=True)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p = sub.add_parser("report")
-    p.add_argument("runs", nargs="+")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -623,8 +597,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "report":
-            run = RunDir(args.out, None, 0)
-            cmd_report(args.runs, run, args.format)
+            run = RunDir(args.out, None, 0, args.format)
+            cmd_report(args.runs, run)
             run.finish()
             return 0
         fields = read_fields(
@@ -634,13 +608,13 @@ def main(argv=None) -> int:
             doc = fields["topology"]
             fields["topology"] = default_topology() if doc is None else topology_from_dict(doc)
         seed = fields["seed"] if args.seed is None else args.seed
-        run = RunDir(args.out, args.config, seed)
-        _COMMANDS[args.command](fields, seed, run, args.format)
+        run = RunDir(args.out, args.config, seed, args.format)
+        _COMMANDS[args.command](fields, seed, run)
         run.finish()
         return 0
-    except _CONFIG_ERRORS + _IO_ERRORS + _INVARIANT_ERRORS as exc:
+    except (AiflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _CONFIG_ERRORS) else 3 if isinstance(exc, _IO_ERRORS) else 4
+        return exc.exit_code if isinstance(exc, AiflowError) else 3
 
 
 if __name__ == "__main__":

@@ -16,15 +16,15 @@ _KIND_NAMES = {int: "int", float: "number", str: "string", dict: "object", list:
 
 
 def load_config(path) -> dict:
-    """The JSON object in the file at path."""
+    """The JSON object in the UTF-8 file at path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # a byte outside UTF-8 or an int past str's digit limit is a ValueError
+        doc = json.loads(str(data, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the library.
 
 Every error raised on a documented failure path derives from AiflowError so
-callers (and the CLI exit-code mapping) can distinguish domain failures from
-genuine bugs.
+callers can distinguish domain failures from genuine bugs. Each class
+carries the CLI's exit code for it, inherited from one of three bases:
+AiflowError itself is 2 (configuration, scenario and input errors),
+IoError is 3 (unreadable or corrupt files, incomplete run directories) and
+InvariantViolationError is 4 (a contract or cross-check broken inside the
+library).
 """
 
 from __future__ import annotations
@@ -11,12 +15,26 @@ from __future__ import annotations
 class AiflowError(Exception):
     """Base class for all library-level failures."""
 
+    exit_code = 2
+
+
+class IoError(AiflowError):
+    """File could not be read or written."""
+
+    exit_code = 3
+
+
+class InvariantViolationError(AiflowError):
+    """An internal cross-check failed; indicates a defect, surfaced deliberately."""
+
+    exit_code = 4
+
 
 class InvalidInputError(AiflowError):
     """An argument violates a documented precondition (shape, range, finiteness)."""
 
 
-class NotPositiveDefiniteError(AiflowError):
+class NotPositiveDefiniteError(InvariantViolationError):
     """Cholesky pivot fell at or below the ridge threshold.
 
     Carries the failing pivot index so callers can report which leading
@@ -31,7 +49,7 @@ class NotPositiveDefiniteError(AiflowError):
         )
 
 
-class SingularTriangularError(AiflowError):
+class SingularTriangularError(InvariantViolationError):
     """A triangular solve hit a zero or near-zero diagonal entry."""
 
     def __init__(self, index: int, value: float):
@@ -52,11 +70,11 @@ class BudgetTooSmallError(AiflowError):
     """Parameter budget cannot cover rank 1 for every layer."""
 
 
-class ProtocolViolationError(AiflowError):
+class ProtocolViolationError(InvariantViolationError):
     """Speculative-decoding contract broken (e.g. drafted token with zero draft probability)."""
 
 
-class MalformedBitstreamError(AiflowError):
+class MalformedBitstreamError(IoError):
     """Compressed payload failed magic/version/checksum validation."""
 
 
@@ -68,17 +86,9 @@ class ConfigError(AiflowError):
     """CLI configuration file is missing, unparseable, or lacks a required field."""
 
 
-class IoError(AiflowError):
-    """File could not be read or written."""
-
-
-class IncompleteRunError(AiflowError):
+class IncompleteRunError(IoError):
     """A run directory is missing its manifest (the run never completed)."""
 
 
 class SchemaError(AiflowError):
     """CSV inputs to report merging disagree on their column schema."""
-
-
-class InvariantViolationError(AiflowError):
-    """An internal cross-check failed; indicates a defect, surfaced deliberately."""

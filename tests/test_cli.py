@@ -11,11 +11,21 @@ import pytest
 from aiflow import cli, specdec
 from aiflow.cli import main
 from aiflow.errors import (
+    AiflowError,
+    BudgetTooSmallError,
     ConfigError,
+    IncompleteRunError,
+    InvalidInputError,
+    InvalidRankError,
+    InvalidScenarioError,
     InvalidTokenError,
     InvariantViolationError,
     IoError,
+    MalformedBitstreamError,
+    NotPositiveDefiniteError,
     ProtocolViolationError,
+    SchemaError,
+    SingularTriangularError,
 )
 from aiflow.familial import allocate_ranks, whiten
 from aiflow.numerics import Rng, svd_reduced
@@ -300,7 +310,7 @@ class TestSpecdec:
         del entry["models"]["edge"]
         cfg = specdec_config(tmp_path, [entry])
         assert main(["specdec", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        assert "models.edge" in capsys.readouterr().err
+        assert "error: configs[0].models is missing field 'edge'" in capsys.readouterr().err
 
     def test_each_entry_decoded_once(self, tmp_path, monkeypatch):
         calls = []
@@ -548,18 +558,38 @@ class TestSimulate:
         assert not (out / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("error, code", [
-    (ConfigError, 2), (InvalidTokenError, 2), (IoError, 3), (OSError, 3),
-    (InvariantViolationError, 4), (ProtocolViolationError, 4),
-])
+# The CLI exit code of every error class the library defines.
+EXIT_CODES = {
+    AiflowError: 2, ConfigError: 2, InvalidInputError: 2, InvalidTokenError: 2,
+    InvalidRankError: 2, BudgetTooSmallError: 2, SchemaError: 2, InvalidScenarioError: 2,
+    IoError: 3, IncompleteRunError: 3, MalformedBitstreamError: 3,
+    InvariantViolationError: 4, ProtocolViolationError: 4, NotPositiveDefiniteError: 4,
+    SingularTriangularError: 4,
+}
+_ERROR_ARGS = {NotPositiveDefiniteError: (1, -0.5), SingularTriangularError: (1, 0.0)}
+
+
+@pytest.mark.parametrize("error, code", [*EXIT_CODES.items(), (OSError, 3)],
+                         ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_error_class_sets_exit_code(tmp_path, capsys, monkeypatch, error, code):
-    def failing(cfg, seed, run, fmt):
-        raise error("broken")
+    args = _ERROR_ARGS.get(error, ("broken",))
+
+    def failing(cfg, seed, run):
+        raise error(*args)
 
     monkeypatch.setitem(cli._COMMANDS, "decompose", failing)
     cfg = decompose_config(tmp_path)
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == code
-    assert capsys.readouterr().err == "error: broken\n"
+    assert capsys.readouterr().err == f"error: {error(*args)}\n"
+
+
+def test_every_error_class_has_a_listed_exit_code():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert set(subclasses(AiflowError)) - set(EXIT_CODES) == set()
 
 
 # A size numpy cannot index is a configuration error, not numpy's ValueError.
@@ -603,17 +633,56 @@ class TestReport:
         ).read_bytes()
 
     def test_schema_mismatch_names_columns(self, tmp_path, capsys):
+        # a.csv agrees across the runs and is seen first; b.csv does not agree.
         run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
         for run_dir, header in ((run_a, "x,y"), (run_b, "x,z")):
             run_dir.mkdir()
-            (run_dir / "data.csv").write_text(f"{header}\n1,2\n")
+            (run_dir / "a.csv").write_text("x,y\n1,2\n")
+            (run_dir / "b.csv").write_text(f"{header}\n1,2\n")
             (run_dir / "manifest.json").write_text(
-                json.dumps({"outputs": ["data.csv"], "seed": 0})
+                json.dumps({"outputs": ["a.csv", "b.csv"], "seed": 0})
             )
-        assert main(["report", str(run_a), str(run_b),
-                     "--out", str(tmp_path / "m")]) == 2
-        err = capsys.readouterr().err
-        assert "z" in err and "y" in err
+        merged = tmp_path / "m"
+        assert main(["report", str(run_a), str(run_b), "--out", str(merged)]) == 2
+        assert capsys.readouterr().err == (
+            "error: b.csv: columns ['x', 'z'] from run run_b do not match ['x', 'y']\n"
+        )
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("manifest", [
+        b"[]",
+        b'{"outputs": [3]}',
+        b'{"outputs": ["t.csv"], "config": "\xff"}',
+        b'{"outputs": "t.csv"}',
+        b'{"outputs": ["../x.csv"]}',
+        b'{"seed": 0}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["list", "non-string-name", "not-utf8", "string-outputs", "path-out", "no-outputs",
+            "nested-too-deep"])
+    def test_malformed_manifest_is_unreadable(self, tmp_path, capsys, manifest):
+        run_a = tmp_path / "run_a"
+        run_a.mkdir()
+        for table in (run_a / "t.csv", tmp_path / "x.csv"):
+            table.write_text("x,y\n1,2\n")
+        (run_a / "manifest.json").write_bytes(manifest)
+        out = tmp_path / "out"
+        assert main(["report", str(run_a), "--out", str(out / "merged")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: unreadable manifest in {run_a}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        b"x,y\n1,\xe9\n",
+        b"x,y\n1," + b"9" * 200_000 + b"\n",
+    ], ids=["non-ascii", "huge-field"])
+    def test_unreadable_table_is_io_error_naming_it(self, tmp_path, capsys, body):
+        run_a = tmp_path / "run_a"
+        run_a.mkdir()
+        (run_a / "t.csv").write_bytes(body)
+        (run_a / "manifest.json").write_text(json.dumps({"outputs": ["t.csv"]}))
+        merged = tmp_path / "merged"
+        assert main(["report", str(run_a), "--out", str(merged)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read table {run_a / 't.csv'}: ")
+        assert not merged.exists()
 
     @pytest.mark.parametrize("second", ["b/run", "a/run"], ids=["same-basename", "same-dir"])
     def test_duplicate_run_ids_rejected_before_output(self, tmp_path, capsys, second):
@@ -690,6 +759,19 @@ class TestHarness:
         )
         assert done.returncode == 2
         assert done.stderr.splitlines() == ["error: config has unknown fields: ['sed']"]
+
+    @pytest.mark.parametrize("text", [
+        b'{"num_calib": \xff}',
+        b'{"num_calib": 1' + b"0" * 5000 + b"}",
+        b'{"num_calib": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["not-utf8", "int-past-digit-limit", "nested-too-deep"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        out = tmp_path / "r"
+        assert main(["decompose", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: ")
+        assert not out.exists()
 
     def test_malformed_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
