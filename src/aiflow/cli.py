@@ -514,7 +514,8 @@ def cmd_report(run_dirs, run: RunDir) -> None:
     read before anything is written. A single run's tables pass through
     unchanged. Multiple runs with equal headers are row-concatenated under
     a leading run_id column; differing headers are a schema error naming
-    both column sets.
+    both column sets. Each table's <t>_xy series is written afresh; a run's
+    own <t>_xy.csv beside <t>.csv, an earlier report's, is not read.
     """
     if not run_dirs:
         raise ConfigError("report needs at least one run directory")
@@ -530,8 +531,11 @@ def cmd_report(run_dirs, run: RunDir) -> None:
                 f"runs {run_paths[run_id]} and {run_dir} share the run id {run_id!r}"
             )
         run_paths[run_id] = run_dir
-        for name in _read_outputs(rd):
-            if not name.endswith(".csv"):
+        tables_listed = [name for name in _read_outputs(rd) if name.endswith(".csv")]
+        # A <t>_xy.csv beside <t>.csv is an earlier report's series of <t>.
+        derived = {f"{name[:-len('.csv')]}_xy.csv" for name in tables_listed}
+        for name in tables_listed:
+            if name in derived:
                 continue
             header, rows = _read_csv_rows(rd / name)
             base, by_run = tables.setdefault(name, (header, {}))

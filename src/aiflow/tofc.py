@@ -16,6 +16,10 @@ Conventions that affect bitstreams, all fixed on purpose:
   - frequency tables scale the model pmf to a total of 2^16 with every entry
     at least 1, repairing the rounding remainder on the largest entry.
 
+Clustering holds each pairwise squared distance once, in upper row blocks
+(about 4*N^2 bytes), and fills them through one fixed-size tile of squared
+differences, so its scratch does not grow with d; see dpc_knn_cluster.
+
 A model builds its tables once, on first use, and keeps them: its bin table
 (routing prices rows from it) and int32 coding tables (encode gathers each
 symbol's interval from them with numpy, decode bisects their rows). The
@@ -49,11 +53,14 @@ _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
 _ROW_BLOCK = 64
+# Squared differences dpc_knn_cluster holds at a time (at least 128, one
+# column of _plane_sum's widest run): its scratch stays this, whatever d and N are.
+_TILE = 1 << 16
 # Bin-table entries _bin_table fills per step (at least one dimension's row):
 # its temporaries stay a few times this, whatever d and q_range are.
 _BIN_ENTRIES = 1 << 16
-# Bytes dpc_knn_cluster may spend on its N x N float64 distance matrix:
-# 2^30 admits N <= 11,585.
+# Bytes dpc_knn_cluster may spend on distances, counted as an N x N float64
+# matrix (it holds about half of that): 2^30 admits N <= 11,585.
 _DISTANCE_BYTES = 1 << 30
 # The widest alphabet, 2*q_range + 2 entries, that fits the 2^16 frequency total.
 Q_RANGE_MAX = (_TOTAL - 2) // 2
@@ -247,17 +254,17 @@ def _row_bits(rows: np.ndarray, model: LaplacianModel) -> np.ndarray:
     """Ideal code length of each row, summed over dimensions in order.
 
     A symbol costs -log2 of its bin mass; an escaped one -log2 of the escape
-    mass plus its 32 raw bits. The costs of all dimensions come from one
-    table and one gather; the sum then adds them one dimension at a time, as
-    np.sum's pairwise order would round differently.
+    mass plus its 32 raw bits. Each row's masses are gathered from the bin
+    table first, so -log2 runs over M x d values, never the whole table; the
+    sum then adds them one dimension at a time, as np.sum's pairwise order
+    would round differently.
     """
     lo, p = model._bins
-    with np.errstate(divide="ignore"):
-        cost = -np.log2(p)
     esc = p.shape[1] - 1
-    cost[:, esc] += _RAW_BITS
     inside = (rows >= lo) & (rows < lo + esc)
-    picked = cost[np.arange(model.dim), np.where(inside, rows - lo, esc)]
+    with np.errstate(divide="ignore"):
+        picked = -np.log2(p[np.arange(model.dim), np.where(inside, rows - lo, esc)])
+    picked[~inside] += _RAW_BITS
     bits = np.zeros(rows.shape[0])
     for j in range(model.dim):
         bits += picked[:, j]
@@ -300,69 +307,88 @@ def balance_metric(selection_counts) -> float:
     return float(np.sum((f - 1.0 / counts.size) ** 2))
 
 
-def _plane_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sum over j of the planes (a[j] - b[j])**2, added in np.sum's order.
+def _plane_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) -> None:
+    """out = the sum over j of (a[j] - b[j])**2, added in np.sum's order.
 
-    This is the order of numpy's contiguous add.reduce, so the result equals
-    np.sum over a trailing axis of len(a) squares bit for bit: fewer than 8
-    terms left to right; up to 128 terms as 8 running sums over j = k,
-    k + 8, ..., combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
-    left to right; more terms split at n/2 rounded down to a multiple of 8,
-    and each half summed alike.
+    a is (n, r, 1) and b (n, 1, c); the n squared difference planes go into
+    the scratch buffer tile, which must hold min(n, 128) * r * c floats.
+    This is the order of numpy's contiguous add.reduce, so out equals np.sum
+    over a trailing axis of n squares bit for bit: fewer than 8 terms left
+    to right; up to 128 terms as 8 running sums over j = k, k + 8, ...,
+    combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
+    right; more terms split at n/2 rounded down to a multiple of 8, and each
+    half summed alike.
     """
     n = len(a)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        total = _plane_sum(a[:half], b[:half])
-        total += _plane_sum(a[half:], b[half:])
-        return total
-
-    shape = np.broadcast_shapes(a[0].shape, b[0].shape)
-
-    def plane(j):
-        # Copying the row side in and subtracting the column side in place
-        # runs numpy's contiguous loops; the values are exactly a[j] - b[j].
-        p = np.empty(shape)
-        np.copyto(p, a[j])
-        p -= b[j]
-        return np.square(p, out=p)
-
+        _plane_sum(a[:half], b[:half], out, tile)
+        rest = np.empty(out.shape)
+        _plane_sum(a[half:], b[half:], rest, tile)
+        out += rest
+        return
+    p = tile[: n * out.size].reshape(n, *out.shape)
+    # Copying the row side in and subtracting the column side in place runs
+    # numpy's contiguous loops; the values are exactly a[j] - b[j].
+    np.copyto(p, a)
+    p -= b
+    np.square(p, out=p)
     if n < 8:
-        total = plane(0)
-        rest = range(1, n)
+        tail = 1
+        np.copyto(out, p[0])
     else:
-        r = [plane(j) for j in range(8)]
         tail = n - n % 8
-        for j in range(8, tail):
-            r[j % 8] += plane(j)
-        for step in (1, 2, 4):
-            for i in range(0, 8, 2 * step):
-                r[i] += r[i + step]
-        total = r[0]
-        rest = range(tail, n)
-    for j in rest:
-        total += plane(j)
-    return total
+        r = p[:8]
+        for j in range(8, tail, 8):
+            r += p[j : j + 8]
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        np.add(r[0], r[4], out=out)
+    for j in range(tail, n):
+        out += p[j]
 
 
 def _sq_distances(feats: np.ndarray, k: int, blocks: list[slice]):
-    """(d2, knn): the N x N squared distances, and each row's k + 1 smallest, sorted.
+    """(upper, knn): the upper row blocks of the squared distances, and each
+    row's k + 1 smallest squared distances, sorted.
 
-    Column 0 of knn is a zero distance (the point itself or a duplicate).
-    An overflowing square or sum is left as inf, for the caller to reject.
+    upper[b] is d2[blk, blk.start:] for blocks[b] = blk, the block's columns
+    from its first row on; the rest of its rows sits transposed in the
+    blocks above it. Column 0 of knn is a zero distance (the point itself or
+    a duplicate). An overflowing square or sum is left as inf, for the
+    caller to reject.
     """
-    n = feats.shape[0]
+    n, d = feats.shape
     cols = np.ascontiguousarray(feats.T)
-    d2 = np.empty((n, n))
+    # A tile spans as many of a block's columns as _TILE holds at _plane_sum's
+    # widest run of 128 dimensions, and as many rows as fit beside them.
+    run = min(d, 128)
+    tile = np.empty(_TILE)
+    rows = np.empty((_ROW_BLOCK, n))
+    upper = []
     knn = np.empty((n, k + 1))
     with np.errstate(over="ignore"):
         for blk in blocks:
-            # Columns left of the block were mirrored in by the blocks before it.
-            d2[blk, blk.start :] = _plane_sum(cols[:, blk, None], cols[:, None, blk.start :])
-            d2[blk.stop :, blk] = d2[blk, blk.stop :].T
-            knn[blk] = np.partition(d2[blk], k, axis=1)[:, : k + 1]
+            s = blk.start
+            full = rows[: min(blk.stop, n) - s]
+            block = np.empty((len(full), n - s))
+            width = min(n - s, _TILE // run)
+            height = _TILE // (run * width)
+            for r in range(0, len(full), height):
+                for c in range(0, n - s, width):
+                    _plane_sum(cols[:, s + r : s + min(r + height, len(full)), None],
+                               cols[:, None, s + c : s + c + width],
+                               block[r : r + height, c : c + width], tile)
+            # The block's full rows: the columns left of it are columns of
+            # the blocks above, transposed.
+            for above, done in zip(blocks, upper):
+                full[:, above] = done[:, s - above.start : s - above.start + len(full)].T
+            full[:, s:] = block
+            full.partition(k, axis=1)
+            knn[blk] = full[:, : k + 1]
+            upper.append(block)
     knn.sort(axis=1)
-    return d2, knn
+    return upper, knn
 
 
 def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> ClusterResult:
@@ -374,20 +400,25 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     the top num_centers by rho*delta, every point joins its nearest center,
     and a center whose cluster ends up empty keeps its own feature row.
 
-    Memory grows as N^2 floats plus a fixed number of _ROW_BLOCK x N planes,
-    whatever d is: one N x N distance matrix, filled _ROW_BLOCK rows at a
-    time, one dimension's plane of squared differences at a time, never a
-    block of d differences per pair. The planes are added in the order
-    np.sum(..., axis=-1) adds each pair's d squares (numpy's pairwise
-    add.reduce, see _plane_sum), so every distance equals the full row sum
-    bit for bit. Each pair is computed once: a row block is differenced only
-    against the columns from its first row on, and the part right of the
-    block is mirrored below it. In round-to-nearest a - b is exactly
-    -(b - a), so the mirrored squared sums equal the ones a full row would
-    compute.
+    Memory grows as N(N + _ROW_BLOCK)/2 floats plus one _ROW_BLOCK x N
+    buffer and one tile of _TILE floats, whatever d and num_centers are. Each pair's squared
+    distance is computed and held once: a block of _ROW_BLOCK rows keeps
+    only its columns from its first row on (upper row blocks, see
+    _sq_distances), filled one tile of rows x columns x dimensions at a
+    time. Each pair's d squares are added in the order np.sum(..., axis=-1)
+    adds them (numpy's pairwise add.reduce, see _plane_sum), so every
+    distance equals the full row sum bit for bit. In round-to-nearest a - b
+    is exactly -(b - a), so a block's column read as a row equals the one a
+    full row would compute. knn reads each block's full rows, assembled in
+    the _ROW_BLOCK x N buffer; delta reads the blocks in place, each block
+    row-wise for its own rows and column-wise for the rows past it; the
+    assignment gathers one block's rows at a time of distances to the
+    centers. Square roots are taken of minima and gathered values only:
+    sqrt is monotone and correctly rounded, so the root of a minimum is the
+    minimum of the roots.
 
     More points than an N x N matrix of _DISTANCE_BYTES holds (N > 11,585)
-    are rejected with InvalidInputError before anything N x N is allocated.
+    are rejected with InvalidInputError before any distance block is allocated.
 
     Features so far apart that a squared distance overflows float64 are
     rejected with InvalidInputError: the features are finite, so an
@@ -417,9 +448,8 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
             f"clustering holds at most {_DISTANCE_BYTES}"
         )
     blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
-    d2, knn = _sq_distances(feats, k_neighbors, blocks)
-    dist = np.sqrt(d2, out=d2)
-    max_pair = float(dist.max())
+    upper, knn = _sq_distances(feats, k_neighbors, blocks)
+    max_pair = float(np.sqrt(max(block.max() for block in upper)))
     if not np.isfinite(max_pair):
         raise InvalidInputError(
             "features are too far apart: a squared pairwise distance overflows float64"
@@ -428,20 +458,42 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     # Its sum may overflow to inf, which is rho 0, as far as float64 can say.
     with np.errstate(over="ignore"):
         rho = np.exp(-np.mean(knn[:, 1:], axis=1))
-    delta = np.empty(n)
-    for blk in blocks:
-        denser = rho[None, :] > rho[blk, None]
-        delta[blk] = np.where(denser, dist[blk], np.inf).min(axis=1)
+    nearest_denser = np.full(n, np.inf)
+    for blk, block in zip(blocks, upper):
+        s, past = blk.start, blk.start + block.shape[0]
+        mine, later = nearest_denser[blk], nearest_denser[past:]
+        denser = np.where(rho[None, s:] > rho[blk, None], block, np.inf)
+        np.minimum(mine, denser.min(axis=1), out=mine)
+        denser = np.where(rho[blk, None] > rho[None, past:], block[:, past - s :], np.inf)
+        np.minimum(later, denser.min(axis=0), out=later)
+    delta = np.sqrt(nearest_denser)
     # Points with no strictly denser point, the densest included.
     delta[rho == rho.max()] = max_pair
     gamma = rho * delta
     order = np.argsort(-gamma, kind="stable")
     centers = [int(i) for i in order[:num_centers]]
-    assignment = np.argmin(dist[:, centers], axis=1).astype(np.int64)
+    at = np.array(centers)
+    # Positions in centers of the centers among each block's rows.
+    owned = [np.flatnonzero((at >= blk.start) & (at < blk.stop)) for blk in blocks]
+    assignment = np.empty(n, dtype=np.int64)
+    near = np.empty((_ROW_BLOCK, num_centers))
+    for b, (blk, block) in enumerate(zip(blocks, upper)):
+        s = blk.start
+        mine = near[: block.shape[0]]
+        # Centers above the block: its rows are columns of the centers' blocks.
+        for above, done, pos in zip(blocks[:b], upper, owned):
+            mine[:, pos] = done[at[pos] - above.start, s - above.start : s - above.start + len(mine)].T
+        right = at >= s
+        mine[:, right] = block[:, at[right] - s]
+        # Two squared distances can round to one distance: compare the roots.
+        assignment[blk] = np.argmin(np.sqrt(mine, out=mine), axis=1)
     merged = np.empty((num_centers, feats.shape[1]))
-    for c in range(num_centers):
-        member_rows = feats[assignment == c]
-        merged[c] = member_rows.mean(axis=0) if member_rows.shape[0] else feats[centers[c]]
+    # A stable sort keeps each cluster's rows in index order, contiguous, as
+    # a boolean mask would gather them, so each mean adds alike.
+    members = feats[np.argsort(assignment, kind="stable")]
+    bounds = np.cumsum(np.bincount(assignment, minlength=num_centers)).tolist()
+    for c, (start, stop) in enumerate(zip([0] + bounds, bounds)):
+        merged[c] = members[start:stop].mean(axis=0) if stop > start else feats[centers[c]]
     return ClusterResult(
         center_indices=centers,
         assignment=assignment,

@@ -632,6 +632,18 @@ class TestReport:
             run_a / "decompose.csv"
         ).read_bytes()
 
+    def test_report_of_a_report_writes_each_table_once(self, tmp_path):
+        cfg = decompose_config(tmp_path)
+        run_a, merged, again = tmp_path / "a", tmp_path / "m", tmp_path / "mm"
+        assert main(["decompose", "--config", cfg, "--out", str(run_a)]) == 0
+        assert main(["report", str(run_a), "--out", str(merged)]) == 0
+        assert main(["report", str(merged), "--out", str(again)]) == 0
+        outputs = json.loads((again / "manifest.json").read_text())["outputs"]
+        assert outputs == json.loads((merged / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == len(set(outputs)) and "decompose_xy_xy.csv" not in outputs
+        for name in ("decompose.csv", "decompose_xy.csv"):
+            assert (again / name).read_bytes() == (merged / name).read_bytes()
+
     def test_schema_mismatch_names_columns(self, tmp_path, capsys):
         # a.csv agrees across the runs and is seen first; b.csv does not agree.
         run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"

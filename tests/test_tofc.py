@@ -43,6 +43,7 @@ from aiflow.tofc import (
     tofc_pipeline,
     _DISTANCE_BYTES,
     _ROW_BLOCK,
+    _TILE,
     _TOTAL,
     _bin_table,
     _laplace_cdf,
@@ -208,10 +209,25 @@ class TestDpcKnn:
             tracemalloc.stop()
         assert peak < n * n * d * 8 / 4
 
+    @pytest.mark.parametrize("m", [128, 1024])
+    def test_peak_memory_is_the_upper_half_of_the_distances(self, m):
+        # The N x N float64 matrix alone would be 8 MiB at N 1024, and so
+        # would an N x M table of distances to the centers at M = N; the
+        # upper row blocks are 4.25 MiB, and the scratch stays a few planes.
+        n, d = 1024, 16
+        fs = make_blob_features(n, d, 8, Rng(6))
+        tracemalloc.start()
+        try:
+            dpc_knn_cluster(fs, 4, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_rejects_more_points_than_the_distance_budget_holds(self):
-        # One point past the largest N whose N x N float64 matrix fits: the
-        # check runs before that matrix, so the traced peak stays at the
-        # N floats of the features.
+        # One point past the largest N whose N x N float64 matrix fits the
+        # budget: the check runs before any distance block, so the traced
+        # peak stays at the N floats of the features.
         n = 11_586
         assert 8 * (n - 1) ** 2 <= _DISTANCE_BYTES < 8 * n * n
         fs = FeatureSet(features=np.arange(float(n))[:, None])
@@ -592,7 +608,16 @@ class TestSymmetricDistances:
     def assert_equal_to_full_rows(self, feats):
         n = feats.shape[0]
         k = min(5, n - 1)
-        d2, knn = _sq_distances(feats, k, row_blocks(n))
+        blocks = row_blocks(n)
+        upper, knn = _sq_distances(feats, k, blocks)
+        # Each block holds its columns from its first row on; the rows below
+        # it read its columns past its own rows.
+        d2 = np.full((n, n), np.nan)
+        for blk, block in zip(blocks, upper):
+            rows = block.shape[0]
+            assert block.shape == (min(blk.stop, n) - blk.start, n - blk.start)
+            d2[blk, blk.start :] = block
+            d2[blk.start + rows :, blk] = block[:, rows:].T
         want = full_row_sq_distances(feats)
         assert d2.tobytes() == want.tobytes()
         assert knn.tobytes() == np.sort(want, axis=1)[:, : k + 1].tobytes()
@@ -619,21 +644,24 @@ class TestSymmetricDistances:
             feats[3::41] *= 400.0
             self.assert_equal_to_full_rows(feats)
 
-    @pytest.mark.parametrize("d", [8, 64, 200])
-    def test_peak_memory_is_a_fixed_number_of_planes(self, d):
-        # Beyond its outputs the kernel holds a bounded number of
-        # _ROW_BLOCK x N planes, whatever d is; a block of d differences per
-        # pair would be _ROW_BLOCK*N*d*8 bytes.
+    @pytest.mark.parametrize("d", [1, 8, 64, 200, 513])
+    def test_peak_memory_is_one_tile_and_one_row_buffer(self, d):
+        # Beyond the stored blocks, knn and one transposed copy of the
+        # features, the kernel holds one tile of _TILE squared differences
+        # and one _ROW_BLOCK x N buffer of full rows, whatever d is, plus
+        # numpy's 8192-float ufunc buffer and Python objects; a block of d
+        # differences per pair would be _ROW_BLOCK*N*d*8 bytes.
         n = 512
         feats = Rng(5).normal_matrix(n, d)
         tracemalloc.start()
         try:
-            d2, knn = _sq_distances(feats, 4, row_blocks(n))
+            upper, knn = _sq_distances(feats, 4, row_blocks(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - d2.nbytes - knn.nbytes < 24 * _ROW_BLOCK * n * 8
-
+        held = sum(block.nbytes for block in upper) + knn.nbytes
+        assert held == 8 * n * (n + _ROW_BLOCK) // 2 + 8 * n * 5
+        assert peak - held - feats.nbytes < 8 * _TILE + 8 * _ROW_BLOCK * n + 2**17
 
 
 class TestPmf:
@@ -1013,6 +1041,20 @@ class TestRouting:
     def test_no_rows(self):
         ids, bits = route(np.zeros((0, 2), dtype=np.int64), two_models(2))
         assert ids.shape == bits.shape == (0,)
+
+    def test_peak_memory_is_the_gathered_rows_not_the_table(self):
+        # A cost table over every bin would be 32 x 65,536 floats, 16 MiB;
+        # routing prices only the M x d masses its rows gather.
+        model = LaplacianModel(mu=np.zeros(32), b=np.ones(32), id=0, q_range=Q_RANGE_MAX)
+        symbols = quantize(np.random.default_rng(16).normal(size=(512, 32)) * 40.0)
+        route(symbols, [model])  # builds the model's tables, which it keeps
+        tracemalloc.start()
+        try:
+            route(symbols, [model])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("symbols, models, message", [
         (np.zeros((2, 2), dtype=np.int64), two_models(2)[0],
