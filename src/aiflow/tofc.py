@@ -16,9 +16,10 @@ Conventions that affect bitstreams, all fixed on purpose:
   - frequency tables scale the model pmf to a total of 2^16 with every entry
     at least 1, repairing the rounding remainder on the largest entry.
 
-Clustering holds each pairwise squared distance once, in upper row blocks
-(about 4*N^2 bytes), and fills them through one fixed-size tile of squared
-differences, so its scratch does not grow with d; see dpc_knn_cluster.
+Clustering holds no N x N distance matrix. Per block of 64 rows, one matrix
+product gives approximate squared distances with a proven error bound, and
+only the pairs that bound leaves in doubt get an exact distance, so its
+memory is a few 64 x N buffers; see dpc_knn_cluster.
 
 A model builds its tables once, on first use, and keeps them: its bin table
 (routing prices rows from it) and int32 coding tables (encode gathers each
@@ -29,6 +30,7 @@ range coder is still called once per symbol and once per raw escape bit.
 from __future__ import annotations
 
 import bisect
+import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,16 +53,20 @@ _FEAT_MAGIC = b"FEAT"
 _TOFC_MAGIC = b"TOFC"
 _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
-# Rows of the pairwise-distance matrix filled per step in dpc_knn_cluster.
+# Rows whose approximate distances dpc_knn_cluster holds at a time.
 _ROW_BLOCK = 64
-# Squared differences dpc_knn_cluster holds at a time (at least 128, one
-# column of _plane_sum's widest run): its scratch stays this, whatever d and N are.
+# Squared differences _sq_refine holds at a time (at least 128, one column of
+# _plane_sum's widest run): its scratch stays a few times this, whatever d and N are.
 _TILE = 1 << 16
+# A gathered pair's exact distance costs about as much as this many grid
+# entries', so _Distances.masked takes a grid above 1/_DENSE coverage.
+_DENSE = 4
 # Bin-table entries _bin_table fills per step (at least one dimension's row):
 # its temporaries stay a few times this, whatever d and q_range are.
 _BIN_ENTRIES = 1 << 16
-# Bytes dpc_knn_cluster may spend on distances, counted as an N x N float64
-# matrix (it holds about half of that): 2^30 admits N <= 11,585.
+# dpc_knn_cluster's point limit, counted as the bytes of an N x N float64
+# distance matrix: 2^30 admits N <= 11,585. It holds no such matrix, only a few
+# _ROW_BLOCK x N buffers; the limit stays a documented contract.
 _DISTANCE_BYTES = 1 << 30
 # The widest alphabet, 2*q_range + 2 entries, that fits the 2^16 frequency total.
 Q_RANGE_MAX = (_TOTAL - 2) // 2
@@ -310,8 +316,10 @@ def balance_metric(selection_counts) -> float:
 def _plane_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) -> None:
     """out = the sum over j of (a[j] - b[j])**2, added in np.sum's order.
 
-    a is (n, r, 1) and b (n, 1, c); the n squared difference planes go into
-    the scratch buffer tile, which must hold min(n, 128) * r * c floats.
+    a and b are (n, ...) arrays whose planes a[j] - b[j] broadcast to out's
+    shape: (n, r, 1) and (n, 1, c) for a grid, (n, p) each for p pairs. The
+    n squared difference planes go into the scratch buffer tile, which must
+    hold min(n, 128) * out.size floats.
     This is the order of numpy's contiguous add.reduce, so out equals np.sum
     over a trailing axis of n squares bit for bit: fewer than 8 terms left
     to right; up to 128 terms as 8 running sums over j = k, k + 8, ...,
@@ -348,47 +356,259 @@ def _plane_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) 
         out += p[j]
 
 
-def _sq_distances(feats: np.ndarray, k: int, blocks: list[slice]):
-    """(upper, knn): the upper row blocks of the squared distances, and each
-    row's k + 1 smallest squared distances, sorted.
+def _sq_refine(cols: np.ndarray, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Exact squared distances between the feature rows at rows and at others.
 
-    upper[b] is d2[blk, blk.start:] for blocks[b] = blk, the block's columns
-    from its first row on; the rest of its rows sits transposed in the
-    blocks above it. Column 0 of knn is a zero distance (the point itself or
-    a duplicate). An overflowing square or sum is left as inf, for the
-    caller to reject.
+    cols is the d x N transposed feature matrix. rows and others are index
+    arrays: two vectors of one length give one distance per pair; an (r, 1)
+    column and a (1, c) row give the r x c grid. Each sum adds in np.sum's
+    order through _plane_sum, so it equals np.sum over the pair's squared
+    differences bit for bit. A step covers at most _TILE // d pairs or grid
+    entries, so the gathered columns and the scratch stay within a few
+    times _TILE floats, whatever d is, and a few pairs need only a little.
+    An overflowing square or sum is left as inf.
     """
-    n, d = feats.shape
-    cols = np.ascontiguousarray(feats.T)
-    # A tile spans as many of a block's columns as _TILE holds at _plane_sum's
-    # widest run of 128 dimensions, and as many rows as fit beside them.
-    run = min(d, 128)
-    tile = np.empty(_TILE)
-    rows = np.empty((_ROW_BLOCK, n))
-    upper = []
-    knn = np.empty((n, k + 1))
+    out = np.empty(rows.shape if rows.ndim == 1 else (rows.shape[0], others.shape[1]))
+    step = max(1, _TILE // len(cols))
+    tile = np.empty(min(len(cols), 128) * min(out.size, step))
     with np.errstate(over="ignore"):
-        for blk in blocks:
-            s = blk.start
-            full = rows[: min(blk.stop, n) - s]
-            block = np.empty((len(full), n - s))
-            width = min(n - s, _TILE // run)
-            height = _TILE // (run * width)
-            for r in range(0, len(full), height):
-                for c in range(0, n - s, width):
-                    _plane_sum(cols[:, s + r : s + min(r + height, len(full)), None],
-                               cols[:, None, s + c : s + c + width],
-                               block[r : r + height, c : c + width], tile)
-            # The block's full rows: the columns left of it are columns of
-            # the blocks above, transposed.
-            for above, done in zip(blocks, upper):
-                full[:, above] = done[:, s - above.start : s - above.start + len(full)].T
-            full[:, s:] = block
-            full.partition(k, axis=1)
-            knn[blk] = full[:, : k + 1]
-            upper.append(block)
+        if out.ndim == 1:
+            for p in range(0, out.size, step):
+                _plane_sum(cols[:, rows[p : p + step]], cols[:, others[p : p + step]],
+                           out[p : p + step], tile)
+            return out
+        width = min(out.shape[1], step)
+        height = step // width
+        for c in range(0, out.shape[1], width):
+            right = cols[:, others[:, c : c + width]]
+            for r in range(0, out.shape[0], height):
+                _plane_sum(cols[:, rows[r : r + height]], right,
+                           out[r : r + height, c : c + width], tile)
+    return out
+
+
+class _Distances:
+    """Squared distances between the rows of a feature matrix: approximate
+    ones a row block at a time, each with a bound on its error, and exact
+    ones on demand.
+
+    approx(rows, right) gives rows' block of left @ right. With d2 the exact
+    squared distance (see _sq_refine) and g = (left @ right)[i, j],
+
+        g - slack[i]  <=  2^(2*scale) * d2[i, j]  <=  g + slack[i] + spread
+
+    whatever order a BLAS adds the product in. The rows are scaled by
+    2^scale, which brings the largest |x| into [1/2, 1) so that nothing
+    overflows, centred on their mean so that a common offset does not swamp
+    the differences, and augmented to [z, |z|^2, 1] on the left and
+    [-2z, 1, (1 - beta)|z|^2] on the right, beta = 8(d + 4) * 2^-53.
+
+    A dot product of d + 2 terms is off by at most (d + 2) * 2^-53 times the
+    sum of its terms' magnitudes, here at most 2(|z_i|^2 + |z_j|^2); with
+    the rounding of the norms, of the centring and of the exact sum itself,
+    |g + beta |z_j|^2 - 2^(2*scale) d2| is at most (5d + 13) * 2^-53 times
+    |z_i|^2 + |z_j|^2, under beta times it. Moving beta |z_j|^2 into the
+    product leaves slack[i] = beta |z_i|^2 per row, so an outlier widens
+    only its own rows' bounds below, and spread = 2 beta max |z|^2 above.
+    Each bound is over 1.5 times the worst case, which also covers the
+    rounding of the thresholds built from it. A rounding to a subnormal
+    adds at most 2^-1074, scaled by 2^(2*scale) on the exact side: slack
+    adds (d + 4) * 2^(2*scale - 1069), capped at (d + 4) * 2^900, reached
+    only when every exact distance underflows to 0.
+    """
+
+    def __init__(self, feats: np.ndarray):
+        n, d = feats.shape
+        top = float(np.abs(feats).max())
+        self.scale = -math.frexp(top)[1] if top > 0 else 0
+        with np.errstate(under="ignore"):
+            z = np.ldexp(feats, self.scale)
+            z -= z.mean(axis=0)
+            norms = np.einsum("ij,ij->i", z, z)
+        beta = 8 * (d + 4) * 2.0**-53
+        self.left = np.empty((n, d + 2))
+        self.left[:, :d] = z
+        self.left[:, d] = norms
+        self.left[:, d + 1] = 1.0
+        self.right = np.empty((d + 2, n))
+        np.multiply(z.T, -2.0, out=self.right[:d])
+        self.right[d] = 1.0
+        np.multiply(norms, 1.0 - beta, out=self.right[d + 1])
+        self.slack = beta * norms + math.ldexp(d + 4, min(2 * max(self.scale, 0) - 1069, 900))
+        self.spread = 2 * beta * float(norms.max())
+        self.cols = np.ascontiguousarray(feats.T)
+        self._block = np.empty(_ROW_BLOCK * n)
+
+    def approx(self, rows: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """rows' approximations to right's columns, in a buffer the next call reuses."""
+        g = self._block[: rows.size * right.shape[1]].reshape(rows.size, right.shape[1])
+        with np.errstate(under="ignore"):
+            return np.matmul(self.left[rows], right, out=g)
+
+    def scaled(self, sq: np.ndarray) -> np.ndarray:
+        """Exact squared distances on the approximations' scale."""
+        with np.errstate(under="ignore"):
+            return np.ldexp(sq, 2 * self.scale)
+
+    def exact(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """Exact squared distances of the pairs rows[p], others[p]."""
+        return _sq_refine(self.cols, rows, others)
+
+    def masked(self, rows, others, mask):
+        """(hits, sq): the flat positions of mask's true entries, in
+        row-major order, and the exact squared distance of each, mask[i, j]
+        standing for the pair rows[i], others[j].
+
+        Once the entries cover more than 1/_DENSE of the mask it is
+        evaluated as one grid (a gathered pair costs several grid entries);
+        either way the values are the same.
+        """
+        hits = np.flatnonzero(mask)
+        if not hits.size:
+            return hits, np.empty(0)
+        if hits.size * _DENSE > mask.size:
+            return hits, _sq_refine(self.cols, rows[:, None], others[None]).ravel()[hits]
+        at, to = np.divmod(hits, mask.shape[1])
+        return hits, _sq_refine(self.cols, rows[at], others[to])
+
+
+def _knn_and_reach(dist: _Distances, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(knn, reach): each row's k + 1 smallest exact squared distances,
+    sorted (the first is 0: the row itself or a duplicate), and its largest
+    approximation to a later row.
+
+    Only values are kept, so ties need no tie-break. The k + 1 smallest
+    approximations are taken exactly first; then the other columns whose
+    approximation may still beat the (k + 1)-th exact value, none if it is 0.
+    """
+    n = len(dist.left)
+    everyone = np.arange(n)
+    later = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
+    spare = np.empty(_ROW_BLOCK * n)
+    knn = np.empty((n, k + 1))
+    reach = np.full(n, -np.inf)
+    for s in range(0, n, _ROW_BLOCK):
+        rows = everyone[s : s + _ROW_BLOCK]
+        r = len(rows)
+        g = dist.approx(rows, dist.right)
+        own = np.where(later[:r, :r], g[:, s : s + r], -np.inf).max(axis=1)
+        reach[s : s + r] = np.maximum(own, g[:, s + r :].max(axis=1)) if s + r < n else own
+        part = spare[: g.size].reshape(g.shape)
+        np.copyto(part, g)
+        part.partition(k, axis=1)
+        first = g <= part[:, k, None]
+        if np.count_nonzero(first) == r * (k + 1):
+            near = np.flatnonzero(first) % n
+        else:
+            # A tie at the (k + 1)-th approximation: argpartition picks k + 1.
+            near = np.argpartition(g, k, axis=1)[:, : k + 1].ravel()
+            first = np.zeros_like(first)
+            first[rows.repeat(k + 1) - s, near] = True
+        sq = dist.exact(rows.repeat(k + 1), near).reshape(r, k + 1)
+        kth = sq.max(axis=1)
+        cut = np.where(kth > 0, dist.scaled(kth) + dist.slack[rows], -np.inf)
+        more = part[:, k + 1 :].min(axis=1, initial=np.inf) < cut
+        if more.any():
+            hits, extra = dist.masked(rows[more], everyone,
+                                      (g[more] < cut[more, None]) & ~first[more])
+            at = np.flatnonzero(more)[hits // n]
+            counts = np.bincount(at, minlength=r)
+            pad = np.full((r, k + 1 + counts.max()), np.inf)
+            pad[:, : k + 1] = sq
+            pad[at, k + 1 + np.arange(hits.size) - (counts.cumsum() - counts)[at]] = extra
+            pad.partition(k, axis=1)
+            sq = pad[:, : k + 1]
+        knn[s : s + r] = sq
     knn.sort(axis=1)
-    return upper, knn
+    return knn, reach
+
+
+def _farthest_sq(dist: _Distances, reach: np.ndarray) -> float:
+    """The largest exact squared distance between two rows: that of the
+    farthest approximation, then of every pair that may exceed it."""
+    n = len(dist.left)
+    everyone = np.arange(n)
+    a = int(np.argmax(reach))
+    b = a + 1 + int(np.argmax(dist.approx(everyone[a : a + 1], dist.right[:, a + 1 :])))
+    top = float(dist.exact(everyone[a : a + 1], everyone[b : b + 1])[0])
+    floor = dist.scaled(top)
+    rival = np.flatnonzero(reach + dist.slack + dist.spread > floor)
+    for p in range(0, rival.size, _ROW_BLOCK):
+        rows = rival[p : p + _ROW_BLOCK]
+        lo = rows[0] + 1
+        g = dist.approx(rows, dist.right[:, lo:])
+        g += (dist.slack[rows] + dist.spread)[:, None]
+        mask = (g > floor) & (everyone[None, lo:] > rows[:, None])
+        top = max(top, dist.masked(rows, everyone[lo:], mask)[1].max(initial=top))
+    return top
+
+
+def _nearest_denser_sq(dist: _Distances, rho: np.ndarray) -> np.ndarray:
+    """Each row's smallest exact squared distance to a row of strictly
+    larger rho, inf for the densest.
+
+    In descending rho order each row's denser rows are a prefix, denser[q]
+    long. The smallest approximation is taken exactly first; then the
+    other denser rows that may still beat it, none if it is 0.
+    """
+    n = len(rho)
+    order = np.argsort(-rho, kind="stable")
+    ranked = -rho[order]
+    denser = np.searchsorted(ranked, ranked)
+    right = dist.right[:, order]
+    nearest = np.full(n, np.inf)
+    for s in range(int(np.count_nonzero(denser == 0)), n, _ROW_BLOCK):
+        rows = order[s : s + _ROW_BLOCK]
+        prefix = denser[s : s + _ROW_BLOCK]
+        shared, width = int(prefix[0]), int(prefix[-1])
+        g = dist.approx(rows, right[:, :width])
+        g[:, shared:][np.arange(shared, width) >= prefix[:, None]] = np.inf
+        best = np.argmin(g, axis=1)
+        sq = dist.exact(rows, order[best])
+        g[np.arange(len(rows)), best] = np.inf
+        cut = np.where(sq > 0, dist.scaled(sq) + dist.slack[rows], -np.inf)
+        hits, extra = dist.masked(rows, order[:width], g < cut[:, None])
+        np.minimum.at(sq, hits // width, extra)
+        nearest[rows] = sq
+    return nearest
+
+
+def _nearest_center(dist: _Distances, centers: list[int]) -> np.ndarray:
+    """Each row's position in centers of its nearest center by rooted
+    distance, the lowest position on a tie.
+
+    pick, the lowest-placed center whose approximation is within twice the
+    bound of the smallest, is taken exactly first. Two squared distances can
+    round to one distance, and a tie goes to the lower position: so a
+    lower-placed center stays in while its root may round to pick's (twice
+    the bound plus a relative 2^-48 covers that), a higher-placed one only
+    while it may be strictly closer.
+    """
+    n = len(dist.left)
+    at = np.array(centers)
+    right = dist.right[:, at]
+    ranks = np.arange(len(at))
+    assignment = np.empty(n, dtype=np.int64)
+    for s in range(0, n, _ROW_BLOCK):
+        rows = np.arange(s, min(s + _ROW_BLOCK, n))
+        r = len(rows)
+        slack = dist.slack[rows]
+        g = dist.approx(rows, right)
+        pick = np.argmax(g <= (g.min(axis=1) + 2 * slack)[:, None], axis=1)
+        sq = dist.exact(rows, at[pick])
+        base = dist.scaled(sq)
+        closer = np.where(sq > 0, base + slack, -np.inf)
+        g[np.arange(r), pick] = np.inf
+        within = base * (1 + 2.0**-48) + 2 * slack
+        need = (g < closer[:, None]) | (g < within[:, None]) & (ranks < pick[:, None])
+        hits, extra = dist.masked(rows, at, need)
+        if hits.size:
+            g.fill(np.inf)
+            g[np.arange(r), pick] = np.sqrt(sq)
+            g.ravel()[hits] = np.sqrt(extra)
+            pick = np.argmin(g, axis=1)
+        assignment[s : s + r] = pick
+    return assignment
 
 
 def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> ClusterResult:
@@ -400,25 +620,25 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     the top num_centers by rho*delta, every point joins its nearest center,
     and a center whose cluster ends up empty keeps its own feature row.
 
-    Memory grows as N(N + _ROW_BLOCK)/2 floats plus one _ROW_BLOCK x N
-    buffer and one tile of _TILE floats, whatever d and num_centers are. Each pair's squared
-    distance is computed and held once: a block of _ROW_BLOCK rows keeps
-    only its columns from its first row on (upper row blocks, see
-    _sq_distances), filled one tile of rows x columns x dimensions at a
-    time. Each pair's d squares are added in the order np.sum(..., axis=-1)
-    adds them (numpy's pairwise add.reduce, see _plane_sum), so every
-    distance equals the full row sum bit for bit. In round-to-nearest a - b
-    is exactly -(b - a), so a block's column read as a row equals the one a
-    full row would compute. knn reads each block's full rows, assembled in
-    the _ROW_BLOCK x N buffer; delta reads the blocks in place, each block
-    row-wise for its own rows and column-wise for the rows past it; the
-    assignment gathers one block's rows at a time of distances to the
-    centers. Square roots are taken of minima and gathered values only:
-    sqrt is monotone and correctly rounded, so the root of a minimum is the
-    minimum of the roots.
+    Every decision is made on exact squared distances, each pair's d
+    squares added in the order np.sum(..., axis=-1) adds them (see
+    _sq_refine), so the results equal the literal definitions bit for bit.
+    Few pairs need one. Per block of _ROW_BLOCK rows, one matrix product
+    gives approximate squared distances with a bound on their error (see
+    _Distances). Each of the four searches (the k + 1 nearest, the farthest
+    pair, the nearest denser point, the nearest center) takes its
+    approximate winners exactly, then the pairs whose approximation lies
+    within the bound of beating them. Any other pair is provably no closer
+    (for the farthest pair, no farther), so it cannot change a value, and
+    no outcome depends on the BLAS or its thread count. Square roots are
+    taken of minima and gathered values only: sqrt is monotone and
+    correctly rounded, so the root of a minimum is the minimum of the roots.
 
-    More points than an N x N matrix of _DISTANCE_BYTES holds (N > 11,585)
-    are rejected with InvalidInputError before any distance block is allocated.
+    Memory is a few _ROW_BLOCK x N buffers, a few copies of the features
+    and the exact sums' scratch of a few times _TILE floats, about
+    64 * 8 * N bytes per buffer, whatever num_centers is. More points than
+    an N x N matrix of _DISTANCE_BYTES holds (N > 11,585) are rejected with
+    InvalidInputError before anything N-sized is allocated.
 
     Features so far apart that a squared distance overflows float64 are
     rejected with InvalidInputError: the features are finite, so an
@@ -447,9 +667,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
             f"{n} points need {8 * n * n} bytes of pairwise distances; "
             f"clustering holds at most {_DISTANCE_BYTES}"
         )
-    blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
-    upper, knn = _sq_distances(feats, k_neighbors, blocks)
-    max_pair = float(np.sqrt(max(block.max() for block in upper)))
+    dist = _Distances(feats)
+    knn, reach = _knn_and_reach(dist, k_neighbors)
+    max_pair = float(np.sqrt(_farthest_sq(dist, reach)))
     if not np.isfinite(max_pair):
         raise InvalidInputError(
             "features are too far apart: a squared pairwise distance overflows float64"
@@ -458,35 +678,13 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     # Its sum may overflow to inf, which is rho 0, as far as float64 can say.
     with np.errstate(over="ignore"):
         rho = np.exp(-np.mean(knn[:, 1:], axis=1))
-    nearest_denser = np.full(n, np.inf)
-    for blk, block in zip(blocks, upper):
-        s, past = blk.start, blk.start + block.shape[0]
-        mine, later = nearest_denser[blk], nearest_denser[past:]
-        denser = np.where(rho[None, s:] > rho[blk, None], block, np.inf)
-        np.minimum(mine, denser.min(axis=1), out=mine)
-        denser = np.where(rho[blk, None] > rho[None, past:], block[:, past - s :], np.inf)
-        np.minimum(later, denser.min(axis=0), out=later)
-    delta = np.sqrt(nearest_denser)
+    delta = np.sqrt(_nearest_denser_sq(dist, rho))
     # Points with no strictly denser point, the densest included.
     delta[rho == rho.max()] = max_pair
     gamma = rho * delta
     order = np.argsort(-gamma, kind="stable")
     centers = [int(i) for i in order[:num_centers]]
-    at = np.array(centers)
-    # Positions in centers of the centers among each block's rows.
-    owned = [np.flatnonzero((at >= blk.start) & (at < blk.stop)) for blk in blocks]
-    assignment = np.empty(n, dtype=np.int64)
-    near = np.empty((_ROW_BLOCK, num_centers))
-    for b, (blk, block) in enumerate(zip(blocks, upper)):
-        s = blk.start
-        mine = near[: block.shape[0]]
-        # Centers above the block: its rows are columns of the centers' blocks.
-        for above, done, pos in zip(blocks[:b], upper, owned):
-            mine[:, pos] = done[at[pos] - above.start, s - above.start : s - above.start + len(mine)].T
-        right = at >= s
-        mine[:, right] = block[:, at[right] - s]
-        # Two squared distances can round to one distance: compare the roots.
-        assignment[blk] = np.argmin(np.sqrt(mine, out=mine), axis=1)
+    assignment = _nearest_center(dist, centers)
     merged = np.empty((num_centers, feats.shape[1]))
     # A stable sort keeps each cluster's rows in index order, contiguous, as
     # a boolean mask would gather them, so each mean adds alike.

@@ -8,6 +8,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -45,10 +46,11 @@ from aiflow.tofc import (
     _ROW_BLOCK,
     _TILE,
     _TOTAL,
+    _Distances,
     _bin_table,
     _laplace_cdf,
     _row_bits,
-    _sq_distances,
+    _sq_refine,
 )
 
 
@@ -78,11 +80,81 @@ def oracle_dpc(feats, k, m):
     return centers, assign, merged, rho, delta
 
 
+def assert_matches_oracle(feats, k, m):
+    """dpc_knn_cluster equals oracle_dpc in every field, without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dpc_knn_cluster(FeatureSet(features=feats), k, m)
+    centers, assign, merged, rho, delta = oracle_dpc(feats, k, m)
+    assert res.center_indices == centers
+    assert np.array_equal(res.assignment, assign)
+    assert np.array_equal(res.merged, merged)
+    assert np.array_equal(res.rho, rho)
+    assert np.array_equal(res.delta, delta)
+
+
 def laplace_sample(mu, b, rng):
     u = rng.uniform()
     if u < 0.5:
         return mu + b * math.log(max(2.0 * u, 1e-300))
     return mu - b * math.log(max(2.0 * (1.0 - u), 1e-300))
+
+
+def adversarial_features(case):
+    """Seeded feature sets on which approximate distances are hardest to
+    trust: exact ties, cancellation, far outliers, subnormal and huge
+    scales, wide rows. Each spans at least three row blocks."""
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    n, d = 200, 8
+    if case == "integer_grid":
+        return rng.integers(-2, 3, size=(n, 3)).astype(float)
+    if case == "duplicate_rows":
+        feats = rng.normal(size=(n, d))
+        feats[1::3] = feats[0:-1:3]
+        feats[n - 1] = feats[5]
+        return feats
+    if case == "identical_rows":
+        return np.full((n, 5), 1.0 / 3.0)
+    if case == "offset_1e6":
+        return 1e6 + rng.normal(size=(n, 16))
+    if case == "outliers_x400":
+        feats = rng.normal(size=(n, 16)) * 3.0
+        feats[::13] *= 400.0
+        return feats
+    if case == "wide_d200":
+        feats = rng.normal(size=(n, 200))
+        feats[n // 2] = feats[0]
+        return feats
+    if case == "mixed_magnitudes":
+        return rng.normal(size=(n, d)) * np.exp(rng.normal(size=(n, 1)) * 5.0)
+    if case == "antipodes":
+        # Opposite points on a sphere, radii a few ulps apart: every
+        # opposite pair is the farthest to within the approximations' error.
+        ring = rng.normal(size=(n // 2, 32))
+        ring /= np.sqrt(np.sum(ring**2, axis=1, keepdims=True))
+        ring *= 1.0 + 2.0**-52 * rng.integers(0, 64, size=(n // 2, 1))
+        return np.vstack([ring, -ring])
+    if case == "near_ties":
+        # Rings of 24 around 8 hubs, radii a few ulps apart: nearest
+        # neighbors, denser points and centers all tie to within rounding.
+        hubs = rng.normal(size=(8, 1, 2)) * 10.0
+        angle = rng.uniform(0.0, 2 * np.pi, size=(8, 24, 1))
+        radius = 1.0 + 2.0**-52 * rng.integers(0, 8, size=(8, 24, 1))
+        rings = hubs + radius * np.concatenate([np.cos(angle), np.sin(angle)], axis=2)
+        return np.concatenate([hubs, rings], axis=1).reshape(n, 2)
+    return rng.normal(size=(n, d)) * ADVERSARIAL[case]
+
+
+# Named scales for plain normal features, and the cases built in
+# adversarial_features.
+ADVERSARIAL = {
+    "scale_1e-160": 1e-160,
+    "subnormal_1e-310": 1e-310,
+    "scale_1e150": 1e150,
+    **dict.fromkeys(["integer_grid", "duplicate_rows", "identical_rows", "offset_1e6",
+                     "outliers_x400", "wide_d200", "mixed_magnitudes", "antipodes",
+                     "near_ties"]),
+}
 
 
 class TestDpcKnn:
@@ -167,17 +239,11 @@ class TestDpcKnn:
                 feats[n // 2] = feats[0]
             k = 1 + int(rng.uniform() * min(8, n - 1))
             m = 1 + int(rng.uniform() * min(6, n))
-            res = dpc_knn_cluster(FeatureSet(features=feats), k, m)
-            centers, assign, merged, rho, delta = oracle_dpc(feats, k, m)
-            assert res.center_indices == centers
-            assert np.array_equal(res.assignment, assign)
-            assert np.array_equal(res.merged, merged)
-            assert np.array_equal(res.rho, rho)
-            assert np.array_equal(res.delta, delta)
+            assert_matches_oracle(feats, k, m)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
     def test_matches_oracle_across_row_blocks(self, n):
-        # Distances are filled in row blocks of 64; sizes around and past a
+        # Distances are approximated in row blocks of 64; sizes around and past a
         # block edge, with duplicate rows and far outliers, must still equal
         # the oracle in every field.
         rng = Rng(4000 + n)
@@ -187,13 +253,7 @@ class TestDpcKnn:
         feats[n // 3] = feats[1]
         feats[7::41] *= 400.0
         for k, m in [(1, 1), (4, 7), (min(12, n - 1), n // 4), (n - 1, n)]:
-            res = dpc_knn_cluster(FeatureSet(features=feats), k, m)
-            centers, assign, merged, rho, delta = oracle_dpc(feats, k, m)
-            assert res.center_indices == centers
-            assert np.array_equal(res.assignment, assign)
-            assert np.array_equal(res.merged, merged)
-            assert np.array_equal(res.rho, rho)
-            assert np.array_equal(res.delta, delta)
+            assert_matches_oracle(feats, k, m)
 
     def test_peak_memory_grows_as_n_squared_not_n_squared_d(self):
         # numpy reports its buffers to tracemalloc, so the traced peak is a
@@ -209,11 +269,69 @@ class TestDpcKnn:
             tracemalloc.stop()
         assert peak < n * n * d * 8 / 4
 
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_matches_oracle_on_adversarial_inputs(self, case):
+        # Only exact distances decide, so the approximations' rounding never
+        # shows: every field equals the literal definitions, with k = n - 1,
+        # one center and every point a center among the settings.
+        feats = adversarial_features(case)
+        n = len(feats)
+        for k, m in [(n - 1, 1), (4, n), (1, 7)]:
+            assert_matches_oracle(feats, k, m)
+
+    @pytest.mark.parametrize("case", ["antipodes", "duplicate_rows", "integer_grid",
+                                      "mixed_magnitudes", "near_ties", "outliers_x400"])
+    def test_any_approximation_within_the_bound_gives_the_same_result(self, monkeypatch, case):
+        # The approximations only prune. Their worst error is under 2/3 of
+        # the bound, so seeded noise of 0.3 times it keeps every one within
+        # the bound while reshuffling which pairs look closest or farthest.
+        feats = adversarial_features(case)
+        n = len(feats)
+        noise = np.random.default_rng(n)
+        approx = _Distances.approx
+
+        def shaken(self, rows, right):
+            g = approx(self, rows, right)
+            g += noise.uniform(-0.3, 0.3, size=g.shape) * self.slack[rows, None]
+            return g
+
+        monkeypatch.setattr(_Distances, "approx", shaken)
+        for k, m in [(n - 1, 1), (4, n), (1, 7)]:
+            assert_matches_oracle(feats, k, m)
+
+    def test_overflow_across_row_blocks_is_rejected_without_a_warning(self):
+        # Scaling and the matrix product stay finite; only an exact sum
+        # overflows, and that is the error.
+        feats = Rng(8).normal_matrix(150, 6)
+        feats[100], feats[140] = 1e200, -1e200
+        message = "features are too far apart: a squared pairwise distance overflows float64"
+        with np.errstate(all="raise"), pytest.raises(InvalidInputError, match=f"^{message}$"):
+            dpc_knn_cluster(FeatureSet(features=feats), 4, 10)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_exact_pairs_grow_as_n_not_n_squared(self, monkeypatch, offset):
+        # A full distance matrix is N^2/2 exact pairs, 524,288 here; the
+        # approximations leave about k + 2 per point. Centring keeps a
+        # common offset from widening the bound.
+        n, k = 1024, 4
+        fs = make_blob_features(n, 16, 8, Rng(6))
+        fs = FeatureSet(features=fs.features + offset)
+        refine = tofc._sq_refine
+        pairs = []
+
+        def counted(cols, rows, others):
+            pairs.append(np.broadcast(rows, others).size)
+            return refine(cols, rows, others)
+
+        monkeypatch.setattr(tofc, "_sq_refine", counted)
+        dpc_knn_cluster(fs, k, 128)
+        assert sum(pairs) <= 2 * n * (k + 2)
+
     @pytest.mark.parametrize("m", [128, 1024])
-    def test_peak_memory_is_the_upper_half_of_the_distances(self, m):
-        # The N x N float64 matrix alone would be 8 MiB at N 1024, and so
-        # would an N x M table of distances to the centers at M = N; the
-        # upper row blocks are 4.25 MiB, and the scratch stays a few planes.
+    def test_peak_memory_is_a_few_row_blocks(self, m):
+        # An N x N float64 matrix would be 8 MiB at N 1024, and so would an
+        # N x M table of distances to the centers at M = N; a 64 x N block is
+        # 0.5 MiB, and clustering holds a few of them.
         n, d = 1024, 16
         fs = make_blob_features(n, d, 8, Rng(6))
         tracemalloc.start()
@@ -222,7 +340,7 @@ class TestDpcKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
 
     def test_rejects_more_points_than_the_distance_budget_holds(self):
         # One point past the largest N whose N x N float64 matrix fits the
@@ -596,40 +714,31 @@ class TestCodingLoopOracle:
             assert oracle_decode(bs.payload, models, routing, d).tobytes() == symbols.tobytes()
 
 
-def full_row_sq_distances(f):
-    return np.sum(np.square(f[:, None] - f[None]), -1)
+def np_sum_rows(feats):
+    """Each row's squared distances to all rows, as np.sum adds them."""
+    return np.array([np.sum((feats - row) ** 2, axis=1) for row in feats])
 
 
-def row_blocks(n):
-    return [slice(s, s + _ROW_BLOCK) for s in range(0, n, _ROW_BLOCK)]
-
-
-class TestSymmetricDistances:
-    def assert_equal_to_full_rows(self, feats):
+class TestExactRefine:
+    def assert_equal_to_np_sum_rows(self, feats):
         n = feats.shape[0]
-        k = min(5, n - 1)
-        blocks = row_blocks(n)
-        upper, knn = _sq_distances(feats, k, blocks)
-        # Each block holds its columns from its first row on; the rows below
-        # it read its columns past its own rows.
-        d2 = np.full((n, n), np.nan)
-        for blk, block in zip(blocks, upper):
-            rows = block.shape[0]
-            assert block.shape == (min(blk.stop, n) - blk.start, n - blk.start)
-            d2[blk, blk.start :] = block
-            d2[blk.start + rows :, blk] = block[:, rows:].T
-        want = full_row_sq_distances(feats)
-        assert d2.tobytes() == want.tobytes()
-        assert knn.tobytes() == np.sort(want, axis=1)[:, : k + 1].tobytes()
+        want = np_sum_rows(feats)
+        cols = np.ascontiguousarray(feats.T)
+        everyone = np.arange(n)
+        grid = _sq_refine(cols, everyone[:, None], everyone[None])
+        assert grid.tobytes() == want.tobytes()
+        # Every pair once, in a shuffled order, each row side and column side.
+        i, j = np.divmod(np.random.default_rng(n).permutation(n * n), n)
+        assert _sq_refine(cols, i, j).tobytes() == want[i, j].tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 128, 130, 200])
-    def test_distances_equal_the_full_row_sums(self, n):
+    def test_distances_equal_the_np_sum_rows(self, n):
         rng = Rng(7000 + n)
         feats = rng.normal_matrix(n, 7) * 3.0
         feats[n // 2] = feats[0]
         feats[n - 1] = feats[1]
         feats[3::41] *= 400.0
-        self.assert_equal_to_full_rows(feats)
+        self.assert_equal_to_np_sum_rows(feats)
 
     # Widths on each side of np.sum's 8-way unroll (8) and pairwise split
     # (128), and widths that split more than once.
@@ -642,26 +751,37 @@ class TestSymmetricDistances:
             feats[n // 2] = feats[0]
             feats[5] = 0.0
             feats[3::41] *= 400.0
-            self.assert_equal_to_full_rows(feats)
+            self.assert_equal_to_np_sum_rows(feats)
 
     @pytest.mark.parametrize("d", [1, 8, 64, 200, 513])
-    def test_peak_memory_is_one_tile_and_one_row_buffer(self, d):
-        # Beyond the stored blocks, knn and one transposed copy of the
-        # features, the kernel holds one tile of _TILE squared differences
-        # and one _ROW_BLOCK x N buffer of full rows, whatever d is, plus
-        # numpy's 8192-float ufunc buffer and Python objects; a block of d
-        # differences per pair would be _ROW_BLOCK*N*d*8 bytes.
+    def test_peak_memory_is_a_few_tiles(self, d):
+        # Beyond its output a call holds, one step at a time, the gathered
+        # columns of at most _TILE // d pairs or grid entries and one tile of
+        # their squared differences, plus numpy's 8192-float ufunc buffer;
+        # a 64 x N block of d differences per pair would be 64*N*d*8 bytes.
         n = 512
-        feats = Rng(5).normal_matrix(n, d)
+        cols = np.ascontiguousarray(Rng(5).normal_matrix(n, d).T)
+        everyone = np.arange(n)
+        i, j = everyone.repeat(8), np.tile(everyone, 8)
         tracemalloc.start()
         try:
-            upper, knn = _sq_distances(feats, 4, row_blocks(n))
+            grid = _sq_refine(cols, everyone[:_ROW_BLOCK, None], everyone[None])
+            pairs = _sq_refine(cols, i, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(block.nbytes for block in upper) + knn.nbytes
-        assert held == 8 * n * (n + _ROW_BLOCK) // 2 + 8 * n * 5
-        assert peak - held - feats.nbytes < 8 * _TILE + 8 * _ROW_BLOCK * n + 2**17
+        assert peak - grid.nbytes - pairs.nbytes < 3 * 8 * _TILE + 2**18
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_approximations_stay_within_their_bound(self, case):
+        # The bound dpc_knn_cluster prunes with, checked on every pair.
+        feats = adversarial_features(case)
+        dist = _Distances(feats)
+        approx = dist.left @ dist.right
+        with np.errstate(under="ignore"):
+            exact = np.ldexp(np_sum_rows(feats), 2 * dist.scale)
+        assert (approx - dist.slack[:, None] <= exact).all()
+        assert (exact <= approx + dist.slack[:, None] + dist.spread).all()
 
 
 class TestPmf:
