@@ -18,8 +18,9 @@ Conventions that affect bitstreams, all fixed on purpose:
 
 Clustering holds no N x N distance matrix. Per block of 64 rows, one matrix
 product gives approximate squared distances with a proven error bound, and
-only the pairs that bound leaves in doubt get an exact distance, so its
-memory is a few 64 x N buffers; see dpc_knn_cluster.
+only the pairs that bound leaves in doubt get an exact distance, summed by
+np.sum as the definition sums it, so its memory is a few 64 x N buffers;
+see dpc_knn_cluster.
 
 A model builds its tables once, on first use, and keeps them: its bin table
 (routing prices rows from it) and int32 coding tables (encode gathers each
@@ -55,12 +56,9 @@ _TOFC_HEAD = "HHB"  # cluster count, dim, model count
 _RAW_BITS = 32
 # Rows whose approximate distances dpc_knn_cluster holds at a time.
 _ROW_BLOCK = 64
-# Squared differences _sq_refine holds at a time (at least 128, one column of
-# _plane_sum's widest run): its scratch stays a few times this, whatever d and N are.
+# Squared differences _Distances.exact holds at a time: its scratch stays two
+# gathers of this many floats, whatever d and the number of pairs are.
 _TILE = 1 << 16
-# A gathered pair's exact distance costs about as much as this many grid
-# entries', so _Distances.masked takes a grid above 1/_DENSE coverage.
-_DENSE = 4
 # Bin-table entries _bin_table fills per step (at least one dimension's row):
 # its temporaries stay a few times this, whatever d and q_range are.
 _BIN_ENTRIES = 1 << 16
@@ -313,87 +311,13 @@ def balance_metric(selection_counts) -> float:
     return float(np.sum((f - 1.0 / counts.size) ** 2))
 
 
-def _plane_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) -> None:
-    """out = the sum over j of (a[j] - b[j])**2, added in np.sum's order.
-
-    a and b are (n, ...) arrays whose planes a[j] - b[j] broadcast to out's
-    shape: (n, r, 1) and (n, 1, c) for a grid, (n, p) each for p pairs. The
-    n squared difference planes go into the scratch buffer tile, which must
-    hold min(n, 128) * out.size floats.
-    This is the order of numpy's contiguous add.reduce, so out equals np.sum
-    over a trailing axis of n squares bit for bit: fewer than 8 terms left
-    to right; up to 128 terms as 8 running sums over j = k, k + 8, ...,
-    combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
-    right; more terms split at n/2 rounded down to a multiple of 8, and each
-    half summed alike.
-    """
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _plane_sum(a[:half], b[:half], out, tile)
-        rest = np.empty(out.shape)
-        _plane_sum(a[half:], b[half:], rest, tile)
-        out += rest
-        return
-    p = tile[: n * out.size].reshape(n, *out.shape)
-    # Copying the row side in and subtracting the column side in place runs
-    # numpy's contiguous loops; the values are exactly a[j] - b[j].
-    np.copyto(p, a)
-    p -= b
-    np.square(p, out=p)
-    if n < 8:
-        tail = 1
-        np.copyto(out, p[0])
-    else:
-        tail = n - n % 8
-        r = p[:8]
-        for j in range(8, tail, 8):
-            r += p[j : j + 8]
-        r[0::2] += r[1::2]
-        r[0::4] += r[2::4]
-        np.add(r[0], r[4], out=out)
-    for j in range(tail, n):
-        out += p[j]
-
-
-def _sq_refine(cols: np.ndarray, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Exact squared distances between the feature rows at rows and at others.
-
-    cols is the d x N transposed feature matrix. rows and others are index
-    arrays: two vectors of one length give one distance per pair; an (r, 1)
-    column and a (1, c) row give the r x c grid. Each sum adds in np.sum's
-    order through _plane_sum, so it equals np.sum over the pair's squared
-    differences bit for bit. A step covers at most _TILE // d pairs or grid
-    entries, so the gathered columns and the scratch stay within a few
-    times _TILE floats, whatever d is, and a few pairs need only a little.
-    An overflowing square or sum is left as inf.
-    """
-    out = np.empty(rows.shape if rows.ndim == 1 else (rows.shape[0], others.shape[1]))
-    step = max(1, _TILE // len(cols))
-    tile = np.empty(min(len(cols), 128) * min(out.size, step))
-    with np.errstate(over="ignore"):
-        if out.ndim == 1:
-            for p in range(0, out.size, step):
-                _plane_sum(cols[:, rows[p : p + step]], cols[:, others[p : p + step]],
-                           out[p : p + step], tile)
-            return out
-        width = min(out.shape[1], step)
-        height = step // width
-        for c in range(0, out.shape[1], width):
-            right = cols[:, others[:, c : c + width]]
-            for r in range(0, out.shape[0], height):
-                _plane_sum(cols[:, rows[r : r + height]], right,
-                           out[r : r + height, c : c + width], tile)
-    return out
-
-
 class _Distances:
     """Squared distances between the rows of a feature matrix: approximate
     ones a row block at a time, each with a bound on its error, and exact
     ones on demand.
 
     approx(rows, right) gives rows' block of left @ right. With d2 the exact
-    squared distance (see _sq_refine) and g = (left @ right)[i, j],
+    squared distance (see exact) and g = (left @ right)[i, j],
 
         g - slack[i]  <=  2^(2*scale) * d2[i, j]  <=  g + slack[i] + spread
 
@@ -436,7 +360,7 @@ class _Distances:
         np.multiply(norms, 1.0 - beta, out=self.right[d + 1])
         self.slack = beta * norms + math.ldexp(d + 4, min(2 * max(self.scale, 0) - 1069, 900))
         self.spread = 2 * beta * float(norms.max())
-        self.cols = np.ascontiguousarray(feats.T)
+        self.feats = feats
         self._block = np.empty(_ROW_BLOCK * n)
 
     def approx(self, rows: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -451,25 +375,32 @@ class _Distances:
             return np.ldexp(sq, 2 * self.scale)
 
     def exact(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """Exact squared distances of the pairs rows[p], others[p]."""
-        return _sq_refine(self.cols, rows, others)
+        """Exact squared distances of the pairs rows[p], others[p].
+
+        Each pair's squared differences fill one contiguous row, which
+        np.sum(..., axis=1) adds as it adds a row of the definition's
+        np.sum((feats - feats[i]) ** 2, axis=1), so the values are equal bit
+        for bit (a - b is exactly -(b - a)). A step gathers at most _TILE // d
+        pairs per side and subtracts in place. An overflowing square or sum
+        is left as inf.
+        """
+        out = np.empty(rows.size)
+        step = max(1, _TILE // self.feats.shape[1])
+        with np.errstate(over="ignore"):
+            for p in range(0, rows.size, step):
+                diff = self.feats[rows[p : p + step]]
+                diff -= self.feats[others[p : p + step]]
+                np.square(diff, out=diff)
+                np.sum(diff, axis=1, out=out[p : p + step])
+        return out
 
     def masked(self, rows, others, mask):
         """(hits, sq): the flat positions of mask's true entries, in
         row-major order, and the exact squared distance of each, mask[i, j]
-        standing for the pair rows[i], others[j].
-
-        Once the entries cover more than 1/_DENSE of the mask it is
-        evaluated as one grid (a gathered pair costs several grid entries);
-        either way the values are the same.
-        """
+        standing for the pair rows[i], others[j]."""
         hits = np.flatnonzero(mask)
-        if not hits.size:
-            return hits, np.empty(0)
-        if hits.size * _DENSE > mask.size:
-            return hits, _sq_refine(self.cols, rows[:, None], others[None]).ravel()[hits]
         at, to = np.divmod(hits, mask.shape[1])
-        return hits, _sq_refine(self.cols, rows[at], others[to])
+        return hits, self.exact(rows[at], others[to])
 
 
 def _knn_and_reach(dist: _Distances, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -525,12 +456,23 @@ def _knn_and_reach(dist: _Distances, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _farthest_sq(dist: _Distances, reach: np.ndarray) -> float:
     """The largest exact squared distance between two rows: that of the
-    farthest approximation, then of every pair that may exceed it."""
+    farthest approximation, then of every pair that may exceed it.
+
+    The features' bounding box bounds every pair's exact value: each
+    |a - b| rounds to at most max - min, squares are monotone, and the d
+    non-negative terms add in the same order. So a first value equal to
+    the box's is the largest, as for identical rows, where the
+    approximations' bound can never prove a maximum of 0.
+    """
     n = len(dist.left)
     everyone = np.arange(n)
     a = int(np.argmax(reach))
     b = a + 1 + int(np.argmax(dist.approx(everyone[a : a + 1], dist.right[:, a + 1 :])))
     top = float(dist.exact(everyone[a : a + 1], everyone[b : b + 1])[0])
+    with np.errstate(over="ignore"):
+        box = float(np.sum(np.ptp(dist.feats, axis=0) ** 2))
+    if top == box:
+        return top
     floor = dist.scaled(top)
     rival = np.flatnonzero(reach + dist.slack + dist.spread > floor)
     for p in range(0, rival.size, _ROW_BLOCK):
@@ -621,8 +563,9 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     and a center whose cluster ends up empty keeps its own feature row.
 
     Every decision is made on exact squared distances, each pair's d
-    squares added in the order np.sum(..., axis=-1) adds them (see
-    _sq_refine), so the results equal the literal definitions bit for bit.
+    squares added by np.sum(..., axis=1) over one contiguous row (see
+    _Distances.exact), so the results equal the literal definitions bit
+    for bit.
     Few pairs need one. Per block of _ROW_BLOCK rows, one matrix product
     gives approximate squared distances with a bound on their error (see
     _Distances). Each of the four searches (the k + 1 nearest, the farthest
@@ -635,8 +578,8 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     correctly rounded, so the root of a minimum is the minimum of the roots.
 
     Memory is a few _ROW_BLOCK x N buffers, a few copies of the features
-    and the exact sums' scratch of a few times _TILE floats, about
-    64 * 8 * N bytes per buffer, whatever num_centers is. More points than
+    and the exact sums' scratch of two gathers of at most _TILE floats,
+    about 64 * 8 * N bytes per buffer, whatever num_centers is. More points than
     an N x N matrix of _DISTANCE_BYTES holds (N > 11,585) are rejected with
     InvalidInputError before anything N-sized is allocated.
 

@@ -50,7 +50,6 @@ from aiflow.tofc import (
     _bin_table,
     _laplace_cdf,
     _row_bits,
-    _sq_refine,
 )
 
 
@@ -308,23 +307,26 @@ class TestDpcKnn:
         with np.errstate(all="raise"), pytest.raises(InvalidInputError, match=f"^{message}$"):
             dpc_knn_cluster(FeatureSet(features=feats), 4, 10)
 
-    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("offset", [0.0, 1e8, pytest.param(None, id="identical_rows")])
     def test_exact_pairs_grow_as_n_not_n_squared(self, monkeypatch, offset):
         # A full distance matrix is N^2/2 exact pairs, 524,288 here; the
         # approximations leave about k + 2 per point. Centring keeps a
-        # common offset from widening the bound.
+        # common offset from widening the bound, and the features' bounding
+        # box ends the farthest-pair search when all rows are identical.
         n, k = 1024, 4
-        fs = make_blob_features(n, 16, 8, Rng(6))
-        fs = FeatureSet(features=fs.features + offset)
-        refine = tofc._sq_refine
+        if offset is None:
+            feats = np.full((n, 16), 1.0 / 3.0)
+        else:
+            feats = make_blob_features(n, 16, 8, Rng(6)).features + offset
+        exact = _Distances.exact
         pairs = []
 
-        def counted(cols, rows, others):
-            pairs.append(np.broadcast(rows, others).size)
-            return refine(cols, rows, others)
+        def counted(self, rows, others):
+            pairs.append(rows.size)
+            return exact(self, rows, others)
 
-        monkeypatch.setattr(tofc, "_sq_refine", counted)
-        dpc_knn_cluster(fs, k, 128)
+        monkeypatch.setattr(_Distances, "exact", counted)
+        dpc_knn_cluster(FeatureSet(features=feats), k, 128)
         assert sum(pairs) <= 2 * n * (k + 2)
 
     @pytest.mark.parametrize("m", [128, 1024])
@@ -723,13 +725,11 @@ class TestExactRefine:
     def assert_equal_to_np_sum_rows(self, feats):
         n = feats.shape[0]
         want = np_sum_rows(feats)
-        cols = np.ascontiguousarray(feats.T)
-        everyone = np.arange(n)
-        grid = _sq_refine(cols, everyone[:, None], everyone[None])
-        assert grid.tobytes() == want.tobytes()
-        # Every pair once, in a shuffled order, each row side and column side.
+        dist = _Distances(feats)
+        # Every pair once, in a shuffled order, with either row first.
         i, j = np.divmod(np.random.default_rng(n).permutation(n * n), n)
-        assert _sq_refine(cols, i, j).tobytes() == want[i, j].tobytes()
+        assert dist.exact(i, j).tobytes() == want[i, j].tobytes()
+        assert dist.exact(j, i).tobytes() == want[i, j].tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 128, 130, 200])
     def test_distances_equal_the_np_sum_rows(self, n):
@@ -755,22 +755,20 @@ class TestExactRefine:
 
     @pytest.mark.parametrize("d", [1, 8, 64, 200, 513])
     def test_peak_memory_is_a_few_tiles(self, d):
-        # Beyond its output a call holds, one step at a time, the gathered
-        # columns of at most _TILE // d pairs or grid entries and one tile of
-        # their squared differences, plus numpy's 8192-float ufunc buffer;
-        # a 64 x N block of d differences per pair would be 64*N*d*8 bytes.
+        # Beyond its output a call holds, one step at a time, the two
+        # gathered sides of at most _TILE // d pairs, subtracted and squared
+        # in place; the 4,096 pairs gathered at once would be 2*4096*d*8 bytes.
         n = 512
-        cols = np.ascontiguousarray(Rng(5).normal_matrix(n, d).T)
+        dist = _Distances(Rng(5).normal_matrix(n, d))
         everyone = np.arange(n)
         i, j = everyone.repeat(8), np.tile(everyone, 8)
         tracemalloc.start()
         try:
-            grid = _sq_refine(cols, everyone[:_ROW_BLOCK, None], everyone[None])
-            pairs = _sq_refine(cols, i, j)
+            pairs = dist.exact(i, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - grid.nbytes - pairs.nbytes < 3 * 8 * _TILE + 2**18
+        assert peak - pairs.nbytes < 2 * 8 * _TILE + 2**14
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_approximations_stay_within_their_bound(self, case):
@@ -782,6 +780,21 @@ class TestExactRefine:
             exact = np.ldexp(np_sum_rows(feats), 2 * dist.scale)
         assert (approx - dist.slack[:, None] <= exact).all()
         assert (exact <= approx + dist.slack[:, None] + dist.spread).all()
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL) + ["overflow_1e200"])
+    def test_bounding_box_bounds_every_pair(self, case):
+        # The farthest-pair search stops at a pair whose value equals this
+        # box's; no pair may exceed it, at any scale, overflow included.
+        if case == "overflow_1e200":
+            feats = Rng(3).normal_matrix(20, 3)
+            feats[3], feats[7] = 1e200, -1e200
+        else:
+            feats = adversarial_features(case)
+        with np.errstate(over="ignore"):
+            box = np.sum((feats.max(axis=0) - feats.min(axis=0)) ** 2)
+            farthest = np_sum_rows(feats).max()
+        assert box >= farthest
+        assert np.isinf(farthest) == (case == "overflow_1e200")
 
 
 class TestPmf:
