@@ -53,11 +53,24 @@ class RangeEncoder:
         if freq < 1 or cum_lo < 0 or cum_lo + freq > total:
             raise InvalidInputError("invalid frequency interval")
         r = self.range // total
-        self.low += r * cum_lo
-        self.range = r * freq
-        while self.range < _TOP:
-            self.range = (self.range << 8) & _MASK32
-            self._shift_low()
+        low = self.low + r * cum_lo
+        rng = r * freq
+        # _shift_low per renormalization, inlined on locals. low < 2^33 here,
+        # so (low & _MASK32) < 0xFF000000 reads low < 0xFF000000.
+        while rng < _TOP:
+            rng <<= 8
+            if low < 0xFF000000 or low > _MASK32:
+                carry = low >> 32
+                self.out.append((self.cache + carry) & 0xFF)
+                if self.cache_size > 1:
+                    self.out += (b"\x00" if carry else b"\xff") * (self.cache_size - 1)
+                self.cache = (low >> 24) & 0xFF
+                self.cache_size = 1
+            else:
+                self.cache_size += 1
+            low = (low << 8) & _MASK32
+        self.low = low
+        self.range = rng
 
     def encode_raw(self, value: int, num_bits: int):
         """num_bits of value, most significant first, one coin flip each."""
@@ -76,30 +89,34 @@ class RangeEncoder:
 class RangeDecoder:
     def __init__(self, data: bytes):
         self.data = data
-        self.pos = 0
         self.range = _MASK32
-        self.code = 0
-        self._next_byte()  # the encoder's leading zero byte
-        for _ in range(4):
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-
-    def _next_byte(self) -> int:
-        if self.pos < len(self.data):
-            b = self.data[self.pos]
-            self.pos += 1
-            return b
-        return 0
+        # Past the encoder's leading zero byte, a 32-bit code word. Here and
+        # in decode_update, bytes past the end of the stream read as zero.
+        code = 0
+        for pos in range(1, 5):
+            code = (code << 8) | (data[pos] if pos < len(data) else 0)
+        self.code = code
+        self.pos = 5
 
     def decode_freq(self, total: int) -> int:
-        self._r = self.range // total
-        return min(self.code // self._r, total - 1)
+        r = self._r = self.range // total
+        v = self.code // r
+        return v if v < total else total - 1
 
     def decode_update(self, cum_lo: int, freq: int):
-        self.code -= self._r * cum_lo
-        self.range = self._r * freq
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range = (self.range << 8) & _MASK32
+        r = self._r
+        code = self.code - r * cum_lo
+        rng = r * freq
+        if rng < _TOP:
+            data = self.data
+            pos = self.pos
+            while rng < _TOP:
+                code = ((code << 8) | (data[pos] if pos < len(data) else 0)) & _MASK32
+                rng <<= 8
+                pos += 1
+            self.pos = pos
+        self.code = code
+        self.range = rng
 
     def decode_raw(self, num_bits: int) -> int:
         value = 0

@@ -23,9 +23,11 @@ np.sum as the definition sums it, so its memory is a few 64 x N buffers;
 see dpc_knn_cluster.
 
 A model builds its tables once, on first use, and keeps them: its bin table
-(routing prices rows from it) and int32 coding tables (encode gathers each
-symbol's interval from them with numpy, decode bisects their rows). The
-range coder is still called once per symbol and once per raw escape bit.
+(routing prices rows from it), int32 coding tables (encode gathers each
+symbol's interval from them with numpy) and a symbol index over 256 slices
+of the frequency total (decode looks a value's slice up and bisects only
+a slice that more than one symbol meets). The range coder is still called
+once per symbol and once per raw escape bit.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ class LaplacianModel:
     """Per-dimension Laplace(mu, b) entropy model with integer-bin pmf.
 
     mu and b are read-only copies of the caller's arrays, so the model stays
-    the one its checks passed. Its bin table and coding tables are derived
-    from them on first use and kept for the model's lifetime.
+    the one its checks passed. Its bin table, coding tables and decoding
+    symbol index are derived from them on first use and kept for the
+    model's lifetime, read-only.
     """
 
     mu: np.ndarray
@@ -169,6 +172,22 @@ class LaplacianModel:
         cum = np.zeros((self.dim, freqs.shape[1] + 1), dtype=np.int32)
         np.cumsum(freqs, axis=1, out=cum[:, 1:])
         return _frozen(freqs.astype(np.int32)), _frozen(cum)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """(d, 257) int32 symbol index: starts[j, b] is the symbol of
+        dimension j whose interval holds the value 256*b, so a value v lies in
+        the symbols starts[j, v >> 8] through starts[j, (v >> 8) + 1].
+
+        The last column names the end of the table, 2*q_range + 2, which is
+        2^16 at Q_RANGE_MAX: no 16-bit type holds it.
+        """
+        cum = self._codes[1]
+        edges = np.arange(257) << 8
+        starts = np.empty((self.dim, 257), dtype=np.int32)
+        for j in range(self.dim):
+            starts[j] = np.searchsorted(cum[j], edges, side="right") - 1
+        return _frozen(starts)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -630,11 +649,15 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     assignment = _nearest_center(dist, centers)
     merged = np.empty((num_centers, feats.shape[1]))
     # A stable sort keeps each cluster's rows in index order, contiguous, as
-    # a boolean mask would gather them, so each mean adds alike.
+    # a boolean mask would gather them, so each mean adds alike. The mean of
+    # one row is that row, bit for bit, so only larger clusters take a mean.
     members = feats[np.argsort(assignment, kind="stable")]
-    bounds = np.cumsum(np.bincount(assignment, minlength=num_centers)).tolist()
-    for c, (start, stop) in enumerate(zip([0] + bounds, bounds)):
-        merged[c] = members[start:stop].mean(axis=0) if stop > start else feats[centers[c]]
+    sizes = np.bincount(assignment, minlength=num_centers)
+    stops = np.cumsum(sizes)
+    merged[sizes == 1] = members[stops[sizes == 1] - 1]
+    merged[sizes == 0] = feats[np.array(centers)[sizes == 0]]
+    for c in np.flatnonzero(sizes > 1).tolist():
+        merged[c] = members[stops[c] - sizes[c] : stops[c]].mean(axis=0)
     return ClusterResult(
         center_indices=centers,
         assignment=assignment,
@@ -749,11 +772,12 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
         freq[mine] = freqs[dims, idx]
         escaped[mine] = outside
     enc = RangeEncoder()
+    put, put_raw = enc.encode, enc.encode_raw
     for q, c, f, x in zip(rows.ravel().tolist(), cum_lo.ravel().tolist(),
                           freq.ravel().tolist(), escaped.ravel().tolist()):
-        enc.encode(c, f, _TOTAL)
+        put(c, f, _TOTAL)
         if x:
-            enc.encode_raw(q & 0xFFFFFFFF, _RAW_BITS)
+            put_raw(q & 0xFFFFFFFF, _RAW_BITS)
     return Bitstream(
         dim=d,
         num_models=len(models),
@@ -774,20 +798,31 @@ def decode(bs: Bitstream, models) -> np.ndarray:
     tables = []
     for model in models:
         freqs, cum = model._codes
-        rows = zip(model._bins[0].tolist(), map(memoryview, freqs), map(memoryview, cum))
+        rows = zip(model._bins[0].tolist(), map(memoryview, freqs), map(memoryview, cum),
+                   map(memoryview, model._starts))
         tables.append((freqs.shape[1] - 1, list(rows)))
     dec = RangeDecoder(bs.payload)
+    decode_freq, decode_update, decode_raw = dec.decode_freq, dec.decode_update, dec.decode_raw
+    bisect_right = bisect.bisect_right
     out = []
+    put = out.append
     for e in bs.model_ids:
         esc, rows = tables[e]
-        for lo, freqs, cum in rows:
-            idx = bisect.bisect_right(cum, dec.decode_freq(_TOTAL)) - 1
-            dec.decode_update(cum[idx], freqs[idx])
+        for lo, freqs, cum, starts in rows:
+            v = decode_freq(_TOTAL)
+            # The symbol is bisect_right(cum, v) - 1; its 256-wide bucket of
+            # values narrows the search, to one symbol when the bucket lies
+            # inside one interval.
+            idx = starts[v >> 8]
+            end = starts[(v >> 8) + 1]
+            if idx != end:
+                idx = bisect_right(cum, v, idx + 1, end + 1) - 1
+            decode_update(cum[idx], freqs[idx])
             if idx == esc:
-                raw = dec.decode_raw(_RAW_BITS)
-                out.append(raw - (1 << 32) if raw >= (1 << 31) else raw)
+                raw = decode_raw(_RAW_BITS)
+                put(raw - (1 << 32) if raw >= (1 << 31) else raw)
             else:
-                out.append(lo + idx)
+                put(lo + idx)
     return np.array(out, dtype=np.int64).reshape(bs.num_clusters, bs.dim)
 
 

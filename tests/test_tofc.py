@@ -648,10 +648,10 @@ def one_piece_bin_table(model):
     return lo, p
 
 
-def oracle_encode(symbols, models, routing):
+def oracle_encode(symbols, models, routing, coder=RangeEncoder):
     """The payload of a per-symbol loop over each dimension's own tables."""
     tables = [oracle_coding_tables(model) for model in models]
-    enc = RangeEncoder()
+    enc = coder()
     for row, e in zip(symbols.tolist(), routing):
         for q, (lo, freqs, cum) in zip(row, tables[e]):
             idx = q - lo
@@ -664,10 +664,10 @@ def oracle_encode(symbols, models, routing):
     return enc.finish()
 
 
-def oracle_decode(payload, models, routing, dim):
+def oracle_decode(payload, models, routing, dim, coder=RangeDecoder):
     """Symbols back from a payload, one bisect per symbol on per-dimension lists."""
     tables = [oracle_coding_tables(model) for model in models]
-    dec = RangeDecoder(payload)
+    dec = coder(payload)
     out = np.empty((len(routing), dim), dtype=np.int64)
     for r, e in enumerate(routing):
         for j, (lo, freqs, cum) in enumerate(tables[e]):
@@ -714,6 +714,291 @@ class TestCodingLoopOracle:
             assert got.dtype == np.int64 and got.shape == (m, d)
             assert got.tobytes() == symbols.tobytes()
             assert oracle_decode(bs.payload, models, routing, d).tobytes() == symbols.tobytes()
+
+
+def index_lookup(starts, cum, v):
+    """decode's symbol search: v's bucket of the index, then a bisect
+    bounded to the bucket's symbols when it holds more than one."""
+    idx, end = starts[v >> 8], starts[(v >> 8) + 1]
+    if idx != end:
+        idx = bisect.bisect_right(cum, v, idx + 1, end + 1) - 1
+    return idx
+
+
+class TestSymbolIndex:
+    """decode's bucketed index finds the symbol a full bisect finds."""
+
+    # Tiny and wide scales. At Q_RANGE_MAX every frequency must be 1, which
+    # only models far narrower than a bin leave codable.
+    @pytest.mark.parametrize("q_range, b", [
+        (1, B_MIN), (1, 1.0), (1, 1e4), (255, B_MIN), (255, 50.0), (255, 1e4),
+        (Q_RANGE_MAX, B_MIN),
+    ])
+    def test_lookup_equals_searchsorted_for_every_value(self, q_range, b):
+        mu = np.array([0.0, -7.6, 1e6 + 0.25])
+        model = LaplacianModel(mu=mu, b=np.full(3, b) * [1.0, 1.5, 1.3], id=0, q_range=q_range)
+        cum = model._codes[1]
+        starts = model._starts
+        values = np.arange(_TOTAL)
+        for j in range(model.dim):
+            want = np.searchsorted(cum[j], values, side="right") - 1
+            idx, end = starts[j, values >> 8], starts[j, (values >> 8) + 1]
+            alone = idx == end
+            assert (idx[alone] == want[alone]).all()
+            row, index = memoryview(cum[j]), memoryview(starts[j])
+            for v in np.flatnonzero(~alone).tolist():
+                assert index_lookup(index, row, v) == want[v]
+
+    def test_index_is_built_once_read_only_int32(self):
+        model = LaplacianModel(mu=np.zeros(5), b=np.full(5, B_MIN), id=0, q_range=Q_RANGE_MAX)
+        starts = model._starts
+        assert model._starts is starts
+        assert starts.shape == (5, 257) and starts.dtype == np.int32
+        assert not starts.flags.writeable
+        with pytest.raises(ValueError):
+            starts[0, 0] = 1
+        # The end of a 2^16-symbol table: a 16-bit entry would wrap it to 0.
+        assert (starts[:, -1] == 2 * Q_RANGE_MAX + 2).all()
+
+    def test_decode_bisects_for_few_symbols(self, monkeypatch):
+        # A full bisect per symbol would make this every one of N x d.
+        calls = []
+        bisect_right = bisect.bisect_right
+
+        def counted(*args):
+            calls.append(args)
+            return bisect_right(*args)
+
+        fs = make_blob_features(256, 32, 8, Rng(33))
+        models = fit_laplacian_models(fs, 3)
+        bs, _ = tofc_pipeline(fs, TofcConfig(256, 4, models))
+        want = decode(bs, models)
+        monkeypatch.setattr(tofc.bisect, "bisect_right", counted)
+        assert decode(bs, models).tobytes() == want.tobytes()
+        assert want.size == 256 * 32
+        assert len(calls) < want.size / 2
+
+
+class ReferenceEncoder:
+    """The range encoder as first written, one _shift_low call per
+    renormalized byte: an oracle that shares no code with RangeEncoder."""
+
+    def __init__(self):
+        self.low = 0
+        self.range = 0xFFFFFFFF
+        self.cache = 0
+        self.cache_size = 1
+        self.out = bytearray()
+        self._finished = False
+
+    def _shift_low(self):
+        if (self.low & 0xFFFFFFFF) < 0xFF000000 or self.low > 0xFFFFFFFF:
+            carry = self.low >> 32
+            self.out.append((self.cache + carry) & 0xFF)
+            filler = 0x00 if carry else 0xFF
+            for _ in range(self.cache_size - 1):
+                self.out.append(filler)
+            self.cache = (self.low >> 24) & 0xFF
+            self.cache_size = 0
+        self.cache_size += 1
+        self.low = (self.low << 8) & 0xFFFFFFFF
+
+    def encode(self, cum_lo, freq, total):
+        if self._finished:
+            raise InvalidInputError("encoder already finished")
+        if freq < 1 or cum_lo < 0 or cum_lo + freq > total:
+            raise InvalidInputError("invalid frequency interval")
+        r = self.range // total
+        self.low += r * cum_lo
+        self.range = r * freq
+        while self.range < 1 << 24:
+            self.range = (self.range << 8) & 0xFFFFFFFF
+            self._shift_low()
+
+    def encode_raw(self, value, num_bits):
+        for i in reversed(range(num_bits)):
+            bit = (value >> i) & 1
+            self.encode(bit << 15, 1 << 15, 1 << 16)
+
+    def finish(self):
+        if not self._finished:
+            for _ in range(5):
+                self._shift_low()
+            self._finished = True
+        return bytes(self.out)
+
+
+class ReferenceDecoder:
+    """The range decoder as first written, one _next_byte call per byte."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+        self.range = 0xFFFFFFFF
+        self.code = 0
+        self._next_byte()
+        for _ in range(4):
+            self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
+
+    def _next_byte(self):
+        if self.pos < len(self.data):
+            b = self.data[self.pos]
+            self.pos += 1
+            return b
+        return 0
+
+    def decode_freq(self, total):
+        self._r = self.range // total
+        return min(self.code // self._r, total - 1)
+
+    def decode_update(self, cum_lo, freq):
+        self.code -= self._r * cum_lo
+        self.range = self._r * freq
+        while self.range < 1 << 24:
+            self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
+            self.range = (self.range << 8) & 0xFFFFFFFF
+
+    def decode_raw(self, num_bits):
+        value = 0
+        for _ in range(num_bits):
+            v = self.decode_freq(1 << 16)
+            bit = 1 if v >= 1 << 15 else 0
+            self.decode_update(bit << 15, 1 << 15)
+            value = (value << 1) | bit
+        return value
+
+
+class CarryCountingEncoder(ReferenceEncoder):
+    """Records the length of the 0xFF run each carry turns into zeros."""
+
+    def __init__(self):
+        super().__init__()
+        self.carried = []
+
+    def _shift_low(self):
+        if self.low > 0xFFFFFFFF:
+            self.carried.append(self.cache_size - 1)
+        super()._shift_low()
+
+
+def coder_ops(rng, n, straddle=0):
+    """(ops, ref): n seeded coder operations, coded by a carry-counting reference.
+
+    An operation is ("sym", cum_lo, freq), a symbol of a 2^16 total, or
+    ("raw", value, bits). With straddle > 0, once the interval reaches
+    across 2^32, straddle symbols in a row keep it there, each adding 0xFF
+    bytes to the pending run, and the next one, at the top of the interval,
+    carries into the run.
+    """
+    ref = CarryCountingEncoder()
+    ops, held = [], 0
+    while len(ops) < n:
+        r = ref.range // _TOTAL
+        cross = (2**32 - ref.low) // r if ref.low < 2**32 < ref.low + ref.range else _TOTAL
+        if straddle and cross < _TOTAL:
+            op = ("sym", cross, 1) if held < straddle else ("sym", _TOTAL - 1, 1)
+            held = (held + 1) % (straddle + 1)
+        elif rng.random() < 0.05:
+            bits = int(rng.integers(1, 33))
+            op = ("raw", int(rng.integers(0, 1 << bits)), bits)
+        else:
+            cum_lo = int(rng.integers(0, _TOTAL))
+            top = _TOTAL - cum_lo if rng.random() < 0.5 else min(_TOTAL - cum_lo, 4)
+            op = ("sym", cum_lo, int(rng.integers(1, top + 1)))
+        encode_ops(ref, [op])
+        ops.append(op)
+    return ops, ref
+
+
+def encode_ops(enc, ops):
+    for kind, a, b in ops:
+        if kind == "sym":
+            enc.encode(a, b, _TOTAL)
+        else:
+            enc.encode_raw(a, b)
+
+
+def decode_ops(dec, ops):
+    """What dec reads for ops: each symbol's decode_freq value, each raw field."""
+    got = []
+    for kind, a, b in ops:
+        if kind == "sym":
+            got.append(dec.decode_freq(_TOTAL))
+            dec.decode_update(a, b)
+        else:
+            got.append(dec.decode_raw(b))
+    return got
+
+
+class TestReferenceCoder:
+    """RangeEncoder and RangeDecoder code as the reference classes do."""
+
+    STRADDLES = (0, 0, 3, 40, 300)
+
+    def streams(self):
+        rng = np.random.default_rng(17)
+        for case in range(30):
+            ops, ref = coder_ops(rng, int(rng.integers(1, 700)), self.STRADDLES[case % 5])
+            yield ops, ref
+
+    def test_seeded_streams_give_equal_payloads_and_values(self):
+        longest = 0
+        for ops, ref in self.streams():
+            enc = RangeEncoder()
+            encode_ops(enc, ops)
+            payload = enc.finish()
+            assert payload == ref.finish()
+            longest = max(longest, *ref.carried, 0)
+            got = decode_ops(RangeDecoder(payload), ops)
+            assert got == decode_ops(ReferenceDecoder(payload), ops)
+            for (kind, a, b), value in zip(ops, got):
+                assert a <= value < a + b if kind == "sym" else value == a
+        assert longest >= 300  # carries rippled through long 0xFF runs
+
+    def test_truncated_payloads_decode_alike(self):
+        # Past the end of the data both read zero bytes.
+        for ops, ref in self.streams():
+            payload = ref.finish()
+            for cut in sorted({0, 1, 3, 5, len(payload) // 2, len(payload) - 1}):
+                got = decode_ops(RangeDecoder(payload[:cut]), ops)
+                assert got == decode_ops(ReferenceDecoder(payload[:cut]), ops)
+
+    def test_corrupt_payloads_decode_alike(self):
+        # Random bytes push the code word past the interval, where the
+        # decoded value is clamped to the table's last entry.
+        rng = np.random.default_rng(18)
+        clamped = 0
+        for _ in range(30):
+            payload = rng.integers(0, 256, size=int(rng.integers(0, 300)), dtype=np.uint8)
+            freqs = rng.integers(1, 400, size=int(rng.integers(2, 60)))
+            freqs[-1] += _TOTAL - freqs.sum()
+            cum = np.concatenate(([0], np.cumsum(freqs))).tolist()
+            dec, ref = RangeDecoder(payload.tobytes()), ReferenceDecoder(payload.tobytes())
+            for _ in range(400):
+                clamped += ref.code // (ref.range // _TOTAL) >= _TOTAL
+                v = dec.decode_freq(_TOTAL)
+                assert v == ref.decode_freq(_TOTAL)
+                s = bisect.bisect_right(cum, v) - 1
+                dec.decode_update(cum[s], cum[s + 1] - cum[s])
+                ref.decode_update(cum[s], cum[s + 1] - cum[s])
+                assert (dec.code, dec.range) == (ref.code, ref.range)
+        assert clamped > 100
+
+    def test_tofc_payloads_equal_the_reference_loop(self):
+        # Escapes from x400 rows; symbols bytes-equal both ways.
+        rng = np.random.default_rng(19)
+        for case in range(6):
+            fs = make_blob_features(96, 8, 4, Rng(case))
+            feats = fs.features.copy()
+            feats[rng.random(96) < 0.1] *= 400.0
+            fs = FeatureSet(features=feats)
+            models = fit_laplacian_models(fs, 1 + case % 3)
+            bs, _ = tofc_pipeline(fs, TofcConfig(48, 4, models))
+            symbols = decode(bs, models)
+            routing = list(bs.model_ids)
+            assert bs.payload == oracle_encode(symbols, models, routing, ReferenceEncoder)
+            back = oracle_decode(bs.payload, models, routing, 8, ReferenceDecoder)
+            assert back.tobytes() == symbols.tobytes()
 
 
 def np_sum_rows(feats):
