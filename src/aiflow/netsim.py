@@ -214,6 +214,9 @@ class _Net:
 
     def finish(self, tokens, wall_s, device_s, server_s, acceptance=1.0):
         """The run's trace, sorted by (time, seq), and its MetricsRecord."""
+        times = (wall_s, device_s, server_s, self.transmit_s, *(row[0] for row in self._rows))
+        if not all(map(math.isfinite, times)):
+            raise InvalidScenarioError("simulated time overflows float64: costs too large to sum")
         events = [Event(t, seq, *row) for seq, (t, *row) in enumerate(self._rows)]
         events.sort(key=lambda e: (e.time, e.seq))
         return events, MetricsRecord(

@@ -1,29 +1,30 @@
-"""Byte-oriented range coder with carry counting.
+"""Byte-oriented range coder with carry counting, at one fixed total of 2^16.
 
-The coding state is a 32-bit `low`/`range` pair. Encoding a symbol with
-cumulative frequency `cum_lo`, frequency `freq`, and table total `total`
-narrows the interval to [low + (range//total)*cum_lo, ...), then renormalizes
-by emitting the top byte whenever range drops below 2^24. Carries are handled
-LZMA-style: one byte is cached and a run of 0xFF bytes is counted so a late
-carry can ripple through them; the very first emitted byte is always zero and
-the flush appends five more renormalizations, so framing overhead is six
-bytes. The decoder mirrors the arithmetic exactly: it discards the leading
-zero byte, primes a 32-bit code word, and reads zero bytes past the end of
-the stream during its final renormalizations.
-
-This layout (32-bit state, 2^24 renormalization threshold, leading zero,
-five-byte flush) is the cross-implementation contract for every bitstream
-this package writes.
+The coding state is a 32-bit `low`/`range` pair. A symbol is an interval
+[lo, hi) of TOTAL, a raw bit b the half [b*2^15, (b+1)*2^15). Encoding narrows
+the interval to [low + (range >> 16)*lo, ...) of width (range >> 16)*(hi - lo),
+then renormalizes by emitting the top byte whenever range drops below 2^24.
+Carries are handled LZMA-style: one byte is cached and a run of 0xFF bytes is
+counted so a late carry can ripple through them; the very first emitted byte
+is always zero and the flush appends five more renormalizations, so framing
+overhead is six bytes. The decoder mirrors the arithmetic exactly: it discards
+the leading zero byte, primes a 32-bit code word, and reads zero bytes past
+the end of the stream during its final renormalizations. The encoder rejects
+an interval outside 0 <= lo < hi <= TOTAL, the decoder (off its common path)
+one that leaves no range. This layout (32-bit state, 2^16 total, 2^24
+renormalization threshold, leading zero, five-byte flush) is the
+cross-implementation contract for every bitstream this package writes.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
 
+_TOTAL_BITS = 16
+TOTAL = 1 << _TOTAL_BITS
+_HALF = TOTAL >> 1
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
-_HALF16 = 1 << 15
-_TOTAL16 = 1 << 16
 
 
 class RangeEncoder:
@@ -47,14 +48,14 @@ class RangeEncoder:
         self.cache_size += 1
         self.low = (self.low << 8) & _MASK32
 
-    def encode(self, cum_lo: int, freq: int, total: int):
+    def encode(self, lo: int, hi: int):
         if self._finished:
             raise InvalidInputError("encoder already finished")
-        if freq < 1 or cum_lo < 0 or cum_lo + freq > total:
+        if not 0 <= lo < hi <= TOTAL:
             raise InvalidInputError("invalid frequency interval")
-        r = self.range // total
-        low = self.low + r * cum_lo
-        rng = r * freq
+        r = self.range >> _TOTAL_BITS
+        low = self.low + r * lo
+        rng = r * (hi - lo)
         # _shift_low per renormalization, inlined on locals. low < 2^33 here,
         # so (low & _MASK32) < 0xFF000000 reads low < 0xFF000000.
         while rng < _TOP:
@@ -76,7 +77,7 @@ class RangeEncoder:
         """num_bits of value, most significant first, one coin flip each."""
         for i in reversed(range(num_bits)):
             bit = (value >> i) & 1
-            self.encode(bit * _HALF16, _HALF16, _TOTAL16)
+            self.encode(bit * _HALF, (bit + 1) * _HALF)
 
     def finish(self) -> bytes:
         if not self._finished:
@@ -98,16 +99,18 @@ class RangeDecoder:
         self.code = code
         self.pos = 5
 
-    def decode_freq(self, total: int) -> int:
-        r = self._r = self.range // total
+    def decode_freq(self) -> int:
+        r = self._r = self.range >> _TOTAL_BITS
         v = self.code // r
-        return v if v < total else total - 1
+        return v if v < TOTAL else TOTAL - 1
 
-    def decode_update(self, cum_lo: int, freq: int):
+    def decode_update(self, lo: int, hi: int):
         r = self._r
-        code = self.code - r * cum_lo
-        rng = r * freq
+        code = self.code - r * lo
+        rng = r * (hi - lo)
         if rng < _TOP:
+            if rng <= 0:
+                raise InvalidInputError("invalid frequency interval")
             data = self.data
             pos = self.pos
             while rng < _TOP:
@@ -121,8 +124,7 @@ class RangeDecoder:
     def decode_raw(self, num_bits: int) -> int:
         value = 0
         for _ in range(num_bits):
-            v = self.decode_freq(_TOTAL16)
-            bit = 1 if v >= _HALF16 else 0
-            self.decode_update(bit * _HALF16, _HALF16)
+            bit = 1 if self.decode_freq() >= _HALF else 0
+            self.decode_update(bit * _HALF, (bit + 1) * _HALF)
             value = (value << 1) | bit
         return value

@@ -13,8 +13,8 @@ Conventions that affect bitstreams, all fixed on purpose:
     round(mu) + q_range] plus one escape symbol, and an escaped value is
     coded as the escape symbol followed by its 32-bit two's-complement value
     as raw bits;
-  - frequency tables scale the model pmf to a total of 2^16 with every entry
-    at least 1, repairing the rounding remainder on the largest entry.
+  - symbol i is [cum[i], cum[i + 1]) of the coder's 2^16 total: the pmf
+    scaled to it, each frequency at least 1, the remainder on the largest.
 
 Clustering holds no N x N distance matrix. Per block of 64 rows, one matrix
 product gives approximate squared distances with a proven error bound, and
@@ -23,11 +23,11 @@ np.sum as the definition sums it, so its memory is a few 64 x N buffers;
 see dpc_knn_cluster.
 
 A model builds its tables once, on first use, and keeps them: its bin table
-(routing prices rows from it), int32 coding tables (encode gathers each
-symbol's interval from them with numpy) and a symbol index over 256 slices
-of the frequency total (decode looks a value's slice up and bisects only
-a slice that more than one symbol meets). The range coder is still called
-once per symbol and once per raw escape bit.
+(routing prices rows from it), one int32 cumulative table (encode gathers
+symbol intervals from it with numpy) and a symbol index over 256 slices of
+the total (decode looks a value's slice up and bisects only a slice that
+more than one symbol meets). The range coder is still called once per
+symbol and once per raw escape bit.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from .errors import (
     MalformedBitstreamError,
 )
 from .numerics import Rng, require_int, require_matrix, require_vector
-from .rangecoder import RangeDecoder, RangeEncoder
+from .rangecoder import TOTAL, RangeDecoder, RangeEncoder
 
 B_MIN = 1e-3
-_TOTAL = 1 << 16
 _FEAT_MAGIC = b"FEAT"
 _TOFC_MAGIC = b"TOFC"
 _TOFC_HEAD = "HHB"  # cluster count, dim, model count
@@ -68,8 +67,8 @@ _BIN_ENTRIES = 1 << 16
 # distance matrix: 2^30 admits N <= 11,585. It holds no such matrix, only a few
 # _ROW_BLOCK x N buffers; the limit stays a documented contract.
 _DISTANCE_BYTES = 1 << 30
-# The widest alphabet, 2*q_range + 2 entries, that fits the 2^16 frequency total.
-Q_RANGE_MAX = (_TOTAL - 2) // 2
+# The widest alphabet, 2*q_range + 2 entries, that fits the coder's TOTAL.
+Q_RANGE_MAX = (TOTAL - 2) // 2
 # Bound on |mu|, so that every alphabet lo..lo + 2*q_range + 1 fits int64.
 _MU_LIMIT = 2.0**62
 
@@ -106,8 +105,8 @@ class LaplacianModel:
     """Per-dimension Laplace(mu, b) entropy model with integer-bin pmf.
 
     mu and b are read-only copies of the caller's arrays, so the model stays
-    the one its checks passed. Its bin table, coding tables and decoding
-    symbol index are derived from them on first use and kept for the
+    the one its checks passed. Its bin table, cumulative coding table and
+    decoding symbol index are derived from them on first use and kept for the
     model's lifetime, read-only.
     """
 
@@ -146,32 +145,31 @@ class LaplacianModel:
         return _frozen(lo), _frozen(p)
 
     @cached_property
-    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(freqs, cum): int32 coding tables, row j dimension j's alphabet.
+    def _cum(self) -> np.ndarray:
+        """(d, 2*q_range + 3) int32 coding table: symbol i of dimension j,
+        the in-range symbols then the escape, is [cum[j, i], cum[j, i + 1])
+        of the range coder's TOTAL.
 
-        freqs (d, 2*q_range + 2) holds the in-range symbols' frequencies, then
-        the escape's, each row summing to exactly 2^16; cum (d, 2*q_range + 3)
-        their running sums from 0. All dimensions are scaled, floored at 1 and
-        repaired on their largest entry together, from the bin table. A q_range
-        so wide that the floor of 1 per entry overdraws the total raises
+        All dimensions are scaled to TOTAL, floored at 1 and repaired on
+        their largest frequency together, from the bin table. A q_range so
+        wide that the floor of 1 per symbol overdraws the total raises
         InvalidInputError naming the first such dimension, on every use.
         """
-        p = self._bins[1]
-        freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
+        freqs = np.maximum(1, np.rint(self._bins[1] * TOTAL)).astype(np.int64)
         dims = np.arange(self.dim)
         top = np.argmax(freqs, axis=1)
-        freqs[dims, top] += _TOTAL - freqs.sum(axis=1)
+        freqs[dims, top] += TOTAL - freqs.sum(axis=1)
         overdrawn = np.flatnonzero(freqs[dims, top] < 1)
         if overdrawn.size:
             raise InvalidInputError(
                 f"model {self.id} dimension {overdrawn[0]}: q_range {self.q_range} leaves too "
                 "little of the 2^16 frequency total to give every symbol a frequency >= 1"
             )
-        if freqs.min() < 1 or (freqs.sum(axis=1) != _TOTAL).any():
+        if freqs.min() < 1 or (freqs.sum(axis=1) != TOTAL).any():
             raise InvariantViolationError("frequency table repair failed")
         cum = np.zeros((self.dim, freqs.shape[1] + 1), dtype=np.int32)
         np.cumsum(freqs, axis=1, out=cum[:, 1:])
-        return _frozen(freqs.astype(np.int32)), _frozen(cum)
+        return _frozen(cum)
 
     @cached_property
     def _starts(self) -> np.ndarray:
@@ -182,7 +180,7 @@ class LaplacianModel:
         The last column names the end of the table, 2*q_range + 2, which is
         2^16 at Q_RANGE_MAX: no 16-bit type holds it.
         """
-        cum = self._codes[1]
+        cum = self._cum
         edges = np.arange(257) << 8
         starts = np.empty((self.dim, 257), dtype=np.int32)
         for j in range(self.dim):
@@ -757,26 +755,22 @@ def encode(symbols: np.ndarray, models, routing) -> Bitstream:
     rows = arr.astype(np.int64)
     routed = np.array(ids, dtype=np.intp)
     dims = np.arange(d)
-    cum_lo = np.empty((m, d), dtype=np.int32)
-    freq = np.empty((m, d), dtype=np.int32)
-    escaped = np.empty((m, d), dtype=bool)
+    lo, hi = np.empty((2, m, d), dtype=np.int32)
     # Every listed model must be codable, whether or not a row routes to it.
     for model in models:
-        freqs, cum = model._codes
+        cum = model._cum
         mine = routed == model.id
-        esc = freqs.shape[1] - 1
+        esc = cum.shape[1] - 2
         idx = rows[mine] - model._bins[0]
-        outside = (idx < 0) | (idx >= esc)
-        idx[outside] = esc
-        cum_lo[mine] = cum[dims, idx]
-        freq[mine] = freqs[dims, idx]
-        escaped[mine] = outside
+        idx[(idx < 0) | (idx >= esc)] = esc
+        lo[mine] = cum[dims, idx]
+        hi[mine] = cum[dims, idx + 1]
     enc = RangeEncoder()
     put, put_raw = enc.encode, enc.encode_raw
-    for q, c, f, x in zip(rows.ravel().tolist(), cum_lo.ravel().tolist(),
-                          freq.ravel().tolist(), escaped.ravel().tolist()):
-        put(c, f, _TOTAL)
-        if x:
+    # Each alphabet ends in its escape, the only symbol whose interval ends at TOTAL.
+    for q, a, b in zip(rows.ravel().tolist(), lo.ravel().tolist(), hi.ravel().tolist()):
+        put(a, b)
+        if b == TOTAL:
             put_raw(q & 0xFFFFFFFF, _RAW_BITS)
     return Bitstream(
         dim=d,
@@ -797,10 +791,9 @@ def decode(bs: Bitstream, models) -> np.ndarray:
         raise MalformedBitstreamError("routing references an unknown model id")
     tables = []
     for model in models:
-        freqs, cum = model._codes
-        rows = zip(model._bins[0].tolist(), map(memoryview, freqs), map(memoryview, cum),
-                   map(memoryview, model._starts))
-        tables.append((freqs.shape[1] - 1, list(rows)))
+        cum = model._cum
+        rows = zip(model._bins[0].tolist(), map(memoryview, cum), map(memoryview, model._starts))
+        tables.append((cum.shape[1] - 2, list(rows)))
     dec = RangeDecoder(bs.payload)
     decode_freq, decode_update, decode_raw = dec.decode_freq, dec.decode_update, dec.decode_raw
     bisect_right = bisect.bisect_right
@@ -808,8 +801,8 @@ def decode(bs: Bitstream, models) -> np.ndarray:
     put = out.append
     for e in bs.model_ids:
         esc, rows = tables[e]
-        for lo, freqs, cum, starts in rows:
-            v = decode_freq(_TOTAL)
+        for lo, cum, starts in rows:
+            v = decode_freq()
             # The symbol is bisect_right(cum, v) - 1; its 256-wide bucket of
             # values narrows the search, to one symbol when the bucket lies
             # inside one interval.
@@ -817,7 +810,7 @@ def decode(bs: Bitstream, models) -> np.ndarray:
             end = starts[(v >> 8) + 1]
             if idx != end:
                 idx = bisect_right(cum, v, idx + 1, end + 1) - 1
-            decode_update(cum[idx], freqs[idx])
+            decode_update(cum[idx], cum[idx + 1])
             if idx == esc:
                 raw = decode_raw(_RAW_BITS)
                 put(raw - (1 << 32) if raw >= (1 << 31) else raw)

@@ -1,4 +1,5 @@
-"""Shared test helpers: crafted-rng driving and exact path enumeration.
+"""Shared test helpers: a time-bounded subprocess runner, crafted-rng driving
+and exact path enumeration.
 
 The enumeration harness walks every probability-positive path of a
 draft-verify round (draft token choices, accept/reject at each scanned
@@ -10,13 +11,33 @@ compare against the top verifier's distributions.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aiflow
 from aiflow.specdec import run_round
 from aiflow.toylm import LmDecoder, TokenDistribution, chain_scorer
+
+
+def run_snippet(code: str, timeout: float = 15.0) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's aiflow.
+
+    Meant for calls that once looped forever: a snippet still running after
+    timeout seconds is killed and fails the calling test instead of
+    stalling the suite.
+    """
+    src = str(Path(aiflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"snippet still running after {timeout} s:\n{code}")
 
 
 class ListRng:

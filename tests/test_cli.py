@@ -297,6 +297,23 @@ class TestSpecdec:
         assert "error: configs[0]: pipelined mode supports exactly two tiers" in err
         assert not out.exists()
 
+    def test_overflowing_clock_is_config_error(self, tmp_path, capsys):
+        # The first entry is fine; the second's 1e308 s per token overflows
+        # the clock, and the sweep writes neither summary.json nor a row.
+        link = {"latency_s": 1e-3, "bandwidth_bytes_per_s": 1e6}
+        topology = {
+            "nodes": [{"id": tier, "tier": tier, "compute_cost": {"token": 1e308}}
+                      for tier in ("device", "edge")],
+            "links": [{"from": "device", "to": "edge", **link, "seed": 1},
+                      {"from": "edge", "to": "device", **link, "seed": 2}],
+        }
+        cfg = specdec_config(tmp_path, [self.mixed_pair(3)], num_tokens=8, topology=topology)
+        out = tmp_path / "r"
+        assert main(["specdec", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: simulated time overflows float64: costs too large to sum\n"
+        assert not out.exists()
+
     def test_unknown_model_spec_field_rejected(self, tmp_path, capsys):
         entry = self.mixed_pair(3)
         entry["models"]["device"]["exit"] = 3
@@ -547,6 +564,19 @@ class TestSimulate:
         assert "compute cost 'token' must be finite and >= 0" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+
+    def test_overflowing_clock_is_config_error(self, tmp_path, capsys):
+        # Each cost is finite; two tokens at 1e308 s overflow the clock.
+        doc = {"topology": {"nodes": [{"id": "solo", "tier": "edge",
+                                       "compute_cost": {"token": 1e308}}], "links": []},
+               "scenario": {"kind": "single", "node": "solo", "num_tokens": 2}}
+        path = write_config(tmp_path / "sim.json", doc)
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", path, "--out", str(out), "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: simulated time overflows float64: costs too large to sum\n"
+        )
+        assert not out.exists()
 
     def test_negative_link_seed_is_config_error(self, tmp_path, capsys):
         path = self.sim_config(tmp_path, {"kind": "single", "node": "edge", "num_tokens": 3})

@@ -722,6 +722,14 @@ class TestSingleTier:
         trace, m = run_single_tier_scenario(topo, "edge", 0)
         assert trace == [] and m.tokens_emitted == 0
 
+    def test_overflowing_clock_raises(self):
+        # One token at 1e308 s is a finite run; two overflow float64.
+        topo = topology_from_dict({"nodes": [{"id": "solo", "tier": "device",
+                                              "compute_cost": {"token": 1e308}}], "links": []})
+        assert run_single_tier_scenario(topo, "solo", 1)[1].simulated_wall_s == 1e308
+        with pytest.raises(InvalidScenarioError, match="^simulated time overflows float64: "):
+            run_single_tier_scenario(topo, "solo", 2)
+
     @pytest.mark.parametrize("num_tokens", [2.5, True, False, -1, "3", None])
     def test_num_tokens_must_be_a_non_bool_int(self, num_tokens):
         with pytest.raises(InvalidInputError, match="num_tokens must be an int >= 0"):

@@ -2,6 +2,7 @@
 
 import bisect
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -20,7 +21,7 @@ from aiflow.errors import (
     MalformedBitstreamError,
 )
 from aiflow.numerics import Rng
-from aiflow.rangecoder import RangeDecoder, RangeEncoder
+from aiflow.rangecoder import TOTAL, RangeDecoder, RangeEncoder
 from aiflow.tofc import (
     B_MIN,
     Q_RANGE_MAX,
@@ -45,12 +46,13 @@ from aiflow.tofc import (
     _DISTANCE_BYTES,
     _ROW_BLOCK,
     _TILE,
-    _TOTAL,
     _Distances,
     _bin_table,
     _laplace_cdf,
     _row_bits,
 )
+
+from conftest import run_snippet
 
 
 def oracle_dpc(feats, k, m):
@@ -452,7 +454,7 @@ class TestLaplacianFit:
 
     def test_model_parameters_are_read_only(self):
         model = LaplacianModel(mu=np.zeros(3), b=np.ones(3), id=0)
-        model._codes
+        model._cum
         copies = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
         for m in [model, *copies]:
             for arr in (m.mu, m.b):
@@ -460,7 +462,7 @@ class TestLaplacianFit:
                     arr[0] = 1.0
         for m in copies:
             assert (m.mu.tolist(), m.b.tolist(), m.id, m.q_range) == ([0.0] * 3, [1.0] * 3, 0, 255)
-            assert "_codes" not in vars(m)  # derived again, from the copy's own parameters
+            assert "_cum" not in vars(m)  # derived again, from the copy's own parameters
 
     def test_model_coerces_its_parameters(self):
         model = LaplacianModel(mu=[0.0, 1], b=[1.0, 2.0], id=0)
@@ -507,9 +509,9 @@ def oracle_coding_tables(model):
     tables = []
     for j in range(model.dim):
         lo, p = oracle_bin_masses(model, j)
-        freqs = np.maximum(1, np.rint(p * _TOTAL)).astype(np.int64)
+        freqs = np.maximum(1, np.rint(p * TOTAL)).astype(np.int64)
         top = int(np.argmax(freqs))
-        freqs[top] += _TOTAL - int(freqs.sum())
+        freqs[top] += TOTAL - int(freqs.sum())
         if freqs[top] < 1:
             raise InvalidInputError(
                 f"model {model.id} dimension {j}: q_range {model.q_range} leaves too little "
@@ -569,16 +571,15 @@ class TestOneTablePass:
             except InvalidInputError as exc:
                 for _ in range(2):  # a failed build is not kept: each use raises
                     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
-                        model._codes
+                        model._cum
             else:
-                freqs, cum = model._codes
-                width = 2 * model.q_range + 2
-                assert freqs.dtype == cum.dtype == np.int32
-                assert freqs.shape == (model.dim, width) and cum.shape == (model.dim, width + 1)
-                got = [(int(lo), f.tolist(), c.tolist())
-                       for lo, f, c in zip(model._bins[0], freqs, cum)]
+                cum = model._cum
+                assert cum.dtype == np.int32 and cum.shape == (model.dim, 2 * model.q_range + 3)
+                assert not cum.flags.writeable
+                got = [(int(lo), np.diff(c).tolist(), c.tolist())
+                       for lo, c in zip(model._bins[0], cum)]
                 assert got == want
-                assert model._codes[0] is freqs and model._codes[1] is cum
+                assert model._cum is cum
 
     def test_too_wide_q_range_names_the_first_failing_dimension(self):
         # Dimensions 2 and 4 are too wide for the frequency total; 0, 1, 3 fit.
@@ -588,7 +589,7 @@ class TestOneTablePass:
             oracle_coding_tables(model)
         assert "dimension 2:" in str(want.value)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
-            model._codes
+            model._cum
 
     def test_one_cdf_evaluation_per_model_table(self, monkeypatch):
         # A model's tables are built once, on first use, and kept: two
@@ -657,9 +658,9 @@ def oracle_encode(symbols, models, routing, coder=RangeEncoder):
             idx = q - lo
             esc = len(freqs) - 1
             if 0 <= idx < esc:
-                enc.encode(cum[idx], freqs[idx], _TOTAL)
+                enc.encode(cum[idx], cum[idx] + freqs[idx])
             else:
-                enc.encode(cum[esc], freqs[esc], _TOTAL)
+                enc.encode(cum[esc], cum[esc] + freqs[esc])
                 enc.encode_raw(q & 0xFFFFFFFF, 32)
     return enc.finish()
 
@@ -671,8 +672,8 @@ def oracle_decode(payload, models, routing, dim, coder=RangeDecoder):
     out = np.empty((len(routing), dim), dtype=np.int64)
     for r, e in enumerate(routing):
         for j, (lo, freqs, cum) in enumerate(tables[e]):
-            idx = bisect.bisect_right(cum, dec.decode_freq(_TOTAL)) - 1
-            dec.decode_update(cum[idx], freqs[idx])
+            idx = bisect.bisect_right(cum, dec.decode_freq()) - 1
+            dec.decode_update(cum[idx], cum[idx] + freqs[idx])
             if idx == len(freqs) - 1:
                 raw = dec.decode_raw(32)
                 out[r, j] = raw - (1 << 32) if raw >= (1 << 31) else raw
@@ -737,9 +738,9 @@ class TestSymbolIndex:
     def test_lookup_equals_searchsorted_for_every_value(self, q_range, b):
         mu = np.array([0.0, -7.6, 1e6 + 0.25])
         model = LaplacianModel(mu=mu, b=np.full(3, b) * [1.0, 1.5, 1.3], id=0, q_range=q_range)
-        cum = model._codes[1]
+        cum = model._cum
         starts = model._starts
-        values = np.arange(_TOTAL)
+        values = np.arange(TOTAL)
         for j in range(model.dim):
             want = np.searchsorted(cum[j], values, side="right") - 1
             idx, end = starts[j, values >> 8], starts[j, (values >> 8) + 1]
@@ -781,7 +782,8 @@ class TestSymbolIndex:
 
 class ReferenceEncoder:
     """The range encoder as first written, one _shift_low call per
-    renormalized byte: an oracle that shares no code with RangeEncoder."""
+    renormalized byte and range // 2^16 per symbol: an oracle that shares no
+    code with RangeEncoder."""
 
     def __init__(self):
         self.low = 0
@@ -803,14 +805,14 @@ class ReferenceEncoder:
         self.cache_size += 1
         self.low = (self.low << 8) & 0xFFFFFFFF
 
-    def encode(self, cum_lo, freq, total):
+    def encode(self, lo, hi):
         if self._finished:
             raise InvalidInputError("encoder already finished")
-        if freq < 1 or cum_lo < 0 or cum_lo + freq > total:
+        if hi - lo < 1 or lo < 0 or hi > 1 << 16:
             raise InvalidInputError("invalid frequency interval")
-        r = self.range // total
-        self.low += r * cum_lo
-        self.range = r * freq
+        r = self.range // (1 << 16)
+        self.low += r * lo
+        self.range = r * (hi - lo)
         while self.range < 1 << 24:
             self.range = (self.range << 8) & 0xFFFFFFFF
             self._shift_low()
@@ -818,7 +820,7 @@ class ReferenceEncoder:
     def encode_raw(self, value, num_bits):
         for i in reversed(range(num_bits)):
             bit = (value >> i) & 1
-            self.encode(bit << 15, 1 << 15, 1 << 16)
+            self.encode(bit << 15, (bit + 1) << 15)
 
     def finish(self):
         if not self._finished:
@@ -847,13 +849,13 @@ class ReferenceDecoder:
             return b
         return 0
 
-    def decode_freq(self, total):
-        self._r = self.range // total
-        return min(self.code // self._r, total - 1)
+    def decode_freq(self):
+        self._r = self.range // (1 << 16)
+        return min(self.code // self._r, (1 << 16) - 1)
 
-    def decode_update(self, cum_lo, freq):
-        self.code -= self._r * cum_lo
-        self.range = self._r * freq
+    def decode_update(self, lo, hi):
+        self.code -= self._r * lo
+        self.range = self._r * (hi - lo)
         while self.range < 1 << 24:
             self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
             self.range = (self.range << 8) & 0xFFFFFFFF
@@ -861,9 +863,9 @@ class ReferenceDecoder:
     def decode_raw(self, num_bits):
         value = 0
         for _ in range(num_bits):
-            v = self.decode_freq(1 << 16)
+            v = self.decode_freq()
             bit = 1 if v >= 1 << 15 else 0
-            self.decode_update(bit << 15, 1 << 15)
+            self.decode_update(bit << 15, (bit + 1) << 15)
             value = (value << 1) | bit
         return value
 
@@ -884,7 +886,7 @@ class CarryCountingEncoder(ReferenceEncoder):
 def coder_ops(rng, n, straddle=0):
     """(ops, ref): n seeded coder operations, coded by a carry-counting reference.
 
-    An operation is ("sym", cum_lo, freq), a symbol of a 2^16 total, or
+    An operation is ("sym", lo, hi), a symbol's interval of the 2^16 total, or
     ("raw", value, bits). With straddle > 0, once the interval reaches
     across 2^32, straddle symbols in a row keep it there, each adding 0xFF
     bytes to the pending run, and the next one, at the top of the interval,
@@ -893,18 +895,18 @@ def coder_ops(rng, n, straddle=0):
     ref = CarryCountingEncoder()
     ops, held = [], 0
     while len(ops) < n:
-        r = ref.range // _TOTAL
-        cross = (2**32 - ref.low) // r if ref.low < 2**32 < ref.low + ref.range else _TOTAL
-        if straddle and cross < _TOTAL:
-            op = ("sym", cross, 1) if held < straddle else ("sym", _TOTAL - 1, 1)
+        r = ref.range // TOTAL
+        cross = (2**32 - ref.low) // r if ref.low < 2**32 < ref.low + ref.range else TOTAL
+        if straddle and cross < TOTAL:
+            op = ("sym", cross, cross + 1) if held < straddle else ("sym", TOTAL - 1, TOTAL)
             held = (held + 1) % (straddle + 1)
         elif rng.random() < 0.05:
             bits = int(rng.integers(1, 33))
             op = ("raw", int(rng.integers(0, 1 << bits)), bits)
         else:
-            cum_lo = int(rng.integers(0, _TOTAL))
-            top = _TOTAL - cum_lo if rng.random() < 0.5 else min(_TOTAL - cum_lo, 4)
-            op = ("sym", cum_lo, int(rng.integers(1, top + 1)))
+            cum_lo = int(rng.integers(0, TOTAL))
+            top = TOTAL - cum_lo if rng.random() < 0.5 else min(TOTAL - cum_lo, 4)
+            op = ("sym", cum_lo, cum_lo + int(rng.integers(1, top + 1)))
         encode_ops(ref, [op])
         ops.append(op)
     return ops, ref
@@ -913,7 +915,7 @@ def coder_ops(rng, n, straddle=0):
 def encode_ops(enc, ops):
     for kind, a, b in ops:
         if kind == "sym":
-            enc.encode(a, b, _TOTAL)
+            enc.encode(a, b)
         else:
             enc.encode_raw(a, b)
 
@@ -923,7 +925,7 @@ def decode_ops(dec, ops):
     got = []
     for kind, a, b in ops:
         if kind == "sym":
-            got.append(dec.decode_freq(_TOTAL))
+            got.append(dec.decode_freq())
             dec.decode_update(a, b)
         else:
             got.append(dec.decode_raw(b))
@@ -952,7 +954,7 @@ class TestReferenceCoder:
             got = decode_ops(RangeDecoder(payload), ops)
             assert got == decode_ops(ReferenceDecoder(payload), ops)
             for (kind, a, b), value in zip(ops, got):
-                assert a <= value < a + b if kind == "sym" else value == a
+                assert a <= value < b if kind == "sym" else value == a
         assert longest >= 300  # carries rippled through long 0xFF runs
 
     def test_truncated_payloads_decode_alike(self):
@@ -971,16 +973,16 @@ class TestReferenceCoder:
         for _ in range(30):
             payload = rng.integers(0, 256, size=int(rng.integers(0, 300)), dtype=np.uint8)
             freqs = rng.integers(1, 400, size=int(rng.integers(2, 60)))
-            freqs[-1] += _TOTAL - freqs.sum()
+            freqs[-1] += TOTAL - freqs.sum()
             cum = np.concatenate(([0], np.cumsum(freqs))).tolist()
             dec, ref = RangeDecoder(payload.tobytes()), ReferenceDecoder(payload.tobytes())
             for _ in range(400):
-                clamped += ref.code // (ref.range // _TOTAL) >= _TOTAL
-                v = dec.decode_freq(_TOTAL)
-                assert v == ref.decode_freq(_TOTAL)
+                clamped += ref.code // (ref.range // TOTAL) >= TOTAL
+                v = dec.decode_freq()
+                assert v == ref.decode_freq()
                 s = bisect.bisect_right(cum, v) - 1
-                dec.decode_update(cum[s], cum[s + 1] - cum[s])
-                ref.decode_update(cum[s], cum[s + 1] - cum[s])
+                dec.decode_update(cum[s], cum[s + 1])
+                ref.decode_update(cum[s], cum[s + 1])
                 assert (dec.code, dec.range) == (ref.code, ref.range)
         assert clamped > 100
 
@@ -1172,14 +1174,14 @@ class TestRangeCoder:
             symbols = [int(rng.uniform() * size) for _ in range(n)]
             enc = RangeEncoder()
             for s in symbols:
-                enc.encode(int(cum[s]), int(freqs[s]), 1 << 16)
+                enc.encode(int(cum[s]), int(cum[s + 1]))
             payload = enc.finish()
             dec = RangeDecoder(payload)
             out = []
             for _ in range(n):
-                v = dec.decode_freq(1 << 16)
+                v = dec.decode_freq()
                 s = int(np.searchsorted(cum, v, side="right")) - 1
-                dec.decode_update(int(cum[s]), int(freqs[s]))
+                dec.decode_update(int(cum[s]), int(cum[s + 1]))
                 out.append(s)
             assert out == symbols
 
@@ -1188,15 +1190,15 @@ class TestRangeCoder:
         rng = Rng(5)
         bits = [int(rng.uniform() * 2) for _ in range(800)]
         for b in bits:
-            enc.encode(b * (1 << 15), 1 << 15, 1 << 16)
+            enc.encode(b * (1 << 15), (b + 1) * (1 << 15))
         payload = enc.finish()
         assert len(payload) <= 800 // 8 + 6
         dec = RangeDecoder(payload)
         got = []
         for _ in range(800):
-            v = dec.decode_freq(1 << 16)
+            v = dec.decode_freq()
             b = 1 if v >= (1 << 15) else 0
-            dec.decode_update(b * (1 << 15), 1 << 15)
+            dec.decode_update(b * (1 << 15), (b + 1) * (1 << 15))
             got.append(b)
         assert got == bits
 
@@ -1210,14 +1212,40 @@ class TestRangeCoder:
 
     def test_encoder_validation(self):
         enc = RangeEncoder()
-        with pytest.raises(InvalidInputError):
-            enc.encode(60000, 10000, 1 << 16)
-        with pytest.raises(InvalidInputError):
-            enc.encode(0, 0, 1 << 16)
-        enc.encode(0, 1 << 15, 1 << 16)
+        for lo, hi in [(60000, 70000), (0, 0), (5, 4), (-1, 3), (0, TOTAL + 1)]:
+            with pytest.raises(InvalidInputError, match="^invalid frequency interval$"):
+                enc.encode(lo, hi)
+        enc.encode(0, 1 << 15)
         enc.finish()
         with pytest.raises(InvalidInputError):
-            enc.encode(0, 1 << 15, 1 << 16)
+            enc.encode(0, 1 << 15)
+
+    def test_every_interval_is_of_one_fixed_total(self):
+        assert TOTAL == 1 << 16
+        params = {method: list(inspect.signature(method).parameters)
+                  for method in (RangeEncoder.encode, RangeDecoder.decode_freq,
+                                 RangeDecoder.decode_update)}
+        assert list(params.values()) == [["self", "lo", "hi"], ["self"], ["self", "lo", "hi"]]
+
+    # Each of these has looped forever: a total above the range made the
+    # encoder's step zero, and an empty interval leaves the decoder a range
+    # that renormalizing never lifts. They run in a killable interpreter.
+    @pytest.mark.parametrize("call", [
+        "RangeEncoder().encode(0, 2**33)",
+        "RangeEncoder().encode(2**32, 2**33 + 1)",
+        "d = RangeDecoder(bytes(8)); d.decode_freq(); d.decode_update(0, 0)",
+        "d = RangeDecoder(bytes(range(1, 9))); d.decode_freq(); d.decode_update(900, 899)",
+    ])
+    def test_bad_interval_raises_at_once(self, call):
+        done = run_snippet(
+            "from aiflow.errors import InvalidInputError\n"
+            "from aiflow.rangecoder import RangeDecoder, RangeEncoder\n"
+            "try:\n"
+            f"    {call}\n"
+            "except InvalidInputError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert (done.returncode, done.stdout) == (0, "invalid frequency interval\n"), done.stderr
 
 
 def two_models(d):
