@@ -19,7 +19,10 @@ whole cross-platform contract: identical seed, identical sequence.
 
 Bulk draws (Rng.uniforms, Rng.normal_matrix) are bit-equal to the same
 number of scalar uniform()/normal() calls and leave the generator in the same
-state. The xorshift step is linear over GF(2), so T^m, m steps at once, is a
+state. One bulk draw holds at most 2^30 bytes (1 GiB); a larger one raises
+InvalidInputError before anything is allocated or drawn.
+
+The xorshift step is linear over GF(2), so T^m, m steps at once, is a
 64 x 64 bit matrix; it is applied to a uint64 array as the XOR of 8 gathers
 from 256-entry tables, one per input byte. A chunk of states starts with 64
 scalar steps and then doubles: states[m:2m] = T^m(states[:m]) for m = 64,
@@ -44,7 +47,9 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
-_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy cannot index a larger array
+# Budget of one bulk draw's output: 2^30 bytes (1 GiB), the budget that also
+# bounds DPC-KNN's point count. A larger draw is refused before it allocates.
+_MAX_ARRAY_BYTES = 1 << 30
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 # Bulk draws work in chunks of at most this many states, so temporaries stay
 # bounded and jump tables are needed only up to T^(_CHUNK / 2).
@@ -209,7 +214,10 @@ class Rng:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
             raise InvalidInputError(f"draw count must be >= 0 and an int, got {n!r}")
         if int(n) * 8 > _MAX_ARRAY_BYTES:
-            raise InvalidInputError(f"draw count {n!r} is too large to index")
+            raise InvalidInputError(
+                f"draw count {n!r} needs {int(n) * 8} bytes; one draw holds at most "
+                f"{_MAX_ARRAY_BYTES}"
+            )
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, _CHUNK):
             words = self._states(min(_CHUNK, n - start))
@@ -231,7 +239,10 @@ class Rng:
                     f"matrix size must be >= 0 and an int, got {rows!r} x {cols!r}"
                 )
         if int(rows) * int(cols) * 8 > _MAX_ARRAY_BYTES:
-            raise InvalidInputError(f"matrix size {rows!r} x {cols!r} is too large to index")
+            raise InvalidInputError(
+                f"matrix size {rows!r} x {cols!r} needs {int(rows) * int(cols) * 8} bytes; "
+                f"one draw holds at most {_MAX_ARRAY_BYTES}"
+            )
         out = np.empty((rows, cols), dtype=np.float64)
         flat = out.reshape(-1)
         size, i = flat.size, 0

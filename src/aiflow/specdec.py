@@ -33,21 +33,23 @@ emitted token independent of the context length.
 
 RNG discipline: callers hand one generator to a run; it is split into one
 child stream per tier (spawn key = tier index, in tier order) before any
-draw. The run loop picks the chain's scorer once per run and reserves each
-round's gamma drafter uniforms before the round's first forward, scanned or
-not; run_round then draws only from the verifiers' streams, one uniform per
-scanned position plus one per resample. Because the streams are per-role,
-sequential and pipelined execution consume them in the same per-role order,
-which is what makes the two modes emit identical tokens when nothing is
-ever rejected.
+draw. Each round spends exactly gamma drafter uniforms: one at each
+position it scans, then one for each position it never drafted. Each
+verifier spends one uniform per position it judges plus one per
+correction. Because the streams are per-role, sequential and pipelined
+execution consume them in the same per-role order, which is what makes the
+two modes emit identical tokens when nothing is ever rejected.
 
-One loop runs both modes: a pipelined run is a sequential run in which the
-drafter reserves the next round's draws before each verification. After a
-full acceptance that leaves tokens to emit, those reserved draws are the
-next round's draws. A correction, or the end of the run, drops them without
-a forward. A pipelined config has exactly two tiers: ProtocolConfig rejects
-any other when it is built. The mode is the entry point's: run_sequential
-stays sequential even given a pipelined config.
+One loop runs both modes: a pipelined run is the sequential loop in which
+the drafter also drafts a lookahead batch for the prefix a full acceptance
+would give. After a full acceptance that leaves tokens to emit, the
+lookahead is the next round's batch, drawn from the same uniforms. A
+correction, or the end of the run, drops it without a forward, and the
+drafter spends its gamma draws then; so a pipelined drafter spends gamma
+draws per round plus gamma per dropped lookahead. A pipelined config has
+exactly two tiers: ProtocolConfig rejects any other when it is built. The
+mode is the entry point's: run_sequential stays sequential even given a
+pipelined config.
 
 The protocol decides which draws happen and in what order, never when:
 neither run mode keeps time. A transcript is the emitted tokens and what each
@@ -55,8 +57,8 @@ tier boundary scanned and accepted, round by round; its totals are derived
 from those records, never kept beside them. The network simulator
 (aiflow.netsim) alone prices the rounds and lays them out on the simulated
 clock, where the device drafts each lookahead speculatively.
-A lookahead aborted by a correction still consumed its full gamma draws, so
-draw counts never depend on timing.
+A dropped lookahead still spends its full gamma draws, so draw counts never
+depend on timing.
 """
 
 from __future__ import annotations
@@ -177,8 +179,10 @@ class DecodeTranscript:
 class PipelineStats:
     """What a pipelined run did beyond its transcript.
 
-    discarded_batches counts lookahead batches reserved but never drafted:
-    one per correction, plus the batch reserved past the end of the run.
+    discarded_batches counts the lookahead batches dropped without a
+    forward, each after spending its gamma drafter draws: one per round
+    whose final boundary drew a correction, plus one after the last round
+    when that round drew none.
     """
 
     discarded_batches: int
@@ -243,33 +247,33 @@ def verify(target_dists, batch: DraftBatch, rng: Rng) -> VerifyResult:
     return VerifyResult(accepted_count=len(batch.tokens), correction_token=None)
 
 
-def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float],
+def run_round(cfg: ProtocolConfig, score, context: list[int],
               rngs: dict) -> tuple[list[int], tuple[RoundRecord, ...]]:
     """One draft-verify round; returns (emitted, records).
 
     emitted is the token stream the round emits; records holds one
-    RoundRecord per tier boundary, drafter's first. draws are the drafter's
-    draft_len uniforms, reserved by the caller before the round's first
-    forward; rngs maps each verifier role to its stream.
+    RoundRecord per tier boundary, drafter's first. rngs maps each role to
+    its stream. The round spends exactly draft_len drafter uniforms: one at
+    each position it scans, then one for each position it never drafted.
 
     score is the chain's chain_scorer. At scanned position i it gives every
     tier's distribution on one context: the drafter samples token i from
-    draws[i], the first verifier judges it, and the scan stops at the first
-    rejection, so no position past it is drafted or scored. The emitted
-    stream then has one token per scanned position, so a third tier verifies
-    it from the distributions the scan collected, paired with the middle
-    tier's (the stream's law there). context is extended during the scan and
-    holds the same tokens on return.
+    its next uniform, the first verifier judges it, and the scan stops at
+    the first rejection, so no position past it is drafted or scored. The
+    emitted stream then has one token per scanned position, so a third tier
+    verifies it from the distributions the scan collected, paired with the
+    middle tier's (the stream's law there). context is extended during the
+    scan and holds the same tokens on return.
     """
-    rng = rngs[cfg.tiers[1]]
+    draft_rng, rng = rngs[cfg.tiers[0]], rngs[cfg.tiers[1]]
     base = len(context)
     target_dists: list[TokenDistribution] = []
     top_dists: list[TokenDistribution] = []
     correction = None
     try:
-        for i, u in enumerate(draws):
+        for i in range(cfg.draft_len):
             p_d, p_t, *p_top = score(context)
-            token = inverse_cdf(p_d.probs, u)
+            token = inverse_cdf(p_d.probs, draft_rng.uniform())
             target_dists.append(p_t)
             top_dists += p_top
             correction = _judge(i, token, p_d, p_t, rng)
@@ -279,6 +283,8 @@ def run_round(cfg: ProtocolConfig, score, context: list[int], draws: list[float]
         stream = context[base:]
     finally:
         del context[base:]
+    for _ in range(cfg.draft_len - len(target_dists)):
+        draft_rng.uniform()  # the draws of the positions never drafted
     records = (RoundRecord(len(target_dists), len(stream)),)
     if correction is not None:
         stream.append(correction)
@@ -298,9 +304,9 @@ def _decode(
     """The run loop: draft-verify rounds until num_tokens are emitted.
 
     context is the run's one token list: the checked prompt followed by the
-    tokens emitted so far. With lookahead, each round reserves the next
-    batch's draws before verifying; they become the next round's draws only
-    after a full acceptance that leaves tokens to emit. per_round keeps
+    tokens emitted so far. With lookahead, a round's lookahead becomes the
+    next round only after a full acceptance that leaves tokens to emit;
+    otherwise the loop drops it and spends its draws. per_round keeps
     outcomes exactly as they happened, the last round's beyond num_tokens
     included; the transcript's totals count only what was emitted.
     """
@@ -313,29 +319,22 @@ def _decode(
         raise InvalidInputError(f"tiers must share one vocab_size, got {vocabs}")
     context = check_tokens(prompt, vocabs[cfg.tiers[0]])
     streams = {role: rng.spawn(idx) for idx, role in enumerate(cfg.tiers)}
-    draft_rng, gamma = streams[cfg.tiers[0]], cfg.draft_len
     score = chain_scorer([models[role] for role in cfg.tiers])
     start, end = len(context), len(context) + num_tokens
     records: list[tuple[RoundRecord, ...]] = []
-    draws = ahead = None
+    discarded = 0
     while len(context) < end:
-        if draws is None:
-            draws = [draft_rng.uniform() for _ in range(gamma)]
-        if lookahead:
-            ahead = [draft_rng.uniform() for _ in range(gamma)]
-        emitted, round_records = run_round(cfg, score, context, draws, streams)
+        emitted, round_records = run_round(cfg, score, context, streams)
         records.append(round_records)
         final = round_records[-1]
         context.extend(emitted[: end - len(context)])
-        draws = None
-        if final.accepted < final.scanned:
-            ahead = None
-        elif len(context) < end:
-            # Fully accepted: context is now the prefix the lookahead assumed.
-            draws, ahead = ahead, None
+        # The lookahead assumed a full acceptance with tokens left to emit;
+        # otherwise it is dropped, its draft_len draws spent.
+        if lookahead and (final.accepted < final.scanned or len(context) >= end):
+            for _ in range(cfg.draft_len):
+                streams[cfg.tiers[0]].uniform()
+            discarded += 1
     transcript = DecodeTranscript(emitted_tokens=context[start:], per_round=records)
-    # Each correction drops a lookahead, as does a run that ends with one reserved.
-    discarded = transcript.totals.rejected + (ahead is not None) if lookahead else 0
     return transcript, PipelineStats(discarded_batches=discarded)
 
 
@@ -352,11 +351,11 @@ def run_pipelined(
     """Two-tier decoding with the device drafting one batch ahead.
 
     While the verifier works on batch i, the device drafts batch i+1 from the
-    optimistic prefix (batch i fully accepted). Here its gamma draws are
-    reserved at that point and become the next round's draws, scanned
-    position by position like any round's. A correction discards that
-    lookahead batch, its draws included, and the next round drafts afresh
-    from the corrected prefix.
+    optimistic prefix (batch i fully accepted). When batch i is fully
+    accepted and tokens remain, the lookahead is the next round, scanned
+    position by position from the same gamma draws. A correction, or the
+    end of the run, discards it: the drafter spends its gamma draws without
+    a forward, and the next round drafts afresh from the corrected prefix.
     """
     if cfg.mode != "pipelined":
         raise InvalidInputError("run_pipelined requires cfg.mode == 'pipelined'")

@@ -159,10 +159,9 @@ def verify_paths(draft_dists, target_dists, tokens):
 
 
 def replay_round(cfg, models, prefix, rngs):
-    """run_round's emitted tokens, its drafter draws reserved as the run loop does."""
-    draws = [rngs[cfg.tiers[0]].uniform() for _ in range(cfg.draft_len)]
+    """run_round's emitted tokens; the round spends its own draft_len drafter draws."""
     score = chain_scorer([models[role] for role in cfg.tiers])
-    return run_round(cfg, score, list(prefix), draws, rngs)[0]
+    return run_round(cfg, score, list(prefix), rngs)[0]
 
 
 def enumerate_round(cfg, models, prefix):

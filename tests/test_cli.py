@@ -627,10 +627,107 @@ def test_every_error_class_has_a_listed_exit_code():
 def test_unindexable_matrix_size_is_config_error(tmp_path, capsys, command):
     if command == "decompose":
         cfg = decompose_config(tmp_path, layers=[{"m": 1e30, "n": 8}])
+        size, nbytes = "1000000000000000019884624838656 x 8", 8 * 8 * int(1e30)
     else:
+        # The embedding matrix: 2 * vocab_size + layers * embed_dim rows of embed_dim.
         cfg = specdec_config(tmp_path, [specdec_entry()], num_tokens=8, vocab_size=1e30)
+        size, nbytes = "2000000000000000039769249677322 x 10", 8 * 10 * (2 * int(1e30) + 10)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-    assert "is too large to index" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: matrix size {size} needs {nbytes} bytes; one draw holds at most 1073741824\n"
+    )
+
+
+# A draw numpy could index but not allocate is refused against the 2^30-byte
+# budget before np.empty runs, so these runs allocate nothing large.
+@pytest.mark.parametrize("command, doc, size", [
+    ("specdec", {"vocab_size": 2_000_000_000}, (4_000_000_010, 10)),
+    ("decompose", {"layers": [{"m": 1_000_000, "n": 1_000_000}], "num_calib": 1_000_000},
+     (1_000_000, 1_000_000)),
+    ("simulate", {"scenario": {"kind": "tofc", "num_points": 100_000_000, "dim": 1000,
+                               "num_centers": 8, "k_neighbors": 4}},
+     (100_000_000, 1000)),
+])
+def test_unallocatable_draw_is_config_error(tmp_path, capsys, command, doc, size):
+    if command == "specdec":
+        cfg = specdec_config(tmp_path, [specdec_entry()], num_tokens=8, **doc)
+    elif command == "decompose":
+        cfg = decompose_config(tmp_path, **doc)
+    else:
+        cfg = write_config(tmp_path / "sim.json", doc)
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    rows, cols = size
+    assert capsys.readouterr().err == (
+        f"error: matrix size {rows} x {cols} needs {rows * cols * 8} bytes; "
+        "one draw holds at most 1073741824\n"
+    )
+    assert not out.exists()
+
+
+def _no_h_values(tmp_path):
+    doc = {"layers": [{"m": 10, "n": 8}], "num_calib": 32, "seed": 3}
+    return ["decompose", "--config", write_config(tmp_path / "dec.json", doc)], (
+        "config is missing field 'h_values' (or 'budget')")
+
+
+def _list_config(tmp_path):
+    path = write_config(tmp_path / "list.json", [1, 2])
+    return ["decompose", "--config", path], f"config {path} must hold a JSON object"
+
+
+def _directory_config(tmp_path):
+    return ["decompose", "--config", str(tmp_path)], f"cannot read config {tmp_path}: "
+
+
+def _no_links(tmp_path):
+    nodes = [{"id": role, "tier": role, "compute_cost": {"token": 0.01}}
+             for role in ("device", "edge")]
+    cfg = specdec_config(tmp_path, [specdec_entry()], num_tokens=8,
+                         topology={"nodes": nodes, "links": []})
+    return ["specdec", "--config", cfg], "scenario needs a link device->edge"
+
+
+def _empty_table(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "t.csv").write_text("")
+    (run_dir / "manifest.json").write_text(json.dumps({"outputs": ["t.csv"]}))
+    return ["report", str(run_dir)], f"{run_dir / 't.csv'} is empty"
+
+
+# Each case gives (argv without --out, the error after "error: "), its exit
+# code, and whether the message is only a prefix (an OS error follows it).
+CONFIG_ERRORS = {
+    "no-layers": (lambda p: (["decompose", "--config", decompose_config(p, layers=[])],
+                             "'layers' must be a non-empty list of {m, n} objects"), 2, False),
+    "zero-dimension": (lambda p: (["decompose", "--config",
+                                   decompose_config(p, layers=[{"m": 0, "n": 3}])],
+                                  "layers[0] dimensions must be positive"), 2, False),
+    "no-h-values": (lambda p: (["decompose", "--config", decompose_config(p, h_values=[])],
+                               "'h_values' must be non-empty"), 2, False),
+    "neither-sweep": (_no_h_values, 2, False),
+    "no-centers": (lambda p: (["tofc", "--config", tofc_config(p, num_centers_sweep=[])],
+                              "'num_centers_sweep' must be non-empty"), 2, False),
+    "list-config": (_list_config, 2, False),
+    "directory-config": (_directory_config, 3, True),
+    "no-links": (_no_links, 2, False),
+    "empty-table": (_empty_table, 2, False),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_exit_code_and_message(tmp_path, capsys, case):
+    make, code, prefix_only = CONFIG_ERRORS[case]
+    argv, message = make(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if prefix_only:
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    else:
+        assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestReport:

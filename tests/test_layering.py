@@ -135,7 +135,10 @@ UNCALLED_API = {
     "tofc.Bitstream.from_bytes": "the compress benchmark's container round trip",
     "tofc.save_features": "the compress benchmark and the FEAT container tests",
     "netsim.Event.note": "the trace tests; the trace export (ROADMAP item 5)",
+    "specdec.DecodeTranscript.totals": "the README and the transcript tests; the benchmark's "
+                                       "specdec.rounds",
     "specdec.TranscriptTotals.corrections": "the transcript-totals tests",
+    "specdec.TranscriptTotals.rejected": "the README and the transcript-totals tests",
     "specdec.TranscriptTotals.rounds": "the transcript tests; the benchmark's specdec.rounds",
     "specdec.PipelineStats.discarded_batches": "the benchmark's specdec.discarded_batches",
     "tofc.ClusterResult.center_indices": "acceptance criterion 6 and the DPC-KNN oracle tests",

@@ -1,6 +1,7 @@
 """Tests for dense linear algebra primitives and the deterministic generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,12 +247,31 @@ def test_normal_matrix_rejects_non_integer_size(rows, cols):
     assert rng.uniform() == Rng(19).uniform()  # nothing drawn
 
 
+def over_budget(what, nbytes):
+    """The exact message of a bulk draw past the 2^30-byte budget, as a match pattern."""
+    return "^" + re.escape(f"{what} needs {nbytes} bytes; one draw holds at most 1073741824") + "$"
+
+
 @pytest.mark.parametrize("rows, cols", [(10**30, 2), (2, 10**30), (2**61, 1)])
 def test_normal_matrix_rejects_sizes_numpy_cannot_index(rows, cols):
     rng = Rng(19)
-    with pytest.raises(InvalidInputError, match=f"matrix size {rows} x {cols} is too large"):
+    with pytest.raises(InvalidInputError,
+                       match=over_budget(f"matrix size {rows} x {cols}", rows * cols * 8)):
         rng.normal_matrix(rows, cols)
     assert rng.uniform() == Rng(19).uniform()  # nothing drawn
+
+
+# One value past 2^30 bytes is refused before anything is allocated or drawn.
+@pytest.mark.parametrize("draw, what, nbytes", [
+    (lambda rng: rng.uniforms(2**27 + 1), f"draw count {2**27 + 1}", 2**30 + 8),
+    (lambda rng: rng.normal_matrix(2**14, 2**13 + 1), f"matrix size {2**14} x {2**13 + 1}",
+     2**30 + 8 * 2**14),
+], ids=["uniforms", "normal_matrix"])
+def test_bulk_draw_past_the_budget_rejected(draw, what, nbytes):
+    rng = Rng(19)
+    with pytest.raises(InvalidInputError, match=over_budget(what, nbytes)):
+        draw(rng)
+    assert rng.uniform() == Rng(19).uniform()
 
 
 def test_normal_matrix_accepts_numpy_int_sizes():
@@ -313,7 +333,7 @@ def test_uniforms_rejects_bad_count(n):
 
 def test_uniforms_rejects_counts_numpy_cannot_index():
     rng = Rng(19)
-    with pytest.raises(InvalidInputError, match="too large to index"):
+    with pytest.raises(InvalidInputError, match=over_budget(f"draw count {2**61}", 2**64)):
         rng.uniforms(2**61)
     assert rng.uniform() == Rng(19).uniform()
 

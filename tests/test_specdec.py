@@ -834,6 +834,67 @@ class TestScanOracle:
         assert next_dist_calls[0] - calls == own
 
 
+DRAW_RUNS = {
+    "sequential-separate": ("sequential", lambda: (lm_decoder(1, 3), lm_decoder(3, 4))),
+    "sequential-familial": ("sequential", lambda: family_pair(branch=True)),
+    "pipelined-separate": ("pipelined", lambda: (lm_decoder(1, 3), lm_decoder(3, 4))),
+    "pipelined-familial": ("pipelined", lambda: family_pair(branch=True)),
+    "three-tier-separate": ("sequential",
+                            lambda: (lm_decoder(1, 3), lm_decoder(2, 5), lm_decoder(3, 4))),
+    "three-tier-familial": ("sequential", family_chain),
+}
+
+
+class TestDrawCounts:
+    """How many uniforms each tier's stream spends, read off the transcript.
+
+    The drafter spends draft_len per round plus draft_len per dropped
+    lookahead; the verifier at each boundary one per judged position plus
+    one per correction. The token oracles cannot see draws that no token
+    reads, such as a dropped lookahead's at the end of a run.
+    """
+
+    @pytest.mark.parametrize("num_tokens", [0, 1, 5, 13, 40])
+    @pytest.mark.parametrize("run", DRAW_RUNS)
+    @pytest.mark.parametrize("gamma", range(1, 7))
+    def test_each_stream_spends_its_rule(self, gamma, run, num_tokens, monkeypatch):
+        mode, decoders = DRAW_RUNS[run]
+        decoders = decoders()
+        cfg = two_tier(gamma, mode) if len(decoders) == 2 else three_tier(gamma)
+        root = Rng(1000 * gamma + num_tokens)
+        tier_of, drawn = {}, [0] * len(cfg.tiers)
+        spawn, uniform = Rng.spawn, Rng.uniform
+
+        def counting_spawn(self, key):
+            child = spawn(self, key)
+            if self is root:
+                tier_of[id(child)] = (key, child)  # child kept alive: its id stays its own
+            return child
+
+        def counting_uniform(self):
+            if id(self) in tier_of:
+                drawn[tier_of[id(self)][0]] += 1
+            return uniform(self)
+
+        monkeypatch.setattr(Rng, "spawn", counting_spawn)
+        monkeypatch.setattr(Rng, "uniform", counting_uniform)
+        models = dict(zip(cfg.tiers, decoders))
+        if mode == "pipelined":
+            transcript, stats = run_pipelined(cfg, models, [1, 0], num_tokens, root)
+            discarded = stats.discarded_batches
+        else:
+            transcript, discarded = run_sequential(cfg, models, [1, 0], num_tokens, root), 0
+        rounds = transcript.per_round
+        assert len(tier_of) == len(cfg.tiers)
+        assert drawn[0] == gamma * (len(rounds) + discarded)
+        for b in range(len(cfg.tiers) - 1):
+            assert drawn[b + 1] == sum(r[b].scanned + (r[b].accepted < r[b].scanned)
+                                       for r in rounds)
+        if mode == "pipelined":  # a dropped lookahead after each correction and the last round
+            assert discarded == sum(r[-1].accepted < r[-1].scanned or i == len(rounds) - 1
+                                    for i, r in enumerate(rounds))
+
+
 class TestProtocolConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
