@@ -74,6 +74,7 @@ from .numerics import Rng, svd_reduced
 from .specdec import ProtocolConfig, draft, run_protocol
 from .tofc import (
     TofcConfig,
+    check_point_count,
     fit_laplacian_models,
     load_features,
     load_features_csv,
@@ -392,8 +393,6 @@ _SCENARIO_FIELDS = {
         "device": (str, "device"), "server": (str, "edge"), "num_points": (int, REQUIRED),
         "dim": (int, REQUIRED), "num_groups": (int, 4), "num_centers": (int, REQUIRED),
         "k_neighbors": (int, REQUIRED), "num_models": (int, 2),
-        # None: the run seed.
-        "feature_seed": (int, None),
     },
     "collab": {
         "server": (str, "edge"), "num_devices": (int, REQUIRED),
@@ -425,15 +424,12 @@ def run_scenario(topology: Topology, scenario: dict, seed: int):
             topology, cfg, models, params["prompt"], params["num_tokens"], seed
         )
     if kind == "tofc":
-        feature_seed = seed if params["feature_seed"] is None else params["feature_seed"]
+        check_point_count(params["num_points"])  # before the features are drawn
         features = make_blob_features(
-            params["num_points"], params["dim"], params["num_groups"], Rng(feature_seed)
+            params["num_points"], params["dim"], params["num_groups"], Rng(seed)
         )
-        try:
-            models = fit_laplacian_models(features, params["num_models"])
-            cfg = TofcConfig(params["num_centers"], params["k_neighbors"], models)
-        except InvalidInputError as exc:
-            raise InvalidScenarioError(str(exc)) from exc
+        models = fit_laplacian_models(features, params["num_models"])
+        cfg = TofcConfig(params["num_centers"], params["k_neighbors"], models)
         trace, metrics, _ = run_tofc_scenario(
             topology, cfg, features, params["device"], params["server"], seed
         )

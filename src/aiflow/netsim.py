@@ -22,6 +22,11 @@ One object per run holds the link jitter streams, the FIFO arrival times,
 the transmit and byte totals and the event rows; every runner logs through
 it and returns what it finishes with: (trace, MetricsRecord).
 
+Random streams: a decode run gives tier k (k = 0, 1, 2 in tier order) the
+stream Rng(seed).spawn(k), and the link with seed s draws its jitter from
+Rng(seed).spawn(3).spawn(s), a subtree no tier stream is taken from, so
+link jitter and decoding draws are independent whatever the link seeds.
+
 Event sequencing: events are logged in causal order, numbered in that order,
 and the final trace is sorted by (time, sequence). Trace serialization is
 JSON lines with exactly the keys t, seq, kind, src, dst, bytes; the
@@ -186,8 +191,8 @@ class _Net:
 
     def __init__(self, topology: Topology, seed: int):
         self.topology = topology
-        base = Rng(seed)
-        self._rngs = {(l.src, l.dst): base.spawn(l.seed) for l in topology.links}
+        links = Rng(seed).spawn(3)  # the link subtree: tier streams take keys 0..2
+        self._rngs = {(l.src, l.dst): links.spawn(l.seed) for l in topology.links}
         self._last_arrival = {}
         self._rows = []
         self.transmit_s = 0.0

@@ -47,9 +47,10 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
-# Budget of one bulk draw's output: 2^30 bytes (1 GiB), the budget that also
-# bounds DPC-KNN's point count. A larger draw is refused before it allocates.
-_MAX_ARRAY_BYTES = 1 << 30
+# The one array budget, 2^30 bytes (1 GiB): it bounds the output of one bulk
+# draw here and DPC-KNN's point count (tofc.check_point_count). A larger
+# request is refused before it allocates.
+MAX_ARRAY_BYTES = 1 << 30
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 # Bulk draws work in chunks of at most this many states, so temporaries stay
 # bounded and jump tables are needed only up to T^(_CHUNK / 2).
@@ -57,24 +58,24 @@ _CHUNK = 1 << 16
 _SEED_RUN = 64  # states of a chunk made by the scalar step before doubling
 
 
-def require_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array with finite entries, or raise."""
+def _require_array(a, ndim: int, name: str) -> np.ndarray:
+    """Coerce to an ndim-D float64 array with finite entries, or raise."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains NaN or Inf")
     return arr
+
+
+def require_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array with finite entries, or raise."""
+    return _require_array(a, 2, name)
 
 
 def require_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float64 array with finite entries, or raise."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains NaN or Inf")
-    return arr
+    return _require_array(x, 1, name)
 
 
 def require_int(name: str, value, minimum: int) -> None:
@@ -213,10 +214,10 @@ class Rng:
         """The next n uniform() values as a float64 array, bit for bit."""
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
             raise InvalidInputError(f"draw count must be >= 0 and an int, got {n!r}")
-        if int(n) * 8 > _MAX_ARRAY_BYTES:
+        if int(n) * 8 > MAX_ARRAY_BYTES:
             raise InvalidInputError(
                 f"draw count {n!r} needs {int(n) * 8} bytes; one draw holds at most "
-                f"{_MAX_ARRAY_BYTES}"
+                f"{MAX_ARRAY_BYTES}"
             )
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, _CHUNK):
@@ -238,10 +239,10 @@ class Rng:
                 raise InvalidInputError(
                     f"matrix size must be >= 0 and an int, got {rows!r} x {cols!r}"
                 )
-        if int(rows) * int(cols) * 8 > _MAX_ARRAY_BYTES:
+        if int(rows) * int(cols) * 8 > MAX_ARRAY_BYTES:
             raise InvalidInputError(
                 f"matrix size {rows!r} x {cols!r} needs {int(rows) * int(cols) * 8} bytes; "
-                f"one draw holds at most {_MAX_ARRAY_BYTES}"
+                f"one draw holds at most {MAX_ARRAY_BYTES}"
             )
         out = np.empty((rows, cols), dtype=np.float64)
         flat = out.reshape(-1)

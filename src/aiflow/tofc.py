@@ -47,7 +47,7 @@ from .errors import (
     IoError,
     MalformedBitstreamError,
 )
-from .numerics import Rng, require_int, require_matrix, require_vector
+from .numerics import MAX_ARRAY_BYTES, Rng, require_int, require_matrix, require_vector
 from .rangecoder import TOTAL, RangeDecoder, RangeEncoder
 
 B_MIN = 1e-3
@@ -63,10 +63,6 @@ _TILE = 1 << 16
 # Bin-table entries _bin_table fills per step (at least one dimension's row):
 # its temporaries stay a few times this, whatever d and q_range are.
 _BIN_ENTRIES = 1 << 16
-# dpc_knn_cluster's point limit, counted as the bytes of an N x N float64
-# distance matrix: 2^30 admits N <= 11,585. It holds no such matrix, only a few
-# _ROW_BLOCK x N buffers; the limit stays a documented contract.
-_DISTANCE_BYTES = 1 << 30
 # The widest alphabet, 2*q_range + 2 entries, that fits the coder's TOTAL.
 Q_RANGE_MAX = (TOTAL - 2) // 2
 # Bound on |mu|, so that every alphabet lo..lo + 2*q_range + 1 fits int64.
@@ -570,6 +566,22 @@ def _nearest_center(dist: _Distances, centers: list[int]) -> np.ndarray:
     return assignment
 
 
+def check_point_count(n: int) -> None:
+    """Refuse more points than dpc_knn_cluster takes, with InvalidInputError.
+
+    The limit is counted as the bytes of an N x N float64 distance matrix,
+    8 * N**2 against numerics.MAX_ARRAY_BYTES, so N <= 11,585. Clustering
+    holds no such matrix, only a few _ROW_BLOCK x N buffers; the limit stays
+    a documented contract, which a caller may ask before it makes the
+    points. A count below 1 passes: that is the caller's own rule to state.
+    """
+    if n > math.isqrt(MAX_ARRAY_BYTES // 8):
+        raise InvalidInputError(
+            f"{n} points need {8 * n * n} bytes of pairwise distances; "
+            f"clustering holds at most {MAX_ARRAY_BYTES}"
+        )
+
+
 def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> ClusterResult:
     """Density-peak clustering with KNN densities, then per-cluster averaging.
 
@@ -597,8 +609,8 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
     Memory is a few _ROW_BLOCK x N buffers, a few copies of the features
     and the exact sums' scratch of two gathers of at most _TILE floats,
     about 64 * 8 * N bytes per buffer, whatever num_centers is. More points than
-    an N x N matrix of _DISTANCE_BYTES holds (N > 11,585) are rejected with
-    InvalidInputError before anything N-sized is allocated.
+    check_point_count admits (N > 11,585) are rejected with InvalidInputError
+    before anything N-sized is allocated.
 
     Features so far apart that a squared distance overflows float64 are
     rejected with InvalidInputError: the features are finite, so an
@@ -622,11 +634,7 @@ def dpc_knn_cluster(fs: FeatureSet, k_neighbors: int, num_centers: int) -> Clust
         )
     if not 1 <= k_neighbors < n:
         raise InvalidInputError(f"k_neighbors must be in [1, {n - 1}]")
-    if 8 * n * n > _DISTANCE_BYTES:
-        raise InvalidInputError(
-            f"{n} points need {8 * n * n} bytes of pairwise distances; "
-            f"clustering holds at most {_DISTANCE_BYTES}"
-        )
+    check_point_count(n)
     dist = _Distances(feats)
     knn, reach = _knn_and_reach(dist, k_neighbors)
     max_pair = float(np.sqrt(_farthest_sq(dist, reach)))

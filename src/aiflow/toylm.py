@@ -180,10 +180,6 @@ def check_tokens(context, vocab_size: int) -> list[int]:
     return tokens
 
 
-def _check_context(lm: ToyLm, context) -> list[int]:
-    return check_tokens(context, lm.config.vocab_size)
-
-
 def _initial_state(lm: ToyLm, tokens: list[int]) -> np.ndarray:
     window = tokens[-lm.config.context_window :]
     if not window:
@@ -254,7 +250,8 @@ def _exit_forward(lm: ToyLm, context, exit_index) -> tuple[np.ndarray, TokenDist
 
     exit_index None runs every block and takes the plain head.
     """
-    x = _walk(lm, _initial_state(lm, _check_context(lm, context)), 0, exit_index)
+    tokens = check_tokens(context, lm.config.vocab_size)
+    x = _walk(lm, _initial_state(lm, tokens), 0, exit_index)
     return x, _head(lm, _branch(lm, x, exit_index))
 
 

@@ -644,9 +644,10 @@ def test_unindexable_matrix_size_is_config_error(tmp_path, capsys, command):
     ("specdec", {"vocab_size": 2_000_000_000}, (4_000_000_010, 10)),
     ("decompose", {"layers": [{"m": 1_000_000, "n": 1_000_000}], "num_calib": 1_000_000},
      (1_000_000, 1_000_000)),
-    ("simulate", {"scenario": {"kind": "tofc", "num_points": 100_000_000, "dim": 1000,
+    # Under DPC-KNN's point limit, so the feature draw is the first to refuse.
+    ("simulate", {"scenario": {"kind": "tofc", "num_points": 11_585, "dim": 12_000,
                                "num_centers": 8, "k_neighbors": 4}},
-     (100_000_000, 1000)),
+     (11_585, 12_000)),
 ])
 def test_unallocatable_draw_is_config_error(tmp_path, capsys, command, doc, size):
     if command == "specdec":
@@ -662,6 +663,26 @@ def test_unallocatable_draw_is_config_error(tmp_path, capsys, command, doc, size
         f"error: matrix size {rows} x {cols} needs {rows * cols * 8} bytes; "
         "one draw holds at most 1073741824\n"
     )
+    assert not out.exists()
+
+
+# A tofc scenario over DPC-KNN's point limit is refused before its features
+# are drawn: no make_blob_features call, so nothing N-sized is allocated.
+@pytest.mark.parametrize("num_points, dim", [(11_586, 1), (12_000, 1000), (100_000_000, 1000)])
+def test_scenario_over_the_point_limit_draws_nothing(tmp_path, capsys, monkeypatch,
+                                                     num_points, dim):
+    drawn = []
+    monkeypatch.setattr(cli, "make_blob_features", lambda *args: drawn.append(args))
+    doc = {"scenario": {"kind": "tofc", "num_points": num_points, "dim": dim,
+                        "num_centers": 8, "k_neighbors": 4}}
+    out = tmp_path / "r"
+    assert main(["simulate", "--config", write_config(tmp_path / "sim.json", doc),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {num_points} points need {8 * num_points**2} bytes of pairwise distances; "
+        "clustering holds at most 1073741824\n"
+    )
+    assert drawn == []
     assert not out.exists()
 
 
@@ -712,6 +733,11 @@ CONFIG_ERRORS = {
     "list-config": (_list_config, 2, False),
     "directory-config": (_directory_config, 3, True),
     "no-links": (_no_links, 2, False),
+    # The model fit's own error, raised as it is.
+    "too-many-models": (lambda p: (["simulate", "--config", write_config(
+        p / "sim.json", {"scenario": {"kind": "tofc", "num_points": 60, "dim": 5,
+                                      "num_centers": 8, "k_neighbors": 4, "num_models": 99}})],
+        "num_models must be in [1, N/2] = [1, 30], got 99"), 2, False),
     "empty-table": (_empty_table, 2, False),
 }
 
@@ -770,6 +796,41 @@ class TestReport:
         assert len(outputs) == len(set(outputs)) and "decompose_xy_xy.csv" not in outputs
         for name in ("decompose.csv", "decompose_xy.csv"):
             assert (again / name).read_bytes() == (merged / name).read_bytes()
+
+    def test_specdec_series_skip_the_string_columns(self, tmp_path):
+        # mode and tiers are strings, so gamma, the first numeric column, is x.
+        cfg = specdec_config(tmp_path, [specdec_entry(), specdec_entry(gamma=4)], num_tokens=40)
+        run_a, merged = tmp_path / "a", tmp_path / "m"
+        assert main(["specdec", "--config", cfg, "--out", str(run_a)]) == 0
+        assert main(["report", str(run_a), "--out", str(merged)]) == 0
+        header, rows = read_csv(run_a / "specdec.csv")
+        assert header == ["mode", "tiers", "gamma", "acceptance_rate", "sim_tokens_per_s",
+                          "tv_distance_to_target"]
+        assert [row[:3] for row in rows] == [["sequential", "device+edge", "2"],
+                                             ["sequential", "device+edge", "4"]]
+        xy_header, xy_rows = read_csv(merged / "specdec_xy.csv")
+        assert xy_header == ["series", "x", "y"]
+        assert xy_rows == [[f"{y} vs gamma", row[2], row[j]]
+                           for j, y in enumerate(header) if j > 2 for row in rows]
+
+    def test_no_series_without_two_numeric_columns(self, tmp_path):
+        # One numeric column (t) or none (u): no y to plot, so no <t>_xy.csv.
+        run_a, merged = tmp_path / "a", tmp_path / "m"
+        run_a.mkdir()
+        (run_a / "t.csv").write_text("name,x\na,1\nb,2\n")
+        (run_a / "u.csv").write_text("name,tiers\na,device+edge\n")
+        (run_a / "manifest.json").write_text(json.dumps({"outputs": ["t.csv", "u.csv"]}))
+        assert main(["report", str(run_a), "--out", str(merged)]) == 0
+        outputs = json.loads((merged / "manifest.json").read_text())["outputs"]
+        assert outputs == ["report.json", "t.csv", "u.csv"]
+        assert sorted(p.name for p in merged.iterdir()) == ["manifest.json", *outputs]
+
+    def test_no_runs_is_a_config_error(self, tmp_path):
+        # The command line asks for at least one run; a direct call is refused.
+        run = cli.RunDir(tmp_path / "m", None, 0, "csv")
+        with pytest.raises(ConfigError, match="^report needs at least one run directory$"):
+            cli.cmd_report([], run)
+        assert not (tmp_path / "m").exists()
 
     def test_schema_mismatch_names_columns(self, tmp_path, capsys):
         # a.csv agrees across the runs and is seen first; b.csv does not agree.

@@ -465,3 +465,20 @@ def test_layer_container_rejects_rank_zero(tmp_path, m, n):
     with pytest.raises(InvalidInputError, match=message):
         load_layer(path)
 
+
+
+# Documented input errors that no other test reaches, each with its exact message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: whiten(np.zeros((0, 3))), "x must have at least one row and one column"),
+    (lambda: whiten(np.zeros((3, 0))), "x must have at least one row and one column"),
+    (lambda: allocate_ranks([], [], 10),
+     "layer_sigmas and layer_dims must be equal-length, non-empty"),
+    (lambda: allocate_ranks([[1.0]], [], 10),
+     "layer_sigmas and layer_dims must be equal-length, non-empty"),
+    (lambda: allocate_ranks([[1.0], [2.0]], [(4, 4)], 10),
+     "layer_sigmas and layer_dims must be equal-length, non-empty"),
+    (lambda: allocate_ranks([[3.0, 2.0, 1.0]], [(2, 5)], 100), "sigma[0] longer than min(m, n)"),
+])
+def test_documented_input_errors(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

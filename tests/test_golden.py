@@ -14,7 +14,11 @@ takes the full-window gather, while criterion 9's one-token prompt also
 takes the partial windows. The single-tier, collab and TOFC scenario
 digests were recorded while each run still kept its event log in an object
 apart from its link state, and the single-tier runner built its metrics
-record field by field. A digest
+record field by field. The jittered three-tier, collab and TOFC scenario
+digests were re-pinned when link jitter moved to a stream subtree of its
+own, Rng(seed).spawn(3).spawn(link seed), off the keys the tier streams
+take: only event times moved; every event's kind, endpoints and bytes, the
+token counts, compute times and byte totals stayed as they were. A digest
 that changes means program output changed: update it only together with a
 note on what changed and why.
 """
@@ -154,9 +158,9 @@ GOLDEN = [
     ("simulate", README_SIMULATE, "trace.jsonl",
      "3c969b9e33233a5058f67c0aed351e54bef8584bf9d769110ccc7d63ff376360"),
     ("simulate", JITTERED_SEQUENTIAL, "trace.jsonl",
-     "ee275303b3ad57e115894ed87ecffb49a52bb801a215c139bd96faacd114ee69"),
+     "8eaa9a60e6568cc54aca266576abde0ba0b695d7b64a1a0f2b7eff0765c04315"),
     ("simulate", JITTERED_SEQUENTIAL, "metrics.csv",
-     "0ca4916feb4f65abaad9ef77537bb0dfb998e4f3484561ebf5d7f920400861d3"),
+     "1bb9dd9641e94ad5058e5a24f336ec43fb72241b3dfadb793ef815dae1dcabf9"),
     ("specdec", CRITERION_9_SPECDEC, "specdec.csv",
      "937118aa7eef1618f4168c5880d0a67bddaa5f78d6042683feeb0c7d66e2d93d"),
     ("specdec", CRITERION_9_SPECDEC, "summary.json",
@@ -170,13 +174,13 @@ GOLDEN = [
     ("simulate", SINGLE_TIER, "metrics.csv",
      "aeb5e59dbcf67de2be39d21e02c0cce27b6b637ac76225346edab10eac686ce8"),
     ("simulate", COLLAB_JITTERED, "trace.jsonl",
-     "2252993594ff1dfa36aadfed29b9a7de4cecc72ab5d31961c38827f2b587fd03"),
+     "d8b17fa827b83982e914ce3e419fd6f1765a3e6318e0ed10516bdd766d57a299"),
     ("simulate", COLLAB_JITTERED, "metrics.csv",
-     "99f768b0292f208ef1a65186382c83db4f6672e7eb96e470a18f25bf95f56874"),
+     "a826ac1fee3fc82de70971c39c35dc735b282cd5adf146b621351788366f0706"),
     ("simulate", TOFC_SCENARIO, "trace.jsonl",
-     "75c6ef69aeafd42ce617cdbf9dd588fa830c2a4f2891d0914dd2bec668c7f79a"),
+     "4919e015ef15b4b06823ae974a037f019a886598fea89df69607a40dca20223b"),
     ("simulate", TOFC_SCENARIO, "metrics.csv",
-     "3d698b532cecb4e7d9de853e15fa0ab8f412dfc2300315b566e0aeff34909c0f"),
+     "96a57435e013f3d3d41ff26050b7dbf235a95b38fd09fba00f3c5d8682178081"),
 ]
 
 

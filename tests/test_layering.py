@@ -2,7 +2,8 @@
 
 aiflow.config is a leaf that only reads config documents; netsim is only the
 simulator (it builds no models and runs no configs); cli is the top, which
-nothing else imports. specdec holds tier models to the decoder contract:
+nothing else imports, and modules import no `_`-prefixed name from each
+other. specdec holds tier models to the decoder contract:
 vocab_size and next_dist. Every public function, class and method is run by
 the package itself, and every public record field is read by it, or each is
 listed with the reason it is kept.
@@ -63,6 +64,22 @@ def test_netsim_defines_no_config_layer():
                 for t in n.targets if isinstance(t, ast.Name)}
     moved = {"read_fields", "tier_models", "decode_setup", "run_scenario", "zero_metrics"}
     assert defined.isdisjoint(moved)
+
+
+def test_modules_share_rules_only_through_public_names():
+    # A rule two modules share, such as the array budget or the point limit,
+    # is a public name of the module that states it; only the package's
+    # __version__ is a dunder import.
+    imported = {
+        (module, alias.name)
+        for module in modules()
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "aiflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported == {("cli", "__version__")}
 
 
 def test_toylm_imports_neither_protocol_nor_simulator():

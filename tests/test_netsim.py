@@ -20,6 +20,7 @@ from aiflow.errors import InvalidInputError, InvalidScenarioError
 from aiflow.netsim import (
     _LINK_FIELDS,
     _NODE_FIELDS,
+    _Net,
     FRAME_BYTES,
     TOKEN_BYTES,
     LinkSpec,
@@ -285,6 +286,21 @@ class TestDeterminism:
         t1, _ = run_scenario(topo, scn, seed=9)
         t2, _ = run_scenario(topo, scn, seed=10)
         assert serialize_trace(t1) != serialize_trace(t2)
+
+    @pytest.mark.parametrize("link_seed", [0, 1, 2])
+    def test_link_jitter_draws_apart_from_the_tier_streams(self, link_seed):
+        # Tier k of a decode run draws from Rng(seed).spawn(k), k = 0, 1, 2 (0 is
+        # also a config link's default seed); links draw from Rng(seed).spawn(3).
+        link = LinkSpec("device", "edge", 1e-3, 1e7, 5e-4, link_seed)
+        net = _Net(Topology(nodes=two_node_topology().nodes, links=(link,)), 7)
+        # Sends 10 s apart never wait on FIFO order: each arrives at now + delay.
+        arrivals = [net.send(10.0 * i, "device", "edge", 0, "") for i in range(4)]
+
+        def arrivals_on(rng):
+            return [10.0 * i + transmit_time(FRAME_BYTES, link, rng) for i in range(4)]
+
+        assert arrivals != arrivals_on(Rng(7).spawn(link_seed))
+        assert arrivals == arrivals_on(Rng(7).spawn(3).spawn(link_seed))
 
 
 class TestEventOrder:
@@ -669,7 +685,7 @@ class TestScenarioSchema:
         assert schema["additionalProperties"] is False, what
         defaults = {name: default for name, (_, default) in fields.items()
                     if default is not REQUIRED}
-        # A field without a schema default reads as None (feature_seed: the run seed).
+        # A field without a schema default must default to None in the code.
         assert {name: schema["properties"][name].get("default") for name in defaults} \
             == defaults, what
 

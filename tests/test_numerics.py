@@ -369,3 +369,16 @@ def test_rng_rejects_bad_seed():
         Rng(2**64)
     with pytest.raises(InvalidInputError):
         Rng(1.5)  # type: ignore[arg-type]
+
+
+# Documented input errors that no other test reaches, each with its exact message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: Rng(0).spawn(-1), "spawn key must be a non-negative int"),
+    (lambda: Rng(0).spawn(True), "spawn key must be a non-negative int"),
+    (lambda: Rng(0).spawn(1.0), "spawn key must be a non-negative int"),
+    (lambda: solve_lower_triangular(np.ones((2, 3)), np.ones(2)),
+     "s must be square, got (2, 3)"),
+])
+def test_documented_input_errors(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

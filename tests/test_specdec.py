@@ -169,13 +169,13 @@ class TestPromptCheckedOnce:
 
     def test_work_per_token_does_not_grow_with_context(self, monkeypatch):
         checked = [0]
-        check_context = toylm._check_context
+        check_tokens = toylm.check_tokens
 
-        def counting(lm, context):
+        def counting(context, vocab_size):
             checked[0] += len(context)
-            return check_context(lm, context)
+            return check_tokens(context, vocab_size)
 
-        monkeypatch.setattr(toylm, "_check_context", counting)
+        monkeypatch.setattr(toylm, "check_tokens", counting)
 
         class SameList:
             """A decoder that records whether every call sees one list object."""

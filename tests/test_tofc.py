@@ -18,9 +18,10 @@ import pytest
 from aiflow import tofc
 from aiflow.errors import (
     InvalidInputError,
+    IoError,
     MalformedBitstreamError,
 )
-from aiflow.numerics import Rng
+from aiflow.numerics import MAX_ARRAY_BYTES, Rng
 from aiflow.rangecoder import TOTAL, RangeDecoder, RangeEncoder
 from aiflow.tofc import (
     B_MIN,
@@ -30,6 +31,7 @@ from aiflow.tofc import (
     LaplacianModel,
     TofcConfig,
     balance_metric,
+    check_point_count,
     decode,
     dpc_knn_cluster,
     encode,
@@ -43,7 +45,6 @@ from aiflow.tofc import (
     route,
     save_features,
     tofc_pipeline,
-    _DISTANCE_BYTES,
     _ROW_BLOCK,
     _TILE,
     _Distances,
@@ -351,7 +352,9 @@ class TestDpcKnn:
         # budget: the check runs before any distance block, so the traced
         # peak stays at the N floats of the features.
         n = 11_586
-        assert 8 * (n - 1) ** 2 <= _DISTANCE_BYTES < 8 * n * n
+        assert 8 * (n - 1) ** 2 <= MAX_ARRAY_BYTES < 8 * n * n
+        check_point_count(n - 1)
+        check_point_count(-n)  # a count below 1 is the caller's own rule
         fs = FeatureSet(features=np.arange(float(n))[:, None])
         message = f"{n} points need {8 * n * n} bytes of pairwise distances"
         tracemalloc.start()
@@ -1661,3 +1664,51 @@ class TestFeatureIO:
         a = make_blob_features(12, 3, 3, Rng(21))
         b = make_blob_features(12, 3, 3, Rng(21))
         assert np.array_equal(a.features, b.features)
+
+
+def _symbols(m, d):
+    return np.zeros((m, d), dtype=np.int64)
+
+
+# Documented input errors that no other test reaches, each with its exact message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: quantize(np.array([1.0, np.nan])), "values must be finite"),
+    (lambda: quantize(np.array([np.inf])), "values must be finite"),
+    (lambda: balance_metric([]), "selection_counts must be non-negative, one per model"),
+    (lambda: balance_metric([[1, 2]]), "selection_counts must be non-negative, one per model"),
+    (lambda: balance_metric([3, -1]), "selection_counts must be non-negative, one per model"),
+    (lambda: encode(_symbols(1, 1), [None] * 256, [0]), "at most 255 models fit the container"),
+    (lambda: encode(np.zeros(3, dtype=np.int64), [None], [0]),
+     "symbols must be a 2-D integer array"),
+    (lambda: encode(np.zeros((1, 1)), [None], [0]), "symbols must be a 2-D integer array"),
+    (lambda: encode(_symbols(1, 0), [None], [0]),
+     "symbol matrix does not fit the container limits"),
+    (lambda: encode(_symbols(65_536, 1), [None], [0]),
+     "symbol matrix does not fit the container limits"),
+])
+def test_documented_input_errors(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("lo, hi", [(7, 7), (8, 7)])
+def test_decoder_rejects_an_empty_interval(lo, hi):
+    decoder = RangeDecoder(bytes(range(1, 9)))
+    decoder.decode_freq()
+    with pytest.raises(InvalidInputError, match="^invalid frequency interval$"):
+        decoder.decode_update(lo, hi)
+
+
+@pytest.mark.parametrize("text, error", [(None, IoError), ("1,2\n3,x\n", InvalidInputError)])
+def test_feature_csv_errors(tmp_path, text, error):
+    # An unreadable path is an I/O error, a malformed file an input error; each
+    # carries numpy's own reason.
+    path = tmp_path / "feats.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises((OSError, ValueError)) as cause:
+        np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    prefix = "cannot read features" if error is IoError else "malformed feature csv"
+    with pytest.raises(error, match=f"^{re.escape(f'{prefix}: {cause.value}')}$") as raised:
+        load_features_csv(path)
+    assert type(raised.value) is error

@@ -568,13 +568,13 @@ def test_chain_scorer_calls_next_dist_for_each_unshared_tier(next_dist_calls):
 
 def test_trunk_dists_checks_the_window_once(lm, monkeypatch):
     checked = []
-    check_context = toylm._check_context
+    check_tokens = toylm.check_tokens
 
-    def counting(model, context):
+    def counting(context, vocab_size):
         checked.append(len(context))
-        return check_context(model, context)
+        return check_tokens(context, vocab_size)
 
-    monkeypatch.setattr(toylm, "_check_context", counting)
+    monkeypatch.setattr(toylm, "check_tokens", counting)
     window = lm.config.context_window
     stale = [99] + [1] * window  # only the window is read, as by next_dist
     p_d, p_e, p_t = toylm.chain_scorer([LmDecoder(lm, 2), LmDecoder(lm, 5), LmDecoder(lm)])(stale)
@@ -744,3 +744,15 @@ def test_build_and_calibration_make_no_scalar_draws(monkeypatch):
     assert b"".join(w.tobytes() for w in built.blocks) == weights[vocab:-vocab].tobytes()
     assert built.lm_head.tobytes() == weights[-vocab:].tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+# Documented input errors that no other test reaches, each with its exact message.
+@pytest.mark.parametrize("make, message", [
+    (lambda lm: ToyLmConfig(seed=1 << 64), "seed must fit in 64 bits"),
+    # round(0.05 * 16 / 2) is rank 0.
+    (lambda lm: attach_branch(lm, 2, 0.05, _branch_context(lm, 2)),
+     "ratio 0.05 gives rank 0 at width 16"),
+])
+def test_documented_input_errors(lm, make, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        make(lm)
